@@ -27,7 +27,9 @@
 use std::sync::Arc;
 use tdt_crypto::cert::{CertRole, Certificate};
 use tdt_crypto::certcache::CertChainCache;
+use tdt_crypto::schnorr::VerifyingKey;
 use tdt_crypto::sha256::sha256;
+use tdt_crypto::CryptoError;
 use tdt_fabric::chaincode::{Chaincode, TxContext};
 use tdt_fabric::error::ChaincodeError;
 use tdt_wire::codec::Message;
@@ -94,12 +96,13 @@ impl Cmdac {
     /// Validates `cert` against the recorded configuration of `network_id`:
     /// the claimed organization must exist there and the certificate must
     /// chain to that organization's recorded root. Successful chain
-    /// validations are served from the cache within a config epoch.
+    /// validations are served from the cache within a config epoch, along
+    /// with the outcome of decoding the certified key (the inner result).
     fn validate_cert_against_config(
         &self,
         config: &NetworkConfig,
         cert: &Certificate,
-    ) -> Result<(), ChaincodeError> {
+    ) -> Result<Result<VerifyingKey, CryptoError>, ChaincodeError> {
         if cert.subject().network != config.network_id {
             return Err(ChaincodeError::AccessDenied(format!(
                 "certificate network {:?} does not match config network {:?}",
@@ -121,7 +124,7 @@ impl Cmdac {
         let root = decode_certificate(&org.root_cert)
             .map_err(|e| ChaincodeError::Internal(format!("stored root cert corrupt: {e}")))?;
         self.cert_cache
-            .verify_chain(cert, &root)
+            .verified_key(cert, &root)
             .map_err(|e| ChaincodeError::AccessDenied(format!("certificate invalid: {e}")))
     }
 
@@ -182,16 +185,16 @@ impl Cmdac {
                 ChaincodeError::BadRequest(format!("attestation {i} certificate malformed: {e}"))
             })?;
             // Authenticate the signer against the recorded source config.
-            self.validate_cert_against_config(&config, &cert)?;
+            let decoded = self.validate_cert_against_config(&config, &cert)?;
             if cert.subject().role != CertRole::Peer {
                 return Err(ChaincodeError::AccessDenied(format!(
                     "attestation {i} signer {:?} is not a peer",
                     cert.subject().qualified_name()
                 )));
             }
-            // Decode the signer key and signature; verification happens in
-            // the batch below.
-            let vk = cert.verifying_key().map_err(|e| {
+            // The signer key comes decoded with the cached chain verdict;
+            // signature verification happens in the batch below.
+            let vk = decoded.map_err(|e| {
                 ChaincodeError::BadRequest(format!("attestation {i} key invalid: {e}"))
             })?;
             let signature =
@@ -345,7 +348,9 @@ impl Chaincode for Cmdac {
                 let config = Self::load_config(ctx, &network_id)?;
                 let cert = decode_certificate(cert_bytes)
                     .map_err(|e| ChaincodeError::BadRequest(format!("cert malformed: {e}")))?;
-                self.validate_cert_against_config(&config, &cert)?;
+                // The chain verdict alone; nothing here uses the key.
+                self.validate_cert_against_config(&config, &cert)
+                    .map(drop)?;
                 Ok(b"ok".to_vec())
             }
             "SetVerificationPolicy" => {

@@ -13,13 +13,20 @@
 //! The cache key covers the certificate's canonical bytes, its CA
 //! signature, and the root's canonical bytes, so a forged signature over
 //! the same certificate body can never hit a legitimate entry.
+//!
+//! Every caller that authenticates a signer goes on to verify a signature
+//! with the certified key, and decoding that key costs a subgroup
+//! exponentiation — as much as the signature check itself. A verified
+//! entry therefore holds the decoded [`VerifyingKey`]
+//! ([`CertChainCache::verified_key`]): a hit skips the chain validation
+//! *and* the key decoding.
 
 use crate::cert::Certificate;
 use crate::error::CryptoError;
 use crate::group::FixedBaseTable;
 use crate::schnorr::VerifyingKey;
 use crate::sha256::sha256;
-use std::collections::HashSet;
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -27,7 +34,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 /// table at modp2048 is ~2 MiB (512 windows × 16 entries × 256 bytes), so
 /// the cache is bounded to the handful of endorser keys that recur across
 /// proofs; older entries are evicted in insertion order.
-const KEY_TABLE_CAP: usize = 8;
+pub const KEY_TABLE_CAP: usize = 8;
 
 /// Shared cache of certificate chains that have already validated.
 ///
@@ -41,7 +48,10 @@ const KEY_TABLE_CAP: usize = 8;
 /// tables together.
 #[derive(Debug, Default)]
 pub struct CertChainCache {
-    verified: Mutex<HashSet<[u8; 32]>>,
+    /// Verified chain → what decoding the certified key gave. The decode
+    /// outcome is a pure function of the certificate, so a chain whose key
+    /// does not decode is still a (cached) chain success.
+    verified: Mutex<HashMap<[u8; 32], Result<VerifyingKey, CryptoError>>>,
     /// Insertion-ordered `(key-element digest, table)` pairs, capped at
     /// [`KEY_TABLE_CAP`].
     key_tables: Mutex<Vec<([u8; 32], Arc<FixedBaseTable>)>>,
@@ -81,6 +91,26 @@ impl CertChainCache {
     /// Propagates [`CryptoError::CertificateInvalid`] from the
     /// underlying validation; failures are never cached.
     pub fn verify_chain(&self, cert: &Certificate, root: &Certificate) -> Result<(), CryptoError> {
+        self.verified_key(cert, root).map(drop)
+    }
+
+    /// [`Self::verify_chain`], also handing back the certificate's decoded
+    /// verifying key: on a hit neither the chain validation nor the key's
+    /// subgroup check runs again.
+    ///
+    /// The inner result is [`Certificate::verifying_key`]'s — a chain can
+    /// validate over key bytes that do not decode, and callers report the
+    /// two failures differently.
+    ///
+    /// # Errors
+    ///
+    /// The outer error is the chain validation's, as for
+    /// [`Self::verify_chain`]; failures are never cached.
+    pub fn verified_key(
+        &self,
+        cert: &Certificate,
+        root: &Certificate,
+    ) -> Result<Result<VerifyingKey, CryptoError>, CryptoError> {
         let key = Self::key(cert, root);
         // Capture the epoch before validating. Chain validation runs
         // outside any lock (it is two modular exponentiations), so a
@@ -93,27 +123,45 @@ impl CertChainCache {
         let epoch_at_start = self.epoch.load(Ordering::Acquire);
         {
             let verified = self.verified.lock().unwrap_or_else(PoisonError::into_inner);
-            if verified.contains(&key) {
+            if let Some(decoded) = verified.get(&key) {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(());
+                return Ok(decoded.clone());
             }
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         cert.verify(root)?;
+        let decoded = cert.verifying_key();
         let mut verified = self.verified.lock().unwrap_or_else(PoisonError::into_inner);
         if self.epoch.load(Ordering::Acquire) == epoch_at_start {
-            verified.insert(key);
+            verified.insert(key, decoded.clone());
         }
-        Ok(())
+        Ok(decoded)
     }
 
     /// Returns the cached fixed-base table for `vk`'s element, building
     /// and caching it on a miss (outside the lock — a build is seconds of
-    /// work at modp2048 and must not stall concurrent lookups).
+    /// work at modp2048 and must not stall concurrent lookups). A full
+    /// cache evicts its oldest entry.
     ///
     /// The returned `Arc` stays valid across an epoch bump or eviction;
     /// only the cache's reference is dropped.
     pub fn key_table(&self, vk: &VerifyingKey) -> Arc<FixedBaseTable> {
+        self.table(vk, true)
+            .unwrap_or_else(|| Arc::new(vk.precompute_table()))
+    }
+
+    /// [`Self::key_table`] without eviction: a cached table, or a freshly
+    /// built one while the cache has room, else `None` (the caller verifies
+    /// table-less). For callers whose signer set can exceed
+    /// [`KEY_TABLE_CAP`] — a commit path cycling through more endorsers
+    /// than that would otherwise evict and rebuild a table (several plain
+    /// verifications' worth of work) on every lookup.
+    pub fn key_table_if_room(&self, vk: &VerifyingKey) -> Option<Arc<FixedBaseTable>> {
+        self.table(vk, false)
+    }
+
+    /// `None` only when the cache is full and `evict` is false.
+    fn table(&self, vk: &VerifyingKey, evict: bool) -> Option<Arc<FixedBaseTable>> {
         // Cache id over the *public* key element; nothing secret compares
         // here.
         let table_id = sha256(&vk.to_bytes());
@@ -124,7 +172,10 @@ impl CertChainCache {
                 .unwrap_or_else(PoisonError::into_inner);
             if let Some((_, t)) = tables.iter().find(|(id, _)| *id == table_id) {
                 self.table_hits.fetch_add(1, Ordering::Relaxed);
-                return Arc::clone(t);
+                return Some(Arc::clone(t));
+            }
+            if !evict && tables.len() >= KEY_TABLE_CAP {
+                return None;
             }
         }
         self.table_misses.fetch_add(1, Ordering::Relaxed);
@@ -135,13 +186,17 @@ impl CertChainCache {
             .unwrap_or_else(PoisonError::into_inner);
         if let Some((_, t)) = tables.iter().find(|(id, _)| *id == table_id) {
             // A racing builder won; use its table and drop ours.
-            return Arc::clone(t);
+            return Some(Arc::clone(t));
         }
         if tables.len() >= KEY_TABLE_CAP {
+            if !evict {
+                // Racing builders filled the cache: use ours, uncached.
+                return Some(built);
+            }
             tables.remove(0);
         }
         tables.push((table_id, Arc::clone(&built)));
-        built
+        Some(built)
     }
 
     /// Number of key-table lookups answered from the cache.
@@ -225,6 +280,41 @@ impl CertChainCache {
             hits / total
         }
     }
+}
+
+/// Bound on the [`decoded_key`] memo (an entry is a few hundred bytes).
+const DECODED_KEY_CAP: usize = 64;
+
+/// [`Certificate::verifying_key`] through a process-wide memo, for callers
+/// that hold no trust root to key a [`CertChainCache`] entry by (the
+/// client-side proof pre-check sees the same few foreign attesters on every
+/// response). Whether key bytes decode — group lookup plus the subgroup
+/// exponentiation — is a pure function of (group name, key bytes), so a hit
+/// is no trust decision and needs no epoch. Only successes are kept; a full
+/// memo starts over.
+///
+/// # Errors
+///
+/// As [`Certificate::verifying_key`].
+pub fn decoded_key(cert: &Certificate) -> Result<VerifyingKey, CryptoError> {
+    static MEMO: Mutex<Vec<([u8; 32], VerifyingKey)>> = Mutex::new(Vec::new());
+    let mut material = cert.group_name().as_bytes().to_vec();
+    material.push(0);
+    material.extend_from_slice(cert.sign_key_bytes());
+    let id = sha256(&material);
+    {
+        let memo = MEMO.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some((_, key)) = memo.iter().find(|(k, _)| *k == id) {
+            return Ok(key.clone());
+        }
+    }
+    let key = cert.verifying_key()?;
+    let mut memo = MEMO.lock().unwrap_or_else(PoisonError::into_inner);
+    if memo.len() >= DECODED_KEY_CAP {
+        memo.clear();
+    }
+    memo.push((id, key.clone()));
+    Ok(key)
 }
 
 #[cfg(test)]
@@ -389,5 +479,85 @@ mod tests {
         let hits_before = cache.table_hits();
         cache.key_table(&keys[KEY_TABLE_CAP]);
         assert_eq!(cache.table_hits(), hits_before + 1);
+    }
+
+    #[test]
+    fn verified_key_hit_returns_the_decoded_key() {
+        let mut authority = ca(b"a");
+        let root = authority.root_certificate().clone();
+        let cert = issue(&mut authority, "peer0");
+        let cache = CertChainCache::new();
+        let cold = cache.verified_key(&cert, &root).unwrap().unwrap();
+        let warm = cache.verified_key(&cert, &root).unwrap().unwrap();
+        assert_eq!((cache.hits(), cache.misses()), (1, 1));
+        assert_eq!(cold, cert.verifying_key().unwrap());
+        assert_eq!(warm, cold);
+        // One entry serves both lookups.
+        cache.verify_chain(&cert, &root).unwrap();
+        assert_eq!((cache.hits(), cache.len()), (2, 1));
+    }
+
+    #[test]
+    fn chain_over_undecodable_key_is_a_chain_success() {
+        // The CA signed key bytes that are no element of the certificate's
+        // group: the chain verdict (outer) and the key (inner) differ, and
+        // the pair is cached like any other chain success.
+        let mut authority = ca(b"a");
+        let root = authority.root_certificate().clone();
+        let wide = SigningKey::from_seed(Group::modp_1024(), b"wide").verifying_key();
+        let cert = authority.issue("peer0", CertRole::Peer, &wide, None);
+        let cache = CertChainCache::new();
+        for _ in 0..2 {
+            assert!(cache.verify_chain(&cert, &root).is_ok());
+            assert!(cache.verified_key(&cert, &root).unwrap().is_err());
+        }
+        assert_eq!((cache.hits(), cache.misses()), (3, 1));
+    }
+
+    #[test]
+    fn key_table_if_room_never_evicts() {
+        let cache = CertChainCache::new();
+        let keys: Vec<_> = (0..KEY_TABLE_CAP + 4)
+            .map(|i| {
+                SigningKey::from_seed(Group::test_group(), format!("room-{i}").as_bytes())
+                    .verifying_key()
+            })
+            .collect();
+        for _round in 0..3 {
+            for (i, vk) in keys.iter().enumerate() {
+                assert_eq!(cache.key_table_if_room(vk).is_some(), i < KEY_TABLE_CAP);
+            }
+        }
+        // One build per admitted key, ever; the rest go table-less.
+        assert_eq!(cache.table_misses(), KEY_TABLE_CAP as u64);
+        assert_eq!(cache.table_len(), KEY_TABLE_CAP);
+    }
+
+    #[test]
+    fn decoded_key_matches_the_certificate_and_rejects_bad_bytes() {
+        let mut authority = ca(b"a");
+        let cert = issue(&mut authority, "memo-peer");
+        for _ in 0..2 {
+            assert_eq!(decoded_key(&cert).unwrap(), cert.verifying_key().unwrap());
+        }
+        let wide = SigningKey::from_seed(Group::modp_1024(), b"wide").verifying_key();
+        let bad = authority.issue("memo-bad", CertRole::Peer, &wide, None);
+        for _ in 0..2 {
+            assert!(decoded_key(&bad).is_err());
+        }
+        // Same key bytes under another group name: a different memo entry.
+        let regrouped = Certificate::assemble(
+            cert.subject().clone(),
+            cert.serial(),
+            "modp1024".to_string(),
+            cert.sign_key_bytes().to_vec(),
+            None,
+            cert.issuer().clone(),
+            None,
+        );
+        assert_eq!(
+            decoded_key(&regrouped).map(|k| k.group().name()),
+            regrouped.verifying_key().map(|k| k.group().name())
+        );
     }
 }

@@ -16,7 +16,7 @@
 
 use crate::bigint::{BarrettContext, BigUint, MontElem, MontgomeryCtx};
 use std::fmt;
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, OnceLock};
 
 /// Oakley Group 1 prime (768-bit safe prime, RFC 2409 §6.1).
 const MODP_768_HEX: &str = "FFFFFFFFFFFFFFFFC90FDAA22168C234C4C6628B80DC1CD129024E088A67CC74\
@@ -41,8 +41,9 @@ const MODP_2048_HEX: &str = "FFFFFFFFFFFFFFFFC90FDAA22168C234C4C6628B80DC1CD1290
 
 /// A multiplicative group of prime order `q` inside `Z_p^*`.
 ///
-/// Cheap to clone (internally reference-counted): the Barrett contexts for
-/// `p` and `q` are shared.
+/// Cheap to clone (internally reference-counted), and the three builtin
+/// groups are interned: every handle over one prime shares a single set of
+/// Barrett/Montgomery contexts and one generator table.
 #[derive(Clone)]
 pub struct Group {
     inner: Arc<GroupInner>,
@@ -56,19 +57,9 @@ struct GroupInner {
     generator: BigUint,
     element_len: usize,
     scalar_len: usize,
-    /// Lazily-bound fixed-base table for the generator, shared process-wide
-    /// per prime via [`GENERATOR_TABLES`].
+    /// Fixed-base table for the generator, built on first use.
     gen_table: OnceLock<Arc<FixedBaseTable>>,
 }
-
-/// One registry slot: (prime bytes, that prime's generator table).
-type TableSlot = (Vec<u8>, Arc<FixedBaseTable>);
-
-/// Process-wide registry of generator tables, keyed by the prime's bytes.
-/// Groups are rebuilt freely (`Group::by_name` allocates a fresh inner), so
-/// the expensive table must outlive any single `Group` instance. Only the
-/// three builtin primes ever land here.
-static GENERATOR_TABLES: OnceLock<Mutex<Vec<TableSlot>>> = OnceLock::new();
 
 impl fmt::Debug for Group {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -110,17 +101,26 @@ impl Group {
 
     /// Oakley Group 1 (768-bit). Fast; suitable for tests and benches.
     pub fn modp_768() -> Self {
-        Self::from_prime("modp768", MODP_768_HEX)
+        static GROUP: OnceLock<Group> = OnceLock::new();
+        GROUP
+            .get_or_init(|| Self::from_prime("modp768", MODP_768_HEX))
+            .clone()
     }
 
     /// Oakley Group 2 (1024-bit). The default group.
     pub fn modp_1024() -> Self {
-        Self::from_prime("modp1024", MODP_1024_HEX)
+        static GROUP: OnceLock<Group> = OnceLock::new();
+        GROUP
+            .get_or_init(|| Self::from_prime("modp1024", MODP_1024_HEX))
+            .clone()
     }
 
     /// RFC 3526 Group 14 (2048-bit). Production-equivalent parameter size.
     pub fn modp_2048() -> Self {
-        Self::from_prime("modp2048", MODP_2048_HEX)
+        static GROUP: OnceLock<Group> = OnceLock::new();
+        GROUP
+            .get_or_init(|| Self::from_prime("modp2048", MODP_2048_HEX))
+            .clone()
     }
 
     /// The group used throughout the test-suites: the 768-bit Oakley group.
@@ -184,32 +184,12 @@ impl Group {
         }
     }
 
-    /// The process-shared fixed-base table for this group's generator,
-    /// built on first use and reused by every `Group` handle over the same
-    /// prime.
+    /// The fixed-base table for this group's generator, built on first use
+    /// and shared by every handle over the same (interned) group.
     pub fn generator_table(&self) -> Arc<FixedBaseTable> {
         self.inner
             .gen_table
-            .get_or_init(|| {
-                let key = self.p().to_bytes_be();
-                let registry = GENERATOR_TABLES.get_or_init(|| Mutex::new(Vec::new()));
-                {
-                    let guard = registry.lock().unwrap_or_else(PoisonError::into_inner);
-                    if let Some((_, t)) = guard.iter().find(|(k, _)| *k == key) {
-                        return t.clone();
-                    }
-                }
-                // Build outside the lock (seconds at modp2048); a racing
-                // builder's duplicate is dropped below.
-                let built = Arc::new(self.precompute_table(&self.inner.generator));
-                let mut guard = registry.lock().unwrap_or_else(PoisonError::into_inner);
-                if let Some((_, t)) = guard.iter().find(|(k, _)| *k == key) {
-                    t.clone()
-                } else {
-                    guard.push((key, built.clone()));
-                    built
-                }
-            })
+            .get_or_init(|| Arc::new(self.precompute_table(&self.inner.generator)))
             .clone()
     }
 

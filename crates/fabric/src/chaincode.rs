@@ -151,15 +151,32 @@ impl Proposal {
     ///
     /// Returns [`FabricError::BadSignature`] when unsigned or invalid.
     pub fn verify_signature(&self) -> Result<(), FabricError> {
+        if self.signature.is_none() {
+            return Err(FabricError::BadSignature("proposal is unsigned".into()));
+        }
+        let key = self
+            .creator
+            .verifying_key()
+            .map_err(|e| FabricError::BadSignature(e.to_string()))?;
+        self.verify_signature_with(&key)
+    }
+
+    /// [`Self::verify_signature`] for a caller that already holds the
+    /// creator certificate's decoded key.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FabricError::BadSignature`] when unsigned or invalid.
+    pub fn verify_signature_with(
+        &self,
+        creator_key: &tdt_crypto::schnorr::VerifyingKey,
+    ) -> Result<(), FabricError> {
         let sig = self
             .signature
             .as_ref()
             .ok_or_else(|| FabricError::BadSignature("proposal is unsigned".into()))?;
-        let vk = self
-            .creator
-            .verifying_key()
-            .map_err(|e| FabricError::BadSignature(e.to_string()))?;
-        vk.verify(&self.canonical_bytes(), sig)
+        creator_key
+            .verify(&self.canonical_bytes(), sig)
             .map_err(|e| FabricError::BadSignature(e.to_string()))
     }
 }

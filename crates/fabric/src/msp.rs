@@ -9,9 +9,10 @@
 use crate::error::FabricError;
 use std::collections::{HashMap, HashSet};
 use tdt_crypto::cert::{CertRole, Certificate, CertificateAuthority};
+use tdt_crypto::certcache::CertChainCache;
 use tdt_crypto::elgamal::DecryptionKey;
 use tdt_crypto::group::Group;
-use tdt_crypto::schnorr::SigningKey;
+use tdt_crypto::schnorr::{SigningKey, VerifyingKey};
 
 /// A member identity: certificate plus private keys.
 #[derive(Debug, Clone)]
@@ -156,10 +157,27 @@ fn role_tag(role: CertRole) -> &'static str {
 
 /// Validates member certificates across many organizations: the per-network
 /// registry of MSP roots (and the shape of the config networks exchange).
-#[derive(Debug, Clone, Default)]
+///
+/// Successful validations are remembered in one [`CertChainCache`] per
+/// registry — i.e. per network, shared by every peer holding the same
+/// `Arc<MspRegistry>`: the peers of a network re-validate the same few
+/// endorser certificates on every block, and a per-peer cache would
+/// multiply the memory of the per-key tables by the peer count.
+#[derive(Debug, Default)]
 pub struct MspRegistry {
     // org_id -> root certificate
     roots: HashMap<String, Certificate>,
+    cache: CertChainCache,
+}
+
+impl Clone for MspRegistry {
+    /// The clone trusts the same roots and starts with an empty cache.
+    fn clone(&self) -> Self {
+        MspRegistry {
+            roots: self.roots.clone(),
+            cache: CertChainCache::new(),
+        }
+    }
 }
 
 impl MspRegistry {
@@ -168,9 +186,11 @@ impl MspRegistry {
         Self::default()
     }
 
-    /// Registers an organization's root certificate.
+    /// Registers an organization's root certificate. Verdicts reached under
+    /// the previous root set are dropped.
     pub fn register(&mut self, org_id: impl Into<String>, root: Certificate) {
         self.roots.insert(org_id.into(), root);
+        self.cache.bump_epoch();
     }
 
     /// The root certificate of `org_id`, if registered.
@@ -190,12 +210,37 @@ impl MspRegistry {
     /// Returns [`FabricError::IdentityInvalid`] when the claimed
     /// organization is unknown or the chain does not verify.
     pub fn validate(&self, cert: &Certificate) -> Result<(), FabricError> {
-        let org = &cert.subject().organization;
-        let root = self.roots.get(org).ok_or_else(|| {
-            FabricError::IdentityInvalid(format!("no MSP root registered for org {org:?}"))
-        })?;
-        cert.verify(root)
+        self.cache
+            .verify_chain(cert, self.claimed_root(cert)?)
             .map_err(|e| FabricError::IdentityInvalid(e.to_string()))
+    }
+
+    /// [`Self::validate`], handing back the certificate's decoded verifying
+    /// key; for a certificate seen before, neither the chain validation nor
+    /// the key's subgroup check runs again.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FabricError::IdentityInvalid`] as [`Self::validate`] does,
+    /// and when the certified key bytes do not decode.
+    pub fn verified_key(&self, cert: &Certificate) -> Result<VerifyingKey, FabricError> {
+        self.cache
+            .verified_key(cert, self.claimed_root(cert)?)
+            .and_then(|decoded| decoded)
+            .map_err(|e| FabricError::IdentityInvalid(e.to_string()))
+    }
+
+    /// The cache behind [`Self::validate`] / [`Self::verified_key`]: its
+    /// hit counters, and the per-key tables that share its epoch.
+    pub fn cert_cache(&self) -> &CertChainCache {
+        &self.cache
+    }
+
+    fn claimed_root(&self, cert: &Certificate) -> Result<&Certificate, FabricError> {
+        let org = &cert.subject().organization;
+        self.roots.get(org).ok_or_else(|| {
+            FabricError::IdentityInvalid(format!("no MSP root registered for org {org:?}"))
+        })
     }
 }
 
@@ -313,5 +358,96 @@ mod tests {
             i1.certificate().sign_key_bytes(),
             i2.certificate().sign_key_bytes()
         );
+    }
+
+    #[test]
+    fn registry_serves_repeat_validations_from_its_cache() {
+        let mut msp = msp();
+        let id = msp.enroll("p", CertRole::Peer, false);
+        let mut reg = MspRegistry::new();
+        reg.register("seller-org", msp.root_certificate().clone());
+        reg.validate(id.certificate()).unwrap();
+        let key = reg.verified_key(id.certificate()).unwrap();
+        assert_eq!(key, id.certificate().verifying_key().unwrap());
+        let cache = reg.cert_cache();
+        assert_eq!((cache.hits(), cache.misses()), (1, 1));
+    }
+
+    #[test]
+    fn forged_ca_signature_over_cached_body_never_hits() {
+        let mut msp = msp();
+        let id = msp.enroll("p", CertRole::Peer, false);
+        let mut reg = MspRegistry::new();
+        reg.register("seller-org", msp.root_certificate().clone());
+        reg.validate(id.certificate()).unwrap();
+        // The cached certificate's body under a signature by a CA that only
+        // shares the registered one's name.
+        let cert = id.certificate();
+        let impostor = SigningKey::from_seed(Group::test_group(), b"impostor-ca");
+        let forged = Certificate::assemble(
+            cert.subject().clone(),
+            cert.serial(),
+            cert.group_name().to_string(),
+            cert.sign_key_bytes().to_vec(),
+            None,
+            cert.issuer().clone(),
+            Some(impostor.sign(&cert.canonical_bytes())),
+        );
+        assert_eq!(forged.canonical_bytes(), cert.canonical_bytes());
+        assert!(reg.validate(&forged).is_err());
+        assert!(reg.verified_key(&forged).is_err());
+        assert_eq!(reg.cert_cache().hits(), 0);
+    }
+
+    #[test]
+    fn registering_a_replaced_root_invalidates_earlier_verdicts() {
+        let mut old_msp = msp();
+        let id = old_msp.enroll("p", CertRole::Peer, false);
+        let mut reg = MspRegistry::new();
+        reg.register("seller-org", old_msp.root_certificate().clone());
+        reg.validate(id.certificate()).unwrap();
+        assert_eq!(reg.cert_cache().len(), 1);
+        // Same org, new CA key: members of the old CA are out.
+        let new_msp = Msp::new("stl", "seller-org", Group::test_group(), b"rotated");
+        let epoch = reg.cert_cache().epoch();
+        reg.register("seller-org", new_msp.root_certificate().clone());
+        assert!(reg.cert_cache().epoch() > epoch);
+        assert!(reg.cert_cache().is_empty());
+        assert!(reg.validate(id.certificate()).is_err());
+        assert!(reg.verified_key(id.certificate()).is_err());
+        assert_eq!(reg.cert_cache().hits(), 0);
+    }
+
+    #[test]
+    fn validations_racing_a_config_change_stay_correct() {
+        // The registry itself changes only through `&mut`; what can race
+        // is the cache it shares its epoch protocol with (the CMDAC bumps
+        // its own from a contract call while other peers validate). The
+        // interleaving that protocol must survive is model-checked
+        // (`interleave::models::certcache_epoch`); here real threads check
+        // that no verdict is ever wrong while epochs turn over.
+        let mut msp = msp();
+        let member = msp.enroll("p", CertRole::Peer, false);
+        let mut other = Msp::new("stl", "seller-org", Group::test_group(), b"other");
+        let stranger = other.enroll("p", CertRole::Peer, false);
+        let mut reg = MspRegistry::new();
+        reg.register("seller-org", msp.root_certificate().clone());
+        let start = std::sync::Barrier::new(3);
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                scope.spawn(|| {
+                    start.wait();
+                    for _ in 0..40 {
+                        assert!(reg.validate(member.certificate()).is_ok());
+                        assert!(reg.verified_key(stranger.certificate()).is_err());
+                    }
+                });
+            }
+            start.wait();
+            for _ in 0..40 {
+                reg.cert_cache().bump_epoch();
+            }
+        });
+        assert!(reg.cert_cache().len() <= 1);
     }
 }

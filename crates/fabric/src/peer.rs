@@ -5,6 +5,9 @@
 //! the MSP registry, endorsement signatures against the reconstructed
 //! proposal-response payload, the chaincode's endorsement policy, and MVCC
 //! read versions — so a single faulty peer cannot corrupt honest replicas.
+//! Endorsements are authenticated for a whole block at once (cached
+//! identities, one batch verification) before the serial policy + MVCC
+//! pass.
 
 use crate::chaincode::{ChaincodeRegistry, PeerInfo, Proposal, TxContext};
 use crate::endorse::{
@@ -14,8 +17,11 @@ use crate::endorse::{
 use crate::error::FabricError;
 use crate::msp::{Identity, MspRegistry};
 use crate::policy::EndorsementPolicy;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
+use tdt_crypto::cert::CertRole;
+use tdt_crypto::group::FixedBaseTable;
+use tdt_crypto::schnorr::{batch_verify, BatchItem, Signature, VerifyingKey};
 use tdt_ledger::block::{Block, TxValidationCode};
 use tdt_ledger::history::HistoryIndex;
 use tdt_ledger::rwset::Version;
@@ -252,8 +258,17 @@ impl Peer {
 
     fn simulate_inner(&self, proposal: &Proposal) -> Result<SimulationResult, FabricError> {
         if !proposal.relay_query {
-            proposal.verify_signature()?;
-            self.msp_registry.validate(&proposal.creator)?;
+            // No key table for creators: requesters rotate, and a table
+            // built for each would push the endorsers' out of the cache.
+            match self.msp_registry.verified_key(&proposal.creator) {
+                Ok(key) => proposal.verify_signature_with(&key)?,
+                Err(identity_invalid) => {
+                    // Off the hot path; a bad signature is reported ahead
+                    // of an invalid identity.
+                    proposal.verify_signature()?;
+                    return Err(identity_invalid);
+                }
+            }
         }
         let code = self
             .registry
@@ -306,44 +321,114 @@ impl Peer {
             .record_err(&mut span)
     }
 
-    /// Validates one transaction envelope against a staged view of this
-    /// peer's state (committed state + writes of earlier valid
-    /// transactions in the block being validated).
+    /// Phase one of block validation: authenticates every endorsement of
+    /// every decoded envelope. Per transaction, `Some(orgs)` lists the
+    /// distinct endorsing organizations in endorsement order; `None` means
+    /// the envelope did not decode or one of its endorsements failed
+    /// (non-peer endorser, certificate not chaining to its MSP root,
+    /// undecodable key, bad signature).
+    ///
+    /// Certificates resolve through the network's verified-identity cache;
+    /// the signatures of the whole block then go through **one**
+    /// [`batch_verify`] per group, which stripes the exponentiations over
+    /// the available cores. When an aggregate fails, each transaction of
+    /// that group is re-checked as its own batch — twice the signature work
+    /// at worst, so a block stuffed with forgeries stays linear.
+    fn verify_endorsements(
+        &self,
+        envelopes: &[Option<TransactionEnvelope>],
+    ) -> Vec<Option<Vec<String>>> {
+        let payloads: Vec<Vec<u8>> = envelopes
+            .iter()
+            .map(|e| {
+                e.as_ref()
+                    .map_or_else(Vec::new, |e| e.response_payload().canonical_bytes())
+            })
+            .collect();
+        let mut endorsing_orgs = Vec::with_capacity(envelopes.len());
+        // Signatures awaiting verification, by group, in transaction order.
+        let mut by_group: BTreeMap<&'static str, Vec<PendingSignature<'_>>> = BTreeMap::new();
+        for (tx, (envelope, payload)) in envelopes.iter().zip(&payloads).enumerate() {
+            let endorsers = envelope
+                .as_ref()
+                .and_then(|envelope| self.endorsers(tx, envelope, payload));
+            // All of a transaction's endorsements or none: a transaction
+            // already known bad puts no work into the batch.
+            endorsing_orgs.push(endorsers.map(|(orgs, pending)| {
+                for p in pending {
+                    by_group.entry(p.key.group().name()).or_default().push(p);
+                }
+                orgs
+            }));
+        }
+        for pending in by_group.values() {
+            if PendingSignature::all_verify(pending) {
+                continue;
+            }
+            for of_one_tx in pending.chunk_by(|a, b| a.tx == b.tx) {
+                if !PendingSignature::all_verify(of_one_tx) {
+                    let failed = of_one_tx.first().map(|p| p.tx);
+                    if let Some(slot) = failed.and_then(|tx| endorsing_orgs.get_mut(tx)) {
+                        *slot = None;
+                    }
+                }
+            }
+        }
+        endorsing_orgs
+    }
+
+    /// The endorsing organizations of transaction `tx` and its signatures
+    /// still to verify, or `None` when an endorser is not a peer or does
+    /// not resolve to a verified key.
+    fn endorsers<'a>(
+        &self,
+        tx: usize,
+        envelope: &'a TransactionEnvelope,
+        payload: &'a [u8],
+    ) -> Option<(Vec<String>, Vec<PendingSignature<'a>>)> {
+        let mut orgs: Vec<String> = Vec::new();
+        let mut pending = Vec::with_capacity(envelope.endorsements.len());
+        for endorsement in &envelope.endorsements {
+            let cert = &endorsement.endorser_cert;
+            if cert.subject().role != CertRole::Peer {
+                return None;
+            }
+            let key = self.msp_registry.verified_key(cert).ok()?;
+            // No eviction: more endorsers than the cache holds must not
+            // rebuild a table per lookup.
+            let table = self.msp_registry.cert_cache().key_table_if_room(&key);
+            pending.push(PendingSignature {
+                tx,
+                key,
+                table,
+                payload,
+                signature: &endorsement.signature,
+            });
+            if !orgs.contains(&cert.subject().organization) {
+                orgs.push(cert.subject().organization.clone());
+            }
+        }
+        Some((orgs, pending))
+    }
+
+    /// Phase two, per transaction and in block order: endorsement policy,
+    /// then MVCC against a staged view of this peer's state (committed
+    /// state + writes of earlier valid transactions in the block).
     fn validate_tx(
         &self,
         staged: &StagedState<'_>,
         envelope: &TransactionEnvelope,
+        endorsing_orgs: Option<&[String]>,
     ) -> TxValidationCode {
-        // 1. Endorsement signatures + certificates.
-        let payload_bytes = envelope.response_payload().canonical_bytes();
-        let mut endorsing_orgs: Vec<String> = Vec::new();
-        for endorsement in &envelope.endorsements {
-            if self
-                .msp_registry
-                .validate(&endorsement.endorser_cert)
-                .is_err()
-            {
-                return TxValidationCode::BadEndorsementSignature;
-            }
-            let Ok(vk) = endorsement.endorser_cert.verifying_key() else {
-                return TxValidationCode::BadEndorsementSignature;
-            };
-            if vk.verify(&payload_bytes, &endorsement.signature).is_err() {
-                return TxValidationCode::BadEndorsementSignature;
-            }
-            let org = endorsement.endorser_cert.subject().organization.clone();
-            if !endorsing_orgs.contains(&org) {
-                endorsing_orgs.push(org);
-            }
-        }
-        // 2. Endorsement policy for the chaincode.
+        let Some(endorsing_orgs) = endorsing_orgs else {
+            return TxValidationCode::BadEndorsementSignature;
+        };
         let Some(policy) = self.policies.get(&envelope.chaincode) else {
             return TxValidationCode::BadPayload;
         };
-        if !policy.is_satisfied(&endorsing_orgs) {
+        if !policy.is_satisfied(endorsing_orgs) {
             return TxValidationCode::EndorsementPolicyFailure;
         }
-        // 3. MVCC.
         if !staged.mvcc_check(&envelope.rwset) {
             return TxValidationCode::MvccConflict;
         }
@@ -379,8 +464,14 @@ impl Peer {
             self.store.append(block)?;
             return Ok(codes);
         }
-        // Verify the chain link up front so state is never mutated for a
-        // block that cannot be appended.
+        self.check_extends_chain(&block)?;
+        let validated = self.validate_block(&block);
+        self.commit_validated(block, validated)
+    }
+
+    /// Verifies the chain link up front so state is never mutated for a
+    /// block that cannot be appended.
+    fn check_extends_chain(&self, block: &Block) -> Result<(), FabricError> {
         let expected = self.store.height();
         if block.header.number != expected {
             return Err(tdt_ledger::LedgerError::NonContiguousBlock {
@@ -403,31 +494,51 @@ impl Peer {
             }
             .into());
         }
-        // Validate transactions *serially* against a staged overlay: a
-        // transaction's MVCC check sees the writes of earlier valid
-        // transactions in the same block (Fabric semantics — two
-        // same-block conflicting writes cannot both commit), but the live
-        // world state stays untouched until the block is durable.
+        Ok(())
+    }
+
+    /// Validates every transaction of `block` without touching live state.
+    ///
+    /// Two phases. Endorsement authentication reads no ledger state, so it
+    /// runs first, for the whole block at once and across cores
+    /// ([`Self::verify_endorsements`]). Policy and MVCC then run *serially*
+    /// against a staged overlay: a transaction's MVCC check sees the writes
+    /// of earlier valid transactions in the same block (Fabric semantics —
+    /// two same-block conflicting writes cannot both commit), but the live
+    /// world state stays untouched until the block is durable.
+    fn validate_block(&self, block: &Block) -> ValidatedBlock {
         let block_number = block.header.number;
-        let mut codes = Vec::with_capacity(block.transactions.len());
-        let mut valid: Vec<(usize, TransactionEnvelope)> = Vec::new();
-        {
-            let mut staged = StagedState::new(&self.state);
-            for (i, tx_bytes) in block.transactions.iter().enumerate() {
-                match TransactionEnvelope::decode_from_slice(tx_bytes) {
-                    Ok(envelope) => {
-                        let code = self.validate_tx(&staged, &envelope);
-                        if code.is_valid() {
-                            let version = Version::new(block_number, i as u64);
-                            staged.stage(&envelope.rwset, version);
-                            valid.push((i, envelope));
-                        }
-                        codes.push(code);
-                    }
-                    Err(_) => codes.push(TxValidationCode::BadPayload),
-                }
+        let envelopes: Vec<Option<TransactionEnvelope>> = block
+            .transactions
+            .iter()
+            .map(|tx_bytes| TransactionEnvelope::decode_from_slice(tx_bytes).ok())
+            .collect();
+        let endorsing_orgs = self.verify_endorsements(&envelopes);
+        let mut validated = ValidatedBlock::default();
+        let mut staged = StagedState::new(&self.state);
+        for (i, (envelope, orgs)) in envelopes.into_iter().zip(&endorsing_orgs).enumerate() {
+            let Some(envelope) = envelope else {
+                validated.codes.push(TxValidationCode::BadPayload);
+                continue;
+            };
+            let code = self.validate_tx(&staged, &envelope, orgs.as_deref());
+            if code.is_valid() {
+                staged.stage(&envelope.rwset, Version::new(block_number, i as u64));
+                validated.valid.push((i, envelope));
             }
+            validated.codes.push(code);
         }
+        validated
+    }
+
+    /// Records the validation codes in the block, appends it durably, and
+    /// only then applies the valid transactions.
+    fn commit_validated(
+        &mut self,
+        mut block: Block,
+        ValidatedBlock { codes, valid }: ValidatedBlock,
+    ) -> Result<Vec<TxValidationCode>, FabricError> {
+        let block_number = block.header.number;
         block.metadata.tx_validation = codes.clone();
         // Durability point: after this returns Ok the block is on disk
         // (or in the volatile backend, by choice) and must survive any
@@ -452,13 +563,46 @@ impl Peer {
     }
 }
 
+/// An endorsement whose certificate resolved, its signature unverified.
+struct PendingSignature<'a> {
+    /// Position of the endorsed transaction in its block.
+    tx: usize,
+    key: VerifyingKey,
+    table: Option<Arc<FixedBaseTable>>,
+    payload: &'a [u8],
+    signature: &'a Signature,
+}
+
+impl PendingSignature<'_> {
+    /// One batch verification over `pending` (all of one group).
+    fn all_verify(pending: &[PendingSignature<'_>]) -> bool {
+        let items: Vec<BatchItem<'_>> = pending
+            .iter()
+            .map(|p| BatchItem {
+                key: &p.key,
+                message: p.payload,
+                signature: p.signature,
+                table: p.table.clone(),
+            })
+            .collect();
+        batch_verify(&items).is_ok()
+    }
+}
+
+/// What validating a block decided: one code per transaction, and the
+/// decoded envelopes of the valid ones with their positions.
+#[derive(Default)]
+struct ValidatedBlock {
+    codes: Vec<TxValidationCode>,
+    valid: Vec<(usize, TransactionEnvelope)>,
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::chaincode::Chaincode;
     use crate::error::ChaincodeError;
     use crate::msp::Msp;
-    use tdt_crypto::cert::CertRole;
     use tdt_crypto::group::Group;
 
     struct KvStore;
@@ -863,5 +1007,454 @@ mod tests {
         // until the next recovery pass.
         assert_eq!(f.peer.height(), 0);
         assert_eq!(f.peer.state_hash(), WorldState::new().state_hash());
+    }
+
+    #[test]
+    fn client_cert_endorsement_rejected() {
+        // An org member that is not a peer cannot stand in for one: the
+        // policy asks for org1's endorsement, and only peers endorse (the
+        // CMDAC applies the same rule to attestation signers).
+        let mut f = fixture();
+        let p = proposal(&f, "tx", "put", vec![b"k".to_vec(), b"v".to_vec()]);
+        let sim = f.peer.simulate(&p).unwrap();
+        let mut env = envelope(&f, &p, &sim);
+        env.endorsements = vec![endorsement(&f.client, &env)];
+        // The one intended difference from the serial validator this
+        // replaced, which took any org1 certificate.
+        let staged = StagedState::new(f.peer.state());
+        assert_eq!(
+            f.peer.validate_tx_serial(&staged, &env),
+            TxValidationCode::Valid
+        );
+        assert_eq!(
+            commit(&mut f, &env),
+            vec![TxValidationCode::BadEndorsementSignature]
+        );
+    }
+
+    #[test]
+    fn endorser_set_larger_than_the_table_cache_builds_no_table_per_block() {
+        use tdt_crypto::certcache::KEY_TABLE_CAP;
+
+        // 12 endorsers rotate through an 8-table cache. Evicting to admit
+        // each newcomer would rebuild a table — several verifications'
+        // worth of work — for every signature of every block; the commit
+        // path admits tables only while there is room and verifies the
+        // remaining keys table-less.
+        let mut msp = Msp::new("net", "org1", Group::test_group(), b"s");
+        let endorsers: Vec<Identity> = (0..12)
+            .map(|i| msp.enroll(&format!("peer{i}"), CertRole::Peer, false))
+            .collect();
+        let client = msp.enroll("alice", CertRole::Client, false);
+        let mut msp_registry = MspRegistry::new();
+        msp_registry.register("org1", msp.root_certificate().clone());
+        let msp_registry = Arc::new(msp_registry);
+        let policies = HashMap::from([("kv".to_string(), EndorsementPolicy::any_of(["org1"]))]);
+        let mut peer = Peer::new(
+            "net",
+            "org1",
+            "peer0",
+            endorsers[0].clone(),
+            Arc::new(ChaincodeRegistry::new()),
+            Arc::clone(&msp_registry),
+            Arc::new(policies),
+        );
+        peer.validate_and_commit(Block::genesis(vec![b"config".to_vec()]))
+            .unwrap();
+        let cache = msp_registry.cert_cache();
+        let mut builds_after_first_block = 0;
+        for b in 0..4 {
+            let txs = endorsers
+                .iter()
+                .enumerate()
+                .map(|(i, endorser)| {
+                    let mut env = blind_write(&format!("b{b}-t{i}"), "k", client.certificate());
+                    env.endorsements = vec![endorsement(endorser, &env)];
+                    env.encode_to_vec()
+                })
+                .collect();
+            let tip = peer.store().tip().unwrap().clone();
+            let codes = peer.validate_and_commit(Block::next(&tip, txs)).unwrap();
+            assert_eq!(codes, vec![TxValidationCode::Valid; 12]);
+            if b == 0 {
+                builds_after_first_block = cache.table_misses();
+            }
+        }
+        assert_eq!(builds_after_first_block, KEY_TABLE_CAP as u64);
+        assert_eq!(cache.table_misses(), builds_after_first_block);
+        assert_eq!(cache.table_len(), KEY_TABLE_CAP);
+        // 12 chain validations ever; every later lookup is a hit.
+        assert_eq!(cache.misses(), 12);
+        assert_eq!(cache.hits(), 36);
+    }
+
+    // -----------------------------------------------------------------
+    // Differential: block-wide validation against the serial validator
+    // it replaced.
+    // -----------------------------------------------------------------
+
+    impl Peer {
+        /// The validator this module shipped before block-wide
+        /// validation, kept as the oracle: per endorsement an uncached
+        /// chain validation, a key decode and a table-less verify,
+        /// then policy and MVCC, one transaction at a time.
+        fn validate_tx_serial(
+            &self,
+            staged: &StagedState<'_>,
+            envelope: &TransactionEnvelope,
+        ) -> TxValidationCode {
+            let payload_bytes = envelope.response_payload().canonical_bytes();
+            let mut endorsing_orgs: Vec<String> = Vec::new();
+            for endorsement in &envelope.endorsements {
+                let cert = &endorsement.endorser_cert;
+                let chains = self
+                    .msp_registry
+                    .root(&cert.subject().organization)
+                    .is_some_and(|root| cert.verify(root).is_ok());
+                if !chains {
+                    return TxValidationCode::BadEndorsementSignature;
+                }
+                let Ok(vk) = cert.verifying_key() else {
+                    return TxValidationCode::BadEndorsementSignature;
+                };
+                if vk.verify(&payload_bytes, &endorsement.signature).is_err() {
+                    return TxValidationCode::BadEndorsementSignature;
+                }
+                let org = cert.subject().organization.clone();
+                if !endorsing_orgs.contains(&org) {
+                    endorsing_orgs.push(org);
+                }
+            }
+            let Some(policy) = self.policies.get(&envelope.chaincode) else {
+                return TxValidationCode::BadPayload;
+            };
+            if !policy.is_satisfied(&endorsing_orgs) {
+                return TxValidationCode::EndorsementPolicyFailure;
+            }
+            if !staged.mvcc_check(&envelope.rwset) {
+                return TxValidationCode::MvccConflict;
+            }
+            TxValidationCode::Valid
+        }
+
+        /// [`Peer::validate_and_commit`] with the serial validator.
+        fn validate_and_commit_serial(
+            &mut self,
+            block: Block,
+        ) -> Result<Vec<TxValidationCode>, FabricError> {
+            self.check_extends_chain(&block)?;
+            let block_number = block.header.number;
+            let mut validated = ValidatedBlock::default();
+            {
+                let mut staged = StagedState::new(&self.state);
+                for (i, tx_bytes) in block.transactions.iter().enumerate() {
+                    let Ok(envelope) = TransactionEnvelope::decode_from_slice(tx_bytes) else {
+                        validated.codes.push(TxValidationCode::BadPayload);
+                        continue;
+                    };
+                    let code = self.validate_tx_serial(&staged, &envelope);
+                    if code.is_valid() {
+                        staged.stage(&envelope.rwset, Version::new(block_number, i as u64));
+                        validated.valid.push((i, envelope));
+                    }
+                    validated.codes.push(code);
+                }
+            }
+            self.commit_validated(block, validated)
+        }
+    }
+
+    fn endorsement(endorser: &Identity, envelope: &TransactionEnvelope) -> Endorsement {
+        Endorsement {
+            endorser_cert: endorser.certificate().clone(),
+            signature: endorser.sign(&envelope.response_payload().canonical_bytes()),
+        }
+    }
+
+    /// An unendorsed envelope writing `key` blind.
+    fn blind_write(
+        txid: &str,
+        key: &str,
+        creator: &tdt_crypto::cert::Certificate,
+    ) -> TransactionEnvelope {
+        let mut rwset = tdt_ledger::rwset::TxRwSet::new();
+        rwset.record_write("kv", key, Some(txid.as_bytes().to_vec()));
+        TransactionEnvelope {
+            txid: txid.into(),
+            channel: "ch".into(),
+            chaincode: "kv".into(),
+            result: Vec::new(),
+            rwset,
+            endorsements: Vec::new(),
+            creator_cert: creator.clone(),
+        }
+    }
+
+    /// What a generated transaction has wrong with it.
+    #[derive(Debug, Clone, Copy)]
+    enum Fault {
+        None,
+        ForgedSignature,
+        NonCanonicalSignature,
+        UnregisteredRoot,
+        UndecodableKey,
+        OtherGroupEndorser,
+        OtherGroupForged,
+        NoEndorsements,
+        MissingOrg,
+        UnknownChaincode,
+        ReadsHotKey,
+        Garbage,
+    }
+
+    const FAULTS: [Fault; 12] = [
+        Fault::None,
+        Fault::ForgedSignature,
+        Fault::NonCanonicalSignature,
+        Fault::UnregisteredRoot,
+        Fault::UndecodableKey,
+        Fault::OtherGroupEndorser,
+        Fault::OtherGroupForged,
+        Fault::NoEndorsements,
+        Fault::MissingOrg,
+        Fault::UnknownChaincode,
+        Fault::ReadsHotKey,
+        Fault::Garbage,
+    ];
+
+    /// Identities for the differential test: "kv" needs org1 and org2.
+    struct World {
+        org1: Identity,
+        org2: Identity,
+        /// Peer of a registered org whose MSP issues modp1024 keys.
+        other_group: Identity,
+        /// Peer of a CA that calls itself org1 but is not the registered one.
+        rogue: Identity,
+        /// A certificate that chains to a registered root over key bytes
+        /// that do not decode in its group, and the key that signs for it.
+        undecodable: (
+            tdt_crypto::cert::Certificate,
+            tdt_crypto::schnorr::SigningKey,
+        ),
+        client: Identity,
+        msp_registry: Arc<MspRegistry>,
+        policies: Arc<HashMap<String, EndorsementPolicy>>,
+    }
+
+    fn world() -> World {
+        let group = Group::test_group();
+        let mut msp1 = Msp::new("net", "org1", group.clone(), b"1");
+        let mut msp2 = Msp::new("net", "org2", group.clone(), b"2");
+        let mut msp3 = Msp::new("net", "org3", Group::modp_1024(), b"3");
+        let mut rogue_msp = Msp::new("net", "org1", group.clone(), b"rogue");
+        let mut ca4 = tdt_crypto::cert::CertificateAuthority::new("net", "org4", group, b"4");
+        let wide_key = tdt_crypto::schnorr::SigningKey::from_seed(Group::modp_1024(), b"wide");
+        let undecodable = ca4.issue("peer0", CertRole::Peer, &wide_key.verifying_key(), None);
+        let mut msp_registry = MspRegistry::new();
+        msp_registry.register("org1", msp1.root_certificate().clone());
+        msp_registry.register("org2", msp2.root_certificate().clone());
+        msp_registry.register("org3", msp3.root_certificate().clone());
+        msp_registry.register("org4", ca4.root_certificate().clone());
+        let policies = HashMap::from([(
+            "kv".to_string(),
+            EndorsementPolicy::all_of(["org1", "org2"]),
+        )]);
+        World {
+            org1: msp1.enroll("peer0", CertRole::Peer, false),
+            org2: msp2.enroll("peer0", CertRole::Peer, false),
+            other_group: msp3.enroll("peer0", CertRole::Peer, false),
+            rogue: rogue_msp.enroll("peer0", CertRole::Peer, false),
+            undecodable: (undecodable, wide_key),
+            client: msp1.enroll("alice", CertRole::Client, false),
+            msp_registry: Arc::new(msp_registry),
+            policies: Arc::new(policies),
+        }
+    }
+
+    impl World {
+        /// A peer over `FileBackend` on an in-memory disk, genesis committed.
+        fn durable_peer(&self) -> (Peer, Arc<tdt_ledger::storage::vfs::MemVfs>) {
+            use tdt_ledger::storage::file::{FileBackend, FileConfig};
+            use tdt_ledger::storage::vfs::{MemVfs, Vfs};
+            let disk = Arc::new(MemVfs::new());
+            let config = FileConfig {
+                snapshot_interval: 2,
+                ..FileConfig::default()
+            };
+            let backend = FileBackend::new(Arc::clone(&disk) as Arc<dyn Vfs>, config);
+            let mut peer = Peer::with_backend(
+                "net",
+                "org1",
+                "peer0",
+                self.org1.clone(),
+                Arc::new(ChaincodeRegistry::new()),
+                Arc::clone(&self.msp_registry),
+                Arc::clone(&self.policies),
+                Box::new(backend),
+            )
+            .unwrap();
+            peer.validate_and_commit(Block::genesis(vec![b"config".to_vec()]))
+                .unwrap();
+            (peer, disk)
+        }
+
+        /// The bytes of one transaction with `fault`; `salt` picks the
+        /// key written and which endorsement a signature fault hits.
+        fn transaction(
+            &self,
+            txid: &str,
+            fault: Fault,
+            salt: u64,
+            hot_version: Option<Version>,
+        ) -> Vec<u8> {
+            let mut env = blind_write(txid, &format!("k{}", salt % 4), self.client.certificate());
+            match fault {
+                Fault::Garbage => return format!("not an envelope {salt}").into_bytes(),
+                Fault::UnknownChaincode => env.chaincode = "missing".into(),
+                // Valid alone; two in one block conflict on the staged write.
+                Fault::ReadsHotKey => {
+                    env.rwset.record_read("kv", "hot", hot_version);
+                    env.rwset
+                        .record_write("kv", "hot", Some(txid.as_bytes().to_vec()));
+                }
+                _ => {}
+            }
+            let mut endorsements =
+                vec![endorsement(&self.org1, &env), endorsement(&self.org2, &env)];
+            let hit = (salt / 4) as usize % endorsements.len();
+            let elsewhere = blind_write("elsewhere", "k", self.client.certificate());
+            match fault {
+                Fault::ForgedSignature => {
+                    endorsements[hit].signature = endorsement(&self.org1, &elsewhere).signature;
+                }
+                Fault::NonCanonicalSignature => {
+                    let sig = &endorsements[hit].signature;
+                    let mut e = vec![0];
+                    e.extend_from_slice(sig.e_bytes());
+                    endorsements[hit].signature =
+                        Signature::from_scalars(e, sig.s_bytes().to_vec());
+                }
+                Fault::UnregisteredRoot => endorsements[hit] = endorsement(&self.rogue, &env),
+                Fault::UndecodableKey => {
+                    endorsements[hit] = Endorsement {
+                        endorser_cert: self.undecodable.0.clone(),
+                        signature: self
+                            .undecodable
+                            .1
+                            .sign(&env.response_payload().canonical_bytes()),
+                    };
+                }
+                Fault::OtherGroupEndorser => {
+                    endorsements.insert(hit, endorsement(&self.other_group, &env));
+                }
+                Fault::OtherGroupForged => {
+                    let mut forged = endorsement(&self.other_group, &elsewhere);
+                    forged.endorser_cert = self.other_group.certificate().clone();
+                    endorsements.insert(hit, forged);
+                }
+                Fault::NoEndorsements => endorsements.clear(),
+                Fault::MissingOrg => {
+                    endorsements.remove(hit);
+                }
+                _ => {}
+            }
+            env.endorsements = endorsements;
+            env.encode_to_vec()
+        }
+    }
+
+    fn disk_image(disk: &tdt_ledger::storage::vfs::MemVfs) -> Vec<(String, Vec<u8>)> {
+        use tdt_ledger::storage::vfs::Vfs;
+        disk.list("")
+            .unwrap()
+            .into_iter()
+            .map(|path| {
+                let bytes = disk.read(&path).unwrap();
+                (path, bytes)
+            })
+            .collect()
+    }
+
+    /// Commits the same generated blocks through both validators on two
+    /// fresh durable peers; codes, state and disk bytes must not differ.
+    fn assert_validators_agree(
+        world: &World,
+        blocks: &[Vec<(Fault, u64)>],
+    ) -> Vec<TxValidationCode> {
+        let (mut batched, batched_disk) = world.durable_peer();
+        let (mut serial, serial_disk) = world.durable_peer();
+        let mut all_codes = Vec::new();
+        for (b, txs) in blocks.iter().enumerate() {
+            let hot_version = batched.state().version("kv", "hot");
+            let txs: Vec<Vec<u8>> = txs
+                .iter()
+                .enumerate()
+                .map(|(i, &(fault, salt))| {
+                    world.transaction(&format!("b{b}-t{i}"), fault, salt, hot_version)
+                })
+                .collect();
+            let tip = batched.store().tip().unwrap().clone();
+            let block = Block::next(&tip, txs);
+            let codes = batched.validate_and_commit(block.clone()).unwrap();
+            let oracle = serial.validate_and_commit_serial(block).unwrap();
+            assert_eq!(codes, oracle, "block {b}: {:?}", blocks[b]);
+            all_codes.extend(codes);
+        }
+        assert_eq!(batched.state_hash(), serial.state_hash());
+        assert_eq!(disk_image(&batched_disk), disk_image(&serial_disk));
+        all_codes
+    }
+
+    #[test]
+    fn differential_every_fault_alone_and_paired() {
+        let world = world();
+        // Every fault twice in one block (the second ReadsHotKey is the
+        // same-block MVCC conflict), then a clean block, then one fault
+        // per block (an aggregate failure with a single culprit).
+        let mut blocks = vec![FAULTS.iter().chain(&FAULTS).map(|&f| (f, 5)).collect()];
+        blocks.push(vec![(Fault::None, 0); 4]);
+        blocks.extend(
+            FAULTS
+                .iter()
+                .map(|&f| vec![(Fault::None, 1), (f, 2), (Fault::None, 3)]),
+        );
+        let codes = assert_validators_agree(&world, &blocks);
+        use TxValidationCode::*;
+        for expected in [
+            Valid,
+            BadEndorsementSignature,
+            EndorsementPolicyFailure,
+            BadPayload,
+            MvccConflict,
+        ] {
+            assert!(
+                codes.contains(&expected),
+                "no transaction came out {expected:?}"
+            );
+        }
+    }
+
+    mod differential {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            #[test]
+            fn prop_block_validation_matches_the_serial_validator(
+                first in prop::collection::vec((0usize..FAULTS.len(), any::<u64>()), 0..7),
+                second in prop::collection::vec((0usize..FAULTS.len(), any::<u64>()), 0..7),
+            ) {
+                thread_local! {
+                    static WORLD: World = world();
+                }
+                let blocks: Vec<Vec<(Fault, u64)>> = [first, second]
+                    .into_iter()
+                    .map(|txs| txs.into_iter().map(|(f, salt)| (FAULTS[f], salt)).collect())
+                    .collect();
+                WORLD.with(|world| assert_validators_agree(world, &blocks));
+            }
+        }
     }
 }

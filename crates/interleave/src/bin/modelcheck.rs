@@ -8,7 +8,7 @@
 //!   `INTERLEAVE_SEED` (CI passes a pinned seed and a randomized one)
 //!   and is echoed so any failure replays exactly.
 
-use interleave::models::{admission_ewma, breaker_probe, stats_snapshot, Variant};
+use interleave::models::{admission_ewma, breaker_probe, certcache_epoch, stats_snapshot, Variant};
 use interleave::sched::{explore, Config, Sim};
 
 type Scenario = Box<dyn Fn(&mut Sim)>;
@@ -18,6 +18,7 @@ fn scenarios(variant: Variant) -> Vec<(&'static str, Scenario)> {
         ("admission-ewma", Box::new(admission_ewma(variant))),
         ("breaker-probe", Box::new(breaker_probe(variant))),
         ("stats-snapshot", Box::new(stats_snapshot(variant))),
+        ("certcache-epoch", Box::new(certcache_epoch(variant))),
     ]
 }
 

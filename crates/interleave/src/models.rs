@@ -18,6 +18,9 @@
 //!   the admitted probe via serial tokens.
 //! * `relay::service` stats — `RelayStatsSnapshot`-style field-wise
 //!   counter reads racing RMW increments.
+//! * `crypto::certcache` — a chain validation (run outside the lock)
+//!   racing the epoch bump of a configuration change, which used to
+//!   clear the table *before* advancing the epoch.
 
 use crate::sched::{Sim, VCell, VMutex, Vt};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -276,6 +279,66 @@ pub fn stats_snapshot(variant: Variant) -> impl Fn(&mut Sim) {
     }
 }
 
+/// `crypto::certcache::CertChainCache`: `verified_key` racing
+/// `bump_epoch`.
+///
+/// A validator captures the epoch, validates outside the lock, and
+/// inserts its verdict only if the epoch is unchanged; a configuration
+/// change advances the epoch and clears the table. Entries are tagged
+/// with the epoch their validation started in. The invariant: once
+/// both finish, no entry from an earlier epoch is left — a verdict
+/// reached under the old root set must not outlive the change. The
+/// pre-fix variant is `bump_epoch` as first written (clear, then
+/// advance): a validation that started before the change re-checks an
+/// epoch that has not moved yet and lands in the freshly cleared table.
+pub fn certcache_epoch(variant: Variant) -> impl Fn(&mut Sim) {
+    move |sim: &mut Sim| {
+        let epoch = Arc::new(VCell::new(0u64));
+        let verified: Arc<VMutex<Vec<u64>>> = Arc::new(VMutex::new(Vec::new()));
+        {
+            let epoch = Arc::clone(&epoch);
+            let verified = Arc::clone(&verified);
+            sim.thread(move |vt| {
+                let epoch_at_start = epoch.read(vt);
+                let hit = !verified.lock(vt).is_empty();
+                if hit {
+                    return;
+                }
+                // The chain validation itself runs here, unlocked.
+                let mut table = verified.lock(vt);
+                if epoch.read(vt) == epoch_at_start {
+                    table.push(epoch_at_start);
+                }
+            });
+        }
+        {
+            let epoch = Arc::clone(&epoch);
+            let verified = Arc::clone(&verified);
+            sim.thread(move |vt| match variant {
+                Variant::PreFix => {
+                    verified.lock(vt).clear();
+                    epoch.rmw(vt, |e| e + 1);
+                }
+                Variant::Fixed => {
+                    epoch.rmw(vt, |e| e + 1);
+                    verified.lock(vt).clear();
+                }
+            });
+        }
+        let epoch = Arc::clone(&epoch);
+        let verified = Arc::clone(&verified);
+        sim.check(move || {
+            let now = epoch.peek();
+            match verified.peek().iter().find(|&&tag| tag != now) {
+                None => Ok(()),
+                Some(tag) => Err(format!(
+                    "stale verdict: entry validated in epoch {tag} survives in epoch {now}"
+                )),
+            }
+        });
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -334,6 +397,22 @@ mod tests {
             Config::exhaustive_bounded(2),
             stats_snapshot(Variant::Fixed),
         );
+        assert!(report.violation.is_none(), "{}", report.summary());
+        assert!(report.complete, "{}", report.summary());
+    }
+
+    #[test]
+    fn certcache_prefix_stale_verdict_is_found() {
+        let report = explore(Config::exhaustive(), certcache_epoch(Variant::PreFix));
+        let v = report
+            .violation
+            .expect("clear-then-bump must let an old-epoch verdict land");
+        assert!(v.message.contains("stale verdict"), "{}", v.message);
+    }
+
+    #[test]
+    fn certcache_fixed_is_clean_exhaustively() {
+        let report = explore(Config::exhaustive(), certcache_epoch(Variant::Fixed));
         assert!(report.violation.is_none(), "{}", report.summary());
         assert!(report.complete, "{}", report.summary());
     }
