@@ -9,9 +9,15 @@
 //! once from a disk with periodic snapshots — so the table shows exactly
 //! how much replay work snapshots retire.
 //!
-//! Usage: `cargo run -p tdt-bench --release --bin recovery_bench -- [--smoke]`
+//! Usage: `cargo run -p tdt-bench --release --bin recovery_bench --
+//!            [--smoke] [--out PATH] [--label NAME]`
 //!
 //! `--smoke` runs the two smallest scales only (the CI configuration).
+//! `--out` writes the rows as JSON (schema `recovery/v1`, one row per
+//! line); the default, without `--smoke`, is `BENCH_recovery.json`. The
+//! file is a trajectory: rows already in it under another `--label`
+//! (default `this`) are kept, so a parent commit's rows and a change's
+//! rows sit side by side.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -109,6 +115,9 @@ fn build_disk(
     disk
 }
 
+/// Recoveries timed per configuration; the median is reported.
+const REPEATS: usize = 3;
+
 struct Recovery {
     total: Duration,
     backend_share: Duration,
@@ -157,8 +166,44 @@ fn ms(d: Duration) -> f64 {
     d.as_secs_f64() * 1e3
 }
 
+/// The value following `flag` on the command line.
+fn arg_after(flag: &str) -> Option<String> {
+    let args: Vec<String> = std::env::args().collect();
+    let at = args.iter().position(|a| a == flag)?;
+    args.get(at + 1).cloned()
+}
+
+/// Writes `rows` (this run's, under `label`) to `path`, carrying over the
+/// rows an existing file holds under other labels.
+fn write_json(path: &str, smoke: bool, label: &str, rows: &[String]) -> std::io::Result<()> {
+    let mine = format!("    {{\"label\": \"{label}\", ");
+    let kept: Vec<String> = std::fs::read_to_string(path)
+        .unwrap_or_default()
+        .lines()
+        .filter(|line| line.starts_with("    {\"label\": ") && !line.starts_with(&mine))
+        .map(|line| line.trim_end_matches(',').to_string())
+        .collect();
+    let all: Vec<&str> = kept
+        .iter()
+        .map(String::as_str)
+        .chain(rows.iter().map(String::as_str))
+        .collect();
+    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
+    let doc = format!(
+        "{{\n  \"schema\": \"recovery/v1\",\n  \"generated_by\": \"cargo run -p tdt-bench --release --bin recovery_bench{}\",\n  \
+         \"smoke\": {smoke},\n  \
+         \"config\": {{\"txs_per_block\": {TXS_PER_BLOCK}, \"keys\": {KEYS}, \"snapshot_interval\": {SNAPSHOT_INTERVAL}, \"repeats\": {REPEATS}, \"cores\": {cores}}},\n  \
+         \"runs\": [\n{}\n  ]\n}}\n",
+        if smoke { " -- --smoke" } else { "" },
+        all.join(",\n"),
+    );
+    std::fs::write(path, doc)
+}
+
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
+    let out = arg_after("--out").or_else(|| (!smoke).then(|| "BENCH_recovery.json".to_string()));
+    let label = arg_after("--label").unwrap_or_else(|| "this".to_string());
     let scales: &[usize] = if smoke {
         &[2_000, 10_000]
     } else {
@@ -169,11 +214,12 @@ fn main() {
         .enroll("alice", CertRole::Client, false)
         .certificate()
         .clone();
-    println!("recovery_bench: {TXS_PER_BLOCK} txs/block, {KEYS} keys, snapshot every {SNAPSHOT_INTERVAL} blocks");
+    println!("recovery_bench: {TXS_PER_BLOCK} txs/block, {KEYS} keys, snapshot every {SNAPSHOT_INTERVAL} blocks, median of {REPEATS}");
     println!(
-        "{:>10} {:>12} {:>12} {:>12} {:>12} {:>10} {:>10}",
-        "txs", "mode", "total_ms", "backend_ms", "replay_ms", "blocks", "wal_mb"
+        "{:>10} {:>12} {:>12} {:>12} {:>12} {:>10} {:>10} {:>8}",
+        "txs", "mode", "total_ms", "backend_ms", "replay_ms", "blocks", "wal_mb", "workers"
     );
+    let mut rows = Vec::new();
     for &total_txs in scales {
         // Cap the cadence at half the chain so every scale actually
         // exercises the snapshot path (the smoke chains are short).
@@ -181,18 +227,30 @@ fn main() {
         let cadence = SNAPSHOT_INTERVAL.min((blocks / 2).max(8));
         for (mode, interval) in [("wal-only", 0u64), ("snapshots", cadence)] {
             let disk = build_disk(total_txs, interval, &creator);
-            let r = recover(&disk, interval);
+            let mut runs: Vec<Recovery> = (0..REPEATS).map(|_| recover(&disk, interval)).collect();
+            runs.sort_by_key(|r| r.total);
+            let r = runs.swap_remove(REPEATS / 2);
             let replay = r.total.saturating_sub(r.backend_share);
+            let wal_mib = r.wal_bytes as f64 / (1024.0 * 1024.0);
+            let workers = tdt_ledger::par::workers_for(r.wal_bytes as usize);
             println!(
-                "{:>10} {:>12} {:>12.1} {:>12.1} {:>12.1} {:>10} {:>10.1}",
+                "{:>10} {:>12} {:>12.1} {:>12.1} {:>12.1} {:>10} {:>10.1} {:>8}",
                 total_txs,
                 mode,
                 ms(r.total),
                 ms(r.backend_share),
                 ms(replay),
                 r.chain_height,
-                r.wal_bytes as f64 / (1024.0 * 1024.0),
+                wal_mib,
+                workers,
             );
+            rows.push(format!(
+                "    {{\"label\": \"{label}\", \"txs\": {total_txs}, \"mode\": \"{mode}\", \"total_ms\": {:.1}, \"backend_ms\": {:.1}, \"replay_ms\": {:.1}, \"blocks\": {}, \"wal_mib\": {wal_mib:.1}, \"workers\": {workers}}}",
+                ms(r.total),
+                ms(r.backend_share),
+                ms(replay),
+                r.chain_height,
+            ));
             if interval > 0 {
                 assert!(
                     r.snapshot_height.is_some(),
@@ -202,6 +260,15 @@ fn main() {
                     r.replayed_blocks < r.chain_height,
                     "snapshot must retire replay work"
                 ); // lint:allow(panic: "bench harness: a recovery that skipped its snapshot measures the wrong thing")
+            }
+        }
+    }
+    if let Some(path) = out {
+        match write_json(&path, smoke, &label, &rows) {
+            Ok(()) => println!("recovery_bench: wrote {path}"),
+            Err(e) => {
+                eprintln!("recovery_bench: cannot write {path}: {e}");
+                std::process::exit(1);
             }
         }
     }

@@ -24,12 +24,13 @@ use tdt_crypto::group::FixedBaseTable;
 use tdt_crypto::schnorr::{batch_verify, BatchItem, Signature, VerifyingKey};
 use tdt_ledger::block::{Block, TxValidationCode};
 use tdt_ledger::history::HistoryIndex;
-use tdt_ledger::rwset::Version;
+use tdt_ledger::par;
+use tdt_ledger::rwset::{TxRwSet, Version};
 use tdt_ledger::state::{StagedState, WorldState};
 use tdt_ledger::storage::{
-    InMemoryBackend, RecoveryReport, Snapshot, StorageBackend, StorageStats,
+    InMemoryBackend, Recovered, RecoveryReport, Snapshot, StorageBackend, StorageStats,
 };
-use tdt_ledger::store::BlockStore;
+use tdt_ledger::store::{BlockStore, VerifiedBlock};
 use tdt_obs::span::{self as obs_span, RecordErr};
 use tdt_wire::codec::Message;
 
@@ -80,18 +81,18 @@ impl Peer {
 
     /// Opens a peer over a durable storage backend, running recovery
     /// before serving: the backend returns its verified chain (WAL scan,
-    /// tail truncation, Merkle + link verification) plus the newest
-    /// state-hash-verified snapshot; the peer then rebuilds **all**
-    /// derived state — `tx_index` from every block (first write wins),
-    /// world state and history by replaying valid transactions above the
-    /// snapshot height. Derived state is never persisted separately, so
-    /// no crash point can desync lookup structures from the chain.
+    /// tail truncation, Merkle + link verification — each done once, by
+    /// `tdt_ledger::store`) as a [`BlockStore`] plus the newest
+    /// state-hash-verified snapshot. The peer adopts the store as it is
+    /// and rebuilds **all** derived state — `tx_index` from every block
+    /// (first write wins), world state and history by replaying valid
+    /// transactions above the snapshot height. Derived state is never
+    /// persisted separately, so no crash point can desync lookup
+    /// structures from the chain.
     ///
     /// # Errors
     ///
-    /// Environmental storage failures, or a chain the backend handed
-    /// back that fails re-verification (a backend bug, surfaced rather
-    /// than served).
+    /// Environmental storage failures.
     #[allow(clippy::too_many_arguments)] // Peer::new's seven identity/config handles, plus the backend.
     pub fn with_backend(
         network_id: impl Into<String>,
@@ -103,9 +104,13 @@ impl Peer {
         policies: Arc<HashMap<String, EndorsementPolicy>>,
         mut backend: Box<dyn StorageBackend>,
     ) -> Result<Self, FabricError> {
-        let recovered = backend.load()?;
+        let Recovered {
+            chain: mut store,
+            snapshot,
+            report,
+        } = backend.load()?;
         let stats = backend.stats();
-        let (snapshot_height, mut state, mut history) = match recovered.snapshot {
+        let (snapshot_height, mut state, mut history) = match snapshot {
             Some(snapshot) => (snapshot.height, snapshot.state, snapshot.history),
             None => (0, WorldState::new(), HistoryIndex::new()),
         };
@@ -118,50 +123,22 @@ impl Peer {
             Some(_) => tdt_obs::ContextGuard::noop(),
             None => tdt_obs::TraceContext::root().install(),
         };
-        let (mut replay_span, _replay_guard) = obs_span::enter("recovery.replay");
+        let (_replay_span, _replay_guard) = obs_span::enter("recovery.replay");
         stats.set_recovery_phase(
             tdt_ledger::storage::recovery_phase::REPLAY,
-            recovered.report.replayed_blocks,
+            report.replayed_blocks,
         );
-        let mut store = BlockStore::new();
-        for block in recovered.blocks {
-            let number = block.header.number;
-            // Genesis carries raw config payloads, not envelopes.
-            if number > 0 {
-                for (i, tx_bytes) in block.transactions.iter().enumerate() {
-                    let valid = block
-                        .metadata
-                        .tx_validation
-                        .get(i)
-                        .is_some_and(|c| c.is_valid());
-                    if !valid {
-                        continue;
-                    }
-                    let Ok(envelope) = TransactionEnvelope::decode_from_slice(tx_bytes) else {
-                        // A tx the committer validated must decode; treat
-                        // decode failure as an invalid tx, not a crash.
-                        continue;
-                    };
-                    let version = Version::new(number, i as u64);
-                    if number >= snapshot_height {
-                        state.apply(&envelope.rwset, version);
-                        history.record(&envelope.rwset, version);
-                    }
-                    if store.index_tx(envelope.txid, number, i).is_err() {
-                        stats.note_duplicate_txid();
-                    }
-                }
-            }
-            // Re-verifies number, hash link, and Merkle data hash.
-            if let Err(e) = store.append(block) {
-                replay_span.fail(&e.to_string());
-                stats.set_recovery_phase(tdt_ledger::storage::recovery_phase::IDLE, 0);
-                return Err(e.into());
-            }
-        }
+        replay(
+            &mut store,
+            &mut state,
+            &mut history,
+            snapshot_height,
+            &stats,
+            None,
+        );
         stats.set_recovery_phase(
             tdt_ledger::storage::recovery_phase::IDLE,
-            recovered.report.chain_height,
+            report.chain_height,
         );
         Ok(Peer {
             network_id: network_id.into(),
@@ -174,7 +151,7 @@ impl Peer {
             store,
             state,
             history,
-            last_recovery: Some(recovered.report),
+            last_recovery: Some(report),
             backend,
         })
     }
@@ -454,47 +431,22 @@ impl Peer {
     /// storage backend cannot durably append it.
     pub fn validate_and_commit(
         &mut self,
-        mut block: Block,
+        block: Block,
     ) -> Result<Vec<TxValidationCode>, FabricError> {
+        // The one chain check — number, hash link, Merkle root — up front,
+        // so nothing is written or mutated for a block that cannot be
+        // appended, and nothing below hashes the block again.
+        let block = self.store.verify_next(block)?;
         // Genesis/config blocks carry raw config payloads, not envelopes.
-        if block.header.number == 0 {
-            let codes = vec![TxValidationCode::Valid; block.transactions.len()];
-            block.metadata.tx_validation = codes.clone();
-            self.backend.append_block(&block)?;
-            self.store.append(block)?;
-            return Ok(codes);
-        }
-        self.check_extends_chain(&block)?;
-        let validated = self.validate_block(&block);
+        let validated = if block.block().header.number == 0 {
+            ValidatedBlock {
+                codes: vec![TxValidationCode::Valid; block.block().tx_count()],
+                valid: Vec::new(),
+            }
+        } else {
+            self.validate_block(block.block())
+        };
         self.commit_validated(block, validated)
-    }
-
-    /// Verifies the chain link up front so state is never mutated for a
-    /// block that cannot be appended.
-    fn check_extends_chain(&self, block: &Block) -> Result<(), FabricError> {
-        let expected = self.store.height();
-        if block.header.number != expected {
-            return Err(tdt_ledger::LedgerError::NonContiguousBlock {
-                expected,
-                got: block.header.number,
-            }
-            .into());
-        }
-        if let Some(tip) = self.store.tip() {
-            if block.header.prev_hash != tip.hash() {
-                return Err(tdt_ledger::LedgerError::BrokenHashChain {
-                    block: block.header.number,
-                }
-                .into());
-            }
-        }
-        if !block.data_hash_valid() {
-            return Err(tdt_ledger::LedgerError::DataHashMismatch {
-                block: block.header.number,
-            }
-            .into());
-        }
-        Ok(())
     }
 
     /// Validates every transaction of `block` without touching live state.
@@ -535,15 +487,15 @@ impl Peer {
     /// only then applies the valid transactions.
     fn commit_validated(
         &mut self,
-        mut block: Block,
+        mut block: VerifiedBlock,
         ValidatedBlock { codes, valid }: ValidatedBlock,
     ) -> Result<Vec<TxValidationCode>, FabricError> {
-        let block_number = block.header.number;
-        block.metadata.tx_validation = codes.clone();
+        let block_number = block.block().header.number;
+        block.set_tx_validation(codes.clone());
         // Durability point: after this returns Ok the block is on disk
         // (or in the volatile backend, by choice) and must survive any
         // crash. Nothing has mutated yet, so a failure here is clean.
-        self.backend.append_block(&block)?;
+        self.backend.append_block(block.block())?;
         for (i, envelope) in valid {
             let version = Version::new(block_number, i as u64);
             self.state.apply(&envelope.rwset, version);
@@ -560,6 +512,94 @@ impl Peer {
             let _ = self.backend.write_snapshot(&snapshot);
         }
         Ok(codes)
+    }
+}
+
+/// Blocks decoded per round of [`replay`]: bounds how many decoded
+/// read/write sets are resident at once on a long chain.
+const REPLAY_WINDOW: usize = 256;
+
+/// What replay keeps of one committed transaction.
+struct ReplayedTx {
+    version: Version,
+    txid: String,
+    /// The writes to re-apply; `None` below the snapshot height, where the
+    /// snapshot already holds their effect.
+    rwset: Option<TxRwSet>,
+}
+
+/// The valid transactions of `block`, each reduced to what replay needs
+/// (the envelope's certificates and signatures are dropped on the spot).
+fn replayed_txs(block: &Block, snapshot_height: u64) -> impl Iterator<Item = ReplayedTx> + '_ {
+    let number = block.header.number;
+    // Genesis carries raw config payloads, not envelopes.
+    let envelopes = if number == 0 {
+        &[][..]
+    } else {
+        block.transactions.as_slice()
+    };
+    envelopes
+        .iter()
+        .zip(&block.metadata.tx_validation)
+        .enumerate()
+        .filter(|(_, (_, code))| code.is_valid())
+        .filter_map(move |(i, (tx_bytes, _))| {
+            // A tx the committer validated must decode; treat decode
+            // failure as an invalid tx, not a crash.
+            let envelope = TransactionEnvelope::decode_from_slice(tx_bytes).ok()?;
+            Some(ReplayedTx {
+                version: Version::new(number, i as u64),
+                txid: envelope.txid,
+                rwset: (number >= snapshot_height).then_some(envelope.rwset),
+            })
+        })
+}
+
+/// Rebuilds derived state from a verified chain: the transaction index
+/// from every block, world state and history from the blocks at or above
+/// `snapshot_height`. Envelopes are decoded on `workers` threads (`None`:
+/// as many as the window is worth) and applied in chain order on this one,
+/// so first-write-wins and the outcome do not depend on the worker count.
+fn replay(
+    store: &mut BlockStore,
+    state: &mut WorldState,
+    history: &mut HistoryIndex,
+    snapshot_height: u64,
+    stats: &StorageStats,
+    workers: Option<usize>,
+) {
+    let block_bytes = |block: &Block| block.transactions.iter().map(Vec::len).sum::<usize>();
+    let height = store.blocks().len();
+    for start in (0..height).step_by(REPLAY_WINDOW) {
+        let window = store
+            .blocks()
+            .get(start..height.min(start + REPLAY_WINDOW))
+            .unwrap_or(&[]);
+        let workers =
+            workers.unwrap_or_else(|| par::workers_for(window.iter().map(block_bytes).sum()));
+        let (txs, ()) = par::map_chunks(
+            window.iter().collect(),
+            workers,
+            |block| block_bytes(block),
+            |blocks| {
+                tdt_obs::profile_scope!("recovery.replay");
+                blocks
+                    .into_iter()
+                    .flat_map(|block| replayed_txs(block, snapshot_height))
+                    .collect()
+            },
+            || (),
+        );
+        for tx in txs {
+            if let Some(rwset) = &tx.rwset {
+                state.apply(rwset, tx.version);
+                history.record(rwset, tx.version);
+            }
+            let (block, index) = (tx.version.block, tx.version.tx as usize);
+            if store.index_tx(tx.txid, block, index).is_err() {
+                stats.note_duplicate_txid();
+            }
+        }
     }
 }
 
@@ -980,6 +1020,67 @@ mod tests {
     }
 
     #[test]
+    fn reopen_records_one_replay_span_and_ends_the_phase_trail_idle() {
+        use tdt_ledger::storage::recovery_phase::{IDLE, REPLAY, SCAN, SNAPSHOT, VERIFY};
+
+        let world = world();
+        let (mut peer, disk) = world.durable_peer();
+        for b in 0..3 {
+            let txs = vec![world.transaction(&format!("tx{b}"), Fault::None, b, None)];
+            let tip = peer.store().tip().unwrap().clone();
+            peer.validate_and_commit(Block::next(&tip, txs)).unwrap();
+        }
+        drop(peer);
+
+        let root = tdt_obs::TraceContext::root();
+        let _guard = root.install();
+        let first_seq = tdt_obs::flight::snapshot().last().map_or(0, |r| r.seq + 1);
+        let backend = tdt_ledger::storage::file::FileBackend::new(
+            disk as Arc<dyn tdt_ledger::storage::vfs::Vfs>,
+            tdt_ledger::storage::file::FileConfig::default(),
+        );
+        let peer = Peer::with_backend(
+            "net",
+            "org1",
+            "peer0",
+            world.org1.clone(),
+            Arc::new(ChaincodeRegistry::new()),
+            Arc::clone(&world.msp_registry),
+            Arc::clone(&world.policies),
+            Box::new(backend),
+        )
+        .unwrap();
+        assert_eq!(peer.height(), 4);
+
+        let spans = tdt_obs::span::spans_for_trace(root.trace_hi, root.trace_lo);
+        let replays: Vec<_> = spans
+            .iter()
+            .filter(|s| s.name == "recovery.replay")
+            .collect();
+        assert_eq!(replays.len(), 1);
+        assert_eq!(replays[0].parent_span_id, root.span_id);
+        let me = tdt_obs::flight::thread_ordinal();
+        let phases: Vec<(u64, u64)> = tdt_obs::flight::snapshot()
+            .into_iter()
+            .filter(|r| r.seq >= first_seq && r.thread == me)
+            .filter(|r| r.kind == tdt_obs::FlightKind::Recovery as u8)
+            .map(|r| (u64::from(r.code), r.a))
+            .collect();
+        assert!(matches!(
+            phases.as_slice(),
+            [
+                (SCAN, _),
+                (VERIFY, 4),
+                (SNAPSHOT, 4),
+                (IDLE, 4),
+                (REPLAY, 0),
+                (IDLE, 4)
+            ]
+        ));
+        assert_eq!(peer.storage_stats().recovery_phase(), IDLE);
+    }
+
+    #[test]
     fn failed_durable_append_leaves_state_untouched() {
         use tdt_ledger::storage::fault::{FaultConfig, FaultVfs};
         use tdt_ledger::storage::file::{FileBackend, FileConfig};
@@ -1142,12 +1243,12 @@ mod tests {
             &mut self,
             block: Block,
         ) -> Result<Vec<TxValidationCode>, FabricError> {
-            self.check_extends_chain(&block)?;
-            let block_number = block.header.number;
+            let block = self.store.verify_next(block)?;
+            let block_number = block.block().header.number;
             let mut validated = ValidatedBlock::default();
             {
                 let mut staged = StagedState::new(&self.state);
-                for (i, tx_bytes) in block.transactions.iter().enumerate() {
+                for (i, tx_bytes) in block.block().transactions.iter().enumerate() {
                     let Ok(envelope) = TransactionEnvelope::decode_from_slice(tx_bytes) else {
                         validated.codes.push(TxValidationCode::BadPayload);
                         continue;
@@ -1274,6 +1375,14 @@ mod tests {
     impl World {
         /// A peer over `FileBackend` on an in-memory disk, genesis committed.
         fn durable_peer(&self) -> (Peer, Arc<tdt_ledger::storage::vfs::MemVfs>) {
+            let (mut peer, disk) = self.empty_durable_peer();
+            peer.validate_and_commit(Block::genesis(vec![b"config".to_vec()]))
+                .unwrap();
+            (peer, disk)
+        }
+
+        /// A peer over `FileBackend` on an empty in-memory disk.
+        fn empty_durable_peer(&self) -> (Peer, Arc<tdt_ledger::storage::vfs::MemVfs>) {
             use tdt_ledger::storage::file::{FileBackend, FileConfig};
             use tdt_ledger::storage::vfs::{MemVfs, Vfs};
             let disk = Arc::new(MemVfs::new());
@@ -1282,7 +1391,7 @@ mod tests {
                 ..FileConfig::default()
             };
             let backend = FileBackend::new(Arc::clone(&disk) as Arc<dyn Vfs>, config);
-            let mut peer = Peer::with_backend(
+            let peer = Peer::with_backend(
                 "net",
                 "org1",
                 "peer0",
@@ -1293,8 +1402,6 @@ mod tests {
                 Box::new(backend),
             )
             .unwrap();
-            peer.validate_and_commit(Block::genesis(vec![b"config".to_vec()]))
-                .unwrap();
             (peer, disk)
         }
 
@@ -1431,6 +1538,246 @@ mod tests {
                 codes.contains(&expected),
                 "no transaction came out {expected:?}"
             );
+        }
+    }
+
+    #[test]
+    fn unappendable_blocks_are_rejected_before_the_wal_and_before_any_state_change() {
+        use tdt_ledger::LedgerError;
+
+        let world = world();
+        let (mut peer, disk) = world.durable_peer();
+        let tip = peer.store().tip().unwrap().clone();
+        let txs = || vec![world.transaction("tx-a", Fault::None, 1, None)];
+        peer.validate_and_commit(Block::next(&tip, txs())).unwrap();
+        let tip = peer.store().tip().unwrap().clone();
+
+        let mut bad_data = Block::next(&tip, txs());
+        bad_data.transactions.push(b"smuggled".to_vec());
+        let mut bad_link = Block::next(&tip, txs());
+        bad_link.header.prev_hash = [9u8; 32];
+        let mut bad_number = Block::next(&tip, txs());
+        bad_number.header.number += 1;
+        let second_genesis = Block::genesis(vec![b"config".to_vec()]);
+
+        let before = (peer.height(), peer.state_hash(), disk_image(&disk));
+        let wal_appends = peer.storage_stats().wal_appends();
+        for (block, expected) in [
+            (bad_data, LedgerError::DataHashMismatch { block: 2 }),
+            (bad_link, LedgerError::BrokenHashChain { block: 2 }),
+            (
+                bad_number,
+                LedgerError::NonContiguousBlock {
+                    expected: 2,
+                    got: 3,
+                },
+            ),
+            (
+                second_genesis,
+                LedgerError::NonContiguousBlock {
+                    expected: 2,
+                    got: 0,
+                },
+            ),
+        ] {
+            match peer.validate_and_commit(block) {
+                Err(FabricError::Ledger(e)) => assert_eq!(e, expected),
+                other => panic!("expected {expected:?}, got {other:?}"),
+            }
+            assert_eq!(
+                (peer.height(), peer.state_hash(), disk_image(&disk)),
+                before
+            );
+            assert_eq!(peer.storage_stats().wal_appends(), wal_appends);
+            assert!(peer.store().find_tx("tx-a").is_ok());
+        }
+        // The backend was never touched, so it is not poisoned either.
+        let tip = peer.store().tip().unwrap().clone();
+        let codes = peer.validate_and_commit(Block::next(&tip, txs())).unwrap();
+        assert_eq!(codes, vec![TxValidationCode::Valid]);
+
+        // A genesis block that fails its own data hash never reaches the
+        // WAL of an empty ledger.
+        let (mut fresh, fresh_disk) = world.empty_durable_peer();
+        let mut forged_genesis = Block::genesis(vec![b"config".to_vec()]);
+        forged_genesis.transactions.push(b"smuggled".to_vec());
+        assert!(matches!(
+            fresh.validate_and_commit(forged_genesis),
+            Err(FabricError::Ledger(LedgerError::DataHashMismatch {
+                block: 0
+            }))
+        ));
+        assert_eq!(fresh.height(), 0);
+        assert!(disk_image(&fresh_disk).is_empty());
+    }
+
+    // -----------------------------------------------------------------
+    // Differential: parallel replay against the serial replay loop
+    // `with_backend` ran before it adopted the verified store.
+    // -----------------------------------------------------------------
+
+    /// Derived state after a replay, in comparable form.
+    #[derive(Debug, PartialEq)]
+    struct Replayed {
+        height: u64,
+        state_hash: [u8; 32],
+        history: Vec<u8>,
+        lookups: Vec<Option<Vec<u8>>>,
+        duplicate_txids: u64,
+    }
+
+    fn replayed(
+        store: &BlockStore,
+        state: &WorldState,
+        history: &HistoryIndex,
+        stats: &StorageStats,
+        txids: &[String],
+    ) -> Replayed {
+        Replayed {
+            height: store.height(),
+            state_hash: state.state_hash(),
+            history: tdt_ledger::storage::codec::encode_history(history),
+            lookups: txids
+                .iter()
+                .map(|txid| store.find_tx(txid).ok().map(<[u8]>::to_vec))
+                .collect(),
+            duplicate_txids: stats.duplicate_txids(),
+        }
+    }
+
+    /// The loop `Peer::with_backend` shipped before: one block at a time,
+    /// every valid envelope decoded, applied and indexed on this thread,
+    /// then the block re-verified (number, link, Merkle root) on append.
+    fn replay_serial(blocks: &[Block], snapshot: Option<Snapshot>, txids: &[String]) -> Replayed {
+        let stats = StorageStats::new();
+        let (snapshot_height, mut state, mut history) = match snapshot {
+            Some(snapshot) => (snapshot.height, snapshot.state, snapshot.history),
+            None => (0, WorldState::new(), HistoryIndex::new()),
+        };
+        let mut store = BlockStore::new();
+        for block in blocks.iter().cloned() {
+            let number = block.header.number;
+            if number > 0 {
+                for (i, tx_bytes) in block.transactions.iter().enumerate() {
+                    let valid = block
+                        .metadata
+                        .tx_validation
+                        .get(i)
+                        .is_some_and(|c| c.is_valid());
+                    if !valid {
+                        continue;
+                    }
+                    let Ok(envelope) = TransactionEnvelope::decode_from_slice(tx_bytes) else {
+                        continue;
+                    };
+                    let version = Version::new(number, i as u64);
+                    if number >= snapshot_height {
+                        state.apply(&envelope.rwset, version);
+                        history.record(&envelope.rwset, version);
+                    }
+                    if store.index_tx(envelope.txid, number, i).is_err() {
+                        stats.note_duplicate_txid();
+                    }
+                }
+            }
+            let verified = store.verify_next(block).unwrap();
+            store.append(verified).unwrap();
+        }
+        replayed(&store, &state, &history, &stats, txids)
+    }
+
+    #[test]
+    fn parallel_replay_matches_the_serial_replay_with_without_and_past_a_bad_snapshot() {
+        use tdt_ledger::storage::file::{FileBackend, FileConfig, SNAP_MAGIC, SNAP_PREFIX};
+        use tdt_ledger::storage::vfs::{MemVfs, Vfs};
+
+        let world = world();
+        let (mut peer, disk) = world.durable_peer();
+        // Seven blocks over a snapshot every two: faults of every kind
+        // (replay must skip exactly what commit invalidated) and, in the
+        // later blocks, transaction ids already committed earlier.
+        let mut txids = Vec::new();
+        for b in 0..7usize {
+            let hot_version = peer.state().version("kv", "hot");
+            let txs: Vec<Vec<u8>> = (0..6usize)
+                .map(|i| {
+                    // Blocks 4.. open with a valid transaction reusing the
+                    // id of the valid second transaction of blocks 1..
+                    let (txid, fault) = match (b, i) {
+                        (4.., 0) => (format!("b{}-t1", b - 3), Fault::None),
+                        (_, 1) => (format!("b{b}-t1"), Fault::None),
+                        _ => (format!("b{b}-t{i}"), FAULTS[(b * 5 + i * 3) % FAULTS.len()]),
+                    };
+                    let tx = world.transaction(&txid, fault, (b + i) as u64, hot_version);
+                    txids.push(txid);
+                    tx
+                })
+                .collect();
+            let tip = peer.store().tip().unwrap().clone();
+            peer.validate_and_commit(Block::next(&tip, txs)).unwrap();
+        }
+        txids.push("never-committed".into());
+        assert!(peer.storage_stats().duplicate_txids() > 0);
+        let committed = (peer.height(), peer.state_hash());
+        drop(peer);
+
+        let copy_of = |disk: &MemVfs| {
+            let copy = MemVfs::new();
+            for (path, bytes) in disk_image(disk) {
+                copy.create(&path, &bytes).unwrap();
+                copy.sync(&path).unwrap();
+            }
+            Arc::new(copy)
+        };
+        let snapshots = disk.list(SNAP_PREFIX).unwrap();
+        assert_eq!(snapshots.len(), 2);
+        let no_snapshot = copy_of(&disk);
+        for name in &snapshots {
+            no_snapshot.remove(name).unwrap();
+        }
+        let newest_corrupt = copy_of(&disk);
+        newest_corrupt
+            .corrupt(&snapshots[1], SNAP_MAGIC.len() + 40, 0x04)
+            .unwrap();
+
+        for (disk, snapshot_height, fallbacks) in [
+            (copy_of(&disk), Some(8), 0),
+            (no_snapshot, None, 0),
+            (newest_corrupt, Some(6), 1),
+        ] {
+            let config = FileConfig {
+                snapshot_interval: 2,
+                ..FileConfig::default()
+            };
+            let mut backend = FileBackend::new(disk as Arc<dyn Vfs>, config);
+            let recovered = backend.load().unwrap();
+            assert_eq!(recovered.report.snapshot_height, snapshot_height);
+            assert_eq!(recovered.report.snapshot_fallbacks, fallbacks);
+            let expected =
+                replay_serial(recovered.chain.blocks(), recovered.snapshot.clone(), &txids);
+            assert_eq!((expected.height, expected.state_hash), committed);
+            assert!(expected.duplicate_txids > 0);
+            for workers in [1, 2, 7] {
+                let stats = StorageStats::new();
+                let mut store = recovered.chain.clone();
+                let (height, mut state, mut history) = match recovered.snapshot.clone() {
+                    Some(s) => (s.height, s.state, s.history),
+                    None => (0, WorldState::new(), HistoryIndex::new()),
+                };
+                replay(
+                    &mut store,
+                    &mut state,
+                    &mut history,
+                    height,
+                    &stats,
+                    Some(workers),
+                );
+                assert_eq!(
+                    replayed(&store, &state, &history, &stats, &txids),
+                    expected,
+                    "{workers} workers, snapshot at {snapshot_height:?}"
+                );
+            }
         }
     }
 

@@ -8,11 +8,13 @@
 //! * [`rwset`] — transaction read/write sets (the unit of Fabric-style
 //!   execute-order-validate processing).
 //! * [`state`] — a versioned key-value world state with MVCC validation.
-//! * [`store`] — the append-only block store with integrity checking.
+//! * [`store`] — the append-only block store, the one owner of chain
+//!   verification.
 //! * [`history`] — per-key value history for provenance queries.
 //! * [`storage`] — durable persistence: a pluggable backend seam with a
 //!   WAL + snapshot file backend, crash recovery, and seeded disk-fault
 //!   injection.
+//! * [`par`] — the contiguous-chunk thread fan-out crash recovery runs on.
 //!
 //! # Example
 //!
@@ -22,7 +24,8 @@
 //!
 //! let mut store = BlockStore::new();
 //! let genesis = Block::genesis(vec![b"config-tx".to_vec()]);
-//! store.append(genesis)?;
+//! let verified = store.verify_next(genesis)?;
+//! store.append(verified)?;
 //! assert_eq!(store.height(), 1);
 //! # Ok::<(), tdt_ledger::LedgerError>(())
 //! ```
@@ -31,6 +34,7 @@ pub mod block;
 pub mod error;
 pub mod history;
 pub mod merkle;
+pub mod par;
 pub mod rwset;
 pub mod state;
 pub mod storage;

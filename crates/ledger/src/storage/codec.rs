@@ -28,43 +28,9 @@ impl std::error::Error for DecodeError {}
 /// not translate into an allocation bomb.
 const MAX_LEN: usize = 64 * 1024 * 1024;
 
-// ---------------------------------------------------------------------------
-// CRC32 (IEEE 802.3), table-driven
-// ---------------------------------------------------------------------------
-
-const fn build_crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut crc = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            crc = if crc & 1 != 0 {
-                (crc >> 1) ^ 0xedb8_8320
-            } else {
-                crc >> 1
-            };
-            bit += 1;
-        }
-        // lint:allow(panic: "const-time table build; i < 256 by loop bound")
-        table[i] = crc;
-        i += 1;
-    }
-    table
-}
-
-static CRC_TABLE: [u32; 256] = build_crc_table();
-
-/// IEEE CRC32 of `bytes` — the frame checksum for WAL records and
-/// snapshots.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = 0xffff_ffffu32;
-    for &b in bytes {
-        // lint:allow(panic: "index masked with & 0xff, always < 256")
-        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ b as u32) & 0xff) as usize];
-    }
-    !crc
-}
+/// IEEE CRC32 — the frame checksum for WAL records and snapshots (the
+/// workspace's one implementation, shared with the flight recorder).
+pub use tdt_obs::crc32;
 
 // ---------------------------------------------------------------------------
 // Primitive writers / reader
@@ -393,14 +359,6 @@ pub fn decode_snapshot_payload(bytes: &[u8]) -> Result<SnapshotPayload, DecodeEr
 mod tests {
     use super::*;
     use crate::rwset::TxRwSet;
-
-    #[test]
-    fn crc32_known_vectors() {
-        // Standard IEEE test vector.
-        assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
-        assert_eq!(crc32(b""), 0);
-        assert_ne!(crc32(b"a"), crc32(b"b"));
-    }
 
     #[test]
     fn block_roundtrip() {

@@ -11,15 +11,23 @@
 //!
 //! # Recovery algorithm
 //!
-//! 1. Scan the WAL front-to-back; trust ends at the first bad frame.
-//! 2. Chain-verify the scanned blocks (numbers, hash links, Merkle data
-//!    hashes); trust ends at the first violation.
+//! Every byte is read once and every hash is computed once.
+//!
+//! 1. Read the WAL and the newest snapshot candidate (all I/O stays on
+//!    the calling thread, in a fixed order). One pass then verifies both
+//!    at once: the WAL's frames in contiguous chunks on worker threads —
+//!    CRC, block decode, Merkle root — while the calling thread
+//!    CRC-checks, decodes and `state_hash`-verifies the snapshot.
+//! 2. Link the verified blocks in file order (numbers, header hashes);
+//!    trust ends at the first frame that failed step 1 or does not link.
 //! 3. Physically truncate the WAL to the trusted region.
 //! 4. Walk snapshots newest-first; the first one that parses, passes its
 //!    CRC, recomputes to its recorded `state_hash`, and is not ahead of
-//!    the truncated chain wins. Everything else is a counted fallback.
-//! 5. Hand the caller the verified chain + snapshot; the caller replays
-//!    blocks past the snapshot height to rebuild derived state.
+//!    the truncated chain wins (normally the one step 1 already
+//!    verified). Everything else is a counted fallback.
+//! 5. Hand the caller the chain as a [`BlockStore`](crate::store) — which
+//!    it adopts without another look — plus the snapshot; the caller
+//!    replays blocks past the snapshot height to rebuild derived state.
 //!
 //! # Fail-stop contract
 //!
@@ -31,15 +39,16 @@
 
 use super::codec;
 use super::vfs::{Vfs, VfsError};
-use super::wal::{Wal, WalScan, WAL_MAGIC};
+use super::wal::{self, TailReason, Wal, WAL_MAGIC};
 use super::{
     recovery_phase, Recovered, RecoveryReport, Snapshot, StorageBackend, StorageError, StorageStats,
 };
-use crate::block::Block;
+use crate::block::{Block, BlockHeader};
+use crate::par;
 use std::sync::Arc;
 use std::time::Instant;
 use tdt_obs::span::{self as obs_span, RecordErr};
-use tdt_obs::TraceContext;
+use tdt_obs::{Span, TraceContext};
 
 /// The WAL file name inside the backend's directory/namespace.
 pub const WAL_FILE: &str = "wal.log";
@@ -82,6 +91,37 @@ fn snap_height(name: &str) -> Option<u64> {
         .ok()
 }
 
+/// Fully verifies the bytes of one snapshot file; any defect is an `Err`
+/// so the caller can fall back to an older snapshot.
+fn verify_snapshot(bytes: &[u8]) -> Result<Snapshot, String> {
+    if !bytes.starts_with(SNAP_MAGIC) {
+        return Err("bad snapshot magic".to_string());
+    }
+    if bytes.len() < SNAP_MAGIC.len() + 4 {
+        return Err("snapshot too short".to_string());
+    }
+    let (body, crc_bytes) = bytes.split_at(bytes.len() - 4);
+    let payload = body.get(SNAP_MAGIC.len()..).unwrap_or(&[]);
+    if codec::crc32(payload) != codec::be_fold(crc_bytes) as u32 {
+        return Err("snapshot crc mismatch".to_string());
+    }
+    let decoded = codec::decode_snapshot_payload(payload).map_err(|e| e.to_string())?;
+    if decoded.state.state_hash() != decoded.state_hash {
+        return Err("snapshot state hash mismatch".to_string());
+    }
+    Ok(Snapshot {
+        height: decoded.height,
+        state_hash: decoded.state_hash,
+        state: decoded.state,
+        history: decoded.history,
+    })
+}
+
+fn read_snapshot(vfs: &dyn Vfs, name: &str) -> Result<Snapshot, String> {
+    let bytes = vfs.read(name).map_err(|e| e.to_string())?;
+    verify_snapshot(&bytes)
+}
+
 /// The durable file backend. One instance owns one VFS namespace; drop
 /// it and reopen (with [`FileBackend::load`]) to run recovery.
 #[derive(Debug)]
@@ -116,54 +156,17 @@ impl FileBackend {
         }
     }
 
-    /// Chain-verifies scanned blocks; returns how many form a valid
-    /// prefix (numbers contiguous from 0, hash links intact, Merkle data
-    /// hashes matching).
-    fn verified_prefix(blocks: &[Block]) -> usize {
-        let mut prev = [0u8; 32];
-        for (i, block) in blocks.iter().enumerate() {
-            if block.header.number != i as u64
-                || block.header.prev_hash != prev
-                || !block.data_hash_valid()
-            {
-                return i;
-            }
-            prev = block.hash();
-        }
-        blocks.len()
-    }
-
-    /// Reads and fully verifies one snapshot file; any defect is an `Err`
-    /// so the caller can fall back to an older snapshot.
-    fn read_snapshot(&self, name: &str) -> Result<Snapshot, String> {
-        let bytes = self.vfs.read(name).map_err(|e| e.to_string())?;
-        if !bytes.starts_with(SNAP_MAGIC) {
-            return Err("bad snapshot magic".to_string());
-        }
-        if bytes.len() < SNAP_MAGIC.len() + 4 {
-            return Err("snapshot too short".to_string());
-        }
-        let (body, crc_bytes) = bytes.split_at(bytes.len() - 4);
-        let payload = body.get(SNAP_MAGIC.len()..).unwrap_or(&[]);
-        if codec::crc32(payload) != codec::be_fold(crc_bytes) as u32 {
-            return Err("snapshot crc mismatch".to_string());
-        }
-        let decoded = codec::decode_snapshot_payload(payload).map_err(|e| e.to_string())?;
-        if decoded.state.state_hash() != decoded.state_hash {
-            return Err("snapshot state hash mismatch".to_string());
-        }
-        Ok(Snapshot {
-            height: decoded.height,
-            state_hash: decoded.state_hash,
-            state: decoded.state,
-            history: decoded.history,
-        })
-    }
-
-    /// Picks the newest usable snapshot for a chain of `chain_height`
-    /// blocks, counting every rejected candidate as a fallback.
-    fn load_snapshot(&self, chain_height: u64, fallbacks: &mut u64) -> Option<Snapshot> {
-        let names = self.vfs.list(SNAP_PREFIX).unwrap_or_default();
+    /// Picks the newest usable snapshot among `names` (ascending) for a
+    /// chain of `chain_height` blocks, counting every rejected candidate
+    /// as a fallback. `speculated` is the candidate the scan pass already
+    /// read and verified; any other is read and verified here.
+    fn load_snapshot(
+        &self,
+        names: &[String],
+        chain_height: u64,
+        mut speculated: Option<(&str, Result<Snapshot, String>)>,
+        fallbacks: &mut u64,
+    ) -> Option<Snapshot> {
         for name in names.iter().rev() {
             if name.ends_with(SNAP_TMP_SUFFIX) {
                 // An in-flight snapshot that never got renamed: garbage.
@@ -180,7 +183,11 @@ impl FileBackend {
                 *fallbacks += 1;
                 continue;
             }
-            match self.read_snapshot(name) {
+            let verified = match speculated.take_if(|(speculated, _)| *speculated == name) {
+                Some((_, verified)) => verified,
+                None => read_snapshot(&*self.vfs, name),
+            };
+            match verified {
                 Ok(snapshot) if snapshot.height == height => return Some(snapshot),
                 _ => *fallbacks += 1,
             }
@@ -203,8 +210,12 @@ impl FileBackend {
     }
 }
 
-impl StorageBackend for FileBackend {
-    fn load(&mut self) -> Result<Recovered, StorageError> {
+impl FileBackend {
+    /// [`StorageBackend::load`] with the WAL verified on `workers` threads
+    /// (`None`: as many as the file is worth, [`par::workers_for`]). What
+    /// is recovered does not depend on the count — the differential tests
+    /// hold it to that — so it is not a configuration knob.
+    fn recover(&mut self, workers: Option<usize>) -> Result<Recovered, StorageError> {
         let start = Instant::now();
         // Recovery runs at process startup, before any trace exists:
         // mint a root context so its per-phase spans actually record
@@ -215,60 +226,75 @@ impl StorageBackend for FileBackend {
             None => TraceContext::root().install(),
         };
         let (mut load_span, _load_guard) = obs_span::enter("recovery.load");
+        let load_context = TraceContext::current();
+        let wal = Wal::new(&*self.vfs, WAL_FILE);
 
         self.stats
-            .set_recovery_phase(recovery_phase::SCAN, self.wal_bytes);
-        let scan_outcome = {
+            .set_recovery_phase(recovery_phase::SCAN, wal.file_len());
+        // The snapshot span opens with the scan, because that is when
+        // snapshot work starts, and closes once a snapshot is chosen.
+        let mut snapshot_span = match load_context {
+            Some(context) => Span::start("recovery.snapshot", &context.child()),
+            None => Span::inert(),
+        };
+        let names = self.vfs.list(SNAP_PREFIX).unwrap_or_default();
+        let (frames, speculated) = {
             tdt_obs::profile_scope!("recovery.scan");
             let (mut span, _guard) = obs_span::enter("recovery.scan");
-            let wal = Wal::new(&*self.vfs, WAL_FILE);
-            wal.scan().record_err(&mut span)
+            let bytes = match wal.read().record_err(&mut span) {
+                Ok(bytes) => bytes.unwrap_or_default(),
+                Err(e) => {
+                    self.stats.set_recovery_phase(recovery_phase::IDLE, 0);
+                    load_span.fail(&e.to_string());
+                    return Err(e.into());
+                }
+            };
+            // The newest snapshot the chain could reach, read now so that
+            // it is verified while the workers verify the WAL. Whether it
+            // is usable is decided in file order below, like any other.
+            let candidate = names
+                .iter()
+                .rev()
+                .find(|name| snap_height(name).is_some())
+                .map(|name| (name.as_str(), self.vfs.read(name)));
+            let workers = workers.unwrap_or_else(|| par::workers_for(bytes.len()));
+            wal::verify_frames(&bytes, workers, || {
+                candidate.map(|(name, read)| {
+                    let verified = read
+                        .map_err(|e| e.to_string())
+                        .and_then(|bytes| verify_snapshot(&bytes));
+                    (name, verified)
+                })
+            })
         };
-        let WalScan {
-            mut blocks,
-            offsets,
-            mut valid_len,
-            file_len,
-            tail,
-        } = match scan_outcome {
-            Ok(scan) => scan,
-            Err(e) => {
-                self.stats.set_recovery_phase(recovery_phase::IDLE, 0);
-                load_span.fail(&e.to_string());
-                return Err(e.into());
-            }
-        };
-        self.stats.set_recovery_blocks_scanned(blocks.len() as u64);
-        let mut tail_reason = tail.map(|t| t.to_string());
+        let decoded = frames.decoded();
+        self.stats.set_recovery_blocks_scanned(decoded);
 
         // Frames can be CRC-clean yet chain-broken (a writer bug or a
         // surgically flipped bit that CRC32 happens to collide on): the
         // Merkle/link verification is the final authority.
         self.stats
-            .set_recovery_phase(recovery_phase::VERIFY, blocks.len() as u64);
-        let keep = {
+            .set_recovery_phase(recovery_phase::VERIFY, decoded);
+        let wal::WalScan {
+            chain,
+            valid_len,
+            file_len,
+            tail,
+        } = {
             let (mut span, _guard) = obs_span::enter("recovery.verify");
-            let keep = Self::verified_prefix(&blocks);
-            if keep < blocks.len() {
-                span.fail(&format!("chain verification failed at block {keep}"));
+            let scan = frames.link();
+            if let Some(broken @ TailReason::ChainBroken(_)) = &scan.tail {
+                span.fail(&broken.to_string());
             }
-            keep
+            scan
         };
-        if keep < blocks.len() {
-            tail_reason = Some(format!("chain verification failed at block {keep}"));
-            blocks.truncate(keep);
-            valid_len = match keep.checked_sub(1).and_then(|i| offsets.get(i)) {
-                Some(end) => *end,
-                None => WAL_MAGIC.len() as u64,
-            };
-        }
+        let tail_reason = tail.map(|t| t.to_string());
 
         let truncated = file_len.saturating_sub(valid_len);
         if truncated > 0 || tail_reason.is_some() {
             self.stats
                 .set_recovery_phase(recovery_phase::TRUNCATE, truncated);
             let (mut span, _guard) = obs_span::enter("recovery.truncate");
-            let wal = Wal::new(&*self.vfs, WAL_FILE);
             if let Err(e) = wal.truncate_to(valid_len).record_err(&mut span) {
                 self.stats.set_recovery_phase(recovery_phase::IDLE, 0);
                 load_span.fail(&e.to_string());
@@ -277,25 +303,22 @@ impl StorageBackend for FileBackend {
             self.stats.note_wal_truncation(truncated);
         }
 
-        let chain_height = blocks.len() as u64;
+        let chain_height = chain.height();
         self.stats
             .set_recovery_phase(recovery_phase::SNAPSHOT, chain_height);
         let mut fallbacks = 0u64;
-        let snapshot = {
-            let (mut span, _guard) = obs_span::enter("recovery.snapshot");
-            let snapshot = self.load_snapshot(chain_height, &mut fallbacks);
-            if snapshot.is_none() && fallbacks > 0 {
-                span.fail(&format!("all {fallbacks} snapshot candidates rejected"));
-            }
-            snapshot
-        };
+        let snapshot = self.load_snapshot(&names, chain_height, speculated, &mut fallbacks);
+        if snapshot.is_none() && fallbacks > 0 {
+            snapshot_span.fail(&format!("all {fallbacks} snapshot candidates rejected"));
+        }
+        drop(snapshot_span);
         for _ in 0..fallbacks {
             self.stats.note_snapshot_fallback();
         }
         let snapshot_height = snapshot.as_ref().map(|s| s.height);
 
         self.expected_next = chain_height;
-        self.prev_hash = blocks.last().map_or([0u8; 32], Block::hash);
+        self.prev_hash = chain.tip().map_or([0u8; 32], BlockHeader::hash);
         // A repaired all-garbage file is recreated as a bare header.
         self.wal_bytes = if valid_len >= WAL_MAGIC.len() as u64 {
             valid_len
@@ -324,10 +347,16 @@ impl StorageBackend for FileBackend {
         self.stats
             .set_recovery_phase(recovery_phase::IDLE, chain_height);
         Ok(Recovered {
-            blocks,
+            chain,
             snapshot,
             report,
         })
+    }
+}
+
+impl StorageBackend for FileBackend {
+    fn load(&mut self) -> Result<Recovered, StorageError> {
+        self.recover(None)
     }
 
     fn append_block(&mut self, block: &Block) -> Result<(), StorageError> {
@@ -431,6 +460,7 @@ mod tests {
     use crate::history::HistoryIndex;
     use crate::rwset::{TxRwSet, Version};
     use crate::state::WorldState;
+    use crate::storage::wal::Wal;
 
     fn chain(n: usize) -> Vec<Block> {
         let mut blocks = vec![Block::genesis(vec![b"cfg".to_vec()])];
@@ -465,7 +495,7 @@ mod tests {
             }
         }
         let (_backend, recovered) = open(&vfs);
-        assert_eq!(recovered.blocks, blocks);
+        assert_eq!(recovered.chain.blocks(), blocks);
         assert_eq!(recovered.report.chain_height, 6);
         assert_eq!(recovered.report.truncated_bytes, 0);
     }
@@ -482,7 +512,7 @@ mod tests {
         vfs.append(WAL_FILE, b"half-a-frame").unwrap();
         vfs.crash();
         let (_backend, recovered) = open(&vfs);
-        assert_eq!(recovered.blocks, blocks);
+        assert_eq!(recovered.chain.blocks(), blocks);
     }
 
     #[test]
@@ -557,7 +587,7 @@ mod tests {
             .unwrap();
         let (_backend, recovered) = open(&vfs);
         assert_eq!(recovered.report.snapshot_height, None);
-        assert_eq!(recovered.blocks.len(), 9);
+        assert_eq!(recovered.chain.blocks().len(), 9);
     }
 
     #[test]
@@ -573,7 +603,7 @@ mod tests {
         vfs.append(WAL_FILE, &frame).unwrap();
         vfs.sync(WAL_FILE).unwrap();
         let (_backend, recovered) = open(&vfs);
-        assert_eq!(recovered.blocks.len(), 3);
+        assert_eq!(recovered.chain.blocks().len(), 3);
         assert!(recovered
             .report
             .tail
@@ -595,7 +625,7 @@ mod tests {
             Err(StorageError::Poisoned)
         ));
         let (mut backend, recovered) = open(&vfs);
-        assert_eq!(recovered.blocks.len(), 1);
+        assert_eq!(recovered.chain.blocks().len(), 1);
         backend.append_block(&chain(2)[1]).unwrap();
     }
 
@@ -617,5 +647,439 @@ mod tests {
         let (_backend, recovered) = open(&vfs);
         assert_eq!(recovered.report.snapshot_height, None);
         assert!(!vfs.exists("snap-00000000000000000004.tmp"));
+    }
+
+    #[test]
+    fn multi_worker_recovery_leaves_one_span_per_phase_and_truthful_gauges() {
+        let vfs = Arc::new(MemVfs::new());
+        let (mut backend, _) = open(&vfs);
+        let mut state = WorldState::new();
+        let history = HistoryIndex::new();
+        for (i, b) in chain(9).iter().enumerate() {
+            backend.append_block(b).unwrap();
+            let mut rw = TxRwSet::new();
+            rw.record_write("cc", "k", Some(vec![i as u8]));
+            state.apply(&rw, Version::new(i as u64, 0));
+            if backend.snapshot_due(i as u64 + 1) {
+                backend
+                    .write_snapshot(&Snapshot::capture(i as u64 + 1, &state, &history))
+                    .unwrap();
+            }
+        }
+        // Rot in the last frame: every phase, truncation included, runs.
+        let wal_len = vfs.len(WAL_FILE).unwrap();
+        vfs.corrupt(WAL_FILE, wal_len as usize - 1, 0x80).unwrap();
+
+        let root = TraceContext::root();
+        let _guard = root.install();
+        let first_seq = tdt_obs::flight::snapshot().last().map_or(0, |r| r.seq + 1);
+        let mut backend = FileBackend::new(Arc::clone(&vfs) as Arc<dyn Vfs>, FileConfig::default());
+        let recovered = backend.recover(Some(3)).unwrap();
+        assert_eq!(recovered.report.chain_height, 8);
+        assert_eq!(recovered.report.snapshot_height, Some(8));
+
+        let spans = tdt_obs::span::spans_for_trace(root.trace_hi, root.trace_lo);
+        let named = |name: &str| -> Vec<&tdt_obs::SpanRecord> {
+            spans.iter().filter(|s| s.name == name).collect()
+        };
+        let load = named("recovery.load");
+        assert_eq!(load.len(), 1);
+        assert_eq!(load[0].parent_span_id, root.span_id);
+        for phase in [
+            "recovery.scan",
+            "recovery.verify",
+            "recovery.truncate",
+            "recovery.snapshot",
+        ] {
+            let of_phase = named(phase);
+            assert_eq!(of_phase.len(), 1, "{phase}");
+            assert_eq!(of_phase[0].parent_span_id, load[0].span_id, "{phase}");
+            assert!(!of_phase[0].is_error(), "{phase}");
+            assert!(of_phase[0].start_nanos >= load[0].start_nanos);
+            assert!(of_phase[0].end_nanos <= load[0].end_nanos);
+        }
+        // Snapshot verification starts with the scan, not after it.
+        let (scan, snapshot) = (named("recovery.scan")[0], named("recovery.snapshot")[0]);
+        assert!(snapshot.start_nanos <= scan.start_nanos);
+        assert!(snapshot.end_nanos >= scan.end_nanos);
+
+        // The breadcrumb trail of this thread: each phase once, in order,
+        // with the file length, the decoded blocks, the bytes cut and the
+        // chain height as details.
+        let me = tdt_obs::flight::thread_ordinal();
+        let trail: Vec<(u64, u64)> = tdt_obs::flight::snapshot()
+            .into_iter()
+            .filter(|r| r.seq >= first_seq && r.thread == me)
+            .filter(|r| r.kind == tdt_obs::FlightKind::Recovery as u8)
+            .map(|r| (u64::from(r.code), r.a))
+            .collect();
+        let cut = wal_len - recovered.report.wal_bytes;
+        assert_eq!(
+            trail,
+            vec![
+                (recovery_phase::SCAN, wal_len),
+                (recovery_phase::VERIFY, 8),
+                (recovery_phase::TRUNCATE, cut),
+                (recovery_phase::SNAPSHOT, 8),
+                (recovery_phase::IDLE, 8),
+            ]
+        );
+        let stats = backend.stats();
+        assert_eq!(stats.recovery_phase(), recovery_phase::IDLE);
+        assert_eq!(stats.recovery_blocks_scanned(), 8);
+        assert_eq!(stats.recoveries(), 1);
+        assert_eq!(stats.wal_truncations(), 1);
+    }
+
+    // -----------------------------------------------------------------
+    // Differential: the verify-once pipeline against the serial recovery
+    // it replaced.
+    // -----------------------------------------------------------------
+
+    mod differential {
+        use super::*;
+        use crate::storage::wal::oracle;
+        use proptest::prelude::*;
+
+        const CONFIG: FileConfig = FileConfig {
+            snapshot_interval: 3,
+            keep_snapshots: 2,
+        };
+
+        /// What one recovery left behind, in comparable form.
+        #[derive(Debug, PartialEq)]
+        struct Outcome {
+            blocks: Vec<Block>,
+            snapshot: Option<(u64, [u8; 32], Vec<u8>)>,
+            report: RecoveryReport,
+            disk: Vec<(String, Vec<u8>)>,
+        }
+
+        fn outcome(
+            blocks: Vec<Block>,
+            snapshot: Option<Snapshot>,
+            mut report: RecoveryReport,
+            vfs: &MemVfs,
+        ) -> Outcome {
+            report.duration_ns = 0;
+            Outcome {
+                blocks,
+                snapshot: snapshot.map(|s| {
+                    assert_eq!(s.state.state_hash(), s.state_hash);
+                    let bytes = codec::encode_snapshot_payload(
+                        s.height,
+                        &s.state_hash,
+                        &s.state,
+                        &s.history,
+                    );
+                    (s.height, s.state_hash, bytes)
+                }),
+                report,
+                disk: disk_image(vfs),
+            }
+        }
+
+        fn disk_image(vfs: &MemVfs) -> Vec<(String, Vec<u8>)> {
+            vfs.list("")
+                .unwrap()
+                .into_iter()
+                .map(|path| {
+                    let bytes = vfs.read(&path).unwrap();
+                    (path, bytes)
+                })
+                .collect()
+        }
+
+        fn copy_of(vfs: &MemVfs) -> Arc<MemVfs> {
+            disk_from(&disk_image(vfs))
+        }
+
+        fn disk_from(image: &[(String, Vec<u8>)]) -> Arc<MemVfs> {
+            let copy = MemVfs::new();
+            for (path, bytes) in image {
+                copy.create(path, bytes).unwrap();
+                copy.sync(path).unwrap();
+            }
+            Arc::new(copy)
+        }
+
+        /// `FileBackend::load` as it was before the pipeline — serial scan,
+        /// a second pass for chain verification, truncation, then snapshots
+        /// newest-first — minus stats and spans.
+        fn serial_load(vfs: &MemVfs) -> Outcome {
+            let oracle::SerialScan {
+                mut blocks,
+                offsets,
+                mut valid_len,
+                file_len,
+                tail,
+            } = oracle::scan(vfs, WAL_FILE).unwrap();
+            let mut tail_reason = tail.map(|t| t.to_string());
+            let keep = oracle::verified_prefix(&blocks);
+            if keep < blocks.len() {
+                tail_reason = Some(format!("chain verification failed at block {keep}"));
+                blocks.truncate(keep);
+                valid_len = match keep.checked_sub(1).and_then(|i| offsets.get(i)) {
+                    Some(end) => *end,
+                    None => WAL_MAGIC.len() as u64,
+                };
+            }
+            let truncated = file_len.saturating_sub(valid_len);
+            if truncated > 0 || tail_reason.is_some() {
+                Wal::new(vfs, WAL_FILE).truncate_to(valid_len).unwrap();
+            }
+            let chain_height = blocks.len() as u64;
+            let mut fallbacks = 0u64;
+            let mut snapshot = None;
+            for name in vfs.list(SNAP_PREFIX).unwrap().iter().rev() {
+                if name.ends_with(SNAP_TMP_SUFFIX) {
+                    vfs.remove(name).unwrap();
+                    continue;
+                }
+                let usable = snap_height(name).filter(|height| *height <= chain_height);
+                match usable.map(|height| (height, read_snapshot(vfs, name))) {
+                    Some((height, Ok(found))) if found.height == height => {
+                        snapshot = Some(found);
+                        break;
+                    }
+                    _ => fallbacks += 1,
+                }
+            }
+            let wal_bytes = if valid_len >= WAL_MAGIC.len() as u64 {
+                valid_len
+            } else if vfs.exists(WAL_FILE) {
+                WAL_MAGIC.len() as u64
+            } else {
+                0
+            };
+            let snapshot_height = snapshot.as_ref().map(|s| s.height);
+            let report = RecoveryReport {
+                chain_height,
+                wal_bytes,
+                truncated_bytes: truncated,
+                tail: tail_reason,
+                snapshot_height,
+                snapshot_fallbacks: fallbacks,
+                replayed_blocks: chain_height - snapshot_height.unwrap_or(0),
+                duration_ns: 0,
+            };
+            outcome(blocks, snapshot, report, vfs)
+        }
+
+        fn pipeline_load(vfs: &Arc<MemVfs>, workers: usize) -> Outcome {
+            let mut backend = FileBackend::new(Arc::clone(vfs) as Arc<dyn Vfs>, CONFIG);
+            let recovered = backend.recover(Some(workers)).unwrap();
+            outcome(
+                recovered.chain.blocks().to_vec(),
+                recovered.snapshot,
+                recovered.report,
+                vfs,
+            )
+        }
+
+        /// Recovers copies of `disk` serially and through the pipeline on
+        /// 1, 2 and 7 workers; everything observable must be equal.
+        fn assert_matches_the_serial_recovery(disk: &MemVfs) -> Outcome {
+            let expected = serial_load(&copy_of(disk));
+            for workers in [1, 2, 7] {
+                let got = pipeline_load(&copy_of(disk), workers);
+                assert_eq!(got, expected, "{workers} workers");
+            }
+            expected
+        }
+
+        /// A chain of `txs.len()` blocks committed through a backend with
+        /// snapshots every 3 blocks, block `i` writing key `k{i}`.
+        fn committed_disk(txs: &[Vec<Vec<u8>>]) -> (Arc<MemVfs>, Vec<Block>) {
+            let vfs = Arc::new(MemVfs::new());
+            let mut backend = FileBackend::new(Arc::clone(&vfs) as Arc<dyn Vfs>, CONFIG);
+            backend.load().unwrap();
+            let mut state = WorldState::new();
+            let mut history = HistoryIndex::new();
+            let mut blocks: Vec<Block> = Vec::new();
+            for (i, txs) in txs.iter().enumerate() {
+                let block = match blocks.last() {
+                    None => Block::genesis(txs.clone()),
+                    Some(prev) => Block::next(&prev.header, txs.clone()),
+                };
+                backend.append_block(&block).unwrap();
+                let mut rw = TxRwSet::new();
+                rw.record_write("cc", &format!("k{i}"), Some(vec![i as u8; 5]));
+                state.apply(&rw, Version::new(i as u64, 0));
+                history.record(&rw, Version::new(i as u64, 0));
+                let height = i as u64 + 1;
+                if backend.snapshot_due(height) {
+                    backend
+                        .write_snapshot(&Snapshot::capture(height, &state, &history))
+                        .unwrap();
+                }
+                blocks.push(block);
+            }
+            (vfs, blocks)
+        }
+
+        /// End offset of every frame of a clean WAL.
+        fn frame_ends(blocks: &[Block]) -> Vec<u64> {
+            let mut end = WAL_MAGIC.len() as u64;
+            blocks
+                .iter()
+                .map(|b| {
+                    end += Wal::encode_frame(&codec::encode_block(b)).len() as u64;
+                    end
+                })
+                .collect()
+        }
+
+        /// Splices `frame` into the WAL at the frame boundary `at`.
+        fn splice(vfs: &MemVfs, at: u64, frame: &[u8]) {
+            let mut bytes = vfs.read(WAL_FILE).unwrap();
+            let tail = bytes.split_off(at as usize);
+            bytes.extend_from_slice(frame);
+            bytes.extend_from_slice(&tail);
+            vfs.create(WAL_FILE, &bytes).unwrap();
+            vfs.sync(WAL_FILE).unwrap();
+        }
+
+        /// Damages `disk` the `kind`-th way, placed by `seed`.
+        fn damage(disk: &MemVfs, blocks: &[Block], kind: usize, seed: u64, bit: u8) {
+            let wal_len = disk.len(WAL_FILE).unwrap();
+            let ends = frame_ends(blocks);
+            let boundary = |seed: u64| match seed as usize % (ends.len() + 1) {
+                0 => WAL_MAGIC.len() as u64,
+                i => ends[i - 1],
+            };
+            match kind {
+                // Truncation at an arbitrary offset (0 = the whole file).
+                0 => disk.truncate(WAL_FILE, seed % (wal_len + 1)).unwrap(),
+                // One flipped bit anywhere, header and length fields included.
+                1 => disk
+                    .corrupt(WAL_FILE, (seed % wal_len) as usize, 1 << bit)
+                    .unwrap(),
+                // A frame header claiming an absurd length, mid-file or last.
+                2 => {
+                    let mut frame = u32::MAX.to_be_bytes().to_vec();
+                    frame.extend_from_slice(&[0u8; 4]);
+                    splice(disk, boundary(seed), &frame);
+                }
+                // A CRC-clean frame whose block does not link, mid-file.
+                3 => {
+                    let rogue = Block::genesis(vec![seed.to_be_bytes().to_vec()]);
+                    let frame = Wal::encode_frame(&codec::encode_block(&rogue));
+                    splice(disk, boundary(seed), &frame);
+                }
+                // A CRC-clean frame in the right place whose payloads do
+                // not hash to its Merkle root, the rest of the file intact.
+                4 => {
+                    let at = seed as usize % blocks.len();
+                    let mut forged = blocks[at].clone();
+                    forged.transactions.push(b"smuggled".to_vec());
+                    let frame = Wal::encode_frame(&codec::encode_block(&forged));
+                    let start = if at == 0 {
+                        WAL_MAGIC.len() as u64
+                    } else {
+                        ends[at - 1]
+                    };
+                    let mut bytes = disk.read(WAL_FILE).unwrap();
+                    bytes.splice(start as usize..ends[at] as usize, frame);
+                    disk.create(WAL_FILE, &bytes).unwrap();
+                    disk.sync(WAL_FILE).unwrap();
+                }
+                // A flipped bit in the newest snapshot: fallback path.
+                5 => {
+                    if let Some(newest) = disk.list(SNAP_PREFIX).unwrap().last() {
+                        let len = disk.len(newest).unwrap();
+                        disk.corrupt(newest, (seed % len) as usize, 1 << bit)
+                            .unwrap();
+                    }
+                }
+                // WAL cut below the newest snapshot and that snapshot's
+                // predecessor rotten: one ahead, one corrupt.
+                6 => {
+                    disk.truncate(WAL_FILE, boundary(seed)).unwrap();
+                    if let Some(oldest) = disk.list(SNAP_PREFIX).unwrap().first() {
+                        disk.corrupt(oldest, SNAP_MAGIC.len() + 2, 1 << bit)
+                            .unwrap();
+                    }
+                }
+                // Two unrelated bit flips: the first in file order wins.
+                7 => {
+                    disk.corrupt(WAL_FILE, (seed % wal_len) as usize, 1 << bit)
+                        .unwrap();
+                    disk.corrupt(WAL_FILE, (seed.rotate_left(17) % wal_len) as usize, 0x10)
+                        .unwrap();
+                }
+                // A CRC-clean frame that is not a block record.
+                8 => splice(
+                    disk,
+                    boundary(seed),
+                    &Wal::encode_frame(b"not a block record"),
+                ),
+                // An undamaged disk.
+                _ => {}
+            }
+        }
+        const DAMAGE_KINDS: usize = 10;
+
+        #[test]
+        fn every_damage_kind_recovers_as_the_serial_recovery_did() {
+            let txs: Vec<Vec<Vec<u8>>> = (0..8u8)
+                .map(|i| (0..=i % 3).map(|j| vec![i, j, 7]).collect())
+                .collect();
+            let mut reasons = Vec::new();
+            for kind in 0..DAMAGE_KINDS {
+                for seed in [0u64, 1, 5, 77, 1234, 99_991, u64::MAX / 3] {
+                    let (disk, blocks) = committed_disk(&txs);
+                    damage(&disk, &blocks, kind, seed, (seed % 8) as u8);
+                    let outcome = assert_matches_the_serial_recovery(&disk);
+                    // Truncation was physical: a second recovery of what the
+                    // first left behind finds nothing more to cut.
+                    let again = pipeline_load(&disk_from(&outcome.disk), 2);
+                    assert_eq!(again.report.truncated_bytes, 0, "kind {kind} seed {seed}");
+                    assert_eq!(again.blocks, outcome.blocks);
+                    reasons.extend(outcome.report.tail);
+                }
+            }
+            // The sweep reached every way trust can end.
+            for needle in ["torn", "crc", "length", "chain verification", "undecodable"] {
+                assert!(
+                    reasons.iter().any(|r| r.contains(needle)),
+                    "no recovery ended on {needle:?}: {reasons:?}"
+                );
+            }
+        }
+
+        #[test]
+        fn empty_and_headerless_disks_match_too() {
+            assert_matches_the_serial_recovery(&MemVfs::new());
+            let garbage = MemVfs::new();
+            garbage.create(WAL_FILE, b"garbage!garbage!").unwrap();
+            let outcome = assert_matches_the_serial_recovery(&garbage);
+            assert_eq!(
+                outcome.disk,
+                vec![(WAL_FILE.to_string(), WAL_MAGIC.to_vec())]
+            );
+            let empty_file = MemVfs::new();
+            empty_file.create(WAL_FILE, b"").unwrap();
+            assert_matches_the_serial_recovery(&empty_file);
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(96))]
+
+            #[test]
+            fn prop_pipeline_recovers_exactly_what_the_serial_recovery_did(
+                txs in prop::collection::vec(
+                    prop::collection::vec(prop::collection::vec(any::<u8>(), 0..40), 0..4),
+                    1..10,
+                ),
+                kind in 0usize..DAMAGE_KINDS,
+                seed in any::<u64>(),
+                bit in 0u8..8,
+            ) {
+                let (disk, blocks) = committed_disk(&txs);
+                damage(&disk, &blocks, kind, seed, bit);
+                assert_matches_the_serial_recovery(&disk);
+            }
+        }
     }
 }

@@ -35,6 +35,7 @@ pub mod wal;
 use crate::block::Block;
 use crate::history::HistoryIndex;
 use crate::state::WorldState;
+use crate::store::BlockStore;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -140,8 +141,11 @@ pub struct RecoveryReport {
 /// Everything a backend recovered at open.
 #[derive(Debug, Default)]
 pub struct Recovered {
-    /// The verified chain, genesis first.
-    pub blocks: Vec<Block>,
+    /// The verified chain, genesis first: every block hashed and linked
+    /// once, by [`crate::store`], so the caller adopts the store as it is.
+    /// Its transaction index is empty — that is derived state, the
+    /// caller's to rebuild.
+    pub chain: BlockStore,
     /// The newest snapshot that passed verification, if any.
     pub snapshot: Option<Snapshot>,
     /// What recovery found and did.
@@ -357,8 +361,9 @@ impl StorageStats {
 /// `Ok` from [`StorageBackend::append_block`] survives any crash.
 pub trait StorageBackend: Send + Sync + fmt::Debug {
     /// Recovers whatever the backend holds; called once at open, before
-    /// any append. Returns the verified chain prefix plus the newest
-    /// usable snapshot.
+    /// any append. Returns the verified chain prefix — as a
+    /// [`BlockStore`], which only admits verified blocks — plus the
+    /// newest usable snapshot.
     ///
     /// # Errors
     ///
@@ -438,7 +443,7 @@ mod tests {
     fn in_memory_backend_recovers_nothing() {
         let mut backend = InMemoryBackend::new();
         let recovered = backend.load().unwrap();
-        assert!(recovered.blocks.is_empty());
+        assert_eq!(recovered.chain.height(), 0);
         assert!(recovered.snapshot.is_none());
         let block = Block::genesis(vec![b"cfg".to_vec()]);
         backend.append_block(&block).unwrap();

@@ -13,16 +13,25 @@
 //!
 //! # Recovery contract
 //!
-//! [`Wal::scan`] reads the file once, front to back. The first frame that
-//! is short, oversized, fails its CRC, or fails block decoding ends the
-//! trusted region: everything from that byte offset on is **tail** and is
-//! reported (and later physically truncated) rather than trusted. A torn
-//! append therefore costs at most the blocks that were never acknowledged
-//! — never a prefix, never a silently wrong record.
+//! [`Wal::scan`] reads the file once and verifies every frame exactly
+//! once. A sequential walk over the length prefixes yields the frame
+//! ranges; the frames are then checked in contiguous chunks on scoped
+//! worker threads ([`crate::par`]) — CRC, block decoding, Merkle root
+//! ([`VerifiedBlock::new`]) — and a cheap sequential pass links the
+//! verified blocks into a [`BlockStore`] (numbers, header hashes). The
+//! first frame *in file order* that is short, oversized, fails its CRC,
+//! fails block decoding or does not extend the chain ends the trusted
+//! region, whichever worker found it and whenever: everything from that
+//! byte offset on is **tail** and is reported (and later physically
+//! truncated) rather than trusted. A torn append therefore costs at most
+//! the blocks that were never acknowledged — never a prefix, never a
+//! silently wrong record.
 
 use super::codec::{self, DecodeError};
 use super::vfs::{Vfs, VfsError};
 use crate::block::Block;
+use crate::par;
+use crate::store::{BlockStore, VerifiedBlock};
 use std::fmt;
 
 /// Magic + version prefix of a WAL file.
@@ -42,6 +51,11 @@ pub enum TailReason {
     BadLength,
     /// The payload passed its CRC but did not decode as a block.
     Undecodable(String),
+    /// Frame number `.0` holds a well-formed block that does not extend
+    /// the chain before it: wrong number, broken hash link, or payloads
+    /// that do not hash to its Merkle root (a writer bug, or a surgically
+    /// flipped bit that CRC32 happens to collide on).
+    ChainBroken(u64),
 }
 
 impl fmt::Display for TailReason {
@@ -51,19 +65,16 @@ impl fmt::Display for TailReason {
             TailReason::CrcMismatch => write!(f, "crc mismatch"),
             TailReason::BadLength => write!(f, "implausible frame length"),
             TailReason::Undecodable(why) => write!(f, "undecodable payload: {why}"),
+            TailReason::ChainBroken(at) => write!(f, "chain verification failed at block {at}"),
         }
     }
 }
 
 /// The result of scanning a WAL file.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct WalScan {
-    /// Every fully verified block, in file order.
-    pub blocks: Vec<Block>,
-    /// End-of-frame byte offset for each entry of `blocks` (so a caller
-    /// that rejects block *i* on chain grounds can truncate to
-    /// `offsets[i-1]`).
-    pub offsets: Vec<u64>,
+    /// The verified chain: every block of the trusted region, linked.
+    pub chain: BlockStore,
     /// Byte offset of the end of the last good frame — the length the
     /// file should be truncated to.
     pub valid_len: u64,
@@ -77,6 +88,161 @@ impl WalScan {
     /// Bytes past the last trusted frame.
     pub fn tail_bytes(&self) -> u64 {
         self.file_len - self.valid_len
+    }
+}
+
+/// One frame as the length prefixes delimit it; nothing about its payload
+/// has been checked yet.
+struct Frame<'a> {
+    /// Position in the file, which is the number its block must carry.
+    index: u64,
+    payload: &'a [u8],
+    /// The checksum the frame header claims for the payload.
+    crc: u32,
+    /// Byte offset of the end of the frame.
+    end: u64,
+}
+
+/// Walks the length prefixes of `bytes` (header already checked) up to the
+/// first structurally impossible frame.
+fn walk(bytes: &[u8]) -> (Vec<Frame<'_>>, Option<TailReason>) {
+    let mut frames = Vec::new();
+    let mut pos = WAL_MAGIC.len();
+    while pos < bytes.len() {
+        let Some(header) = bytes.get(pos..pos.saturating_add(8)) else {
+            return (frames, Some(TailReason::Torn));
+        };
+        let (len_bytes, crc_bytes) = header.split_at(4);
+        let len = codec::be_fold(len_bytes);
+        if len > u64::from(MAX_FRAME) {
+            return (frames, Some(TailReason::BadLength));
+        }
+        let end = pos + 8 + len as usize;
+        let Some(payload) = bytes.get(pos + 8..end) else {
+            return (frames, Some(TailReason::Torn));
+        };
+        pos = end;
+        frames.push(Frame {
+            index: frames.len() as u64,
+            payload,
+            crc: codec::be_fold(crc_bytes) as u32,
+            end: end as u64,
+        });
+    }
+    (frames, None)
+}
+
+/// Everything one frame can prove on its own, in the order a serial scan
+/// would find it: checksum, encoding (`decoded`, from the same payload),
+/// and that the block's payloads hash to its Merkle root.
+fn verify_frame(
+    frame: &Frame<'_>,
+    decoded: Result<Block, DecodeError>,
+) -> Result<VerifiedBlock, TailReason> {
+    if codec::crc32(frame.payload) != frame.crc {
+        return Err(TailReason::CrcMismatch);
+    }
+    let block = decoded.map_err(|DecodeError(why)| TailReason::Undecodable(why))?;
+    VerifiedBlock::new(block).map_err(|_| TailReason::ChainBroken(frame.index))
+}
+
+/// Every frame of a WAL image, each verified on its own and not yet
+/// linked to its neighbours.
+pub(crate) struct VerifiedFrames {
+    /// Per frame, in file order: where it ends and what it holds.
+    verdicts: Vec<(u64, Result<VerifiedBlock, TailReason>)>,
+    /// Where the frames start: past the header, or 0 when the header is
+    /// missing or wrong and nothing in the file is trusted.
+    start: u64,
+    file_len: u64,
+    /// Why the walk over the length prefixes stopped early, if it did.
+    walk_tail: Option<TailReason>,
+}
+
+/// Verifies the frames of the WAL image `bytes` in contiguous chunks on up
+/// to `workers` threads while `alongside` runs on the calling thread.
+pub(crate) fn verify_frames<A>(
+    bytes: &[u8],
+    workers: usize,
+    alongside: impl FnOnce() -> A,
+) -> (VerifiedFrames, A) {
+    let file_len = bytes.len() as u64;
+    // A missing or wrong header means nothing in the file is trusted.
+    let (frames, start, walk_tail) = if bytes.starts_with(WAL_MAGIC) {
+        let (frames, walk_tail) = walk(bytes);
+        (frames, WAL_MAGIC.len() as u64, walk_tail)
+    } else {
+        let garbage = (file_len > 0).then_some(TailReason::BadLength);
+        (Vec::new(), 0, garbage)
+    };
+    // Blocks are decoded here and only hashed on the workers: they outlive
+    // recovery, so the calling thread's allocator should own them (see
+    // `par::map_chunks`). Decoding ahead of the CRC check is safe — the
+    // decoder is total and allocates no more than its input — and a frame
+    // still fails for its checksum first.
+    let decoded: Vec<_> = frames
+        .into_iter()
+        .map(|frame| {
+            let block = codec::decode_block(frame.payload);
+            (frame, block)
+        })
+        .collect();
+    let (verdicts, beside) = par::map_chunks(
+        decoded,
+        workers,
+        |(frame, _)| frame.payload.len(),
+        |chunk| {
+            tdt_obs::profile_scope!("recovery.scan");
+            chunk
+                .into_iter()
+                .map(|(frame, decoded)| (frame.end, verify_frame(&frame, decoded)))
+                .collect()
+        },
+        alongside,
+    );
+    let verified = VerifiedFrames {
+        verdicts,
+        start,
+        file_len,
+        walk_tail,
+    };
+    (verified, beside)
+}
+
+impl VerifiedFrames {
+    /// Leading frames that passed their CRC and decoded as blocks.
+    pub(crate) fn decoded(&self) -> u64 {
+        self.verdicts
+            .iter()
+            .take_while(|(_, v)| matches!(v, Ok(_) | Err(TailReason::ChainBroken(_))))
+            .count() as u64
+    }
+
+    /// Links the blocks in file order. Trust ends at the first frame whose
+    /// own verdict is bad or whose block does not extend the chain so far;
+    /// frames after it are dropped unseen, whatever they hold.
+    pub(crate) fn link(self) -> WalScan {
+        let mut chain = BlockStore::new();
+        let mut valid_len = self.start;
+        let mut tail = self.walk_tail;
+        for (end, verdict) in self.verdicts {
+            let at = chain.height();
+            let linked = verdict
+                .and_then(|block| chain.append(block).map_err(|_| TailReason::ChainBroken(at)));
+            match linked {
+                Ok(()) => valid_len = end,
+                Err(reason) => {
+                    tail = Some(reason);
+                    break;
+                }
+            }
+        }
+        WalScan {
+            chain,
+            valid_len,
+            file_len: self.file_len,
+            tail,
+        }
     }
 }
 
@@ -117,18 +283,78 @@ impl<'a> Wal<'a> {
         Ok(len)
     }
 
-    /// Scans the file, verifying every frame; never fails on corruption —
-    /// corruption just ends the trusted region (see module docs).
+    /// The whole file, or `None` when it does not exist.
+    // lint:allow(obs: "leaf I/O: FileBackend::load owns the recovery.scan span and records this error via record_err")
+    pub(crate) fn read(&self) -> Result<Option<Vec<u8>>, VfsError> {
+        match self.vfs.read(self.path) {
+            Ok(bytes) => Ok(Some(bytes)),
+            Err(VfsError::NotFound(_)) => Ok(None),
+            Err(e) => Err(e),
+        }
+    }
+
+    /// Scans the file, verifying every frame and the chain they form;
+    /// never fails on corruption — corruption just ends the trusted region
+    /// (see module docs).
     ///
     /// # Errors
     ///
     /// Only genuine VFS failures (crash injection, I/O) are errors.
-    // lint:allow(obs: "leaf I/O: FileBackend::load owns the recovery.scan span and records this error via record_err")
+    // lint:allow(obs: "leaf I/O: FileBackend::load runs the same steps under its recovery.scan and recovery.verify spans and records the error via record_err")
     pub fn scan(&self) -> Result<WalScan, VfsError> {
-        let bytes = match self.vfs.read(self.path) {
+        Ok(match self.read()? {
+            None => WalScan::default(),
+            Some(bytes) => {
+                let workers = par::workers_for(bytes.len());
+                verify_frames(&bytes, workers, || ()).0.link()
+            }
+        })
+    }
+
+    /// Physically truncates the file to the trusted region found by a
+    /// scan, so future appends extend a clean tail.
+    // lint:allow(obs: "leaf I/O: FileBackend::load owns the recovery.truncate span and records this error via record_err")
+    pub fn truncate_to(&self, valid_len: u64) -> Result<(), VfsError> {
+        if !self.vfs.exists(self.path) {
+            return Ok(());
+        }
+        // An all-garbage file (bad header) is recreated empty.
+        if valid_len < WAL_MAGIC.len() as u64 {
+            self.vfs.create(self.path, WAL_MAGIC)?;
+            return self.vfs.sync(self.path);
+        }
+        self.vfs.truncate(self.path, valid_len)
+    }
+
+    /// Current file length (0 when missing).
+    pub fn file_len(&self) -> u64 {
+        self.vfs.len(self.path).unwrap_or(0)
+    }
+}
+
+/// The serial scan this module shipped before the verify-once pipeline,
+/// kept verbatim as the oracle of the differential tests here and in
+/// `file.rs`: CRC and decoding only, one frame at a time, stopping at the
+/// first bad one; chain verification was a second pass over its output.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use super::*;
+
+    #[derive(Debug)]
+    pub(crate) struct SerialScan {
+        pub(crate) blocks: Vec<Block>,
+        /// End-of-frame byte offset for each entry of `blocks`.
+        pub(crate) offsets: Vec<u64>,
+        pub(crate) valid_len: u64,
+        pub(crate) file_len: u64,
+        pub(crate) tail: Option<TailReason>,
+    }
+
+    pub(crate) fn scan(vfs: &dyn Vfs, path: &str) -> Result<SerialScan, VfsError> {
+        let bytes = match vfs.read(path) {
             Ok(bytes) => bytes,
             Err(VfsError::NotFound(_)) => {
-                return Ok(WalScan {
+                return Ok(SerialScan {
                     blocks: Vec::new(),
                     offsets: Vec::new(),
                     valid_len: 0,
@@ -139,9 +365,8 @@ impl<'a> Wal<'a> {
             Err(e) => return Err(e),
         };
         let file_len = bytes.len() as u64;
-        // A missing or wrong header means nothing in the file is trusted.
         if !bytes.starts_with(WAL_MAGIC) {
-            return Ok(WalScan {
+            return Ok(SerialScan {
                 blocks: Vec::new(),
                 offsets: Vec::new(),
                 valid_len: 0,
@@ -170,7 +395,7 @@ impl<'a> Wal<'a> {
                 tail = Some(TailReason::Torn);
                 break;
             };
-            if codec::crc32(payload) != crc {
+            if bytewise_crc32(payload) != crc {
                 tail = Some(TailReason::CrcMismatch);
                 break;
             }
@@ -184,7 +409,7 @@ impl<'a> Wal<'a> {
             pos += 8 + len;
             offsets.push(pos as u64);
         }
-        Ok(WalScan {
+        Ok(SerialScan {
             blocks,
             offsets,
             valid_len: pos as u64,
@@ -193,24 +418,37 @@ impl<'a> Wal<'a> {
         })
     }
 
-    /// Physically truncates the file to the trusted region found by a
-    /// scan, so future appends extend a clean tail.
-    // lint:allow(obs: "leaf I/O: FileBackend::load owns the recovery.truncate span and records this error via record_err")
-    pub fn truncate_to(&self, valid_len: u64) -> Result<(), VfsError> {
-        if !self.vfs.exists(self.path) {
-            return Ok(());
+    /// The one-table, byte-at-a-time CRC32 the old scan ran.
+    fn bytewise_crc32(bytes: &[u8]) -> u32 {
+        let mut crc = 0xffff_ffffu32;
+        for &b in bytes {
+            crc ^= u32::from(b);
+            for _ in 0..8 {
+                crc = if crc & 1 == 1 {
+                    (crc >> 1) ^ 0xedb8_8320
+                } else {
+                    crc >> 1
+                };
+            }
         }
-        // An all-garbage file (bad header) is recreated empty.
-        if valid_len < WAL_MAGIC.len() as u64 {
-            self.vfs.create(self.path, WAL_MAGIC)?;
-            return self.vfs.sync(self.path);
-        }
-        self.vfs.truncate(self.path, valid_len)
+        !crc
     }
 
-    /// Current file length (0 when missing).
-    pub fn file_len(&self) -> u64 {
-        self.vfs.len(self.path).unwrap_or(0)
+    /// The chain check `FileBackend` ran over the scanned blocks: how many
+    /// form a valid prefix (numbers contiguous from 0, hash links intact,
+    /// Merkle data hashes matching).
+    pub(crate) fn verified_prefix(blocks: &[Block]) -> usize {
+        let mut prev = [0u8; 32];
+        for (i, block) in blocks.iter().enumerate() {
+            if block.header.number != i as u64
+                || block.header.prev_hash != prev
+                || !block.data_hash_valid()
+            {
+                return i;
+            }
+            prev = block.hash();
+        }
+        blocks.len()
     }
 }
 
@@ -238,7 +476,7 @@ mod tests {
             wal.append_block(b).unwrap();
         }
         let scan = wal.scan().unwrap();
-        assert_eq!(scan.blocks, blocks);
+        assert_eq!(scan.chain.blocks(), blocks);
         assert_eq!(scan.tail, None);
         assert_eq!(scan.valid_len, scan.file_len);
     }
@@ -248,7 +486,7 @@ mod tests {
         let vfs = MemVfs::new();
         let wal = Wal::new(&vfs, "wal.log");
         let scan = wal.scan().unwrap();
-        assert!(scan.blocks.is_empty());
+        assert_eq!(scan.chain.height(), 0);
         assert_eq!(scan.tail, None);
     }
 
@@ -264,7 +502,7 @@ mod tests {
         // Simulate a torn append: half a frame at the end.
         vfs.append("wal.log", &[1, 2, 3, 4, 5]).unwrap();
         let scan = wal.scan().unwrap();
-        assert_eq!(scan.blocks, blocks);
+        assert_eq!(scan.chain.blocks(), blocks);
         assert_eq!(scan.valid_len, good_len);
         assert_eq!(scan.tail, Some(TailReason::Torn));
         wal.truncate_to(scan.valid_len).unwrap();
@@ -272,7 +510,7 @@ mod tests {
         // Appending after repair keeps working.
         let next = Block::next(&blocks[2].header, vec![b"x".to_vec()]);
         wal.append_block(&next).unwrap();
-        assert_eq!(wal.scan().unwrap().blocks.len(), 4);
+        assert_eq!(wal.scan().unwrap().chain.height(), 4);
     }
 
     #[test]
@@ -289,7 +527,7 @@ mod tests {
         vfs.corrupt("wal.log", offsets[2] as usize + 9, 0x01)
             .unwrap();
         let scan = wal.scan().unwrap();
-        assert_eq!(scan.blocks, blocks[..2]);
+        assert_eq!(scan.chain.blocks(), &blocks[..2]);
         assert_eq!(scan.valid_len, offsets[2]);
         assert_eq!(scan.tail, Some(TailReason::CrcMismatch));
     }
@@ -300,11 +538,84 @@ mod tests {
         vfs.create("wal.log", b"garbage!").unwrap();
         let wal = Wal::new(&vfs, "wal.log");
         let scan = wal.scan().unwrap();
-        assert!(scan.blocks.is_empty());
+        assert_eq!(scan.chain.height(), 0);
         assert_eq!(scan.valid_len, 0);
         wal.truncate_to(scan.valid_len).unwrap();
         // Repair recreated a clean header.
         assert_eq!(vfs.read("wal.log").unwrap(), WAL_MAGIC);
+    }
+
+    #[test]
+    fn crc_clean_frame_that_does_not_link_ends_trust() {
+        let vfs = MemVfs::new();
+        let wal = Wal::new(&vfs, "wal.log");
+        let blocks = chain(4);
+        for b in &blocks[..2] {
+            wal.append_block(b).unwrap();
+        }
+        let good_len = vfs.len("wal.log").unwrap();
+        // Block 3 where block 2 belongs: CRC and Merkle root are fine,
+        // number and hash link are not.
+        wal.append_block(&blocks[3]).unwrap();
+        wal.append_block(&blocks[2]).unwrap();
+        let scan = wal.scan().unwrap();
+        assert_eq!(scan.chain.blocks(), &blocks[..2]);
+        assert_eq!(scan.valid_len, good_len);
+        assert_eq!(scan.tail, Some(TailReason::ChainBroken(2)));
+        assert!(scan.chain.verify_chain().is_ok());
+    }
+
+    #[test]
+    fn trust_ends_at_the_first_bad_frame_whichever_worker_found_it() {
+        let vfs = MemVfs::new();
+        let wal = Wal::new(&vfs, "wal.log");
+        let blocks = chain(12);
+        let mut ends = vec![WAL_MAGIC.len() as u64];
+        for b in &blocks {
+            let len = wal.append_block(b).unwrap();
+            ends.push(ends.last().unwrap() + len);
+        }
+        // Frame 9 rots first in the file's history, frame 3 first in the
+        // file: with one frame per worker both are found at once, and the
+        // earlier one must win.
+        vfs.corrupt("wal.log", ends[9] as usize + 9, 0x01).unwrap();
+        vfs.corrupt("wal.log", ends[3] as usize + 9, 0x01).unwrap();
+        let bytes = vfs.read("wal.log").unwrap();
+        for workers in [1, 2, 5, 12, 40] {
+            let scan = verify_frames(&bytes, workers, || ()).0.link();
+            assert_eq!(scan.chain.blocks(), &blocks[..3], "{workers} workers");
+            assert_eq!(scan.valid_len, ends[3]);
+            assert_eq!(scan.tail, Some(TailReason::CrcMismatch));
+        }
+    }
+
+    #[test]
+    fn workers_carry_the_recovery_scan_profile_scope() {
+        // Nothing on this thread opens a scope, so a sampled
+        // `recovery.scan` can only come from a worker. ~2 MB of frames keep
+        // two workers busy for milliseconds per pass; sample until seen.
+        let vfs = MemVfs::new();
+        let wal = Wal::new(&vfs, "wal.log");
+        let mut prev = Block::genesis(vec![vec![7u8; 64 * 1024]]);
+        wal.append_block(&prev).unwrap();
+        for _ in 0..31 {
+            prev = Block::next(&prev.header, vec![vec![7u8; 64 * 1024]]);
+            wal.append_block(&prev).unwrap();
+        }
+        let bytes = vfs.read("wal.log").unwrap();
+        let mut sampled = std::collections::BTreeMap::new();
+        for _round in 0..50 {
+            let profiler = tdt_obs::profile::start(1000);
+            for _ in 0..3 {
+                let scan = verify_frames(&bytes, 2, || ()).0.link();
+                assert_eq!(scan.chain.height(), 32);
+            }
+            sampled = profiler.stop().folded;
+            if sampled.contains_key("recovery.scan") {
+                return;
+            }
+        }
+        panic!("no worker was ever sampled under recovery.scan: {sampled:?}");
     }
 
     #[test]
@@ -318,7 +629,7 @@ mod tests {
         frame.extend_from_slice(&[0u8; 4]);
         vfs.append("wal.log", &frame).unwrap();
         let scan = wal.scan().unwrap();
-        assert_eq!(scan.blocks.len(), 1);
+        assert_eq!(scan.chain.height(), 1);
         assert_eq!(scan.valid_len, good);
         assert_eq!(scan.tail, Some(TailReason::BadLength));
     }

@@ -39,6 +39,7 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering}
 use std::sync::{Arc, Mutex, OnceLock, Weak};
 
 use crate::clock;
+use crate::crc32::crc32;
 
 /// Events retained per thread before the ring wraps (newest wins).
 pub const RING_CAPACITY: usize = 1024;
@@ -410,39 +411,6 @@ pub struct FlightDump {
     pub dumped_at_nanos: u64,
     /// The events, ascending by `seq`.
     pub records: Vec<FlightRecord>,
-}
-
-const CRC_TABLE: [u32; 256] = build_crc_table();
-
-const fn build_crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut crc = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            crc = if crc & 1 == 1 {
-                (crc >> 1) ^ 0xedb8_8320
-            } else {
-                crc >> 1
-            };
-            bit += 1;
-        }
-        // lint:allow(panic: "const-eval: i < 256 by the loop bound, so an out-of-range index would be a compile error, never a runtime panic")
-        table[i] = crc;
-        i += 1;
-    }
-    table
-}
-
-/// IEEE CRC32 of `bytes` (same polynomial as the ledger WAL frames).
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = 0xffff_ffffu32;
-    for &b in bytes {
-        // lint:allow(panic: "index is masked to 0..=255 against a [u32; 256] table")
-        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ b as u32) & 0xff) as usize];
-    }
-    crc ^ 0xffff_ffff
 }
 
 fn put_u16(out: &mut Vec<u8>, v: u16) {

@@ -30,6 +30,7 @@
 #![warn(missing_docs)]
 
 pub mod clock;
+pub mod crc32;
 pub mod export;
 pub mod flight;
 pub mod handle;
@@ -40,6 +41,7 @@ pub mod span;
 pub mod trace;
 pub mod waterfall;
 
+pub use crc32::crc32;
 pub use flight::{FlightKind, FlightRecord};
 pub use handle::{MetricSource, ObsHandle};
 pub use metrics::{Counter, Gauge, Histogram, Registry};

@@ -624,7 +624,7 @@ mod durable_ledger {
     use tdt::ledger::state::WorldState;
     use tdt::ledger::storage::fault::{FaultConfig, FaultVfs};
     use tdt::ledger::storage::file::{FileBackend, FileConfig};
-    use tdt::ledger::storage::vfs::{MemVfs, Vfs};
+    use tdt::ledger::storage::vfs::{MemVfs, StdVfs, Vfs};
     use tdt::ledger::LedgerError;
     use tdt::wire::codec::Message;
 
@@ -722,6 +722,38 @@ mod durable_ledger {
         }
     }
 
+    /// The next block on `peer`'s tip: one endorsed `put k{i % 8} = v{i}`.
+    fn put_block(p: &Parts, peer: &Peer, i: usize) -> (Block, TransactionEnvelope) {
+        let proposal = Proposal::new(
+            format!("tx{i}"),
+            "ch",
+            "kv",
+            "put",
+            vec![
+                format!("k{}", i % 8).into_bytes(),
+                format!("v{i}").into_bytes(),
+            ],
+            p.client.certificate().clone(),
+        )
+        .sign(p.client.signing_key());
+        let sim = peer.simulate(&proposal).expect("simulation is disk-free");
+        let endorsement = peer
+            .endorse_transaction(&proposal, &sim)
+            .expect("endorsement is disk-free");
+        let envelope = TransactionEnvelope {
+            txid: proposal.txid.clone(),
+            channel: "ch".into(),
+            chaincode: "kv".into(),
+            result: sim.result.clone(),
+            rwset: sim.rwset.clone(),
+            endorsements: vec![endorsement],
+            creator_cert: proposal.creator.clone(),
+        };
+        let tip = peer.store().tip().expect("non-empty chain").clone();
+        let block = Block::next(&tip, vec![envelope.encode_to_vec()]);
+        (block, envelope)
+    }
+
     struct SoakOutcome {
         trace: Vec<String>,
         crashes: u64,
@@ -779,33 +811,7 @@ mod durable_ledger {
                 }
                 continue;
             }
-            let proposal = Proposal::new(
-                format!("tx{i}"),
-                "ch",
-                "kv",
-                "put",
-                vec![
-                    format!("k{}", i % 8).into_bytes(),
-                    format!("v{i}").into_bytes(),
-                ],
-                p.client.certificate().clone(),
-            )
-            .sign(p.client.signing_key());
-            let sim = peer.simulate(&proposal).expect("simulation is disk-free");
-            let endorsement = peer
-                .endorse_transaction(&proposal, &sim)
-                .expect("endorsement is disk-free");
-            let envelope = TransactionEnvelope {
-                txid: proposal.txid.clone(),
-                channel: "ch".into(),
-                chaincode: "kv".into(),
-                result: sim.result.clone(),
-                rwset: sim.rwset.clone(),
-                endorsements: vec![endorsement],
-                creator_cert: proposal.creator.clone(),
-            };
-            let tip = peer.store().tip().expect("non-empty chain").clone();
-            let block = Block::next(&tip, vec![envelope.encode_to_vec()]);
+            let (block, envelope) = put_block(&p, &peer, i);
             let number = block.header.number;
             // What the world state must be if this block commits.
             let mut candidate = shadow.clone();
@@ -951,6 +957,208 @@ mod durable_ledger {
         assert_ne!(
             first.trace, third.trace,
             "different seeds should not produce identical traces"
+        );
+    }
+
+    // -----------------------------------------------------------------
+    // The same discipline on a real directory: `StdVfs` over a tmpdir,
+    // the damage done to the actual `wal.log` / newest `.snap` between a
+    // kill and the reopen (no `FaultVfs` in the path, so what is tested is
+    // what a deployment runs).
+    // -----------------------------------------------------------------
+
+    /// SplitMix64: the soak's own stream, so the schedule is a function of
+    /// the seed alone.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        /// Uniform in `lo..hi` (`lo` when the range is empty).
+        fn between(&mut self, lo: u64, hi: u64) -> u64 {
+            lo + self.next() % hi.saturating_sub(lo).max(1)
+        }
+    }
+
+    fn open_on_dir(p: &Parts, dir: &std::path::Path, config: &FileConfig) -> Peer {
+        // A fresh `StdVfs` per open: its cached append handles must not
+        // outlive damage done to the files behind its back.
+        let vfs = Arc::new(StdVfs::open(dir).expect("open soak dir"));
+        Peer::with_backend(
+            "net",
+            "org1",
+            "peer0",
+            p.peer_id.clone(),
+            Arc::clone(&p.registry),
+            Arc::clone(&p.msp_registry),
+            Arc::clone(&p.policies),
+            Box::new(FileBackend::new(vfs as Arc<dyn Vfs>, config.clone())),
+        )
+        .expect("recovery on a real directory never fails on corruption")
+    }
+
+    /// Does the `kind`-th damage to the real WAL or newest snapshot in
+    /// `dir`, placed by `rng`; returns what it did, for the trace.
+    fn damage_files(dir: &std::path::Path, kind: u64, rng: &mut Rng) -> String {
+        let wal = dir.join("wal.log");
+        let newest_snapshot = std::fs::read_dir(dir)
+            .expect("list soak dir")
+            .filter_map(|e| e.ok().map(|e| e.path()))
+            .filter(|path| path.extension().is_some_and(|ext| ext == "snap"))
+            .max();
+        let len_of = |path: &std::path::Path| std::fs::metadata(path).expect("stat").len();
+        let flip = |path: &std::path::Path, at: u64, bit: u64| {
+            let mut bytes = std::fs::read(path).expect("read for damage");
+            bytes[at as usize] ^= 1 << (bit % 8);
+            std::fs::write(path, bytes).expect("write damage");
+        };
+        let truncate = |path: &std::path::Path, to: u64| {
+            let file = std::fs::OpenOptions::new()
+                .write(true)
+                .open(path)
+                .expect("open for damage");
+            file.set_len(to).expect("truncate");
+        };
+        let wal_len = len_of(&wal);
+        match (kind, newest_snapshot) {
+            // Damage lands in the newer half of the WAL more often than not,
+            // so the soak keeps a chain to grow instead of restarting from
+            // genesis every round.
+            (1, _) => {
+                let to = rng.between(wal_len / 2, wal_len);
+                truncate(&wal, to);
+                format!("wal-truncated@{to}")
+            }
+            (2, _) => {
+                let at = rng.between(wal_len / 2, wal_len);
+                flip(&wal, at, rng.next());
+                format!("wal-flip@{at}")
+            }
+            (3, _) => {
+                let at = rng.between(0, wal_len);
+                flip(&wal, at, rng.next());
+                format!("wal-flip-anywhere@{at}")
+            }
+            (4, Some(snap)) if len_of(&snap) > 0 => {
+                let at = rng.between(0, len_of(&snap));
+                flip(&snap, at, rng.next());
+                format!("snap-flip@{at}")
+            }
+            (5, Some(snap)) => {
+                let to = rng.between(0, len_of(&snap));
+                truncate(&snap, to);
+                format!("snap-truncated@{to}")
+            }
+            _ => "clean-kill".into(),
+        }
+    }
+
+    /// One seeded kill+damage+recover soak on a real directory; returns
+    /// the trace. After every reopen the recovered state must be exactly
+    /// the shadow model's state for the recovered height.
+    fn run_std_vfs_soak(seed: u64, rounds: usize, tag: &str) -> Vec<String> {
+        let dir =
+            std::env::temp_dir().join(format!("tdt-chaos-{}-{seed}-{tag}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let p = parts();
+        let config = FileConfig {
+            snapshot_interval: 4,
+            ..FileConfig::default()
+        };
+        let mut rng = Rng(seed);
+        // Every six rounds do each kind of damage once, starting anywhere;
+        // where each lands is the seed's.
+        let first_kind = rng.next();
+        let mut trace = Vec::new();
+        let mut candidates: HashMap<u64, WorldState> = HashMap::new();
+        candidates.insert(0, WorldState::new());
+        candidates.insert(1, WorldState::new()); // genesis writes nothing
+        let mut shadow = WorldState::new();
+        let mut next_tx = 0usize;
+        let mut peer = open_on_dir(&p, &dir, &config);
+        for round in 0..rounds {
+            if peer.height() == 0 {
+                peer.validate_and_commit(Block::genesis(vec![b"config".to_vec()]))
+                    .expect("genesis on a healthy disk");
+            }
+            for _ in 0..rng.between(2, 9) {
+                let (block, envelope) = put_block(&p, &peer, next_tx);
+                next_tx += 1;
+                let number = block.header.number;
+                shadow.apply(&envelope.rwset, Version::new(number, 0));
+                candidates.insert(number + 1, shadow.clone());
+                let codes = peer
+                    .validate_and_commit(block)
+                    .expect("commit on a healthy disk");
+                assert!(
+                    codes.iter().all(|c| c.is_valid()),
+                    "{codes:?} (seed {seed})"
+                );
+            }
+            let sent = peer.height();
+            assert_eq!(peer.state_hash(), shadow.state_hash());
+            drop(peer); // the kill: every acked block was fsynced
+            let damage = damage_files(&dir, (first_kind + round as u64) % 6, &mut rng);
+            peer = open_on_dir(&p, &dir, &config);
+            let r = peer.recovery_report().expect("opened via with_backend");
+            let h = peer.height();
+            trace.push(format!(
+                "round {round}: sent={sent} {damage} -> h={h} replayed={} truncated={} fallbacks={} tail={:?}",
+                r.replayed_blocks, r.truncated_bytes, r.snapshot_fallbacks, r.tail
+            ));
+            assert!(
+                h <= sent,
+                "recovered past what was sent (seed {seed}): {trace:?}"
+            );
+            if damage == "clean-kill" || damage.starts_with("snap-") {
+                assert_eq!(
+                    h, sent,
+                    "undamaged WAL lost blocks (seed {seed}): {trace:?}"
+                );
+            }
+            let expected = candidates
+                .get(&h)
+                .unwrap_or_else(|| panic!("recovered to unknown height {h} (seed {seed})"));
+            assert_eq!(
+                peer.state_hash(),
+                expected.state_hash(),
+                "recovered state at height {h} is not the committed prefix (seed {seed}): {trace:?}"
+            );
+            assert!(peer.store().verify_chain().is_ok());
+            shadow = expected.clone();
+        }
+        drop(peer);
+        let _ = std::fs::remove_dir_all(&dir);
+        trace
+    }
+
+    #[test]
+    fn std_vfs_soak_recovers_a_verified_prefix_from_real_file_damage_and_replays_from_its_seed() {
+        let seed = chaos_seed();
+        let first = run_std_vfs_soak(seed, 24, "a");
+        for line in &first {
+            println!("std-vfs soak: {line}");
+        }
+        for kind in ["wal-truncated", "wal-flip", "snap-"] {
+            assert!(
+                first.iter().any(|line| line.contains(kind)),
+                "schedule never did {kind} (seed {seed})"
+            );
+        }
+        assert!(
+            first.iter().any(|line| !line.contains("truncated=0 ")),
+            "no round ever cut a WAL tail (seed {seed})"
+        );
+        let second = run_std_vfs_soak(seed, 24, "b");
+        assert_eq!(
+            first, second,
+            "same seed {seed} must replay the exact same damage/recover trace"
         );
     }
 }

@@ -665,7 +665,7 @@ proptest! {
         }
         let scan = wal.scan().expect("scan");
         prop_assert!(scan.tail.is_none());
-        prop_assert_eq!(&scan.blocks, &chain);
+        prop_assert_eq!(scan.chain.blocks(), &chain[..]);
     }
 
     #[test]
@@ -687,17 +687,17 @@ proptest! {
         let scan = wal.scan().expect("scan never fails on damage");
         // Whatever survived is a verified prefix: same blocks, in order,
         // from the start.
-        prop_assert!(scan.blocks.len() <= chain.len());
-        prop_assert_eq!(&scan.blocks, &chain[..scan.blocks.len()]);
+        prop_assert!(scan.chain.blocks().len() <= chain.len());
+        prop_assert_eq!(scan.chain.blocks(), &chain[..scan.chain.blocks().len()]);
         prop_assert!(scan.valid_len <= cut);
         if cut < len {
-            prop_assert!(scan.blocks.len() < chain.len());
+            prop_assert!(scan.chain.blocks().len() < chain.len());
         }
         // And physically truncating the damage leaves a clean WAL.
         wal.truncate_to(scan.valid_len).expect("truncate_to");
         let rescan = wal.scan().expect("rescan");
         prop_assert!(rescan.tail.is_none());
-        prop_assert_eq!(&rescan.blocks, &scan.blocks);
+        prop_assert_eq!(rescan.chain.blocks(), scan.chain.blocks());
     }
 
     #[test]
@@ -721,8 +721,8 @@ proptest! {
         // A single flipped bit can only shorten the trusted prefix (CRC-32
         // detects all 1-bit errors); it can never corrupt a decoded block
         // or reorder the chain.
-        prop_assert!(scan.blocks.len() < chain.len() || scan.tail.is_none());
-        prop_assert_eq!(&scan.blocks, &chain[..scan.blocks.len()]);
+        prop_assert!(scan.chain.blocks().len() < chain.len() || scan.tail.is_none());
+        prop_assert_eq!(scan.chain.blocks(), &chain[..scan.chain.blocks().len()]);
         prop_assert!(scan.tail.is_some(), "a flipped bit must be detected");
     }
 }
