@@ -13,7 +13,7 @@ use std::sync::Arc;
 use tdt_bench::{bl_address, bl_policy, prepared_testbed, swt_client};
 use tdt_relay::discovery::{DiscoveryService, StaticRegistry};
 use tdt_relay::service::RelayService;
-use tdt_relay::transport::{EnvelopeHandler, RelayTransport, TcpRelayServer, TcpTransport};
+use tdt_relay::transport::{EnvelopeHandler, PooledTcpTransport, RelayTransport, TcpRelayServer};
 
 fn print_step_table() {
     let t = prepared_testbed("PO-1001");
@@ -59,7 +59,7 @@ fn bench_flow(c: &mut Criterion) {
             "stl-relay-tcp",
             "stl",
             Arc::clone(&registry) as Arc<dyn DiscoveryService>,
-            Arc::new(TcpTransport::new()) as Arc<dyn RelayTransport>,
+            Arc::new(PooledTcpTransport::new()) as Arc<dyn RelayTransport>,
         ));
         stl_relay.register_driver(Arc::new(FabricDriver::new(Arc::clone(&t.stl))));
         let server = TcpRelayServer::spawn(
@@ -72,7 +72,7 @@ fn bench_flow(c: &mut Criterion) {
             "swt-relay-tcp",
             "swt",
             Arc::clone(&registry) as Arc<dyn DiscoveryService>,
-            Arc::new(TcpTransport::new()) as Arc<dyn RelayTransport>,
+            Arc::new(PooledTcpTransport::new()) as Arc<dyn RelayTransport>,
         ));
         let client = InteropClient::new(t.swt_seller_gateway(), swt_relay);
         group.bench_function("query_steps_1_to_9/tcp_relays", |b| {

@@ -163,12 +163,12 @@ fn bench_serial_vs_pooled(c: &mut Criterion) {
     group.finish();
 }
 
-/// Connect-per-request vs pooled/multiplexed TCP, four concurrent
-/// clients, against an echo handler: with the handler near-free, the
-/// measured difference is pure transport overhead (TCP handshakes and
-/// socket churn vs correlation-id multiplexing on warm connections).
+/// A cold pool per request vs one warm pool, four concurrent clients,
+/// against an echo handler: with the handler near-free, the measured
+/// difference is pure transport overhead (a TCP handshake and a reader
+/// thread per request vs correlation-id multiplexing on warm connections).
 fn bench_tcp_transports(c: &mut Criterion) {
-    use tdt_relay::transport::{EnvelopeHandler, PooledTcpTransport, TcpRelayServer, TcpTransport};
+    use tdt_relay::transport::{EnvelopeHandler, PooledTcpTransport, TcpRelayServer};
     use tdt_wire::messages::{EnvelopeKind, RelayEnvelope};
     const CLIENTS: usize = 4;
     const REQUESTS_PER_CLIENT: usize = 25;
@@ -203,16 +203,16 @@ fn bench_tcp_transports(c: &mut Criterion) {
     group.sample_size(10);
     group.throughput(Throughput::Elements((CLIENTS * REQUESTS_PER_CLIENT) as u64));
 
-    group.bench_function(format!("{CLIENTS}_clients_connect_per_request"), |b| {
+    group.bench_function(format!("{CLIENTS}_clients_cold_pool_per_request"), |b| {
         b.iter(|| {
             std::thread::scope(|scope| {
                 for _ in 0..CLIENTS {
                     let endpoint = &endpoint;
                     let request = &request;
                     scope.spawn(move || {
-                        let transport = TcpTransport::new();
                         for _ in 0..REQUESTS_PER_CLIENT {
-                            black_box(transport.send(endpoint, request).unwrap());
+                            let cold = PooledTcpTransport::new();
+                            black_box(cold.send(endpoint, request).unwrap());
                         }
                     });
                 }

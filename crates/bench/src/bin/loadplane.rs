@@ -480,8 +480,8 @@ fn main() {
         profile.overload_window_secs,
     );
     let overload_stats = summarize(&samples, elapsed);
-    let admission_shed = testbed.relay.stats().admission_shed();
-    let admission_admitted = testbed.relay.stats().admission_admitted();
+    let gate = testbed.relay.stats().snapshot();
+    let (admission_shed, admission_admitted) = (gate.admission_shed, gate.admission_admitted);
     eprintln!(
         "  -> goodput {:.0} req/s, completion p99 {:.2} ms (deadline {:?}), \
          {} sheds ({} at the gate), {} errors",

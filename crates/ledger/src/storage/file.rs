@@ -24,7 +24,8 @@
 //! 4. Walk snapshots newest-first; the first one that parses, passes its
 //!    CRC, recomputes to its recorded `state_hash`, and is not ahead of
 //!    the truncated chain wins (normally the one step 1 already
-//!    verified). Everything else is a counted fallback.
+//!    verified). Everything else is a counted fallback, and a snapshot
+//!    ahead of the truncated chain is deleted.
 //! 5. Hand the caller the chain as a [`BlockStore`](crate::store) — which
 //!    it adopts without another look — plus the snapshot; the caller
 //!    replays blocks past the snapshot height to rebuild derived state.
@@ -179,8 +180,13 @@ impl FileBackend {
             };
             if height > chain_height {
                 // The WAL was truncated below this snapshot; replay
-                // cannot reach it, so it is unusable.
+                // cannot reach it, so it is unusable — and it describes a
+                // chain that no longer exists. Left on disk it would
+                // outrank every snapshot the regrown chain writes below
+                // its height in `gc_snapshots`, and pass for that chain's
+                // own once the chain grows past it.
                 *fallbacks += 1;
+                let _ = self.vfs.remove(name);
                 continue;
             }
             let verified = match speculated.take_if(|(speculated, _)| *speculated == name) {
@@ -590,6 +596,55 @@ mod tests {
         assert_eq!(recovered.chain.blocks().len(), 9);
     }
 
+    /// Regression: a snapshot left ahead of a cut WAL used to stay on disk,
+    /// where `gc_snapshots` (newest names win) kept it over every snapshot
+    /// the regrown chain wrote below it, so each later recovery replayed
+    /// from genesis.
+    #[test]
+    fn snapshots_ahead_of_a_cut_wal_are_deleted_and_do_not_crowd_out_new_ones() {
+        let vfs = Arc::new(MemVfs::new());
+        let blocks = chain(13);
+        let state = WorldState::new();
+        let history = HistoryIndex::new();
+        let commit = |backend: &mut FileBackend, blocks: &[Block]| {
+            for b in blocks {
+                backend.append_block(b).unwrap();
+                let height = b.header.number + 1;
+                if backend.snapshot_due(height) {
+                    backend
+                        .write_snapshot(&Snapshot::capture(height, &state, &history))
+                        .unwrap();
+                }
+            }
+        };
+        let (mut backend, _) = open(&vfs);
+        commit(&mut backend, &blocks);
+        assert_eq!(
+            vfs.list(SNAP_PREFIX).unwrap(),
+            vec![snap_name(8), snap_name(12)]
+        );
+        // Cut the WAL to two blocks: both snapshots are now ahead of it.
+        let kept: usize = blocks[..2]
+            .iter()
+            .map(|b| Wal::encode_frame(&codec::encode_block(b)).len())
+            .sum();
+        vfs.truncate(WAL_FILE, (WAL_MAGIC.len() + kept) as u64)
+            .unwrap();
+        let (mut backend, recovered) = open(&vfs);
+        assert_eq!(recovered.report.chain_height, 2);
+        assert_eq!(recovered.report.snapshot_height, None);
+        assert_eq!(recovered.report.snapshot_fallbacks, 2);
+        assert!(vfs.list(SNAP_PREFIX).unwrap().is_empty());
+        // Regrow past the next snapshot interval, but not up to the
+        // deleted snapshots' heights.
+        commit(&mut backend, &blocks[2..6]);
+        let (_backend, recovered) = open(&vfs);
+        assert_eq!(recovered.report.chain_height, 6);
+        assert_eq!(recovered.report.snapshot_height, Some(4));
+        assert_eq!(recovered.report.replayed_blocks, 2);
+        assert_eq!(recovered.report.snapshot_fallbacks, 0);
+    }
+
     #[test]
     fn chain_violation_inside_crc_clean_wal_is_cut() {
         let vfs = Arc::new(MemVfs::new());
@@ -837,6 +892,9 @@ mod tests {
                     continue;
                 }
                 let usable = snap_height(name).filter(|height| *height <= chain_height);
+                if usable.is_none() && snap_height(name).is_some() {
+                    vfs.remove(name).unwrap(); // ahead of the cut chain
+                }
                 match usable.map(|height| (height, read_snapshot(vfs, name))) {
                     Some((height, Ok(found))) if found.height == height => {
                         snapshot = Some(found);

@@ -155,12 +155,6 @@ impl AdmissionController {
     }
 }
 
-impl Default for AdmissionController {
-    fn default() -> Self {
-        AdmissionController::new(AdmissionConfig::default())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -18,7 +18,7 @@
 //! [`tdt_wire::messages::RelayEnvelope::batch`]).
 
 use crate::error::RelayError;
-use crate::service::OVERLOADED_PREFIX;
+use crate::service::remote_error;
 use crate::transport::RelayTransport;
 use crossbeam::channel::{bounded, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
@@ -163,42 +163,29 @@ impl BatchingTransport {
             trace: first.trace,
             batch: items.iter().map(|i| i.envelope.encode_to_vec()).collect(),
         };
-        match self.inner.send(endpoint, &combined) {
+        // Either one reply frame per item, or one error every item shares.
+        let error = match self.inner.send(endpoint, &combined) {
             Ok(reply) if reply.batch.len() == items.len() => {
                 for (item, frame) in items.into_iter().zip(reply.batch) {
                     let outcome =
                         RelayEnvelope::decode_from_slice(&frame).map_err(RelayError::from);
                     item.reply.send(outcome).ok();
                 }
+                return;
             }
-            Ok(reply) if reply.kind == EnvelopeKind::Error => {
-                // The whole frame was rejected before expansion (e.g.
-                // the admission gate shed it, or a legacy peer choked
-                // on the empty payload): every item shares the outcome.
-                let message = String::from_utf8_lossy(&reply.payload).into_owned();
-                let error = match message.strip_prefix(OVERLOADED_PREFIX) {
-                    Some(detail) => RelayError::Overloaded(detail.to_string()),
-                    None => RelayError::Remote(message),
-                };
-                for item in items {
-                    item.reply.send(Err(error.clone())).ok();
-                }
-            }
-            Ok(reply) => {
-                let error = RelayError::TransportFailed(format!(
-                    "batched frame of {} answered with {} reply items",
-                    items.len(),
-                    reply.batch.len()
-                ));
-                for item in items {
-                    item.reply.send(Err(error.clone())).ok();
-                }
-            }
-            Err(error) => {
-                for item in items {
-                    item.reply.send(Err(error.clone())).ok();
-                }
-            }
+            // The whole frame was rejected before expansion (e.g. the
+            // admission gate shed it, or a legacy peer choked on the
+            // empty payload).
+            Ok(reply) if reply.kind == EnvelopeKind::Error => remote_error(&reply.payload),
+            Ok(reply) => RelayError::TransportFailed(format!(
+                "batched frame of {} answered with {} reply items",
+                items.len(),
+                reply.batch.len()
+            )),
+            Err(error) => error,
+        };
+        for item in items {
+            item.reply.send(Err(error.clone())).ok();
         }
     }
 }
@@ -274,6 +261,7 @@ impl RelayTransport for BatchingTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::service::OVERLOADED_PREFIX;
     use crate::transport::EnvelopeHandler;
     use std::sync::atomic::AtomicU64;
 

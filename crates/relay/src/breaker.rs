@@ -24,11 +24,13 @@
 //! circuit; any probe failure re-opens it and restarts the cooldown.
 
 use crate::error::RelayError;
+use crate::retry::RetryPolicy;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 use tdt_obs::flight::{self, FlightKind};
+use tdt_obs::span::Span;
 
 /// FNV-1a over the endpoint string, so breaker flight events can name
 /// the endpoint in 8 bytes (dump consumers correlate the hash across
@@ -207,11 +209,6 @@ impl CircuitBreaker {
         }
     }
 
-    /// The active thresholds.
-    pub fn config(&self) -> &BreakerConfig {
-        &self.config
-    }
-
     /// Asks permission to send to `endpoint`.
     ///
     /// # Errors
@@ -326,6 +323,36 @@ impl CircuitBreaker {
         }
     }
 
+    /// Runs one exchange with `endpoint` under the breaker: acquires an
+    /// admission, runs `send`, and hands the admission back with the
+    /// outcome, so a half-open probe is always settled by the request that
+    /// carried it. Terminal errors and admission sheds mean the endpoint
+    /// answered — only the transient faults of
+    /// [`RetryPolicy::counts_against_breaker`] count against its health.
+    ///
+    /// # Errors
+    ///
+    /// [`RelayError::CircuitOpen`], without running `send` and with a
+    /// `breaker.fast_reject` event on `span`, while the circuit is open;
+    /// otherwise whatever `send` returns.
+    pub fn guard<T>(
+        &self,
+        endpoint: &str,
+        span: &mut Span,
+        send: impl FnOnce() -> Result<T, RelayError>,
+    ) -> Result<T, RelayError> {
+        let admission = self
+            .try_acquire(endpoint)
+            .inspect_err(|_| span.event("breaker.fast_reject"))?;
+        let outcome = send();
+        let healthy = match &outcome {
+            Ok(_) => true,
+            Err(error) => !RetryPolicy::counts_against_breaker(error),
+        };
+        self.record_outcome(endpoint, admission, healthy);
+        outcome
+    }
+
     /// Records a successful exchange that never held an [`Admission`]
     /// (e.g. health signals from outside the acquire path). Never closes
     /// a half-open circuit.
@@ -345,19 +372,6 @@ impl CircuitBreaker {
             .lock()
             .get(endpoint)
             .map_or(BreakerState::Closed, |s| s.state)
-    }
-
-    /// True when `endpoint` would be fast-rejected right now (open and
-    /// still cooling down, or half-open with a probe in flight).
-    pub fn is_blocking(&self, endpoint: &str) -> bool {
-        self.endpoints
-            .lock()
-            .get(endpoint)
-            .is_some_and(|s| match s.state {
-                BreakerState::Closed => false,
-                BreakerState::Open => s.opened_at.elapsed() < self.config.cooldown,
-                BreakerState::HalfOpen => s.probe_in_flight,
-            })
     }
 
     /// Times the breaker tripped closed → open (or re-opened on a failed

@@ -3,8 +3,8 @@
 //!
 //! The paper's availability argument (§5) only holds if the destination
 //! network stays safe when relays misbehave. [`ChaosTransport`] wraps any
-//! [`RelayTransport`] — the in-process bus, the connect-per-request TCP
-//! transport, or the pooled multiplexed one — and injects the transport
+//! [`RelayTransport`] — the in-process bus or the pooled, multiplexed TCP
+//! transport — and injects the transport
 //! faults a hostile or degraded WAN actually produces: dropped requests,
 //! fixed-plus-jittered delay, byte corruption, duplication, reordering
 //! delay, and per-endpoint-pair partitions.
@@ -435,9 +435,9 @@ struct ScheduledPartition {
 /// replayable schedule.
 ///
 /// Composes over any inner transport ([`crate::transport::InProcessBus`],
-/// [`crate::transport::TcpTransport`], [`crate::transport::PooledTcpTransport`],
-/// or another decorator). Manual faults (outages, partitions) come from
-/// the attached [`SharedFaults`]; randomized faults come from the
+/// [`crate::transport::PooledTcpTransport`], or another decorator). Manual
+/// faults (outages, partitions) come from its [`SharedFaults`]
+/// ([`ChaosTransport::faults`]); randomized faults come from the
 /// [`FaultSchedule`]. Corruption is fail-closed end to end: a corrupted
 /// envelope either fails to decode (the stream is treated as killed) or
 /// decodes to garbage the verification layers above must reject.
@@ -481,24 +481,6 @@ impl ChaosTransport {
     pub fn with_local_name(mut self, local: impl Into<String>) -> Self {
         self.local = local.into();
         self
-    }
-
-    /// Attaches a shared fault set, so outages and partitions configured
-    /// elsewhere (e.g. by a fabric-level test) apply here too (builder
-    /// style).
-    pub fn with_faults(mut self, faults: SharedFaults) -> Self {
-        self.faults = faults;
-        self
-    }
-
-    /// The replay seed. Print this when a chaotic test fails.
-    pub fn seed(&self) -> u64 {
-        self.schedule.seed()
-    }
-
-    /// The schedule (pure; usable to pre-compute or compare runs).
-    pub fn schedule(&self) -> &FaultSchedule {
-        &self.schedule
     }
 
     /// The manual fault set consulted on every send.
@@ -580,7 +562,7 @@ impl RelayTransport for ChaosTransport {
             Some(_) => obs_span::enter("chaos.fault"),
             None => obs_span::enter_remote(
                 "chaos.fault",
-                &crate::telemetry::context_from_envelope(envelope),
+                &crate::telemetry::context_from_header(&envelope.trace),
             ),
         });
         if let Some((span, _)) = obs.as_mut() {
@@ -915,7 +897,6 @@ mod tests {
 
     #[test]
     fn shared_faults_down_and_latency() {
-        let faults = SharedFaults::new();
         let chaos = ChaosTransport::new(
             bus_with_echo(),
             2,
@@ -923,8 +904,8 @@ mod tests {
                 partition_timeout: Duration::ZERO,
                 ..ChaosConfig::default()
             },
-        )
-        .with_faults(faults.clone());
+        );
+        let faults = chaos.faults().clone();
         faults.take_down("inproc:echo");
         assert!(chaos.send("inproc:echo", &request(b"x")).is_err());
         faults.restore("inproc:echo");

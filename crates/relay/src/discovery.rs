@@ -42,21 +42,6 @@ impl StaticRegistry {
             .write()
             .insert(network_id.into(), endpoint.into());
     }
-
-    /// Removes a network's entry.
-    pub fn deregister(&self, network_id: &str) {
-        self.entries.write().remove(network_id);
-    }
-
-    /// Number of registered networks.
-    pub fn len(&self) -> usize {
-        self.entries.read().len()
-    }
-
-    /// True when no network is registered.
-    pub fn is_empty(&self) -> bool {
-        self.entries.read().is_empty()
-    }
 }
 
 impl DiscoveryService for StaticRegistry {
@@ -130,47 +115,6 @@ impl DiscoveryService for FileRegistry {
     }
 }
 
-/// Chains several discovery services, trying each in order.
-#[derive(Default)]
-pub struct ChainedDiscovery {
-    services: Vec<Box<dyn DiscoveryService>>,
-}
-
-impl std::fmt::Debug for ChainedDiscovery {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ChainedDiscovery")
-            .field("services", &self.services.len())
-            .finish()
-    }
-}
-
-impl ChainedDiscovery {
-    /// Creates an empty chain.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Appends a service to the chain (builder style).
-    pub fn with(mut self, service: Box<dyn DiscoveryService>) -> Self {
-        self.services.push(service);
-        self
-    }
-}
-
-impl DiscoveryService for ChainedDiscovery {
-    fn lookup(&self, network_id: &str) -> Result<String, RelayError> {
-        for service in &self.services {
-            if let Ok(endpoint) = service.lookup(network_id) {
-                return Ok(endpoint);
-            }
-        }
-        Err(RelayError::DiscoveryFailed(format!(
-            "network {network_id:?} unknown to all {} discovery services",
-            self.services.len()
-        )))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -178,12 +122,9 @@ mod tests {
     #[test]
     fn static_registry_roundtrip() {
         let reg = StaticRegistry::new();
-        assert!(reg.is_empty());
+        assert!(reg.lookup("stl").is_err());
         reg.register("stl", "inproc:stl-relay");
         assert_eq!(reg.lookup("stl").unwrap(), "inproc:stl-relay");
-        assert_eq!(reg.len(), 1);
-        reg.deregister("stl");
-        assert!(reg.lookup("stl").is_err());
     }
 
     #[test]
@@ -242,17 +183,5 @@ mod tests {
         FileRegistry::write_entries(&path, [("stl", "new")]).unwrap();
         assert_eq!(reg.lookup("stl").unwrap(), "new");
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn chained_discovery_falls_through() {
-        let a = StaticRegistry::new();
-        a.register("stl", "from-a");
-        let b = StaticRegistry::new();
-        b.register("swt", "from-b");
-        let chain = ChainedDiscovery::new().with(Box::new(a)).with(Box::new(b));
-        assert_eq!(chain.lookup("stl").unwrap(), "from-a");
-        assert_eq!(chain.lookup("swt").unwrap(), "from-b");
-        assert!(chain.lookup("other").is_err());
     }
 }

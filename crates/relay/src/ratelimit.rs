@@ -4,7 +4,7 @@
 //! attacks").
 
 use parking_lot::Mutex;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 #[derive(Debug)]
 struct Bucket {
@@ -80,20 +80,12 @@ impl RateLimiter {
         self.refill(&mut bucket);
         bucket.tokens
     }
-
-    /// Time until at least one token is available (zero when one already is).
-    pub fn time_to_next_token(&self) -> Duration {
-        let available = self.available();
-        if available >= 1.0 || self.refill_per_sec <= 0.0 {
-            return Duration::ZERO;
-        }
-        Duration::from_secs_f64((1.0 - available) / self.refill_per_sec)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
     fn burst_up_to_capacity() {
@@ -126,15 +118,6 @@ mod tests {
         assert!(!rl.try_acquire_n(4));
         assert!(rl.try_acquire_n(3));
         assert!(!rl.try_acquire());
-    }
-
-    #[test]
-    fn time_to_next_token_behaviour() {
-        let rl = RateLimiter::new(1, 10.0);
-        assert_eq!(rl.time_to_next_token(), Duration::ZERO);
-        assert!(rl.try_acquire());
-        let wait = rl.time_to_next_token();
-        assert!(wait > Duration::ZERO && wait <= Duration::from_millis(110));
     }
 
     #[test]

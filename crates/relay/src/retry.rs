@@ -9,13 +9,13 @@
 //! backoff and jitter, so a thundering herd of retries from many relays
 //! decorrelates instead of synchronizing.
 
-use crate::breaker::{Admission, CircuitBreaker};
+use crate::breaker::CircuitBreaker;
 use crate::error::RelayError;
 use crate::transport::RelayTransport;
 use rand::RngCore;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use tdt_obs::span::{self as obs_span, RecordErr, Span};
 use tdt_wire::messages::RelayEnvelope;
 
@@ -106,13 +106,6 @@ impl RetryPolicy {
         let jittered = (capped as f64 * factor) as u128;
         nanos_to_duration(jittered.min(self.max_delay.as_nanos()))
     }
-
-    /// Like [`RetryPolicy::backoff_delay`], additionally clamped to the
-    /// remaining deadline budget — a retry sleep must never outlive the
-    /// caller's deadline.
-    pub fn backoff_delay_within(&self, attempt: u32, remaining: Duration) -> Duration {
-        self.backoff_delay(attempt).min(remaining)
-    }
 }
 
 fn nanos_to_duration(nanos: u128) -> Duration {
@@ -129,7 +122,6 @@ pub struct RetryingTransport {
     attempts: AtomicU64,
     retries: AtomicU64,
     breaker: Option<Arc<CircuitBreaker>>,
-    deadline_budget: Option<Duration>,
 }
 
 impl std::fmt::Debug for RetryingTransport {
@@ -139,7 +131,6 @@ impl std::fmt::Debug for RetryingTransport {
             .field("attempts", &self.attempts)
             .field("retries", &self.retries)
             .field("breaker", &self.breaker.is_some())
-            .field("deadline_budget", &self.deadline_budget)
             .finish()
     }
 }
@@ -153,7 +144,6 @@ impl RetryingTransport {
             attempts: AtomicU64::new(0),
             retries: AtomicU64::new(0),
             breaker: None,
-            deadline_budget: None,
         }
     }
 
@@ -165,25 +155,6 @@ impl RetryingTransport {
     pub fn with_breaker(mut self, breaker: Arc<CircuitBreaker>) -> Self {
         self.breaker = Some(breaker);
         self
-    }
-
-    /// Bounds the whole send — attempts plus backoff sleeps — to
-    /// `budget`. Backoff sleeps are clamped to the remaining budget and
-    /// retries stop with [`RelayError::DeadlineExceeded`] once it runs
-    /// out.
-    pub fn with_deadline_budget(mut self, budget: Duration) -> Self {
-        self.deadline_budget = Some(budget);
-        self
-    }
-
-    /// The active policy.
-    pub fn policy(&self) -> &RetryPolicy {
-        &self.policy
-    }
-
-    /// The breaker consulted before each attempt, if any.
-    pub fn breaker(&self) -> Option<&Arc<CircuitBreaker>> {
-        self.breaker.as_ref()
     }
 
     /// Total send attempts (including first tries).
@@ -212,48 +183,22 @@ impl RetryingTransport {
         envelope: &RelayEnvelope,
         span: &mut Span,
     ) -> Result<RelayEnvelope, RelayError> {
-        let started = Instant::now();
         let mut attempt = 0;
         loop {
-            let mut admission = Admission::default();
-            if let Some(breaker) = &self.breaker {
-                match breaker.try_acquire(endpoint) {
-                    Ok(a) => admission = a,
-                    Err(e) => {
-                        span.event("breaker.fast_reject");
-                        return Err(e);
-                    }
-                }
-            }
-            self.attempts.fetch_add(1, Ordering::Relaxed);
-            let outcome = self.inner.send(endpoint, envelope);
-            if let Some(breaker) = &self.breaker {
-                // Terminal errors and admission sheds mean the endpoint
-                // answered — only transient faults count against its
-                // health.
-                let healthy = match &outcome {
-                    Ok(_) => true,
-                    Err(e) => !RetryPolicy::counts_against_breaker(e),
-                };
-                breaker.record_outcome(endpoint, admission, healthy);
-            }
+            let attempt_once = || {
+                self.attempts.fetch_add(1, Ordering::Relaxed);
+                self.inner.send(endpoint, envelope)
+            };
+            let outcome = match &self.breaker {
+                Some(breaker) => breaker.guard(endpoint, span, attempt_once),
+                None => attempt_once(),
+            };
             match outcome {
                 Ok(reply) => return Ok(reply),
                 Err(error)
                     if RetryPolicy::is_retryable(&error) && attempt < self.policy.max_retries =>
                 {
-                    let delay = match self.deadline_budget {
-                        None => self.policy.backoff_delay(attempt),
-                        Some(budget) => {
-                            let Some(remaining) = budget.checked_sub(started.elapsed()) else {
-                                return Err(RelayError::DeadlineExceeded(format!(
-                                    "retry budget {budget:?} spent after {} attempts; last: {error}",
-                                    attempt + 1
-                                )));
-                            };
-                            self.policy.backoff_delay_within(attempt, remaining)
-                        }
-                    };
+                    let delay = self.policy.backoff_delay(attempt);
                     self.retries.fetch_add(1, Ordering::Relaxed);
                     span.event("retry.attempt");
                     tdt_obs::flight::record(
@@ -415,9 +360,9 @@ mod tests {
     }
 
     #[test]
-    fn jittered_backoff_never_exceeds_cap_or_deadline_budget() {
-        // Large base + max jitter: the nominal delay would overshoot both
-        // bounds, so this pins the clamping itself, not a lucky draw.
+    fn jittered_backoff_never_exceeds_cap() {
+        // Large base + max jitter: the nominal delay would overshoot the
+        // cap, so this pins the clamping itself, not a lucky draw.
         let policy = RetryPolicy::new(
             8,
             Duration::from_millis(100),
@@ -430,11 +375,6 @@ mod tests {
                     policy.backoff_delay(attempt) <= Duration::from_millis(60),
                     "attempt {attempt}: jittered delay exceeded max_delay"
                 );
-                let remaining = Duration::from_millis(7);
-                assert!(
-                    policy.backoff_delay_within(attempt, remaining) <= remaining,
-                    "attempt {attempt}: delay exceeded remaining deadline budget"
-                );
             }
         }
         // Growth stays pinned with jitter disabled.
@@ -444,21 +384,6 @@ mod tests {
             growth,
             [10, 20, 40, 80, 160].map(Duration::from_millis).to_vec()
         );
-    }
-
-    #[test]
-    fn deadline_budget_stops_retries_with_classified_error() {
-        let transport = RetryingTransport::new(
-            Arc::new(FlakyTransport::failing(transient(50))),
-            RetryPolicy::new(50, Duration::from_millis(5), Duration::from_millis(5), 0.0),
-        )
-        .with_deadline_budget(Duration::from_millis(30));
-        let started = std::time::Instant::now();
-        let err = transport.send("inproc:x", &envelope()).unwrap_err();
-        assert!(matches!(err, RelayError::DeadlineExceeded(_)), "{err}");
-        // Sleeps were clamped to the remaining budget: well under the
-        // 50 × 5 ms the policy alone would have allowed.
-        assert!(started.elapsed() < Duration::from_millis(200));
     }
 
     #[test]

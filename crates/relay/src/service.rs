@@ -17,33 +17,22 @@ use crate::driver::NetworkDriver;
 use crate::error::RelayError;
 use crate::events::{EventSink, EventSource};
 use crate::ratelimit::RateLimiter;
-use crate::retry::RetryPolicy;
+use crate::stats::RelayStats;
 use crate::transport::{EnvelopeHandler, PoolStats, RelayTransport};
 use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender, TrySendError};
 use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, Weak};
+use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 use tdt_crypto::certcache::CertChainCache;
 use tdt_obs::flight::{self, FlightKind};
-use tdt_obs::metrics::Histogram;
 use tdt_obs::span::{self as obs_span, RecordErr, Span};
 use tdt_obs::Slo;
 use tdt_wire::codec::Message;
 use tdt_wire::messages::{
     AuthInfo, EnvelopeKind, EventNotice, EventSubscribeRequest, Query, QueryResponse, RelayEnvelope,
 };
-
-/// Upper bounds of the envelope-handling latency histogram buckets; the
-/// sixth bucket is the unbounded overflow.
-pub const LATENCY_BUCKET_BOUNDS: [Duration; 5] = [
-    Duration::from_micros(100),
-    Duration::from_millis(1),
-    Duration::from_millis(10),
-    Duration::from_millis(100),
-    Duration::from_secs(1),
-];
 
 /// How long an envelope may spend queued + processing before the relay
 /// answers with a deadline error instead.
@@ -56,351 +45,23 @@ pub const DEFAULT_REQUEST_DEADLINE: Duration = Duration::from_secs(10);
 /// peers running older code simply see a remote error string.
 pub const OVERLOADED_PREFIX: &str = "overloaded: ";
 
+/// The error an error envelope's payload stands for on the client side.
+/// An admission shed is a liveness signal, not a remote fault: it maps to
+/// the retryable error so callers (and relay groups) fail over instead of
+/// giving up.
+pub(crate) fn remote_error(payload: &[u8]) -> RelayError {
+    let message = String::from_utf8_lossy(payload).into_owned();
+    match message.strip_prefix(OVERLOADED_PREFIX) {
+        Some(detail) => RelayError::Overloaded(detail.to_string()),
+        None => RelayError::Remote(message),
+    }
+}
+
 /// Bounded depth of each event-subscription delivery queue. A subscriber
 /// that falls further behind than this loses notices (counted in
 /// [`RelayStats::events_dropped`]) instead of blocking the source-side
 /// push path.
 pub const EVENT_QUEUE_CAPACITY: usize = 64;
-
-/// Counters exposed for monitoring and the availability experiments.
-#[derive(Debug, Default)]
-pub struct RelayStats {
-    /// Queries forwarded to remote relays (destination role).
-    pub forwarded: AtomicU64,
-    /// Queries served for remote relays (source role).
-    pub served: AtomicU64,
-    /// Requests shed by the rate limiter.
-    pub shed: AtomicU64,
-    /// Envelopes handed to the worker pool.
-    pub enqueued: AtomicU64,
-    /// Envelopes answered with a deadline error.
-    pub deadline_exceeded: AtomicU64,
-    /// Event notices delivered to local subscribers.
-    pub events_delivered: AtomicU64,
-    /// Event notices dropped because a subscriber's queue was full.
-    pub events_dropped: AtomicU64,
-    queue_depth: AtomicU64,
-    in_flight: AtomicU64,
-    latency_buckets: [AtomicU64; 6],
-    latency_ns: OnceLock<Histogram>,
-    cert_cache: OnceLock<Arc<CertChainCache>>,
-    pool_stats: OnceLock<Arc<PoolStats>>,
-    breaker: OnceLock<Arc<CircuitBreaker>>,
-    admission: OnceLock<Arc<AdmissionController>>,
-}
-
-impl RelayStats {
-    /// Envelopes currently waiting in the worker-pool queue.
-    pub fn queue_depth(&self) -> u64 {
-        self.queue_depth.load(Ordering::Relaxed)
-    }
-
-    /// Envelopes currently being processed by workers.
-    pub fn in_flight(&self) -> u64 {
-        self.in_flight.load(Ordering::Relaxed)
-    }
-
-    /// Envelope-handling latency histogram. Bucket `i < 5` counts
-    /// envelopes completed within [`LATENCY_BUCKET_BOUNDS`]`[i]`; bucket 5
-    /// counts the rest.
-    pub fn latency_histogram(&self) -> [u64; 6] {
-        let mut out = [0; 6];
-        for (slot, bucket) in out.iter_mut().zip(&self.latency_buckets) {
-            *slot = bucket.load(Ordering::Relaxed);
-        }
-        out
-    }
-
-    /// Total envelopes measured by the latency histogram.
-    pub fn handled(&self) -> u64 {
-        self.latency_histogram().iter().sum()
-    }
-
-    fn record_latency(&self, elapsed: Duration) {
-        let i = LATENCY_BUCKET_BOUNDS
-            .iter()
-            .position(|bound| elapsed <= *bound)
-            .unwrap_or(LATENCY_BUCKET_BOUNDS.len());
-        // `i` is at most the overflow-bucket index, but never index: a
-        // histogram must not be able to take the relay down.
-        if let Some(bucket) = self.latency_buckets.get(i) {
-            bucket.fetch_add(1, Ordering::Relaxed);
-        }
-        // The exponential histogram keeps sum/count/max, so mean and tail
-        // latency stay recoverable where the fixed buckets saturate.
-        self.latency_ns()
-            .observe(elapsed.as_nanos().min(u64::MAX as u128) as u64);
-    }
-
-    /// The exponential envelope-handling latency histogram (nanoseconds).
-    /// Tracks `sum`, `count` and `max` alongside the buckets; adopt it
-    /// into a metrics registry to export it.
-    pub fn latency_ns(&self) -> &Histogram {
-        self.latency_ns.get_or_init(Histogram::latency_nanos)
-    }
-
-    /// Largest envelope-handling latency observed, in nanoseconds.
-    pub fn latency_max_nanos(&self) -> u64 {
-        self.latency_ns().snapshot().max
-    }
-
-    /// Sum of all envelope-handling latencies, in nanoseconds.
-    pub fn latency_sum_nanos(&self) -> u64 {
-        self.latency_ns().snapshot().sum
-    }
-
-    /// Takes a point-in-time copy of every counter, suitable for merging
-    /// across relays with [`RelayStatsSnapshot::merge`]. Each atomic is
-    /// read independently: the snapshot is not a consistent cut, but it
-    /// is always safe to take while workers mutate the counters.
-    pub fn snapshot(&self) -> RelayStatsSnapshot {
-        let latency = self.latency_ns().snapshot();
-        RelayStatsSnapshot {
-            forwarded: self.forwarded.load(Ordering::Relaxed),
-            served: self.served.load(Ordering::Relaxed),
-            shed: self.shed.load(Ordering::Relaxed),
-            enqueued: self.enqueued.load(Ordering::Relaxed),
-            deadline_exceeded: self.deadline_exceeded.load(Ordering::Relaxed),
-            events_delivered: self.events_delivered.load(Ordering::Relaxed),
-            events_dropped: self.events_dropped.load(Ordering::Relaxed),
-            queue_depth: self.queue_depth.load(Ordering::Relaxed),
-            in_flight: self.in_flight.load(Ordering::Relaxed),
-            latency_buckets: self.latency_histogram(),
-            latency_sum_nanos: latency.sum,
-            latency_max_nanos: latency.max,
-            cache_hits: self.cache_hits(),
-            cache_misses: self.cache_misses(),
-            pool_connections_open: self.pool_connections_open(),
-            pool_connections_dialed: self.pool_connections_dialed(),
-            pool_connections_reused: self.pool_connections_reused(),
-            pool_requests_in_flight: self.pool_requests_in_flight(),
-            pool_orphaned_replies: self.pool_orphaned_replies(),
-            pool_connections_culled: self.pool_connections_culled(),
-            breaker_trips: self.breaker_trips(),
-            breaker_probes: self.breaker_probes(),
-            breaker_fast_rejects: self.breaker_fast_rejects(),
-            breaker_open_endpoints: self.breaker_open_endpoints(),
-            admission_admitted: self.admission_admitted(),
-            admission_shed: self.admission_shed(),
-        }
-    }
-
-    /// Certificate-chain cache hits, when a cache is attached.
-    pub fn cache_hits(&self) -> u64 {
-        self.cert_cache.get().map_or(0, |c| c.hits())
-    }
-
-    /// Certificate-chain cache misses, when a cache is attached.
-    pub fn cache_misses(&self) -> u64 {
-        self.cert_cache.get().map_or(0, |c| c.misses())
-    }
-
-    /// Certificate-chain cache hit rate (0.0 without a cache or lookups).
-    pub fn cache_hit_rate(&self) -> f64 {
-        self.cert_cache.get().map_or(0.0, |c| c.hit_rate())
-    }
-
-    /// Transport-pool connections currently open, when pool stats are
-    /// attached.
-    pub fn pool_connections_open(&self) -> u64 {
-        self.pool_stats.get().map_or(0, |p| p.connections_open())
-    }
-
-    /// Transport-pool connections dialed over the pool's lifetime, when
-    /// pool stats are attached.
-    pub fn pool_connections_dialed(&self) -> u64 {
-        self.pool_stats.get().map_or(0, |p| p.connections_dialed())
-    }
-
-    /// Requests that reused an already-open pooled connection, when pool
-    /// stats are attached.
-    pub fn pool_connections_reused(&self) -> u64 {
-        self.pool_stats.get().map_or(0, |p| p.connections_reused())
-    }
-
-    /// Requests currently in flight on pooled connections, when pool
-    /// stats are attached.
-    pub fn pool_requests_in_flight(&self) -> u64 {
-        self.pool_stats.get().map_or(0, |p| p.requests_in_flight())
-    }
-
-    /// Multiplexed replies dropped for lack of a matching waiter, when
-    /// pool stats are attached.
-    pub fn pool_orphaned_replies(&self) -> u64 {
-        self.pool_stats.get().map_or(0, |p| p.orphaned_replies())
-    }
-
-    /// Pooled connections pruned as dead at checkout time, when pool
-    /// stats are attached.
-    pub fn pool_connections_culled(&self) -> u64 {
-        self.pool_stats.get().map_or(0, |p| p.connections_culled())
-    }
-
-    /// Times the attached circuit breaker tripped open.
-    pub fn breaker_trips(&self) -> u64 {
-        self.breaker.get().map_or(0, |b| b.trips())
-    }
-
-    /// Half-open probe requests admitted by the attached breaker.
-    pub fn breaker_probes(&self) -> u64 {
-        self.breaker.get().map_or(0, |b| b.probes())
-    }
-
-    /// Requests rejected instantly by an open circuit.
-    pub fn breaker_fast_rejects(&self) -> u64 {
-        self.breaker.get().map_or(0, |b| b.fast_rejects())
-    }
-
-    /// Endpoints whose circuit is currently open or half-open.
-    pub fn breaker_open_endpoints(&self) -> u64 {
-        self.breaker.get().map_or(0, |b| b.open_endpoints())
-    }
-
-    /// Requests admitted to the worker-pool queue by the attached
-    /// admission controller.
-    pub fn admission_admitted(&self) -> u64 {
-        self.admission.get().map_or(0, |a| a.admitted())
-    }
-
-    /// Requests shed at the admission gate before queuing.
-    pub fn admission_shed(&self) -> u64 {
-        self.admission.get().map_or(0, |a| a.shed())
-    }
-
-    /// The admission controller's smoothed per-job service-time
-    /// estimate, in nanoseconds (0 without a controller).
-    pub fn admission_service_estimate_ns(&self) -> u64 {
-        self.admission.get().map_or(0, |a| {
-            a.service_time_estimate().as_nanos().min(u64::MAX as u128) as u64
-        })
-    }
-}
-
-/// A point-in-time copy of [`RelayStats`], mergeable across relays —
-/// e.g. to aggregate the members of a [`crate::redundancy::RelayGroup`]
-/// into one dashboard row.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct RelayStatsSnapshot {
-    /// Queries forwarded to remote relays (destination role).
-    pub forwarded: u64,
-    /// Queries served for remote relays (source role).
-    pub served: u64,
-    /// Requests shed by the rate limiter.
-    pub shed: u64,
-    /// Envelopes handed to the worker pool.
-    pub enqueued: u64,
-    /// Envelopes answered with a deadline error.
-    pub deadline_exceeded: u64,
-    /// Event notices delivered to local subscribers.
-    pub events_delivered: u64,
-    /// Event notices dropped because a subscriber's queue was full.
-    pub events_dropped: u64,
-    /// Envelopes waiting in the worker-pool queue at snapshot time.
-    pub queue_depth: u64,
-    /// Envelopes being processed at snapshot time.
-    pub in_flight: u64,
-    /// Envelope-handling latency histogram (see [`LATENCY_BUCKET_BOUNDS`]).
-    pub latency_buckets: [u64; 6],
-    /// Sum of all handling latencies in nanoseconds (mean = sum / handled).
-    pub latency_sum_nanos: u64,
-    /// Largest handling latency observed, in nanoseconds — the fixed
-    /// buckets saturate silently at the top bucket; this does not.
-    pub latency_max_nanos: u64,
-    /// Certificate-chain cache hits.
-    pub cache_hits: u64,
-    /// Certificate-chain cache misses.
-    pub cache_misses: u64,
-    /// Transport-pool connections open at snapshot time.
-    pub pool_connections_open: u64,
-    /// Transport-pool connections dialed over the pool's lifetime.
-    pub pool_connections_dialed: u64,
-    /// Requests that reused an already-open pooled connection.
-    pub pool_connections_reused: u64,
-    /// Requests in flight on pooled connections at snapshot time.
-    pub pool_requests_in_flight: u64,
-    /// Multiplexed replies dropped for lack of a matching waiter.
-    pub pool_orphaned_replies: u64,
-    /// Pooled connections pruned as dead at checkout time.
-    pub pool_connections_culled: u64,
-    /// Times the circuit breaker tripped open.
-    pub breaker_trips: u64,
-    /// Half-open probe requests admitted by the breaker.
-    pub breaker_probes: u64,
-    /// Requests rejected instantly by an open circuit.
-    pub breaker_fast_rejects: u64,
-    /// Endpoints open or half-open at snapshot time.
-    pub breaker_open_endpoints: u64,
-    /// Requests admitted to the queue by the admission controller.
-    pub admission_admitted: u64,
-    /// Requests shed at the admission gate before queuing.
-    pub admission_shed: u64,
-}
-
-impl RelayStatsSnapshot {
-    /// Adds `other`'s counters into `self`. Bucket-wise histogram merge
-    /// is positional (both histograms share [`LATENCY_BUCKET_BOUNDS`]);
-    /// all arithmetic saturates, so merging can never panic — not on
-    /// overflow, and not on any histogram the other side hands us.
-    pub fn merge(&mut self, other: &RelayStatsSnapshot) {
-        self.forwarded = self.forwarded.saturating_add(other.forwarded);
-        self.served = self.served.saturating_add(other.served);
-        self.shed = self.shed.saturating_add(other.shed);
-        self.enqueued = self.enqueued.saturating_add(other.enqueued);
-        self.deadline_exceeded = self
-            .deadline_exceeded
-            .saturating_add(other.deadline_exceeded);
-        self.events_delivered = self.events_delivered.saturating_add(other.events_delivered);
-        self.events_dropped = self.events_dropped.saturating_add(other.events_dropped);
-        self.queue_depth = self.queue_depth.saturating_add(other.queue_depth);
-        self.in_flight = self.in_flight.saturating_add(other.in_flight);
-        for (mine, theirs) in self.latency_buckets.iter_mut().zip(&other.latency_buckets) {
-            *mine = mine.saturating_add(*theirs);
-        }
-        self.latency_sum_nanos = self
-            .latency_sum_nanos
-            .saturating_add(other.latency_sum_nanos);
-        self.latency_max_nanos = self.latency_max_nanos.max(other.latency_max_nanos);
-        self.cache_hits = self.cache_hits.saturating_add(other.cache_hits);
-        self.cache_misses = self.cache_misses.saturating_add(other.cache_misses);
-        self.pool_connections_open = self
-            .pool_connections_open
-            .saturating_add(other.pool_connections_open);
-        self.pool_connections_dialed = self
-            .pool_connections_dialed
-            .saturating_add(other.pool_connections_dialed);
-        self.pool_connections_reused = self
-            .pool_connections_reused
-            .saturating_add(other.pool_connections_reused);
-        self.pool_requests_in_flight = self
-            .pool_requests_in_flight
-            .saturating_add(other.pool_requests_in_flight);
-        self.pool_orphaned_replies = self
-            .pool_orphaned_replies
-            .saturating_add(other.pool_orphaned_replies);
-        self.pool_connections_culled = self
-            .pool_connections_culled
-            .saturating_add(other.pool_connections_culled);
-        self.breaker_trips = self.breaker_trips.saturating_add(other.breaker_trips);
-        self.breaker_probes = self.breaker_probes.saturating_add(other.breaker_probes);
-        self.breaker_fast_rejects = self
-            .breaker_fast_rejects
-            .saturating_add(other.breaker_fast_rejects);
-        self.breaker_open_endpoints = self
-            .breaker_open_endpoints
-            .saturating_add(other.breaker_open_endpoints);
-        self.admission_admitted = self
-            .admission_admitted
-            .saturating_add(other.admission_admitted);
-        self.admission_shed = self.admission_shed.saturating_add(other.admission_shed);
-    }
-
-    /// Total envelopes measured by the merged latency histogram.
-    pub fn handled(&self) -> u64 {
-        self.latency_buckets
-            .iter()
-            .fold(0u64, |acc, b| acc.saturating_add(*b))
-    }
-}
 
 /// One unit of work for the relay's worker pool.
 struct Job {
@@ -586,19 +247,9 @@ impl RelayService {
         }
     }
 
-    /// Number of pool workers (0 when handling inline).
-    pub fn worker_count(&self) -> usize {
-        self.pool.read().as_ref().map_or(0, |p| p.workers.len())
-    }
-
     /// The relay's identifier.
     pub fn id(&self) -> &str {
         &self.id
-    }
-
-    /// The network this relay serves.
-    pub fn local_network(&self) -> &str {
-        &self.local_network
     }
 
     /// Monitoring counters.
@@ -675,28 +326,22 @@ impl RelayService {
             trace: Default::default(),
             batch: Vec::new(),
         };
-        let reply = match self.transport.send(&endpoint, &envelope) {
-            Ok(reply) => reply,
-            Err(e) => {
-                self.subscriptions.write().remove(&subscription_id);
-                return Err(e);
-            }
-        };
-        match reply.kind {
-            EnvelopeKind::Ack => Ok(rx),
-            EnvelopeKind::Error => {
-                self.subscriptions.write().remove(&subscription_id);
-                Err(RelayError::Remote(
-                    String::from_utf8_lossy(&reply.payload).into_owned(),
-                ))
-            }
-            other => {
-                self.subscriptions.write().remove(&subscription_id);
-                Err(RelayError::Remote(format!(
-                    "unexpected subscription reply {other:?}"
-                )))
-            }
+        let accepted =
+            self.transport
+                .send(&endpoint, &envelope)
+                .and_then(|reply| match reply.kind {
+                    EnvelopeKind::Ack => Ok(rx),
+                    EnvelopeKind::Error => Err(RelayError::Remote(
+                        String::from_utf8_lossy(&reply.payload).into_owned(),
+                    )),
+                    other => Err(RelayError::Remote(format!(
+                        "unexpected subscription reply {other:?}"
+                    ))),
+                });
+        if accepted.is_err() {
+            self.subscriptions.write().remove(&subscription_id);
         }
+        accepted
     }
 
     /// Cancels a local subscription (the source learns on its next push).
@@ -755,56 +400,24 @@ impl RelayService {
         let target_network = &query.address.network_id;
         // Step 2: discovery.
         let endpoint = self.discovery.lookup(target_network)?;
-        let mut admission = crate::breaker::Admission::default();
-        if let Some(breaker) = &self.breaker {
-            match breaker.try_acquire(&endpoint) {
-                Ok(a) => admission = a,
-                Err(e) => {
-                    span.event("breaker.fast_reject");
-                    return Err(e);
-                }
-            }
-        }
         // Step 3: serialize and forward. The transport hop gets its own
         // span; the envelope carries that span's context so the remote
         // relay parents its work under this hop.
-        let envelope = RelayEnvelope::query(self.id.clone(), target_network.clone(), query);
-        let reply = {
+        let send = || {
+            let envelope = RelayEnvelope::query(self.id.clone(), target_network.clone(), query);
             let (mut send_span, _send_guard) = obs_span::enter("transport.send");
             let envelope = envelope.with_trace(crate::telemetry::current_trace_header());
             let sent = self.transport.send(&endpoint, &envelope);
-            match sent.record_err(&mut send_span) {
-                Ok(reply) => {
-                    if let Some(breaker) = &self.breaker {
-                        breaker.record_outcome(&endpoint, admission, true);
-                    }
-                    reply
-                }
-                Err(error) => {
-                    if let Some(breaker) = &self.breaker {
-                        // Terminal errors and admission sheds mean the
-                        // endpoint answered — only transient faults
-                        // count against its health.
-                        let healthy = !RetryPolicy::counts_against_breaker(&error);
-                        breaker.record_outcome(&endpoint, admission, healthy);
-                    }
-                    return Err(error);
-                }
-            }
+            sent.record_err(&mut send_span)
         };
+        let reply = match &self.breaker {
+            Some(breaker) => breaker.guard(&endpoint, span, send),
+            None => send(),
+        }?;
         self.stats.forwarded.fetch_add(1, Ordering::Relaxed);
         match reply.kind {
             EnvelopeKind::QueryResponse => Ok(QueryResponse::decode_from_slice(&reply.payload)?),
-            EnvelopeKind::Error => {
-                let message = String::from_utf8_lossy(&reply.payload).into_owned();
-                // An admission shed is a liveness signal, not a remote
-                // fault: map it to the retryable error so callers (and
-                // relay groups) fail over instead of giving up.
-                match message.strip_prefix(OVERLOADED_PREFIX) {
-                    Some(detail) => Err(RelayError::Overloaded(detail.to_string())),
-                    None => Err(RelayError::Remote(message)),
-                }
-            }
+            EnvelopeKind::Error => Err(remote_error(&reply.payload)),
             other => Err(RelayError::Remote(format!(
                 "unexpected reply envelope {other:?}"
             ))),
@@ -828,7 +441,7 @@ impl RelayService {
             let depth = self.stats.queue_depth.load(Ordering::Relaxed);
             let budget = self.request_deadline.saturating_sub(start.elapsed());
             if let Err(estimated) = admission.admit(depth, budget) {
-                let remote = crate::telemetry::context_from_envelope(&envelope);
+                let remote = crate::telemetry::context_from_header(&envelope.trace);
                 let (mut span, _obs_guard) = obs_span::enter_remote("relay.admission", &remote);
                 span.event("admission.shed");
                 flight::record(
@@ -899,7 +512,7 @@ impl RelayService {
     /// rather than inherited from the dispatching thread.
     fn process_envelope(&self, envelope: RelayEnvelope) -> RelayEnvelope {
         tdt_obs::profile_scope!("relay.dispatch");
-        let remote = crate::telemetry::context_from_envelope(&envelope);
+        let remote = crate::telemetry::context_from_header(&envelope.trace);
         let (mut span, _obs_guard) = obs_span::enter_remote("relay.handle", &remote);
         if self.is_down() {
             let message = format!("relay {} is down", self.id);
@@ -923,15 +536,7 @@ impl RelayService {
             }
         }
         match envelope.kind {
-            EnvelopeKind::Ping => RelayEnvelope {
-                kind: EnvelopeKind::Pong,
-                source_relay: self.id.clone(),
-                dest_network: envelope.dest_network,
-                payload: Vec::new(),
-                correlation_id: 0,
-                trace: Default::default(),
-                batch: Vec::new(),
-            },
+            EnvelopeKind::Ping => RelayEnvelope::pong(self.id.clone(), envelope.dest_network),
             EnvelopeKind::QueryRequest => {
                 // Step 4: deserialize, determine the target network.
                 let query = match Query::decode_from_slice(&envelope.payload) {
@@ -1005,15 +610,7 @@ impl RelayService {
                     }
                 });
                 match source.start(&request, sink) {
-                    Ok(()) => RelayEnvelope {
-                        kind: EnvelopeKind::Ack,
-                        source_relay: self.id.clone(),
-                        dest_network: envelope.dest_network,
-                        payload: Vec::new(),
-                        correlation_id: 0,
-                        trace: Default::default(),
-                        batch: Vec::new(),
-                    },
+                    Ok(()) => RelayEnvelope::ack(self.id.clone(), envelope.dest_network),
                     Err(e) => self.error_reply(&mut span, envelope.dest_network, e.to_string()),
                 }
             }
@@ -1048,30 +645,14 @@ impl RelayService {
                 match delivery {
                     Delivery::Sent => {
                         self.stats.events_delivered.fetch_add(1, Ordering::Relaxed);
-                        RelayEnvelope {
-                            kind: EnvelopeKind::Ack,
-                            source_relay: self.id.clone(),
-                            dest_network: envelope.dest_network,
-                            payload: Vec::new(),
-                            correlation_id: 0,
-                            trace: Default::default(),
-                            batch: Vec::new(),
-                        }
+                        RelayEnvelope::ack(self.id.clone(), envelope.dest_network)
                     }
                     Delivery::Full => {
                         // Lagging subscriber: the notice is lost, the
                         // subscription stays live, the source keeps going.
                         self.stats.events_dropped.fetch_add(1, Ordering::Relaxed);
                         span.event("event.dropped");
-                        RelayEnvelope {
-                            kind: EnvelopeKind::Ack,
-                            source_relay: self.id.clone(),
-                            dest_network: envelope.dest_network,
-                            payload: Vec::new(),
-                            correlation_id: 0,
-                            trace: Default::default(),
-                            batch: Vec::new(),
-                        }
+                        RelayEnvelope::ack(self.id.clone(), envelope.dest_network)
                     }
                     Delivery::Gone => {
                         // Subscriber gone: drop it and tell the source to stop.
@@ -1351,22 +932,24 @@ mod tests {
     fn pooled_relay_serves_queries() {
         let f = fixture();
         f.stl_relay.start_workers(4);
-        assert_eq!(f.stl_relay.worker_count(), 4);
         for i in 0..8 {
             let mut query = bl_query();
             query.request_id = format!("req-{i}");
             let response = f.swt_relay.relay_query(&query).unwrap();
             assert_eq!(response.request_id, format!("req-{i}"));
         }
-        assert_eq!(f.stl_relay.stats().served.load(Ordering::Relaxed), 8);
-        assert_eq!(f.stl_relay.stats().enqueued.load(Ordering::Relaxed), 8);
-        assert_eq!(f.stl_relay.stats().handled(), 8);
-        assert_eq!(f.stl_relay.stats().queue_depth(), 0);
-        assert_eq!(f.stl_relay.stats().in_flight(), 0);
+        let pooled = f.stl_relay.stats().snapshot();
+        assert_eq!(pooled.served, 8);
+        assert_eq!(pooled.enqueued, 8);
+        assert_eq!(pooled.handled, 8);
+        assert_eq!(pooled.queue_depth, 0);
+        assert_eq!(pooled.in_flight, 0);
         f.stl_relay.stop_workers();
-        assert_eq!(f.stl_relay.worker_count(), 0);
-        // Back to inline handling.
+        // Back to inline handling: served, but not through the queue.
         assert!(f.swt_relay.relay_query(&bl_query()).is_ok());
+        let inline = f.stl_relay.stats().snapshot();
+        assert_eq!(inline.served, 9);
+        assert_eq!(inline.enqueued, 8);
     }
 
     #[test]
@@ -1449,17 +1032,16 @@ mod tests {
     #[test]
     fn latency_histogram_counts_inline_handling() {
         let f = fixture();
-        assert_eq!(f.stl_relay.stats().handled(), 0);
+        assert_eq!(f.stl_relay.stats().snapshot().handled, 0);
         f.swt_relay.relay_query(&bl_query()).unwrap();
-        assert_eq!(f.stl_relay.stats().handled(), 1);
-        assert_eq!(
-            f.stl_relay.stats().latency_histogram().iter().sum::<u64>(),
-            1
-        );
+        let snapshot = f.stl_relay.stats().snapshot();
+        assert_eq!(snapshot.handled, 1);
+        assert!(snapshot.latency_max_nanos > 0);
+        assert_eq!(snapshot.latency_sum_nanos, snapshot.latency_max_nanos);
     }
 
     #[test]
-    fn cert_cache_hit_rate_surfaces_in_stats() {
+    fn cert_cache_counters_surface_in_stats() {
         use tdt_crypto::certcache::CertChainCache;
         let registry = Arc::new(StaticRegistry::new());
         let bus = Arc::new(InProcessBus::new());
@@ -1471,7 +1053,7 @@ mod tests {
             Arc::clone(&bus) as Arc<dyn RelayTransport>,
         )
         .with_cert_cache(Arc::clone(&cache));
-        assert_eq!(relay.stats().cache_hit_rate(), 0.0);
+        assert_eq!(relay.stats().snapshot().cache_misses, 0);
         // Simulate the co-located CMDAC doing cached validations.
         use tdt_crypto::cert::{CertRole, CertificateAuthority};
         use tdt_crypto::group::Group;
@@ -1484,9 +1066,9 @@ mod tests {
         for _ in 0..4 {
             cache.verify_chain(&cert, &root).unwrap();
         }
-        assert_eq!(relay.stats().cache_hits(), 3);
-        assert_eq!(relay.stats().cache_misses(), 1);
-        assert!((relay.stats().cache_hit_rate() - 0.75).abs() < 1e-9);
+        let snapshot = relay.stats().snapshot();
+        assert_eq!(snapshot.cache_hits, 3);
+        assert_eq!(snapshot.cache_misses, 1);
     }
 
     #[test]
@@ -1515,15 +1097,16 @@ mod tests {
             Arc::clone(&transport) as Arc<dyn RelayTransport>,
         )
         .with_pool_stats(transport.stats());
-        assert_eq!(relay.stats().pool_connections_open(), 0);
+        assert_eq!(relay.stats().snapshot().pool_connections_open, 0);
         for _ in 0..3 {
             relay.relay_query(&bl_query()).unwrap();
         }
-        assert_eq!(relay.stats().pool_connections_dialed(), 1);
-        assert_eq!(relay.stats().pool_connections_reused(), 2);
-        assert_eq!(relay.stats().pool_connections_open(), 1);
-        assert_eq!(relay.stats().pool_requests_in_flight(), 0);
-        assert_eq!(relay.stats().pool_orphaned_replies(), 0);
+        let snapshot = relay.stats().snapshot();
+        assert_eq!(snapshot.pool_connections_dialed, 1);
+        assert_eq!(snapshot.pool_connections_reused, 2);
+        assert_eq!(snapshot.pool_connections_open, 1);
+        assert_eq!(snapshot.pool_requests_in_flight, 0);
+        assert_eq!(snapshot.pool_orphaned_replies, 0);
     }
 
     #[test]
@@ -1558,9 +1141,6 @@ mod tests {
             relay.relay_query(&bl_query()),
             Err(RelayError::CircuitOpen(_))
         ));
-        assert_eq!(relay.stats().breaker_trips(), 1);
-        assert_eq!(relay.stats().breaker_open_endpoints(), 1);
-        assert_eq!(relay.stats().breaker_fast_rejects(), 1);
         let snapshot = relay.stats().snapshot();
         assert_eq!(snapshot.breaker_trips, 1);
         assert_eq!(snapshot.breaker_open_endpoints, 1);
@@ -1582,71 +1162,7 @@ mod tests {
         group.merge(&dest);
         assert_eq!(group.served, 1);
         assert_eq!(group.forwarded, 1);
-        assert_eq!(group.handled(), source.handled() + dest.handled());
-    }
-
-    #[test]
-    fn merge_saturates_instead_of_overflowing() {
-        let mut a = RelayStatsSnapshot {
-            forwarded: u64::MAX - 1,
-            latency_buckets: [u64::MAX, 1, 0, 0, 0, 0],
-            ..Default::default()
-        };
-        let b = RelayStatsSnapshot {
-            forwarded: 5,
-            latency_buckets: [7, u64::MAX, 0, 0, 0, 0],
-            ..Default::default()
-        };
-        a.merge(&b);
-        assert_eq!(a.forwarded, u64::MAX);
-        assert_eq!(a.latency_buckets[0], u64::MAX);
-        assert_eq!(a.latency_buckets[1], u64::MAX);
-        // `handled` over saturated buckets must not panic either.
-        assert_eq!(a.handled(), u64::MAX);
-    }
-
-    /// Regression: snapshotting + merging while workers hammer the
-    /// latency histogram and queue counters must never panic and must
-    /// never observe more handled envelopes than were recorded so far.
-    #[test]
-    fn snapshot_merge_under_concurrent_mutation() {
-        let stats = Arc::new(RelayStats::default());
-        let done = Arc::new(AtomicBool::new(false));
-        let writers: Vec<_> = (0..4)
-            .map(|w| {
-                let stats = Arc::clone(&stats);
-                let done = Arc::clone(&done);
-                std::thread::spawn(move || {
-                    let mut n = 0u64;
-                    while !done.load(Ordering::Relaxed) {
-                        // Spread records across every bucket, including
-                        // the overflow bucket.
-                        let micros = 10u64 << ((n + w) % 10);
-                        stats.record_latency(Duration::from_micros(micros));
-                        stats.record_latency(Duration::from_secs(2));
-                        stats.queue_depth.fetch_add(1, Ordering::Relaxed);
-                        stats.queue_depth.fetch_sub(1, Ordering::Relaxed);
-                        n += 2;
-                    }
-                    n
-                })
-            })
-            .collect();
-        let mut last_total = 0u64;
-        for _ in 0..200 {
-            let total = stats.snapshot().handled();
-            let mut merged = stats.snapshot();
-            merged.merge(&stats.snapshot());
-            assert!(
-                total >= last_total,
-                "histogram total went backwards: {last_total} -> {total}"
-            );
-            assert!(merged.handled() >= total, "merge lost counts");
-            last_total = total;
-        }
-        done.store(true, Ordering::Relaxed);
-        let recorded: u64 = writers.into_iter().map(|w| w.join().unwrap()).sum();
-        assert_eq!(stats.snapshot().handled(), recorded);
+        assert_eq!(group.handled, source.handled + dest.handled);
     }
 
     #[test]

@@ -1,28 +1,29 @@
 //! Observability glue for the relay: trace-context ⇄ wire conversion and
-//! scrape-time metric bridges.
+//! the scrape-time metric export.
 //!
 //! Two concerns live here:
 //!
 //! * **Context propagation.** [`current_trace_header`] stamps the active
-//!   thread-local [`TraceContext`] onto an outgoing [`RelayEnvelope`] as a
-//!   zero-elided [`TraceHeader`]; [`context_from_envelope`] recovers it on
+//!   thread-local [`TraceContext`] onto an outgoing relay envelope as a
+//!   zero-elided [`TraceHeader`]; [`context_from_header`] recovers it on
 //!   the receiving side so the destination relay's spans join the same
 //!   trace tree even across worker threads and real TCP hops.
 //! * **Unified metrics.** [`register_relay`] / [`register_group`] attach
-//!   scrape-time [`MetricSource`] bridges to an [`ObsHandle`], copying the
-//!   relay's existing atomic counters ([`RelayStats`], pool, breaker,
-//!   cert cache, relay-group hedging) into one registry under stable
-//!   `tdt_relay_*` names. Each relay's series carry a `relay="<id>"`
-//!   label (groups a `group="<member ids>"` label), so several relays can
-//!   share one handle without their scrapes overwriting each other. Hot
-//!   paths keep their plain atomics; the bridge only runs on scrape.
+//!   scrape-time [`MetricSource`] bridges to an [`ObsHandle`]. What they
+//!   export is declared in [`crate::stats`] — one row per series — and
+//!   written by one `export` function here under stable `tdt_relay_*`
+//!   names. Each relay's series carry a `relay="<id>"` label (groups a
+//!   `group="<member ids>"` label), so several relays can share one handle
+//!   without their scrapes overwriting each other. Hot paths keep their
+//!   plain atomics; the bridge only runs on scrape.
 
 use crate::redundancy::RelayGroup;
-use crate::service::{RelayService, RelayStats};
+use crate::service::RelayService;
+use crate::stats::{RelayStatsSnapshot, GROUP_SERIES, LATENCY_FAMILY, SERIES};
 use std::sync::{Arc, Weak};
-use tdt_obs::metrics::{labeled_name, Registry};
+use tdt_obs::metrics::{labeled_name, MetricKind, Registry};
 use tdt_obs::{MetricSource, ObsHandle, TraceContext};
-use tdt_wire::messages::{RelayEnvelope, TraceHeader};
+use tdt_wire::messages::TraceHeader;
 
 /// Converts an in-process context into its wire representation. The unset
 /// context maps to the all-zero header, which the codec elides entirely.
@@ -59,10 +60,79 @@ pub fn context_from_header(header: &TraceHeader) -> TraceContext {
     }
 }
 
-/// Recovers the sender's context from an incoming envelope.
-pub fn context_from_envelope(envelope: &RelayEnvelope) -> TraceContext {
-    context_from_header(&envelope.trace)
+/// Writes one scrape-time value into `registry` under `family{labels}`.
+/// Histograms are adopted live by [`register_relay`], never copied.
+fn export(
+    registry: &Registry,
+    labels: &[(&str, &str)],
+    family: &str,
+    help: &str,
+    kind: MetricKind,
+    value: u64,
+) {
+    let name = labeled_name(family, labels);
+    match kind {
+        MetricKind::Counter => registry.counter(&name, help).set(value),
+        MetricKind::Gauge => registry
+            .gauge(&name, help)
+            .set(i64::try_from(value).unwrap_or(i64::MAX)),
+        MetricKind::Histogram => {}
+    }
 }
+
+/// Exports every [`SERIES`] column of `snapshot`, labeled `relay="<id>"`.
+pub(crate) fn export_snapshot(registry: &Registry, relay_id: &str, snapshot: &RelayStatsSnapshot) {
+    let labels = [("relay", relay_id)];
+    for (s, value) in SERIES.iter().zip(snapshot.columns()) {
+        export(registry, &labels, s.family, s.help, s.kind, value);
+    }
+}
+
+/// Family, help, kind and scrape-time reader of one process-wide series.
+type ProcessSeries = (&'static str, &'static str, MetricKind, fn() -> u64);
+
+/// Process-global health of the span plane, flight recorder and profiler:
+/// deliberately unlabeled (every bridged relay writes the same
+/// process-wide value).
+const PROCESS_SERIES: &[ProcessSeries] = &[
+    (
+        "tdt_obs_spans_dropped_total",
+        "Span records overwritten in full ring buffers before snapshot",
+        MetricKind::Counter,
+        tdt_obs::span::spans_dropped,
+    ),
+    (
+        "tdt_obs_span_rings",
+        "Per-thread span rings currently alive (growth past the worker \
+         count indicates leaked rings)",
+        MetricKind::Gauge,
+        tdt_obs::span::live_rings,
+    ),
+    (
+        "tdt_obs_flight_events_total",
+        "Events written to the flight recorder since process start",
+        MetricKind::Counter,
+        tdt_obs::flight::events_recorded,
+    ),
+    (
+        "tdt_obs_flight_dumps_total",
+        "Incident dumps taken (on demand, on error, or on SLO breach)",
+        MetricKind::Counter,
+        tdt_obs::flight::dumps_taken,
+    ),
+    (
+        "tdt_obs_flight_rings",
+        "Per-thread flight-recorder rings currently alive",
+        MetricKind::Gauge,
+        tdt_obs::flight::live_rings,
+    ),
+    (
+        "tdt_obs_profile_samples_total",
+        "Stack observations taken by the sampling profiler",
+        MetricKind::Counter,
+        tdt_obs::profile::samples_total,
+    ),
+];
 
 /// Scrape-time bridge from one relay's stats into the registry. Every
 /// series is labeled with the relay's id so multiple relays bridged into
@@ -77,183 +147,20 @@ impl MetricSource for RelayMetricSource {
         let Some(relay) = self.relay.upgrade() else {
             return;
         };
-        let snap = relay.stats().snapshot();
-        let labels = [("relay", self.id.as_str())];
-        let c = |name: &str, help: &str, value: u64| {
-            registry
-                .counter(&labeled_name(name, &labels), help)
-                .set(value);
-        };
-        let g = |name: &str, help: &str, value: u64| {
-            registry
-                .gauge(&labeled_name(name, &labels), help)
-                .set(value.min(i64::MAX as u64) as i64);
-        };
-        c(
-            "tdt_relay_forwarded_total",
-            "Queries forwarded to remote relays (destination role)",
-            snap.forwarded,
-        );
-        c(
-            "tdt_relay_served_total",
-            "Queries served for remote relays (source role)",
-            snap.served,
-        );
-        c(
-            "tdt_relay_shed_total",
-            "Requests shed by the rate limiter",
-            snap.shed,
-        );
-        c(
-            "tdt_relay_enqueued_total",
-            "Envelopes handed to the worker pool",
-            snap.enqueued,
-        );
-        c(
-            "tdt_relay_admission_admitted_total",
-            "Requests admitted to the queue by the admission controller",
-            snap.admission_admitted,
-        );
-        c(
-            "tdt_relay_admission_shed_total",
-            "Requests shed at the admission gate before queuing",
-            snap.admission_shed,
-        );
-        g(
-            "tdt_relay_admission_service_estimate_ns",
-            "Admission controller's smoothed per-job service-time estimate",
-            relay.stats().admission_service_estimate_ns(),
-        );
-        c(
-            "tdt_relay_deadline_exceeded_total",
-            "Envelopes answered with a deadline error",
-            snap.deadline_exceeded,
-        );
-        g(
-            "tdt_relay_queue_depth",
-            "Envelopes waiting in the worker-pool queue",
-            snap.queue_depth,
-        );
-        g(
-            "tdt_relay_in_flight",
-            "Envelopes currently being processed by workers",
-            snap.in_flight,
-        );
-        c(
-            "tdt_relay_events_delivered_total",
-            "Event notices delivered to local subscribers",
-            snap.events_delivered,
-        );
-        c(
-            "tdt_relay_events_dropped_total",
-            "Event notices dropped because a subscriber's queue was full",
-            snap.events_dropped,
-        );
-        g(
+        export_snapshot(registry, &self.id, &relay.stats().snapshot());
+        // The one relay series that is a property of the subscription
+        // table rather than of `RelayStats`.
+        export(
+            registry,
+            &[("relay", self.id.as_str())],
             "tdt_relay_events_lagging",
             "Subscriptions whose delivery queue is currently full",
+            MetricKind::Gauge,
             relay.lagging_subscriptions(),
         );
-        c(
-            "tdt_relay_cache_hits_total",
-            "Certificate-chain cache hits",
-            snap.cache_hits,
-        );
-        c(
-            "tdt_relay_cache_misses_total",
-            "Certificate-chain cache misses",
-            snap.cache_misses,
-        );
-        g(
-            "tdt_relay_pool_open",
-            "Transport-pool connections currently open",
-            snap.pool_connections_open,
-        );
-        c(
-            "tdt_relay_pool_dialed_total",
-            "Transport-pool connections dialed",
-            snap.pool_connections_dialed,
-        );
-        c(
-            "tdt_relay_pool_reused_total",
-            "Requests that reused an already-open pooled connection",
-            snap.pool_connections_reused,
-        );
-        g(
-            "tdt_relay_pool_in_flight",
-            "Requests in flight on pooled connections",
-            snap.pool_requests_in_flight,
-        );
-        c(
-            "tdt_relay_pool_orphaned_total",
-            "Multiplexed replies dropped for lack of a matching waiter",
-            snap.pool_orphaned_replies,
-        );
-        c(
-            "tdt_relay_pool_culled_total",
-            "Pooled connections pruned as dead at checkout time",
-            snap.pool_connections_culled,
-        );
-        c(
-            "tdt_relay_breaker_trips_total",
-            "Times the circuit breaker tripped open",
-            snap.breaker_trips,
-        );
-        c(
-            "tdt_relay_breaker_probes_total",
-            "Half-open probe requests admitted by the breaker",
-            snap.breaker_probes,
-        );
-        c(
-            "tdt_relay_breaker_fast_rejects_total",
-            "Requests rejected instantly by an open circuit",
-            snap.breaker_fast_rejects,
-        );
-        g(
-            "tdt_relay_breaker_open_endpoints",
-            "Endpoints whose circuit is currently open or half-open",
-            snap.breaker_open_endpoints,
-        );
-        // Process-global span-plane health: deliberately unlabeled (every
-        // bridged relay writes the same process-wide value).
-        registry
-            .counter(
-                "tdt_obs_spans_dropped_total",
-                "Span records overwritten in full ring buffers before snapshot",
-            )
-            .set(tdt_obs::span::spans_dropped());
-        registry
-            .gauge(
-                "tdt_obs_span_rings",
-                "Per-thread span rings currently alive (growth past the worker \
-                 count indicates leaked rings)",
-            )
-            .set(tdt_obs::span::live_rings().min(i64::MAX as u64) as i64);
-        // Flight-recorder and profiler health, equally process-global.
-        registry
-            .counter(
-                "tdt_obs_flight_events_total",
-                "Events written to the flight recorder since process start",
-            )
-            .set(tdt_obs::flight::events_recorded());
-        registry
-            .counter(
-                "tdt_obs_flight_dumps_total",
-                "Incident dumps taken (on demand, on error, or on SLO breach)",
-            )
-            .set(tdt_obs::flight::dumps_taken());
-        registry
-            .gauge(
-                "tdt_obs_flight_rings",
-                "Per-thread flight-recorder rings currently alive",
-            )
-            .set(tdt_obs::flight::live_rings().min(i64::MAX as u64) as i64);
-        registry
-            .counter(
-                "tdt_obs_profile_samples_total",
-                "Stack observations taken by the sampling profiler",
-            )
-            .set(tdt_obs::profile::samples_total());
+        for (family, help, kind, read) in PROCESS_SERIES {
+            export(registry, &[], family, help, *kind, read());
+        }
     }
 }
 
@@ -271,62 +178,33 @@ impl MetricSource for GroupMetricSource {
             return;
         };
         let labels = [("group", self.label.as_str())];
-        let c = |name: &str, help: &str, value: u64| {
-            registry
-                .counter(&labeled_name(name, &labels), help)
-                .set(value);
-        };
-        c(
-            "tdt_relay_group_hedges_total",
-            "Hedged backup requests fired after the hedge delay",
-            group.hedges(),
-        );
-        c(
-            "tdt_relay_group_discarded_replies_total",
-            "Hedged replies discarded because the other leg won",
-            group.discarded_replies(),
-        );
-        c(
-            "tdt_relay_group_breaker_skips_total",
-            "Members skipped during selection because their circuit was open",
-            group.breaker_skips(),
-        );
-        c(
-            "tdt_relay_group_deadline_failures_total",
-            "Group queries failed because the deadline budget ran out",
-            group.deadline_failures(),
-        );
-        c(
-            "tdt_relay_group_degraded_queries_total",
-            "Group queries that succeeded only after at least one failover",
-            group.degraded_queries(),
-        );
+        for (family, help, read) in GROUP_SERIES {
+            export(
+                registry,
+                &labels,
+                family,
+                help,
+                MetricKind::Counter,
+                read(&group),
+            );
+        }
     }
 }
 
-/// Wires one relay into an [`ObsHandle`]: adopts its exponential latency
-/// histogram under `tdt_relay_latency_ns{relay="<id>"}` and attaches the
-/// scrape-time stats bridge, with every series labeled by the relay's id
-/// so a handle can host any number of relays. The handle holds only a
-/// weak reference to the relay.
+/// Wires one relay into an [`ObsHandle`]: adopts its latency histogram and
+/// attaches the scrape-time bridge that exports every [`SERIES`] row, each
+/// series labeled `relay="<id>"` so a handle can host any number of
+/// relays. The handle holds only a weak reference to the relay.
 pub fn register_relay(handle: &ObsHandle, relay: &Arc<RelayService>) {
-    register_latency(handle, relay.id(), relay.stats());
+    handle.registry().register_histogram(
+        &labeled_name(LATENCY_FAMILY, &[("relay", relay.id())]),
+        "Envelope-handling latency in nanoseconds",
+        relay.stats().latency_ns(),
+    );
     handle.add_source(Arc::new(RelayMetricSource {
         relay: Arc::downgrade(relay),
         id: relay.id().to_string(),
     }));
-}
-
-/// Adopts a relay's latency histogram into the handle's registry without
-/// attaching the counter bridge (useful when only latency is wanted).
-/// The series is labeled `relay="<relay_id>"` so one handle can carry a
-/// histogram per relay.
-pub fn register_latency(handle: &ObsHandle, relay_id: &str, stats: &RelayStats) {
-    handle.registry().register_histogram(
-        &labeled_name("tdt_relay_latency_ns", &[("relay", relay_id)]),
-        "Envelope-handling latency in nanoseconds",
-        stats.latency_ns(),
-    );
 }
 
 /// Wires a redundant relay group's hedging/failover counters into an

@@ -1,19 +1,19 @@
 //! Relay-to-relay transports.
 //!
-//! Three interchangeable transports carry [`RelayEnvelope`]s between
-//! relays: an in-process bus (deterministic, used by tests and benches), a
-//! connect-per-request TCP transport using length-prefixed frames, and a
-//! pooled TCP transport that keeps long-lived connections per endpoint and
-//! multiplexes many in-flight requests over each of them, correlating
-//! replies by the envelope's `correlation_id`. Endpoint strings select the
-//! target: `inproc:<relay-id>` or `tcp:<host>:<port>`.
+//! Two interchangeable transports carry [`RelayEnvelope`]s between
+//! relays: an in-process bus (deterministic, used by tests and benches)
+//! and a pooled TCP transport that keeps long-lived connections per
+//! endpoint and multiplexes many in-flight length-prefixed frames over
+//! each of them, correlating replies by the envelope's `correlation_id`.
+//! Endpoint strings select the target: `inproc:<relay-id>` or
+//! `tcp:<host>:<port>`.
 //!
-//! [`TcpRelayServer`] serves either client style: frames are dispatched
-//! onto a bounded pool of dispatcher threads, so several requests from one
-//! connection complete concurrently and out of order, with each reply
-//! stamped with its request's correlation id. Peers that never set a
-//! correlation id (one request per connection in flight) see exactly the
-//! old serial behaviour.
+//! [`TcpRelayServer`] dispatches frames onto a bounded pool of dispatcher
+//! threads, so several requests from one connection complete concurrently
+//! and out of order, with each reply stamped with its request's
+//! correlation id. A peer that never sets a correlation id (one request
+//! per connection in flight) gets its replies unstamped, byte-identical to
+//! the pre-multiplexing framing.
 
 use crate::error::RelayError;
 use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
@@ -93,70 +93,12 @@ impl RelayTransport for InProcessBus {
     }
 }
 
-/// TCP transport: connects per request, frames the envelope, reads the
-/// framed reply. Kept as the compatibility baseline; use
-/// [`PooledTcpTransport`] for sustained traffic.
-#[derive(Debug, Clone)]
-pub struct TcpTransport {
-    max_frame: usize,
-    timeout: Duration,
-}
-
-impl Default for TcpTransport {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl TcpTransport {
-    /// Creates a transport with the default frame cap and a 5 s timeout.
-    pub fn new() -> Self {
-        TcpTransport {
-            max_frame: DEFAULT_MAX_FRAME,
-            timeout: Duration::from_secs(5),
-        }
-    }
-
-    /// Overrides the read/write timeout.
-    pub fn with_timeout(mut self, timeout: Duration) -> Self {
-        self.timeout = timeout;
-        self
-    }
-}
-
-impl RelayTransport for TcpTransport {
-    fn send(&self, endpoint: &str, envelope: &RelayEnvelope) -> Result<RelayEnvelope, RelayError> {
-        let addr = endpoint.strip_prefix("tcp:").ok_or_else(|| {
-            RelayError::TransportFailed(format!("tcp transport cannot serve endpoint {endpoint:?}"))
-        })?;
-        let mut stream = TcpStream::connect(addr)
-            .map_err(|e| RelayError::TransportFailed(format!("connect {addr}: {e}")))?;
-        stream.set_nodelay(true).ok();
-        // A failed timeout set would leave the exchange free to block
-        // forever on a dead peer, so it must surface, not be swallowed.
-        stream
-            .set_read_timeout(Some(self.timeout))
-            .map_err(|e| RelayError::TransportFailed(format!("set read timeout on {addr}: {e}")))?;
-        stream.set_write_timeout(Some(self.timeout)).map_err(|e| {
-            RelayError::TransportFailed(format!("set write timeout on {addr}: {e}"))
-        })?;
-        write_frame(&mut stream, &envelope.encode_to_vec(), self.max_frame)
-            .map_err(|e| RelayError::TransportFailed(format!("send to {addr}: {e}")))?;
-        stream
-            .flush()
-            .map_err(|e| RelayError::TransportFailed(format!("flush to {addr}: {e}")))?;
-        let reply = read_frame(&mut stream, self.max_frame)
-            .map_err(|e| RelayError::TransportFailed(format!("receive from {addr}: {e}")))?;
-        Ok(RelayEnvelope::decode_from_slice(&reply)?)
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Pooled, multiplexed TCP transport
 // ---------------------------------------------------------------------------
 
 /// Health counters for a [`PooledTcpTransport`], shareable with
-/// [`crate::service::RelayStats`] so pool behaviour shows up in relay
+/// [`crate::stats::RelayStats`] so pool behaviour shows up in relay
 /// monitoring.
 #[derive(Debug, Default)]
 pub struct PoolStats {
@@ -391,23 +333,6 @@ impl PooledTcpTransport {
         Arc::clone(&self.stats)
     }
 
-    /// In-flight request count per live connection to `endpoint`
-    /// (`tcp:<addr>` form), for monitoring.
-    pub fn in_flight_per_connection(&self, endpoint: &str) -> Vec<u64> {
-        let addr = endpoint.strip_prefix("tcp:").unwrap_or(endpoint);
-        self.endpoints
-            .read()
-            .get(addr)
-            .map(|conns| {
-                conns
-                    .iter()
-                    .filter(|c| !c.dead.load(Ordering::Acquire))
-                    .map(|c| c.in_flight.load(Ordering::Relaxed))
-                    .collect()
-            })
-            .unwrap_or_default()
-    }
-
     /// Returns a live connection for `addr`, reusing the least-loaded
     /// open one or dialing when below the per-endpoint cap.
     fn checkout(&self, addr: &str) -> Result<Arc<PooledConn>, RelayError> {
@@ -437,11 +362,13 @@ impl PooledTcpTransport {
         let conns = endpoints.entry(addr.to_string()).or_default();
         // Prune connections whose reader died; their waiters were already
         // failed over to StaleConnection.
-        let before = conns.len();
-        conns.retain(|c| !c.dead.load(Ordering::Acquire));
-        self.stats
-            .culled
-            .fetch_add((before - conns.len()) as u64, Ordering::Relaxed);
+        let prune = |conns: &mut Vec<Arc<PooledConn>>| {
+            let before = conns.len();
+            conns.retain(|c| !c.dead.load(Ordering::Acquire));
+            let culled = (before - conns.len()) as u64;
+            self.stats.culled.fetch_add(culled, Ordering::Relaxed);
+        };
+        prune(conns);
         if conns.len() >= self.max_conns_per_endpoint {
             if let Some(conn) = least_loaded(conns) {
                 self.stats.reused.fetch_add(1, Ordering::Relaxed);
@@ -450,11 +377,7 @@ impl PooledTcpTransport {
             // Every surviving connection was marked dead by its reader
             // between the prune above and the load scan: drop them all
             // and fall through to a fresh dial instead of panicking.
-            let before = conns.len();
-            conns.retain(|c| !c.dead.load(Ordering::Acquire));
-            self.stats
-                .culled
-                .fetch_add((before - conns.len()) as u64, Ordering::Relaxed);
+            prune(conns);
         }
         let conn = self.dial(addr)?;
         conns.push(Arc::clone(&conn));
@@ -688,7 +611,6 @@ struct ConnectionRegistry {
 /// One decoded request frame on its way to the handler.
 struct ServerJob {
     envelope: RelayEnvelope,
-    correlation_id: u64,
     writer: Arc<Mutex<TcpStream>>,
     max_frame: usize,
 }
@@ -1170,10 +1092,8 @@ fn connection_loop(
     while let Ok(frame) = read_frame(&mut *stream, max_frame) {
         match RelayEnvelope::decode_from_slice(&frame) {
             Ok(envelope) => {
-                let correlation_id = envelope.correlation_id;
                 let job = ServerJob {
                     envelope,
-                    correlation_id,
                     writer: Arc::clone(writer),
                     max_frame,
                 };
@@ -1201,9 +1121,10 @@ fn connection_loop(
 /// connection. Replies from slow requests simply land after faster ones.
 fn dispatcher_loop(jobs: &Receiver<ServerJob>, handler: &dyn EnvelopeHandler) {
     while let Ok(job) = jobs.recv() {
+        let correlation_id = job.envelope.correlation_id;
         let reply = handler
             .handle(job.envelope)
-            .with_correlation_id(job.correlation_id);
+            .with_correlation_id(correlation_id);
         let mut writer = job.writer.lock();
         if write_frame(&mut *writer, &reply.encode_to_vec(), job.max_frame).is_err() {
             // Dead peer: close so the connection reader exits and
@@ -1294,90 +1215,18 @@ mod tests {
     }
 
     #[test]
-    fn tcp_roundtrip() {
+    fn server_leaves_uncorrelated_replies_unstamped() {
+        // A peer that speaks one request per connection never sets a
+        // correlation id; the server must echo zero back so such a
+        // decoder sees the pre-field framing.
         let server = TcpRelayServer::spawn("127.0.0.1:0", Arc::new(EchoHandler)).unwrap();
-        let transport = TcpTransport::new();
-        let reply = transport
-            .send(&server.endpoint(), &request(b"over tcp"))
-            .unwrap();
-        assert_eq!(reply.payload, b"over tcp");
-        assert_eq!(reply.kind, EnvelopeKind::QueryResponse);
-    }
-
-    #[test]
-    fn tcp_old_style_client_gets_uncorrelated_reply() {
-        // A legacy client never sets a correlation id; the new server
-        // must echo zero back so old decoders see the pre-field framing.
-        let server = TcpRelayServer::spawn("127.0.0.1:0", Arc::new(EchoHandler)).unwrap();
-        let reply = TcpTransport::new()
-            .send(&server.endpoint(), &request(b"legacy"))
-            .unwrap();
+        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+        let frame = request(b"legacy").encode_to_vec();
+        write_frame(&mut stream, &frame, DEFAULT_MAX_FRAME).unwrap();
+        let reply = read_frame(&mut stream, DEFAULT_MAX_FRAME).unwrap();
+        let reply = RelayEnvelope::decode_from_slice(&reply).unwrap();
         assert_eq!(reply.correlation_id, 0);
         assert_eq!(reply.payload, b"legacy");
-    }
-
-    #[test]
-    fn tcp_multiple_sequential_requests() {
-        let server = TcpRelayServer::spawn("127.0.0.1:0", Arc::new(EchoHandler)).unwrap();
-        let transport = TcpTransport::new();
-        for i in 0..5 {
-            let payload = format!("msg-{i}").into_bytes();
-            let reply = transport
-                .send(&server.endpoint(), &request(&payload))
-                .unwrap();
-            assert_eq!(reply.payload, payload);
-        }
-    }
-
-    #[test]
-    fn tcp_concurrent_requests() {
-        let server = TcpRelayServer::spawn("127.0.0.1:0", Arc::new(EchoHandler)).unwrap();
-        let endpoint = server.endpoint();
-        let mut handles = Vec::new();
-        for i in 0..4 {
-            let endpoint = endpoint.clone();
-            handles.push(std::thread::spawn(move || {
-                let transport = TcpTransport::new();
-                let payload = format!("thread-{i}").into_bytes();
-                let reply = transport.send(&endpoint, &request(&payload)).unwrap();
-                assert_eq!(reply.payload, payload);
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-    }
-
-    #[test]
-    fn tcp_unreachable_endpoint() {
-        let transport = TcpTransport::new().with_timeout(Duration::from_millis(300));
-        // Port 1 is almost certainly closed.
-        assert!(matches!(
-            transport.send("tcp:127.0.0.1:1", &request(b"x")),
-            Err(RelayError::TransportFailed(_))
-        ));
-    }
-
-    #[test]
-    fn tcp_bad_scheme() {
-        let transport = TcpTransport::new();
-        assert!(transport.send("inproc:x", &request(b"x")).is_err());
-    }
-
-    #[test]
-    fn tcp_timeout_set_failure_surfaces_as_error() {
-        // A zero timeout is rejected by the OS; before the fix the
-        // failure was swallowed with `.ok()` and the exchange proceeded
-        // with no timeout at all.
-        let server = TcpRelayServer::spawn("127.0.0.1:0", Arc::new(EchoHandler)).unwrap();
-        let transport = TcpTransport::new().with_timeout(Duration::ZERO);
-        let err = transport
-            .send(&server.endpoint(), &request(b"x"))
-            .unwrap_err();
-        assert!(
-            matches!(&err, RelayError::TransportFailed(m) if m.contains("timeout")),
-            "expected timeout-set error, got {err:?}"
-        );
     }
 
     #[test]
@@ -1450,10 +1299,6 @@ mod tests {
         assert_eq!(stats.connections_reused(), 5);
         assert_eq!(stats.connections_open(), 1);
         assert_eq!(stats.requests_in_flight(), 0);
-        assert_eq!(
-            transport.in_flight_per_connection(&server.endpoint()),
-            vec![0]
-        );
     }
 
     #[test]
@@ -1552,6 +1397,49 @@ mod tests {
     fn pooled_bad_scheme() {
         let transport = PooledTcpTransport::new();
         assert!(transport.send("inproc:x", &request(b"x")).is_err());
+    }
+
+    #[test]
+    fn pooled_zero_timeout_fails_instead_of_hanging() {
+        // A zero timeout is rejected by the OS. Swallowing that failure
+        // would leave writes to a dead peer free to block forever.
+        let server = TcpRelayServer::spawn("127.0.0.1:0", Arc::new(EchoHandler)).unwrap();
+        let transport = PooledTcpTransport::new().with_timeout(Duration::ZERO);
+        let err = transport
+            .send(&server.endpoint(), &request(b"x"))
+            .unwrap_err();
+        assert!(
+            matches!(&err, RelayError::TransportFailed(m) if m.contains("timeout")),
+            "expected timeout-set error, got {err:?}"
+        );
+    }
+
+    #[test]
+    fn pooled_oversized_frame_is_rejected_and_the_server_keeps_serving() {
+        let server = TcpRelayServer::spawn_with(
+            "127.0.0.1:0",
+            Arc::new(EchoHandler),
+            TcpServerConfig {
+                max_frame: 256,
+                ..TcpServerConfig::default()
+            },
+        )
+        .unwrap();
+        let transport = PooledTcpTransport::new().with_timeout(Duration::from_secs(2));
+        // The server drops the connection at the length prefix, before
+        // reading (or echoing) a byte of the payload.
+        let err = transport
+            .send(&server.endpoint(), &request(&[7u8; 1024]))
+            .unwrap_err();
+        assert!(
+            matches!(err, RelayError::StaleConnection(_)),
+            "expected the stream to be killed, got {err:?}"
+        );
+        let reply = transport
+            .send(&server.endpoint(), &request(b"small"))
+            .unwrap();
+        assert_eq!(reply.payload, b"small");
+        assert_eq!(transport.stats().connections_dialed(), 2);
     }
 
     /// Minimal HTTP/1.1 GET against the admin listener.

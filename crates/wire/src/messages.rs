@@ -109,6 +109,13 @@ impl Default for PolicyNode {
     }
 }
 
+/// Deepest policy expression the decoder accepts ([`PolicyNode::depth`]).
+/// Decoding recurses once per level on bytes the sender controls: left
+/// unbounded, six bytes of frame per level overflow the stack — a process
+/// abort, not an error — some three orders of magnitude below the frame
+/// cap. Real policies are a handful of levels deep.
+pub const MAX_POLICY_DEPTH: usize = 32;
+
 impl PolicyNode {
     /// All organization ids referenced anywhere in the tree.
     pub fn organizations(&self) -> Vec<&str> {
@@ -176,6 +183,17 @@ impl Message for PolicyNode {
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Self::decode_at_depth(r, 1)
+    }
+}
+
+impl PolicyNode {
+    fn decode_at_depth(r: &mut Reader<'_>, depth: usize) -> Result<Self, WireError> {
+        if depth > MAX_POLICY_DEPTH {
+            return Err(WireError::Invalid(format!(
+                "policy nested deeper than {MAX_POLICY_DEPTH} levels"
+            )));
+        }
         let mut kind = 0u64;
         let mut org = String::new();
         let mut threshold = 0u64;
@@ -185,7 +203,10 @@ impl Message for PolicyNode {
                 1 => kind = value.as_u64(1)?,
                 2 => org = value.as_string(2, "org")?,
                 3 => threshold = value.as_u64(3)?,
-                4 => children.push(value.as_message::<PolicyNode>(4)?),
+                4 => {
+                    let mut child = Reader::new(value.as_bytes(4)?);
+                    children.push(Self::decode_at_depth(&mut child, depth + 1)?);
+                }
                 _ => {}
             }
         }
@@ -695,21 +716,37 @@ pub struct RelayEnvelope {
 }
 
 impl RelayEnvelope {
+    /// An uncorrelated, untraced, unbatched envelope of `kind`.
+    fn new(
+        kind: EnvelopeKind,
+        source_relay: impl Into<String>,
+        dest_network: impl Into<String>,
+        payload: Vec<u8>,
+    ) -> Self {
+        RelayEnvelope {
+            kind,
+            source_relay: source_relay.into(),
+            dest_network: dest_network.into(),
+            payload,
+            correlation_id: 0,
+            trace: TraceHeader::default(),
+            batch: Vec::new(),
+        }
+    }
+
     /// Wraps a query.
     pub fn query(
         source_relay: impl Into<String>,
         dest_network: impl Into<String>,
         q: &Query,
     ) -> Self {
-        RelayEnvelope {
-            kind: EnvelopeKind::QueryRequest,
-            source_relay: source_relay.into(),
-            dest_network: dest_network.into(),
-            payload: q.encode_to_vec(),
-            correlation_id: 0,
-            trace: TraceHeader::default(),
-            batch: Vec::new(),
-        }
+        let payload = q.encode_to_vec();
+        Self::new(
+            EnvelopeKind::QueryRequest,
+            source_relay,
+            dest_network,
+            payload,
+        )
     }
 
     /// Wraps a query response.
@@ -718,15 +755,13 @@ impl RelayEnvelope {
         dest_network: impl Into<String>,
         resp: &QueryResponse,
     ) -> Self {
-        RelayEnvelope {
-            kind: EnvelopeKind::QueryResponse,
-            source_relay: source_relay.into(),
-            dest_network: dest_network.into(),
-            payload: resp.encode_to_vec(),
-            correlation_id: 0,
-            trace: TraceHeader::default(),
-            batch: Vec::new(),
-        }
+        let payload = resp.encode_to_vec();
+        Self::new(
+            EnvelopeKind::QueryResponse,
+            source_relay,
+            dest_network,
+            payload,
+        )
     }
 
     /// Wraps a batch of per-item reply frames (each a complete encoded
@@ -736,15 +771,13 @@ impl RelayEnvelope {
         dest_network: impl Into<String>,
         batch: Vec<Vec<u8>>,
     ) -> Self {
-        RelayEnvelope {
-            kind: EnvelopeKind::QueryResponse,
-            source_relay: source_relay.into(),
-            dest_network: dest_network.into(),
-            payload: Vec::new(),
-            correlation_id: 0,
-            trace: TraceHeader::default(),
-            batch,
-        }
+        Self::new(
+            EnvelopeKind::QueryResponse,
+            source_relay,
+            dest_network,
+            Vec::new(),
+        )
+        .with_batch(batch)
     }
 
     /// Wraps an error string.
@@ -753,15 +786,18 @@ impl RelayEnvelope {
         dest_network: impl Into<String>,
         message: impl Into<String>,
     ) -> Self {
-        RelayEnvelope {
-            kind: EnvelopeKind::Error,
-            source_relay: source_relay.into(),
-            dest_network: dest_network.into(),
-            payload: message.into().into_bytes(),
-            correlation_id: 0,
-            trace: TraceHeader::default(),
-            batch: Vec::new(),
-        }
+        let payload = message.into().into_bytes();
+        Self::new(EnvelopeKind::Error, source_relay, dest_network, payload)
+    }
+
+    /// The empty-payload acknowledgement of a subscription or an event push.
+    pub fn ack(source_relay: impl Into<String>, dest_network: impl Into<String>) -> Self {
+        Self::new(EnvelopeKind::Ack, source_relay, dest_network, Vec::new())
+    }
+
+    /// The empty-payload answer to a [`EnvelopeKind::Ping`].
+    pub fn pong(source_relay: impl Into<String>, dest_network: impl Into<String>) -> Self {
+        Self::new(EnvelopeKind::Pong, source_relay, dest_network, Vec::new())
     }
 
     /// Tags the envelope with a correlation id (builder style), used by
@@ -1268,6 +1304,7 @@ pub fn decode_certificate(bytes: &[u8]) -> Result<Certificate, WireError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::varint;
     use tdt_crypto::cert::CertificateAuthority;
     use tdt_crypto::elgamal::DecryptionKey;
     use tdt_crypto::group::Group;
@@ -1325,6 +1362,36 @@ mod tests {
         let decoded = PolicyNode::decode_from_slice(&policy.encode_to_vec()).unwrap();
         assert_eq!(decoded, policy);
         assert_eq!(decoded.depth(), 4);
+    }
+
+    /// The encoding of `depth - 1` single-child `And` nodes around an `Org`
+    /// leaf, written outside-in so a deep one costs linear time.
+    fn nested_policy_bytes(depth: usize) -> Vec<u8> {
+        let leaf = PolicyNode::Org("a".into()).encode_to_vec();
+        let mut lens = vec![leaf.len()];
+        for level in 1..depth {
+            let inner = lens[level - 1];
+            lens.push(3 + varint::encoded_len(inner as u64) + inner);
+        }
+        let mut out = Vec::with_capacity(lens[depth - 1]);
+        for inner in lens.iter().rev().skip(1) {
+            out.extend_from_slice(&[0x08, 0x02, 0x22]); // kind = And, child:
+            varint::encode_u64(*inner as u64, &mut out);
+        }
+        out.extend_from_slice(&leaf);
+        out
+    }
+
+    #[test]
+    fn policy_nesting_is_bounded_instead_of_overflowing_the_stack() {
+        let deepest = PolicyNode::decode_from_slice(&nested_policy_bytes(MAX_POLICY_DEPTH));
+        assert_eq!(deepest.unwrap().depth(), MAX_POLICY_DEPTH);
+        // One level more is an error; a million levels (a 6 MB frame, well
+        // under the cap) is the same error, not a process abort.
+        for depth in [MAX_POLICY_DEPTH + 1, 1_000_000] {
+            let err = PolicyNode::decode_from_slice(&nested_policy_bytes(depth)).unwrap_err();
+            assert!(matches!(err, WireError::Invalid(m) if m.contains("nested deeper")));
+        }
     }
 
     #[test]
@@ -1567,6 +1634,25 @@ mod tests {
         let env = RelayEnvelope::error("r", "n", "lookup failed");
         assert_eq!(env.kind, EnvelopeKind::Error);
         assert_eq!(env.payload, b"lookup failed");
+    }
+
+    #[test]
+    fn envelope_ack_and_pong_encode_like_the_field_literal() {
+        for (built, kind) in [
+            (RelayEnvelope::ack("r", "n"), EnvelopeKind::Ack),
+            (RelayEnvelope::pong("r", "n"), EnvelopeKind::Pong),
+        ] {
+            let literal = RelayEnvelope {
+                kind,
+                source_relay: "r".into(),
+                dest_network: "n".into(),
+                payload: Vec::new(),
+                correlation_id: 0,
+                trace: TraceHeader::default(),
+                batch: Vec::new(),
+            };
+            assert_eq!(built.encode_to_vec(), literal.encode_to_vec());
+        }
     }
 
     #[test]

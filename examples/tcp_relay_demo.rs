@@ -17,8 +17,7 @@ use tdt::relay::discovery::{DiscoveryService, FileRegistry};
 use tdt::relay::service::RelayService;
 use tdt::relay::telemetry::register_relay;
 use tdt::relay::transport::{
-    EnvelopeHandler, PooledTcpTransport, Readiness, RelayTransport, TcpRelayServer,
-    TcpServerConfig, TcpTransport,
+    EnvelopeHandler, PooledTcpTransport, Readiness, RelayTransport, TcpRelayServer, TcpServerConfig,
 };
 use tdt::wire::codec::Message;
 use tdt::wire::messages::{NetworkAddress, VerificationPolicy};
@@ -42,7 +41,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "stl-relay-tcp",
             "stl",
             Arc::new(FileRegistry::new(&registry_path)) as Arc<dyn DiscoveryService>,
-            Arc::new(TcpTransport::new()) as Arc<dyn RelayTransport>,
+            Arc::new(PooledTcpTransport::new()) as Arc<dyn RelayTransport>,
         )
         .with_slo(Arc::clone(&slo)),
     );
@@ -69,29 +68,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The destination relay discovers it through the file registry.
     FileRegistry::write_entries(&registry_path, [("stl", server.endpoint().as_str())])?;
     println!("registry written to {}", registry_path.display());
-    let swt_relay = Arc::new(RelayService::new(
-        "swt-relay-tcp",
-        "swt",
-        Arc::new(FileRegistry::new(&registry_path)) as Arc<dyn DiscoveryService>,
-        Arc::new(TcpTransport::new()) as Arc<dyn RelayTransport>,
-    ));
-
-    // A second destination relay rides the pooled, multiplexed transport:
-    // one warm connection instead of a TCP handshake per query, with the
-    // pool's health surfaced through the relay's stats.
-    let pooled_transport = Arc::new(PooledTcpTransport::new());
-    let swt_relay_pooled = Arc::new(
+    // It rides the pooled, multiplexed transport: one warm connection
+    // instead of a TCP handshake per query, with the pool's health
+    // surfaced through the relay's stats.
+    let transport = Arc::new(PooledTcpTransport::new());
+    let swt_relay = Arc::new(
         RelayService::new(
-            "swt-relay-tcp-pooled",
+            "swt-relay-tcp",
             "swt",
             Arc::new(FileRegistry::new(&registry_path)) as Arc<dyn DiscoveryService>,
-            Arc::clone(&pooled_transport) as Arc<dyn RelayTransport>,
+            Arc::clone(&transport) as Arc<dyn RelayTransport>,
         )
-        .with_pool_stats(pooled_transport.stats()),
+        .with_pool_stats(transport.stats()),
     );
 
     // The cross-network query now travels over a real socket.
-    let client = InteropClient::new(testbed.swt_seller_gateway(), swt_relay);
+    let client = InteropClient::new(testbed.swt_seller_gateway(), Arc::clone(&swt_relay));
     let address = NetworkAddress::new("stl", "trade-channel", "TradeLensCC", "GetBillOfLading")
         .with_arg(b"PO-1001".to_vec());
     let policy =
@@ -104,31 +96,24 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         remote.proof.attestations.len()
     );
 
-    // Same queries through both transports, timed: connect-per-request
-    // redials every time, the pool multiplexes one warm stream.
+    // More of the same query, timed: every one reuses the warm stream.
     const ROUNDS: usize = 10;
     let start = std::time::Instant::now();
     for _ in 0..ROUNDS {
         client.query_remote(address.clone(), policy.clone())?;
     }
-    let per_request = start.elapsed();
-    let pooled_client =
-        InteropClient::new(testbed.swt_seller_gateway(), Arc::clone(&swt_relay_pooled));
-    let start = std::time::Instant::now();
-    for _ in 0..ROUNDS {
-        pooled_client.query_remote(address.clone(), policy.clone())?;
-    }
-    let pooled_elapsed = start.elapsed();
-    println!("\n{ROUNDS} queries, connect-per-request: {per_request:?}");
-    println!("{ROUNDS} queries, pooled/multiplexed:  {pooled_elapsed:?}");
-    let stats = swt_relay_pooled.stats();
+    println!(
+        "\n{ROUNDS} queries over the pooled transport: {:?}",
+        start.elapsed()
+    );
+    let stats = swt_relay.stats().snapshot();
     println!(
         "pool stats: {} dialed, {} reused, {} open, {} in flight, {} orphaned",
-        stats.pool_connections_dialed(),
-        stats.pool_connections_reused(),
-        stats.pool_connections_open(),
-        stats.pool_requests_in_flight(),
-        stats.pool_orphaned_replies(),
+        stats.pool_connections_dialed,
+        stats.pool_connections_reused,
+        stats.pool_connections_open,
+        stats.pool_requests_in_flight,
+        stats.pool_orphaned_replies,
     );
     println!(
         "server: {} live connection(s), {} refused",

@@ -523,7 +523,7 @@ fn run_overload_soak(
             results.extend(handle.join().expect("flood thread panicked"));
         }
     });
-    let sheds = stl.stats().admission_shed();
+    let sheds = stl.stats().snapshot().admission_shed;
     stl.stop_workers();
 
     let mut mix = std::collections::BTreeMap::new();
@@ -1083,6 +1083,7 @@ mod durable_ledger {
         let mut next_tx = 0usize;
         let mut peer = open_on_dir(&p, &dir, &config);
         for round in 0..rounds {
+            let started_at = peer.height();
             if peer.height() == 0 {
                 peer.validate_and_commit(Block::genesis(vec![b"config".to_vec()]))
                     .expect("genesis on a healthy disk");
@@ -1120,6 +1121,33 @@ mod durable_ledger {
                 assert_eq!(
                     h, sent,
                     "undamaged WAL lost blocks (seed {seed}): {trace:?}"
+                );
+            }
+            // A snapshot ahead of a cut WAL describes a chain that no
+            // longer exists: recovery must not leave it behind to outrank
+            // the snapshots the regrown chain writes.
+            let interval = config.snapshot_interval;
+            let ahead: Vec<String> = std::fs::read_dir(&dir)
+                .expect("list soak dir")
+                .filter_map(|e| e.ok()?.file_name().into_string().ok())
+                .filter(|name| {
+                    name.strip_prefix("snap-")
+                        .and_then(|rest| rest.strip_suffix(".snap"))
+                        .and_then(|height| height.parse::<u64>().ok())
+                        .is_some_and(|height| height > h)
+                })
+                .collect();
+            assert!(
+                ahead.is_empty(),
+                "snapshots {ahead:?} outlived a chain cut to {h} (seed {seed}): {trace:?}"
+            );
+            // So a round that crossed a snapshot boundary and died clean
+            // restarts from that snapshot, not from genesis.
+            if damage == "clean-kill" && sent / interval > started_at / interval {
+                assert_eq!(
+                    r.snapshot_height,
+                    Some(sent - sent % interval),
+                    "recovery ignored the newest snapshot (seed {seed}): {trace:?}"
                 );
             }
             let expected = candidates

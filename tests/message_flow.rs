@@ -143,14 +143,16 @@ fn tcp_relays_carry_the_same_flow() {
     use tdt::interop::driver::FabricDriver;
     use tdt::relay::discovery::{DiscoveryService, StaticRegistry};
     use tdt::relay::service::RelayService;
-    use tdt::relay::transport::{EnvelopeHandler, RelayTransport, TcpRelayServer, TcpTransport};
+    use tdt::relay::transport::{
+        EnvelopeHandler, PooledTcpTransport, RelayTransport, TcpRelayServer,
+    };
     let t = prepared();
     let registry = Arc::new(StaticRegistry::new());
     let stl_relay = Arc::new(RelayService::new(
         "stl-relay-tcp",
         "stl",
         Arc::clone(&registry) as Arc<dyn DiscoveryService>,
-        Arc::new(TcpTransport::new()) as Arc<dyn RelayTransport>,
+        Arc::new(PooledTcpTransport::new()) as Arc<dyn RelayTransport>,
     ));
     stl_relay.register_driver(Arc::new(FabricDriver::new(Arc::clone(&t.stl))));
     let server = TcpRelayServer::spawn(
@@ -163,7 +165,7 @@ fn tcp_relays_carry_the_same_flow() {
         "swt-relay-tcp",
         "swt",
         Arc::clone(&registry) as Arc<dyn DiscoveryService>,
-        Arc::new(TcpTransport::new()) as Arc<dyn RelayTransport>,
+        Arc::new(PooledTcpTransport::new()) as Arc<dyn RelayTransport>,
     ));
     let client = InteropClient::new(t.swt_seller_gateway(), swt_relay);
     let remote = client.query_remote(bl_address(), policy()).unwrap();

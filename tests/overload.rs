@@ -12,7 +12,8 @@ use tdt::obs::ObsHandle;
 use tdt::relay::admission::AdmissionConfig;
 use tdt::relay::discovery::{DiscoveryService, StaticRegistry};
 use tdt::relay::driver::NetworkDriver;
-use tdt::relay::service::{RelayService, RelayStatsSnapshot};
+use tdt::relay::service::RelayService;
+use tdt::relay::stats::RelayStatsSnapshot;
 use tdt::relay::telemetry::register_relay;
 use tdt::relay::transport::{EnvelopeHandler, InProcessBus, RelayTransport};
 use tdt::relay::RelayError;
@@ -146,7 +147,7 @@ fn flood_past_capacity_sheds_at_the_gate_without_queuing() {
             );
             std::thread::yield_now();
         }
-        let sheds_before_release = stl.stats().admission_shed();
+        let sheds_before_release = stl.stats().snapshot().admission_shed;
 
         // Open the gate; the worker drains the queued admits.
         let (lock, cvar) = &*gate;
@@ -163,7 +164,7 @@ fn flood_past_capacity_sheds_at_the_gate_without_queuing() {
             outcomes.push(handle.join().expect("flood thread"));
         }
         assert_eq!(
-            stl.stats().admission_shed(),
+            stl.stats().snapshot().admission_shed,
             sheds_before_release,
             "no request may be shed after the queue drained"
         );
@@ -208,8 +209,8 @@ fn flood_past_capacity_sheds_at_the_gate_without_queuing() {
 
     // The client-observed shed count is exactly the gate's own counter,
     // and the metrics registry exports the same number.
-    assert_eq!(stl.stats().admission_shed(), shed);
-    assert_eq!(stl.stats().admission_admitted(), served + 1);
+    assert_eq!(stl.stats().snapshot().admission_shed, shed);
+    assert_eq!(stl.stats().snapshot().admission_admitted, served + 1);
     let handle = ObsHandle::new();
     register_relay(&handle, &stl);
     let text = handle.prometheus_text();

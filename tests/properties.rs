@@ -3,11 +3,13 @@
 
 use proptest::prelude::*;
 use tdt::crypto::sha256::sha256;
-use tdt::wire::codec::Message;
+use tdt::wire::codec::{FieldValue, Message, Reader};
+use tdt::wire::framing::DEFAULT_MAX_FRAME;
 use tdt::wire::messages::{
-    Attestation, EnvelopeKind, NetworkAddress, PolicyNode, Proof, Query, RelayEnvelope,
-    ResultMetadata, TraceHeader, VerificationPolicy,
+    Attestation, EnvelopeKind, EventNotice, EventSubscribeRequest, NetworkAddress, PolicyNode,
+    Proof, Query, RelayEnvelope, ResultMetadata, TraceHeader, VerificationPolicy, MAX_POLICY_DEPTH,
 };
+use tdt::wire::varint;
 
 // ---------------------------------------------------------------------------
 // Strategies
@@ -104,6 +106,110 @@ fn arb_envelope() -> impl Strategy<Value = RelayEnvelope> {
         )
 }
 
+/// A source-side relay with an echo driver for network `stl`.
+fn echo_relay() -> tdt::relay::service::RelayService {
+    use std::sync::Arc;
+    use tdt::relay::{discovery::StaticRegistry, driver::EchoDriver, transport::InProcessBus};
+    let relay = tdt::relay::service::RelayService::new(
+        "stl-relay",
+        "stl",
+        Arc::new(StaticRegistry::new()),
+        Arc::new(InProcessBus::new()),
+    );
+    relay.register_driver(Arc::new(EchoDriver::new("stl")));
+    relay
+}
+
+/// Bytes at the scale of a relay frame without drawing sixteen million
+/// elements: a short random pattern tiled to the drawn length, which is
+/// small, medium, or within a few bytes of the frame cap.
+fn arb_frame_scale_bytes() -> impl Strategy<Value = Vec<u8>> {
+    (
+        prop::collection::vec(any::<u8>(), 1..256),
+        prop_oneof![
+            0usize..256,
+            256usize..65_536,
+            DEFAULT_MAX_FRAME - 64..DEFAULT_MAX_FRAME + 1,
+        ],
+    )
+        .prop_map(|(pattern, len)| {
+            let mut bytes = Vec::with_capacity(len + pattern.len());
+            while bytes.len() < len {
+                bytes.extend_from_slice(&pattern);
+            }
+            bytes.truncate(len);
+            bytes
+        })
+}
+
+/// A valid encoded envelope (sometimes a batch) in which the length prefix
+/// of one length-delimited field was overwritten: by zero, by one less or
+/// one more than the truth, by the frame cap, or by the largest lengths a
+/// 32- and a 64-bit reader can hold.
+fn arb_envelope_with_a_lying_length_prefix() -> impl Strategy<Value = Vec<u8>> {
+    (arb_envelope(), arb_envelope(), any::<bool>(), any::<u64>()).prop_map(
+        |(outer, member, batched, pick)| {
+            let honest = match batched {
+                true => outer
+                    .with_batch(vec![member.encode_to_vec()])
+                    .encode_to_vec(),
+                false => outer.encode_to_vec(),
+            };
+            // (offset of the payload, its true length) per such field.
+            let mut fields = Vec::new();
+            let mut reader = Reader::new(&honest);
+            while let Ok(Some((_, value))) = reader.next_field() {
+                if let FieldValue::Len(payload) = value {
+                    let at = payload.as_ptr() as usize - honest.as_ptr() as usize;
+                    fields.push((at, payload.len() as u64));
+                }
+            }
+            let (at, truth) = fields[pick as usize % fields.len()];
+            let lies = [
+                0,
+                truth.saturating_sub(1),
+                truth + 1,
+                DEFAULT_MAX_FRAME as u64,
+                u64::from(u32::MAX),
+                u64::MAX,
+            ];
+            let prefix_at = at - varint::encoded_len(truth);
+            let mut forged = honest[..prefix_at].to_vec();
+            varint::encode_u64(lies[(pick >> 32) as usize % lies.len()], &mut forged);
+            forged.extend_from_slice(&honest[at..]);
+            forged
+        },
+    )
+}
+
+/// A query whose verification policy is `depth` single-child levels deep.
+fn query_with_policy_depth(depth: usize) -> Query {
+    let mut expression = PolicyNode::Org("a".into());
+    for _ in 1..depth {
+        expression = PolicyNode::And(vec![expression]);
+    }
+    Query {
+        request_id: "deep".into(),
+        policy: VerificationPolicy {
+            expression,
+            confidential: false,
+        },
+        ..Default::default()
+    }
+}
+
+/// Runs every decoder a relay frame can reach — the envelope at the
+/// untrusted TCP boundary, then whatever its payload claims to be.
+/// Returning at all is the property: a decoder may refuse, never panic.
+fn decode_as_every_frame_message(bytes: &[u8]) {
+    let _ = RelayEnvelope::decode_from_slice(bytes);
+    let _ = Query::decode_from_slice(bytes);
+    let _ = EventSubscribeRequest::decode_from_slice(bytes);
+    let _ = EventNotice::decode_from_slice(bytes);
+    let _ = Proof::decode_from_slice(bytes);
+    let _ = PolicyNode::decode_from_slice(bytes);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -124,11 +230,44 @@ proptest! {
     }
 
     #[test]
-    fn prop_wire_decoder_total(bytes in prop::collection::vec(any::<u8>(), 0..256)) {
+    fn prop_wire_decoder_total(
+        bytes in arb_frame_scale_bytes(),
+        forged in arb_envelope_with_a_lying_length_prefix(),
+        depth in 1usize..4096,
+    ) {
         // Arbitrary bytes either decode or error — never panic.
-        let _ = Query::decode_from_slice(&bytes);
-        let _ = Proof::decode_from_slice(&bytes);
-        let _ = PolicyNode::decode_from_slice(&bytes);
+        decode_as_every_frame_message(&bytes);
+        decode_as_every_frame_message(&forged);
+        // Nesting is what a length prefix cannot bound: the decoder
+        // recurses per level, so depth has a cap of its own.
+        let deep = query_with_policy_depth(depth).encode_to_vec();
+        prop_assert_eq!(Query::decode_from_slice(&deep).is_ok(), depth <= MAX_POLICY_DEPTH);
+    }
+
+    #[test]
+    fn prop_batch_inside_a_batch_is_refused_item_by_item(
+        outer in arb_envelope(),
+        inner in arb_envelope(),
+        leaf in arb_envelope(),
+        plain in arb_envelope(),
+    ) {
+        // One level of batching only: a nested batch would let a single
+        // frame amplify itself arbitrarily. The decoder keeps batch items
+        // opaque (no recursion to bound); the relay refuses the nested
+        // item and still answers its well-formed neighbour.
+        let nested = inner.with_batch(vec![leaf.encode_to_vec()]).encode_to_vec();
+        let frame = outer.with_batch(vec![nested, plain.encode_to_vec()]);
+        let decoded = RelayEnvelope::decode_from_slice(&frame.encode_to_vec()).unwrap();
+        prop_assert_eq!(&decoded, &frame);
+        use tdt::relay::transport::EnvelopeHandler;
+        let reply = echo_relay().handle(decoded);
+        prop_assert_eq!(reply.batch.len(), 2);
+        let refused = RelayEnvelope::decode_from_slice(&reply.batch[0]).unwrap();
+        prop_assert_eq!(refused.kind, EnvelopeKind::Error);
+        prop_assert_eq!(refused.payload, b"nested batch rejected".to_vec());
+        let neighbour = RelayEnvelope::decode_from_slice(&reply.batch[1]).unwrap();
+        prop_assert!(!neighbour.is_batch());
+        prop_assert!(neighbour.payload != b"nested batch rejected".to_vec());
     }
 
     // -----------------------------------------------------------------------
