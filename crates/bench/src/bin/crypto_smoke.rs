@@ -1,28 +1,45 @@
-//! Before/after microbenchmark for the Schnorr verify hot path
-//! (`BENCH_crypto_smoke`): the committed Barrett baseline vs. the
-//! Montgomery + fixed-base-table + batch-RLC path.
+//! Before/after microbenchmarks for the crypto hot path, one row per
+//! builtin group (`BENCH_crypto.json`, schema `crypto/v1`).
 //!
-//! The "before" column re-runs the pre-overhaul verify equation through
-//! the still-public Barrett APIs: two `BarrettContext::modexp` calls
-//! (`g^s`, `y^(q-e)`), a `modmul` join, and the challenge re-hash. The
-//! "after" column runs `schnorr::batch_verify` over the same signatures
-//! with cached per-key fixed-base tables — the steady state the cert
-//! cache maintains (`CertChainCache::key_table`).
+//! * **Schnorr verify** — the "before" column re-runs the pre-overhaul
+//!   verify equation through the still-public Barrett APIs: two
+//!   `BarrettContext::modexp` calls (`g^s`, `y^(q-e)`), a `modmul` join, and
+//!   the challenge re-hash. The "after" column runs `schnorr::batch_verify`
+//!   over the same signatures with cached per-key fixed-base tables — the
+//!   steady state the cert cache maintains (`CertChainCache::key_table`).
+//! * **Subgroup membership** — the definition, `x^q == 1 (mod p)` through
+//!   `Group::pow` (what `Group::is_element` ran before it computed the
+//!   Legendre symbol instead), against the shipped `Group::is_element`.
+//! * What membership sits inside: `VerifyingKey::from_bytes`, ElGamal
+//!   encrypt/decrypt, `Certificate::verify`.
 //!
-//! Usage: `cargo run -p tdt-bench --release --bin crypto_smoke -- [--check]`
+//! Usage: `cargo run -p tdt-bench --release --bin crypto_smoke --
+//!            [--check] [--out PATH] [--label NAME]`
 //!
-//! `--check` exits non-zero unless the amortized speedup at modp2048 is
-//! at least [`REQUIRED_SPEEDUP_2048`]× — the CI regression guard for the
-//! crypto hot-path overhaul.
+//! `--check` exits non-zero unless the amortized verify speedup at modp2048
+//! is at least [`REQUIRED_SPEEDUP_2048`]× and the shipped membership test
+//! beats its definition by [`REQUIRED_MEMBERSHIP_SPEEDUP`] — the CI
+//! regression guards. `--out` writes the rows as JSON, one per line; the
+//! file is a trajectory: rows already in it under another `--label`
+//! (default `this`) are kept, so a parent commit's rows and a change's rows
+//! sit side by side (`--out BENCH_crypto.json --label prN`).
 
 use std::sync::Arc;
 use std::time::Instant;
-use tdt_crypto::bigint::BarrettContext;
+use tdt_bench::{arg_after, trajectory_rows};
+use tdt_crypto::bigint::{BarrettContext, BigUint};
+use tdt_crypto::cert::{CertRole, CertificateAuthority};
+use tdt_crypto::elgamal::DecryptionKey;
 use tdt_crypto::group::Group;
 use tdt_crypto::schnorr::{batch_verify, BatchItem, Signature, SigningKey, VerifyingKey};
 
 /// Hard floor enforced by `--check` at modp2048.
 const REQUIRED_SPEEDUP_2048: f64 = 5.0;
+
+/// Floors `--check` enforces on shipped `is_element` vs `x^q == 1`, per
+/// group. Measured 25× and 98× when the Legendre symbol went in; the floors
+/// leave room for a noisy runner, not for an exponentiation coming back.
+const REQUIRED_MEMBERSHIP_SPEEDUP: [(&str, f64); 2] = [("modp768", 8.0), ("modp2048", 25.0)];
 
 /// Signatures per batch. Small enough for a CI smoke run, large enough
 /// that the batch aggregate and challenge striping amortize.
@@ -34,7 +51,7 @@ const KEYS: usize = 4;
 
 /// Timed repetitions per measurement; the minimum is reported so a
 /// scheduler hiccup in one round cannot fake a regression.
-const ROUNDS: usize = 3;
+const ROUNDS: usize = 5;
 
 struct Fixture {
     keys: Vec<VerifyingKey>,
@@ -114,6 +131,43 @@ struct Row {
     before_us: f64,
     after_us: f64,
     speedup: f64,
+    is_element_oracle_us: f64,
+    is_element_us: f64,
+    vk_from_bytes_us: f64,
+    elgamal_encrypt_us: f64,
+    elgamal_decrypt_us: f64,
+    cert_verify_us: f64,
+}
+
+impl Row {
+    fn membership_speedup(&self) -> f64 {
+        self.is_element_oracle_us / self.is_element_us
+    }
+
+    fn json(&self, label: &str) -> String {
+        format!(
+            "    {{\"label\": \"{label}\", \"group\": \"{}\", \"verify_barrett_us\": {:.1}, \"verify_batch_us\": {:.1}, \"is_element_oracle_us\": {:.1}, \"is_element_us\": {:.1}, \"vk_from_bytes_us\": {:.1}, \"elgamal_encrypt_us\": {:.1}, \"elgamal_decrypt_us\": {:.1}, \"cert_verify_us\": {:.1}}}",
+            self.name,
+            self.before_us,
+            self.after_us,
+            self.is_element_oracle_us,
+            self.is_element_us,
+            self.vk_from_bytes_us,
+            self.elgamal_encrypt_us,
+            self.elgamal_decrypt_us,
+            self.cert_verify_us,
+        )
+    }
+}
+
+/// Microseconds per call of `f`, each timed round making [`BATCH`] calls.
+fn us_per_call<T>(mut f: impl FnMut() -> T) -> f64 {
+    let round = time_min(|| {
+        for _ in 0..BATCH {
+            std::hint::black_box(f());
+        }
+    });
+    round / BATCH as f64 * 1e6
 }
 
 fn measure(group: &Group) -> Row {
@@ -144,41 +198,134 @@ fn measure(group: &Group) -> Row {
         batch_verify(&items).expect("smoke batch must verify"); // lint:allow(panic: "smoke guard: a failed batch verify must fail the CI job")
     });
 
+    // Membership and what it sits inside, over the fixture's public keys.
+    let one = BigUint::one();
+    let mut keys = fx.keys.iter().cycle();
+    let mut next_key = || std::hint::black_box(keys.next());
+    let is_element_oracle_us =
+        us_per_call(|| next_key().map(|vk| group.pow(vk.element(), group.q()) == one));
+    let is_element_us = us_per_call(|| next_key().map(|vk| group.is_element(vk.element())));
+    let vk_from_bytes_us = us_per_call(|| {
+        next_key().map(|vk| VerifyingKey::from_bytes(group.clone(), &vk.to_bytes()).is_ok())
+    });
+    let dk = DecryptionKey::from_seed(group.clone(), b"smoke-recipient");
+    let ek = dk.encryption_key();
+    let plaintext = [0x5au8; 256];
+    let ciphertext = ek.encrypt_deterministic(&plaintext, b"smoke");
+    let elgamal_encrypt_us = us_per_call(|| ek.encrypt_deterministic(&plaintext, b"smoke"));
+    let elgamal_decrypt_us = us_per_call(|| dk.decrypt(&ciphertext).is_ok());
+    let mut ca = CertificateAuthority::new("smoke-net", "smoke-org", group.clone(), b"smoke-ca");
+    let root = ca.root_certificate().clone();
+    let certs: Vec<_> = fx
+        .keys
+        .iter()
+        .map(|vk| ca.issue("peer", CertRole::Peer, vk, None))
+        .collect();
+    let mut certs = certs.iter().cycle();
+    let cert_verify_us = us_per_call(|| certs.next().map(|cert| cert.verify(&root).is_ok()));
+
     Row {
         name: group.name(),
         before_us: before / BATCH as f64 * 1e6,
         after_us: after / BATCH as f64 * 1e6,
         speedup: before / after,
+        is_element_oracle_us,
+        is_element_us,
+        vk_from_bytes_us,
+        elgamal_encrypt_us,
+        elgamal_decrypt_us,
+        cert_verify_us,
     }
+}
+
+/// Writes `rows` (this run's, under `label`) to `path`, carrying over the
+/// rows an existing file holds under other labels.
+fn write_json(path: &str, label: &str, rows: &[Row]) -> std::io::Result<()> {
+    let rows: Vec<String> = rows.iter().map(|row| row.json(label)).collect();
+    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
+    let doc = format!(
+        "{{\n  \"schema\": \"crypto/v1\",\n  \"generated_by\": \"cargo run -p tdt-bench --release --bin crypto_smoke -- --out PATH --label NAME\",\n  \
+         \"config\": {{\"batch\": {BATCH}, \"keys\": {KEYS}, \"rounds\": {ROUNDS}, \"cores\": {cores}}},\n  \
+         \"runs\": [\n{}\n  ]\n}}\n",
+        trajectory_rows(path, label, &rows),
+    );
+    std::fs::write(path, doc)
 }
 
 fn main() {
     let check = std::env::args().any(|a| a == "--check");
+    let out = arg_after("--out");
+    let label = arg_after("--label").unwrap_or_else(|| "this".to_string());
 
     println!("crypto_smoke: {BATCH} signatures, {KEYS} keys, best of {ROUNDS} rounds");
+    let rows: Vec<Row> = [Group::modp_768(), Group::modp_1024(), Group::modp_2048()]
+        .iter()
+        .map(measure)
+        .collect();
     println!("| group | barrett verify (us/sig) | batch+tables (us/sig) | speedup |");
     println!("|---|---|---|---|");
-    let mut speedup_2048 = None;
-    for group in [Group::modp_768(), Group::modp_1024(), Group::modp_2048()] {
-        let row = measure(&group);
+    for row in &rows {
         println!(
             "| {} | {:.1} | {:.1} | {:.2}x |",
             row.name, row.before_us, row.after_us, row.speedup
         );
-        if row.name == "modp2048" {
-            speedup_2048 = Some(row.speedup);
+    }
+    println!("| group | x^q == 1 (us) | is_element (us) | speedup | VerifyingKey::from_bytes (us) | elgamal encrypt (us) | elgamal decrypt (us) | Certificate::verify (us) |");
+    println!("|---|---|---|---|---|---|---|---|");
+    for row in &rows {
+        println!(
+            "| {} | {:.1} | {:.1} | {:.1}x | {:.1} | {:.1} | {:.1} | {:.1} |",
+            row.name,
+            row.is_element_oracle_us,
+            row.is_element_us,
+            row.membership_speedup(),
+            row.vk_from_bytes_us,
+            row.elgamal_encrypt_us,
+            row.elgamal_decrypt_us,
+            row.cert_verify_us,
+        );
+    }
+
+    if let Some(path) = out {
+        match write_json(&path, &label, &rows) {
+            Ok(()) => println!("crypto_smoke: wrote {path}"),
+            Err(e) => {
+                eprintln!("crypto_smoke: cannot write {path}: {e}");
+                std::process::exit(1);
+            }
         }
     }
 
     if check {
-        let got = speedup_2048.expect("modp2048 row measured"); // lint:allow(panic: "smoke guard: --check requires the modp2048 row")
-        if got < REQUIRED_SPEEDUP_2048 {
-            eprintln!(
-                "FAIL: modp2048 speedup {got:.2}x is below the required \
-                 {REQUIRED_SPEEDUP_2048}x floor"
-            );
+        let speedup_of = |group: &str, pick: fn(&Row) -> f64| {
+            rows.iter().find(|row| row.name == group).map(pick)
+        };
+        let mut checks = vec![(
+            "modp2048",
+            "batch verify vs Barrett",
+            REQUIRED_SPEEDUP_2048,
+            speedup_of("modp2048", |row| row.speedup),
+        )];
+        for (group, floor) in REQUIRED_MEMBERSHIP_SPEEDUP {
+            let got = speedup_of(group, Row::membership_speedup);
+            checks.push((group, "is_element vs x^q == 1", floor, got));
+        }
+        let mut failed = false;
+        for (group, what, floor, got) in checks {
+            match got {
+                Some(got) if got >= floor => {
+                    println!("check passed: {group} {what} {got:.2}x >= {floor}x");
+                }
+                _ => {
+                    eprintln!(
+                        "FAIL: {group} {what} {got:.2?}x is below the required {floor}x floor"
+                    );
+                    failed = true;
+                }
+            }
+        }
+        if failed {
             std::process::exit(1);
         }
-        println!("check passed: modp2048 speedup {got:.2}x >= {REQUIRED_SPEEDUP_2048}x");
     }
 }

@@ -21,6 +21,7 @@
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use tdt_bench::{arg_after, trajectory_rows};
 use tdt_crypto::cert::CertRole;
 use tdt_crypto::group::Group;
 use tdt_fabric::chaincode::ChaincodeRegistry;
@@ -166,28 +167,9 @@ fn ms(d: Duration) -> f64 {
     d.as_secs_f64() * 1e3
 }
 
-/// The value following `flag` on the command line.
-fn arg_after(flag: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    let at = args.iter().position(|a| a == flag)?;
-    args.get(at + 1).cloned()
-}
-
 /// Writes `rows` (this run's, under `label`) to `path`, carrying over the
 /// rows an existing file holds under other labels.
 fn write_json(path: &str, smoke: bool, label: &str, rows: &[String]) -> std::io::Result<()> {
-    let mine = format!("    {{\"label\": \"{label}\", ");
-    let kept: Vec<String> = std::fs::read_to_string(path)
-        .unwrap_or_default()
-        .lines()
-        .filter(|line| line.starts_with("    {\"label\": ") && !line.starts_with(&mine))
-        .map(|line| line.trim_end_matches(',').to_string())
-        .collect();
-    let all: Vec<&str> = kept
-        .iter()
-        .map(String::as_str)
-        .chain(rows.iter().map(String::as_str))
-        .collect();
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
     let doc = format!(
         "{{\n  \"schema\": \"recovery/v1\",\n  \"generated_by\": \"cargo run -p tdt-bench --release --bin recovery_bench{}\",\n  \
@@ -195,7 +177,7 @@ fn write_json(path: &str, smoke: bool, label: &str, rows: &[String]) -> std::io:
          \"config\": {{\"txs_per_block\": {TXS_PER_BLOCK}, \"keys\": {KEYS}, \"snapshot_interval\": {SNAPSHOT_INTERVAL}, \"repeats\": {REPEATS}, \"cores\": {cores}}},\n  \
          \"runs\": [\n{}\n  ]\n}}\n",
         if smoke { " -- --smoke" } else { "" },
-        all.join(",\n"),
+        trajectory_rows(path, label, rows),
     );
     std::fs::write(path, doc)
 }

@@ -768,6 +768,50 @@ mod tests {
     }
 
     #[test]
+    fn encrypt_refuses_key_bytes_outside_the_subgroup() {
+        // The requester's encryption key is attacker-chosen bytes: p-1 (the
+        // order-2 element), p, a zero-padded non-residue, an over-long
+        // value, zero and nothing at all must each be a BadRequest.
+        let mut f = fixture();
+        let genuine = f.foreign_client.certificate().clone();
+        let group = Group::test_group();
+        let p = group.p();
+        let one = tdt_crypto::bigint::BigUint::one();
+        let non_residue = p.sub(&group.pow_g(&tdt_crypto::bigint::BigUint::from_u64(77)));
+        for hostile in [
+            p.sub(&one).to_bytes_be(),
+            p.to_bytes_be(),
+            [vec![0u8; 4], group.element_to_bytes(&non_residue)].concat(),
+            vec![0xee; 3 * group.element_len()],
+            vec![0u8; group.element_len()],
+            Vec::new(),
+        ] {
+            let cert = tdt_crypto::cert::Certificate::assemble(
+                genuine.subject().clone(),
+                genuine.serial(),
+                genuine.group_name().to_string(),
+                genuine.sign_key_bytes().to_vec(),
+                Some(hostile.clone()),
+                genuine.issuer().clone(),
+                genuine.signature().cloned(),
+            );
+            let err = invoke_cc(
+                &mut f,
+                "ECC",
+                "EncryptResponse",
+                vec![encode_certificate(&cert), b"x".to_vec()],
+                true,
+            )
+            .unwrap_err();
+            // (An empty key is "no key" on the wire: refused all the same.)
+            assert!(
+                matches!(err, ChaincodeError::BadRequest(_)),
+                "{hostile:02x?}: {err:?}"
+            );
+        }
+    }
+
+    #[test]
     fn empty_rule_fields_rejected() {
         let mut f = fixture();
         let err = invoke_cc(

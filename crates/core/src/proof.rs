@@ -254,9 +254,10 @@ fn prepare_attestation(
     let cert = decode_certificate(&att.signer_cert)
         .map_err(|e| InteropError::InvalidResponse(format!("attestation {i} cert: {e}")))?;
     // The client holds no root for the foreign network (the CMDAC does the
-    // authenticating), so the recurring attesters' keys come from the
-    // trust-free decode memo rather than a verified-chain entry.
-    let vk = tdt_crypto::certcache::decoded_key(&cert)
+    // authenticating), so there is no verified-chain entry to take the key
+    // from: it is decoded here, which costs one Legendre symbol.
+    let vk = cert
+        .verifying_key()
         .map_err(|e| InteropError::InvalidResponse(format!("attestation {i} key: {e}")))?;
     let signature = tdt_crypto::schnorr::Signature::from_bytes(&att.signature)
         .map_err(|e| InteropError::InvalidResponse(format!("attestation {i} sig: {e}")))?;

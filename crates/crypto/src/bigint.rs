@@ -180,19 +180,83 @@ impl BigUint {
     /// Panics if `other > self`.
     pub fn sub(&self, other: &BigUint) -> BigUint {
         assert!(self >= other, "BigUint subtraction underflow");
-        let mut out = Vec::with_capacity(self.limbs.len());
+        let mut r = self.clone();
+        r.sub_assign(other);
+        r
+    }
+
+    /// `self -= other` in place; the caller guarantees `self >= other`.
+    fn sub_assign(&mut self, other: &BigUint) {
         let mut borrow = 0u64;
-        for i in 0..self.limbs.len() {
+        for (i, a) in self.limbs.iter_mut().enumerate() {
             let b = other.limbs.get(i).copied().unwrap_or(0);
-            let (d1, b1) = self.limbs[i].overflowing_sub(b);
+            let (d1, b1) = a.overflowing_sub(b);
             let (d2, b2) = d1.overflowing_sub(borrow);
-            out.push(d2);
+            *a = d2;
             borrow = (b1 as u64) + (b2 as u64);
         }
         debug_assert_eq!(borrow, 0);
-        let mut r = BigUint { limbs: out };
-        r.normalize();
-        r
+        self.normalize();
+    }
+
+    /// Divides out every factor of two in place and returns how many there
+    /// were (zero has none and stays zero).
+    fn strip_twos(&mut self) -> usize {
+        let Some(zero_limbs) = self.limbs.iter().position(|&l| l != 0) else {
+            return 0;
+        };
+        self.limbs.drain(..zero_limbs);
+        let bits = self.limbs[0].trailing_zeros();
+        if bits > 0 {
+            let mut carry = 0u64;
+            for limb in self.limbs.iter_mut().rev() {
+                let low = *limb << (64 - bits);
+                *limb = (*limb >> bits) | carry;
+                carry = low;
+            }
+            self.normalize();
+        }
+        zero_limbs * 64 + bits as usize
+    }
+
+    /// The Jacobi symbol `(self | n)` — `1`, `-1`, or `0` when the two share
+    /// a factor — by the binary algorithm: no division and no
+    /// exponentiation, `O(bits²/64)` limb operations on two buffers that are
+    /// only ever shifted, swapped and subtracted in place. For a prime `n`
+    /// this is the Legendre symbol, i.e. `self^((n-1)/2) mod n` by Euler's
+    /// criterion, at the price of a few multiplications.
+    ///
+    /// Runs in time that depends on both operands; see the allow below.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` is even (the symbol is undefined there).
+    pub fn jacobi(&self, n: &BigUint) -> i8 {
+        assert!(n.is_odd(), "Jacobi symbol needs an odd modulus");
+        let (mut a, mut n) = (self.clone(), n.clone());
+        let mut negative = false;
+        // lint:allow(ct: "the loop branches on a and n, and both are public wherever this is called: n is a group modulus, a a key out of a certificate or the c1 header of a ciphertext — never a signing or decryption scalar (crates/lint/tests/passes.rs pins the call sites)")
+        while !a.is_zero() {
+            // (2|n) = -1 exactly when n ≡ ±3 (mod 8).
+            if a.strip_twos() % 2 == 1 && matches!(n.low_u64() % 8, 3 | 5) {
+                negative = !negative;
+            }
+            // Both odd now. Reciprocity: swapping them flips the sign
+            // exactly when both are ≡ 3 (mod 4).
+            if a < n {
+                std::mem::swap(&mut a, &mut n);
+                if (a.low_u64() & n.low_u64()) % 4 == 3 {
+                    negative = !negative;
+                }
+            }
+            // (a|n) = (a-n|n), and a-n is even: the next round shrinks it.
+            a.sub_assign(&n);
+        }
+        match (n.limbs == [1], negative) {
+            (false, _) => 0,
+            (true, false) => 1,
+            (true, true) => -1,
+        }
     }
 
     /// Schoolbook multiplication `self * other`.
@@ -1033,6 +1097,63 @@ mod tests {
         }
     }
 
+    /// The textbook Jacobi symbol on machine words (reduce, then flip by
+    /// reciprocity), the reference for the in-place limb version.
+    fn jacobi_u64(mut a: u64, mut n: u64) -> i8 {
+        let mut sign = 1;
+        a %= n;
+        while a != 0 {
+            while a.is_multiple_of(2) {
+                a /= 2;
+                if matches!(n % 8, 3 | 5) {
+                    sign = -sign;
+                }
+            }
+            std::mem::swap(&mut a, &mut n);
+            if a % 4 == 3 && n % 4 == 3 {
+                sign = -sign;
+            }
+            a %= n;
+        }
+        if n == 1 {
+            sign
+        } else {
+            0
+        }
+    }
+
+    #[test]
+    fn jacobi_matches_the_word_sized_reference() {
+        for n in (1..200u64).step_by(2) {
+            for a in 0..(2 * n + 3) {
+                let got = BigUint::from_u64(a).jacobi(&BigUint::from_u64(n));
+                assert_eq!(got, jacobi_u64(a, n), "({a}|{n})");
+            }
+        }
+        // Words that only differ from small cases by their size.
+        for (a, n) in [(u64::MAX, u64::MAX - 58), (1 << 63, 1_000_000_007)] {
+            let got = BigUint::from_u64(a).jacobi(&BigUint::from_u64(n));
+            assert_eq!(got, jacobi_u64(a, n), "({a}|{n})");
+        }
+    }
+
+    #[test]
+    fn jacobi_shifts_whole_zero_limbs_out() {
+        // (2^128 · 3 | n) = (3 | n): 128 twos contribute an even power.
+        let n = big("c90fdaa22168c234c4c6628b80dc1cd129024e088a67cc74020bbea63b139b23");
+        let three = BigUint::from_u64(3);
+        assert_eq!(three.shl(128).jacobi(&n), three.jacobi(&n));
+        assert_eq!(BigUint::zero().jacobi(&n), 0);
+        assert_eq!(BigUint::zero().jacobi(&BigUint::one()), 1);
+        assert_eq!(n.jacobi(&n), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "odd modulus")]
+    fn jacobi_even_modulus_panics() {
+        BigUint::one().jacobi(&BigUint::from_u64(10));
+    }
+
     #[test]
     fn ordering() {
         assert!(big("0100000000000000ff") > big("ff"));
@@ -1107,6 +1228,25 @@ mod tests {
             prop_assume!(m > BigUint::one());
             let ctx = BarrettContext::new(m.clone());
             prop_assert_eq!(ctx.reduce(&x), x.rem(&m));
+        }
+
+        // Multi-limb operands have no independent oracle short of an
+        // exponentiation modulo a prime (group.rs has that one); what every
+        // Jacobi symbol must satisfy is checked here on arbitrary odd n.
+        #[test]
+        fn prop_jacobi_is_periodic_and_multiplicative(
+            a in proptest::collection::vec(any::<u8>(), 0..40),
+            b in proptest::collection::vec(any::<u8>(), 0..24),
+            n in proptest::collection::vec(any::<u8>(), 1..24),
+        ) {
+            let a = BigUint::from_bytes_be(&a);
+            let b = BigUint::from_bytes_be(&b);
+            let mut n = BigUint::from_bytes_be(&n);
+            if !n.is_odd() {
+                n = n.add(&BigUint::one());
+            }
+            prop_assert_eq!(a.jacobi(&n), a.rem(&n).jacobi(&n));
+            prop_assert_eq!(a.mul(&b).rem(&n).jacobi(&n), a.rem(&n).jacobi(&n) * b.jacobi(&n));
         }
 
         #[test]

@@ -15,11 +15,12 @@
 //! the same certificate body can never hit a legitimate entry.
 //!
 //! Every caller that authenticates a signer goes on to verify a signature
-//! with the certified key, and decoding that key costs a subgroup
-//! exponentiation — as much as the signature check itself. A verified
-//! entry therefore holds the decoded [`VerifyingKey`]
-//! ([`CertChainCache::verified_key`]): a hit skips the chain validation
-//! *and* the key decoding.
+//! with the certified key, so a verified entry holds the decoded
+//! [`VerifyingKey`] ([`CertChainCache::verified_key`]) and a hit answers
+//! both questions with one lookup. Decoding alone would not be worth a
+//! cache — the subgroup check is a Legendre symbol, tens of microseconds —
+//! which is why callers without a root to key an entry by just call
+//! [`Certificate::verifying_key`].
 
 use crate::cert::Certificate;
 use crate::error::CryptoError;
@@ -95,8 +96,8 @@ impl CertChainCache {
     }
 
     /// [`Self::verify_chain`], also handing back the certificate's decoded
-    /// verifying key: on a hit neither the chain validation nor the key's
-    /// subgroup check runs again.
+    /// verifying key: on a hit neither the chain validation nor the key
+    /// decoding runs again.
     ///
     /// The inner result is [`Certificate::verifying_key`]'s — a chain can
     /// validate over key bytes that do not decode, and callers report the
@@ -282,41 +283,6 @@ impl CertChainCache {
     }
 }
 
-/// Bound on the [`decoded_key`] memo (an entry is a few hundred bytes).
-const DECODED_KEY_CAP: usize = 64;
-
-/// [`Certificate::verifying_key`] through a process-wide memo, for callers
-/// that hold no trust root to key a [`CertChainCache`] entry by (the
-/// client-side proof pre-check sees the same few foreign attesters on every
-/// response). Whether key bytes decode — group lookup plus the subgroup
-/// exponentiation — is a pure function of (group name, key bytes), so a hit
-/// is no trust decision and needs no epoch. Only successes are kept; a full
-/// memo starts over.
-///
-/// # Errors
-///
-/// As [`Certificate::verifying_key`].
-pub fn decoded_key(cert: &Certificate) -> Result<VerifyingKey, CryptoError> {
-    static MEMO: Mutex<Vec<([u8; 32], VerifyingKey)>> = Mutex::new(Vec::new());
-    let mut material = cert.group_name().as_bytes().to_vec();
-    material.push(0);
-    material.extend_from_slice(cert.sign_key_bytes());
-    let id = sha256(&material);
-    {
-        let memo = MEMO.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some((_, key)) = memo.iter().find(|(k, _)| *k == id) {
-            return Ok(key.clone());
-        }
-    }
-    let key = cert.verifying_key()?;
-    let mut memo = MEMO.lock().unwrap_or_else(PoisonError::into_inner);
-    if memo.len() >= DECODED_KEY_CAP {
-        memo.clear();
-    }
-    memo.push((id, key.clone()));
-    Ok(key)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -482,7 +448,7 @@ mod tests {
     }
 
     #[test]
-    fn verified_key_hit_returns_the_decoded_key() {
+    fn verified_key_hit_returns_the_key_the_miss_decoded() {
         let mut authority = ca(b"a");
         let root = authority.root_certificate().clone();
         let cert = issue(&mut authority, "peer0");
@@ -531,33 +497,5 @@ mod tests {
         // One build per admitted key, ever; the rest go table-less.
         assert_eq!(cache.table_misses(), KEY_TABLE_CAP as u64);
         assert_eq!(cache.table_len(), KEY_TABLE_CAP);
-    }
-
-    #[test]
-    fn decoded_key_matches_the_certificate_and_rejects_bad_bytes() {
-        let mut authority = ca(b"a");
-        let cert = issue(&mut authority, "memo-peer");
-        for _ in 0..2 {
-            assert_eq!(decoded_key(&cert).unwrap(), cert.verifying_key().unwrap());
-        }
-        let wide = SigningKey::from_seed(Group::modp_1024(), b"wide").verifying_key();
-        let bad = authority.issue("memo-bad", CertRole::Peer, &wide, None);
-        for _ in 0..2 {
-            assert!(decoded_key(&bad).is_err());
-        }
-        // Same key bytes under another group name: a different memo entry.
-        let regrouped = Certificate::assemble(
-            cert.subject().clone(),
-            cert.serial(),
-            "modp1024".to_string(),
-            cert.sign_key_bytes().to_vec(),
-            None,
-            cert.issuer().clone(),
-            None,
-        );
-        assert_eq!(
-            decoded_key(&regrouped).map(|k| k.group().name()),
-            regrouped.verifying_key().map(|k| k.group().name())
-        );
     }
 }

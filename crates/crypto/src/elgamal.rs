@@ -305,15 +305,24 @@ mod tests {
     }
 
     #[test]
-    fn invalid_c1_rejected() {
+    fn c1_outside_the_subgroup_is_rejected_before_the_secret_touches_it() {
+        // Among them p-1, the order-2 element (a quadratic non-residue
+        // since p ≡ 3 mod 4): `c1^x` would leak the parity of `x`.
         let dk = keypair();
-        let mut ct = dk.encryption_key().encrypt_deterministic(b"x", b"s");
-        // Replace c1 with a non-subgroup element: p-1, a quadratic
-        // non-residue since p ≡ 3 (mod 4).
-        let group = Group::test_group();
-        let bad = group.p().sub(&BigUint::one());
-        ct.c1 = group.element_to_bytes(&bad);
-        assert_eq!(dk.decrypt(&ct), Err(CryptoError::InvalidGroupElement));
+        let genuine = dk.encryption_key().encrypt_deterministic(b"x", b"s");
+        for (what, bytes, element) in crate::group::hostile_element_encodings(&Group::test_group())
+        {
+            let mut ct = genuine.clone();
+            ct.c1 = bytes;
+            // A foreign element passes the membership check and then fails
+            // authentication: the key derivation covers the c1 bytes.
+            let want = if element {
+                CryptoError::InvalidMac
+            } else {
+                CryptoError::InvalidGroupElement
+            };
+            assert_eq!(dk.decrypt(&ct), Err(want), "{what}");
+        }
     }
 
     #[test]
@@ -335,10 +344,15 @@ mod tests {
     }
 
     #[test]
-    fn public_key_rejects_garbage() {
-        let group = Group::test_group();
-        let bad = group.p().sub(&BigUint::one()).to_bytes_be();
-        assert!(EncryptionKey::from_bytes(group, &bad).is_err());
-        assert!(EncryptionKey::from_bytes(Group::test_group(), &[0]).is_err());
+    fn public_key_decoding_accepts_exactly_the_subgroup() {
+        for group in [Group::modp_768(), Group::modp_1024(), Group::modp_2048()] {
+            for (what, bytes, element) in crate::group::hostile_element_encodings(&group) {
+                match EncryptionKey::from_bytes(group.clone(), &bytes) {
+                    Ok(ek) if element => assert_eq!(ek.y, BigUint::from_bytes_be(&bytes), "{what}"),
+                    Err(CryptoError::InvalidGroupElement) if !element => {}
+                    other => panic!("{} {what}: {other:?}", group.name()),
+                }
+            }
+        }
     }
 }

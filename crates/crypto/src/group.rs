@@ -288,13 +288,6 @@ impl Group {
         self.inner.p_ctx.modmul(a, b)
     }
 
-    /// Inverse of a subgroup element: `a^(q-1) mod p` (valid because the
-    /// subgroup has prime order `q`).
-    pub fn invert(&self, a: &BigUint) -> BigUint {
-        let exp = self.q().sub(&BigUint::one());
-        self.pow(a, &exp)
-    }
-
     /// Reduces an arbitrary integer modulo the subgroup order `q`.
     pub fn reduce_scalar(&self, x: &BigUint) -> BigUint {
         self.inner.q_ctx.reduce(x)
@@ -359,12 +352,25 @@ impl Group {
         Ok(())
     }
 
-    /// Checks that `x` is a valid element of the order-`q` subgroup.
+    /// Checks that `x` is a valid element of the order-`q` subgroup:
+    /// `0 < x < p` and `x^q ≡ 1 (mod p)`. Because `p = 2q + 1` is prime,
+    /// `x^q = x^((p-1)/2)` *is* the Legendre symbol `(x|p)` (Euler's
+    /// criterion), so the exponentiation is never run: the symbol comes out
+    /// of [`BigUint::jacobi`] for the price of a few multiplications.
+    ///
+    /// Variable time in `x`, which is public at every call site (a key from
+    /// a certificate, the `c1` header of a ciphertext).
     pub fn is_element(&self, x: &BigUint) -> bool {
+        !x.is_zero() && x < self.p() && x.jacobi(self.p()) == 1
+    }
+
+    /// The definition [`Self::is_element`] must agree with, bit for bit:
+    /// the subgroup exponentiation it replaced, kept as the tests' oracle.
+    #[cfg(test)]
+    fn is_element_by_exponentiation(&self, x: &BigUint) -> bool {
         if x.is_zero() || x >= self.p() {
             return false;
         }
-        // Subgroup membership: x^q == 1 mod p.
         self.pow(x, self.q()) == BigUint::one()
     }
 
@@ -461,10 +467,43 @@ impl FixedBaseTable {
     }
 }
 
+/// Encodings a hostile peer can put where a group element belongs (a key in
+/// a certificate, the `c1` of a ciphertext), each with whether it names an
+/// element of the subgroup. Shared by the decoders' tests.
+#[cfg(test)]
+pub(crate) fn hostile_element_encodings(group: &Group) -> Vec<(&'static str, Vec<u8>, bool)> {
+    let one = BigUint::one();
+    let element = group.pow_g(&BigUint::from_u64(0xC0FFEE));
+    let padded = |x: &BigUint| [vec![0u8; 3], group.element_to_bytes(x)].concat();
+    vec![
+        ("empty", Vec::new(), false),
+        ("zero", vec![0u8; group.element_len()], false),
+        (
+            "order-2 element p-1",
+            group.p().sub(&one).to_bytes_be(),
+            false,
+        ),
+        ("p", group.p().to_bytes_be(), false),
+        ("p+1", group.p().add(&one).to_bytes_be(), false),
+        ("element + p", element.add(group.p()).to_bytes_be(), false),
+        ("all ones", vec![0xff; group.element_len()], false),
+        ("over-long", vec![0xab; 2 * group.element_len() + 5], false),
+        (
+            "zero-padded non-element",
+            padded(&group.p().sub(&element)),
+            false,
+        ),
+        ("zero-padded element", padded(&element), true),
+        ("minimal element", element.to_bytes_be(), true),
+        ("one", vec![1], true),
+    ]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bigint::random_below;
+    use proptest::prelude::*;
 
     /// Transcription guard: the generator must have order exactly q. If a
     /// prime constant were mistyped this would fail with overwhelming
@@ -497,16 +536,6 @@ mod tests {
     }
 
     #[test]
-    fn invert_is_inverse() {
-        let g = Group::test_group();
-        let mut rng = rand::thread_rng();
-        let x = random_below(g.q(), &mut rng);
-        let elem = g.pow_g(&x);
-        let inv = g.invert(&elem);
-        assert_eq!(g.mul(&elem, &inv), BigUint::one());
-    }
-
-    #[test]
     fn elements_are_in_subgroup() {
         let g = Group::test_group();
         let mut rng = rand::thread_rng();
@@ -523,6 +552,117 @@ mod tests {
         // p ≡ 3 (mod 4), so -1 ≡ p-1 is a quadratic non-residue and hence
         // outside the order-q subgroup.
         assert!(!g.is_element(&g.p().sub(&BigUint::one())));
+    }
+
+    fn builtin_groups() -> [Group; 3] {
+        [Group::modp_768(), Group::modp_1024(), Group::modp_2048()]
+    }
+
+    #[test]
+    fn is_element_matches_the_exponentiation_on_the_edge_values() {
+        for g in builtin_groups() {
+            let one = BigUint::one();
+            let all_ones = BigUint::one().shl(8 * g.element_len()).sub(&one);
+            let edges = [
+                (BigUint::zero(), false),
+                (one.clone(), true),
+                // p ≡ 7 (mod 8): 2 is a residue, and q = -1/2 is not.
+                (BigUint::from_u64(2), true),
+                (BigUint::from_u64(4), true),
+                (g.q().clone(), false),
+                (g.p().sub(&one), false),
+                (g.p().clone(), false),
+                (g.p().add(&one), false),
+                (all_ones, false),
+            ];
+            for (x, want) in edges {
+                assert_eq!(
+                    g.is_element_by_exponentiation(&x),
+                    want,
+                    "{} oracle {x}",
+                    g.name()
+                );
+                assert_eq!(g.is_element(&x), want, "{} {x}", g.name());
+            }
+        }
+    }
+
+    /// One value of every shape the differential test covers, derived from
+    /// the case's raw bytes: subgroup elements, their negations (never
+    /// elements: p ≡ 3 mod 4 makes -1 a non-residue), uniform residues,
+    /// whole zero limbs at the bottom and at the top, small integers.
+    fn candidates(g: &Group, raw: &[u8], small: u64) -> Vec<BigUint> {
+        let wide = BigUint::from_bytes_be(raw);
+        let element = g.pow_g(&g.reduce_scalar(&wide));
+        let short = BigUint::from_bytes_be(&raw[..g.element_len() - 16]);
+        vec![
+            g.p().sub(&element),
+            element,
+            wide.rem(g.p()),
+            short.shl(64),
+            short.shl(128),
+            BigUint::from_bytes_be(&raw[..raw.len() / 3]),
+            BigUint::from_bytes_be(&raw[..9]),
+            BigUint::from_u64(small),
+        ]
+    }
+
+    fn assert_agrees_with_the_exponentiation(g: &Group, raw: &[u8], small: u64) {
+        for x in candidates(g, raw, small) {
+            assert_eq!(
+                g.is_element(&x),
+                g.is_element_by_exponentiation(&x),
+                "{} disagrees on {x}",
+                g.name()
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn prop_is_element_matches_the_exponentiation_768(
+            raw in proptest::collection::vec(any::<u8>(), 104..105),
+            small in 0u64..1001,
+        ) {
+            assert_agrees_with_the_exponentiation(&Group::modp_768(), &raw, small);
+        }
+
+        #[test]
+        fn prop_is_element_matches_the_exponentiation_1024(
+            raw in proptest::collection::vec(any::<u8>(), 136..137),
+            small in 0u64..1001,
+        ) {
+            assert_agrees_with_the_exponentiation(&Group::modp_1024(), &raw, small);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn prop_is_element_matches_the_exponentiation_2048(
+            raw in proptest::collection::vec(any::<u8>(), 264..265),
+            small in 0u64..1001,
+        ) {
+            assert_agrees_with_the_exponentiation(&Group::modp_2048(), &raw, small);
+        }
+    }
+
+    #[test]
+    fn differential_candidates_cover_both_verdicts_and_the_limb_shapes() {
+        // Guards the generator, not the kernel: a differential test whose
+        // inputs were all rejected by the range check would prove nothing.
+        let g = Group::modp_768();
+        let raw: Vec<u8> = (0..104u8)
+            .map(|i| i.wrapping_mul(37).wrapping_add(11))
+            .collect();
+        let xs = candidates(&g, &raw, 7);
+        assert!(!g.is_element(&xs[0]) && g.is_element(&xs[1]));
+        assert!(xs.iter().all(|x| x < g.p()));
+        assert!(xs[3].low_u64() == 0 && xs[4].shr(64).low_u64() == 0);
+        assert!(xs[5].bits() < g.p().bits() / 2 && xs[6].bits() <= 72);
     }
 
     #[test]

@@ -595,12 +595,21 @@ mod tests {
     }
 
     #[test]
-    fn public_key_rejects_non_element() {
-        // p-1 is a quadratic non-residue (p ≡ 3 mod 4), outside the subgroup.
-        let group = Group::test_group();
-        let bad = group.p().sub(&crate::bigint::BigUint::one()).to_bytes_be();
-        let err = VerifyingKey::from_bytes(group, &bad).unwrap_err();
-        assert_eq!(err, CryptoError::InvalidGroupElement);
+    fn public_key_decoding_accepts_exactly_the_subgroup() {
+        // Among them p-1, the order-2 element: a quadratic non-residue
+        // (p ≡ 3 mod 4), outside the subgroup.
+        for group in [Group::modp_768(), Group::modp_1024(), Group::modp_2048()] {
+            for (what, bytes, element) in crate::group::hostile_element_encodings(&group) {
+                let got = VerifyingKey::from_bytes(group.clone(), &bytes);
+                match got {
+                    Ok(vk) if element => {
+                        assert_eq!(vk.element(), &BigUint::from_bytes_be(&bytes), "{what}")
+                    }
+                    Err(CryptoError::InvalidGroupElement) if !element => {}
+                    other => panic!("{} {what}: {other:?}", group.name()),
+                }
+            }
+        }
     }
 
     #[test]

@@ -94,42 +94,20 @@ impl Sha256 {
 
     /// Completes the hash and returns the 32-byte digest.
     pub fn finalize(mut self) -> [u8; DIGEST_LEN] {
+        // Padding: 0x80, zeros up to 56 mod 64, then the 64-bit big-endian
+        // bit length — built in the block buffer itself (`buffer_len` is
+        // always < 64 between calls), spilling into a second block when
+        // the length field no longer fits.
         let bit_len = self.total_len.wrapping_mul(8);
-        // Padding: 0x80 then zeros then 64-bit big-endian length.
-        let mut pad = [0u8; BLOCK_LEN * 2];
-        pad[0] = 0x80;
-        let pad_len = if self.buffer_len < 56 {
-            56 - self.buffer_len
-        } else {
-            120 - self.buffer_len
-        };
-        let mut tail = Vec::with_capacity(pad_len + 8);
-        tail.extend_from_slice(&pad[..pad_len]);
-        tail.extend_from_slice(&bit_len.to_be_bytes());
-        // Manual update that doesn't change total_len semantics (we already
-        // captured the message length).
-        let mut input = tail.as_slice();
-        if self.buffer_len > 0 {
-            let need = BLOCK_LEN - self.buffer_len;
-            let take = need.min(input.len());
-            let off = self.buffer_len;
-            self.buffer[off..off + take].copy_from_slice(&input[..take]);
-            self.buffer_len += take;
-            input = &input[take..];
-            if self.buffer_len == BLOCK_LEN {
-                let block = self.buffer;
-                self.compress(&block);
-                self.buffer_len = 0;
-            }
+        let mut block = self.buffer;
+        block[self.buffer_len] = 0x80;
+        block[self.buffer_len + 1..].fill(0);
+        if self.buffer_len >= BLOCK_LEN - 8 {
+            self.compress(&block);
+            block = [0u8; BLOCK_LEN];
         }
-        while input.len() >= BLOCK_LEN {
-            let (block, rest) = input.split_at(BLOCK_LEN);
-            let mut tmp = [0u8; BLOCK_LEN];
-            tmp.copy_from_slice(block);
-            self.compress(&tmp);
-            input = rest;
-        }
-        debug_assert!(input.is_empty() && self.buffer_len == 0);
+        block[BLOCK_LEN - 8..].copy_from_slice(&bit_len.to_be_bytes());
+        self.compress(&block);
         let mut out = [0u8; DIGEST_LEN];
         for (i, word) in self.state.iter().enumerate() {
             out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
@@ -269,6 +247,44 @@ mod tests {
         let a = b"hello ".as_slice();
         let b = b"world".as_slice();
         assert_eq!(sha256_concat(&[a, b]), sha256(b"hello world"));
+    }
+
+    proptest::proptest! {
+        // Every padding shape (lengths 0..=300 cross the 55/56 and 63/64
+        // boundaries four times) under every way of feeding the message;
+        // the one-shot digests are pinned to an outside reference below.
+        #[test]
+        fn prop_digest_is_independent_of_how_the_message_is_split(
+            len in 0usize..301,
+            a in 0usize..301,
+            b in 0usize..301,
+        ) {
+            let data = pattern(len);
+            let (a, b) = (a.min(b).min(len), a.max(b).min(len));
+            let mut h = Sha256::new();
+            h.update(&data[..a]).update(&data[a..b]).update(&data[b..]);
+            proptest::prop_assert_eq!(h.finalize(), sha256(&data));
+        }
+    }
+
+    /// The message the length sweeps hash: `len` bytes of a fixed pattern.
+    fn pattern(len: usize) -> Vec<u8> {
+        (0..len).map(|i| (i * 131 + 7) as u8).collect()
+    }
+
+    #[test]
+    fn digests_of_every_length_to_300_are_the_reference_ones() {
+        // Hash of the 301 digests of `pattern(0..=300)`, computed with
+        // Python's hashlib: every padding shape against an outside
+        // implementation, in one constant.
+        let mut all = Sha256::new();
+        for len in 0..=300 {
+            all.update(&sha256(&pattern(len)));
+        }
+        assert_eq!(
+            hex_encode(&all.finalize()),
+            "7722024365d27836079cbf29de35d060b9383d7c713083199661392f983216d4"
+        );
     }
 
     #[test]

@@ -297,7 +297,12 @@ impl FileBackend {
         let tail_reason = tail.map(|t| t.to_string());
 
         let truncated = file_len.saturating_sub(valid_len);
-        if truncated > 0 || tail_reason.is_some() {
+        // A file with no trusted header — zero-length included, which scans
+        // as "nothing to cut" — must be given one here: `Wal::append_block`
+        // writes the header only when it creates the file, and frames
+        // appended to a headerless file are trusted by no later recovery.
+        let headerless = valid_len < WAL_MAGIC.len() as u64 && self.vfs.exists(WAL_FILE);
+        if truncated > 0 || tail_reason.is_some() || headerless {
             self.stats
                 .set_recovery_phase(recovery_phase::TRUNCATE, truncated);
             let (mut span, _guard) = obs_span::enter("recovery.truncate");
@@ -326,12 +331,10 @@ impl FileBackend {
         self.expected_next = chain_height;
         self.prev_hash = chain.tip().map_or([0u8; 32], BlockHeader::hash);
         // A repaired all-garbage file is recreated as a bare header.
-        self.wal_bytes = if valid_len >= WAL_MAGIC.len() as u64 {
-            valid_len
-        } else if self.vfs.exists(WAL_FILE) {
+        self.wal_bytes = if headerless {
             WAL_MAGIC.len() as u64
         } else {
-            0
+            valid_len
         };
         self.poisoned = false;
         self.loaded = true;
@@ -504,6 +507,27 @@ mod tests {
         assert_eq!(recovered.chain.blocks(), blocks);
         assert_eq!(recovered.report.chain_height, 6);
         assert_eq!(recovered.report.truncated_bytes, 0);
+    }
+
+    #[test]
+    fn zero_length_wal_gets_its_header_back_before_the_first_append() {
+        // What a crash between creating the file and writing its header
+        // leaves behind. Frames appended after it must survive a reopen.
+        let vfs = Arc::new(MemVfs::new());
+        vfs.create(WAL_FILE, b"").unwrap();
+        vfs.sync(WAL_FILE).unwrap();
+        let blocks = chain(3);
+        {
+            let (mut backend, recovered) = open(&vfs);
+            assert_eq!(recovered.report.chain_height, 0);
+            assert_eq!(recovered.report.wal_bytes, vfs.len(WAL_FILE).unwrap());
+            for b in &blocks {
+                backend.append_block(b).unwrap();
+            }
+        }
+        let (_backend, recovered) = open(&vfs);
+        assert_eq!(recovered.chain.blocks(), blocks);
+        assert_eq!(recovered.report.tail, None);
     }
 
     #[test]
@@ -880,7 +904,10 @@ mod tests {
                 };
             }
             let truncated = file_len.saturating_sub(valid_len);
-            if truncated > 0 || tail_reason.is_some() {
+            // The zero-length-file repair is newer than the serial load;
+            // both sides need it to leave the same disk behind.
+            let headerless = vfs.exists(WAL_FILE) && valid_len < WAL_MAGIC.len() as u64;
+            if truncated > 0 || tail_reason.is_some() || headerless {
                 Wal::new(vfs, WAL_FILE).truncate_to(valid_len).unwrap();
             }
             let chain_height = blocks.len() as u64;
@@ -1118,7 +1145,12 @@ mod tests {
             );
             let empty_file = MemVfs::new();
             empty_file.create(WAL_FILE, b"").unwrap();
-            assert_matches_the_serial_recovery(&empty_file);
+            let outcome = assert_matches_the_serial_recovery(&empty_file);
+            assert_eq!(
+                outcome.disk,
+                vec![(WAL_FILE.to_string(), WAL_MAGIC.to_vec())]
+            );
+            assert_eq!(outcome.report.truncated_bytes, 0);
         }
 
         proptest! {

@@ -1167,6 +1167,36 @@ mod durable_ledger {
     }
 
     #[test]
+    fn std_vfs_soak_zero_length_wal_gets_its_header_before_the_first_append() {
+        // What a kill between creating `wal.log` and writing its header
+        // leaves in a real directory. Recovery has to repair it: frames
+        // appended behind a missing header are trusted by no later reopen.
+        let dir = std::env::temp_dir().join(format!("tdt-chaos-{}-empty-wal", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("create soak dir");
+        std::fs::write(dir.join("wal.log"), b"").expect("create the empty wal");
+        let p = parts();
+        let config = FileConfig::default();
+        let mut peer = open_on_dir(&p, &dir, &config);
+        assert_eq!(peer.height(), 0);
+        peer.validate_and_commit(Block::genesis(vec![b"config".to_vec()]))
+            .expect("genesis on a healthy disk");
+        for i in 0..2 {
+            let (block, _) = put_block(&p, &peer, i);
+            peer.validate_and_commit(block)
+                .expect("commit on a healthy disk");
+        }
+        let committed = peer.state_hash();
+        drop(peer);
+        let peer = open_on_dir(&p, &dir, &config);
+        let report = peer.recovery_report().expect("opened via with_backend");
+        assert_eq!((peer.height(), &report.tail), (3, &None), "{report:?}");
+        assert_eq!(peer.state_hash(), committed);
+        drop(peer);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn std_vfs_soak_recovers_a_verified_prefix_from_real_file_damage_and_replays_from_its_seed() {
         let seed = chaos_seed();
         let first = run_std_vfs_soak(seed, 24, "a");

@@ -364,6 +364,115 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
+// Hostile key material in a query's certificate: the source driver decodes
+// the requester's signing key before anything else and peers decode the
+// encryption key to answer confidentially — both with attacker-chosen
+// bytes. Every such query is refused with an error, never a panic.
+// ---------------------------------------------------------------------------
+
+/// `bytes` where a group element belongs, by `kind`: the order-2 element
+/// p-1, values >= p, zero-padded and over-long encodings, nothing at all,
+/// and plain noise.
+fn hostile_key_bytes(kind: usize, noise: &[u8]) -> Vec<u8> {
+    use tdt::crypto::bigint::BigUint;
+    let group = tdt::crypto::group::Group::test_group();
+    let p = group.p();
+    let one = BigUint::one();
+    let non_residue = p.sub(&group.pow_g(&BigUint::from_bytes_be(&noise[..8])));
+    match kind {
+        0 => p.sub(&one).to_bytes_be(),
+        1 => p.to_bytes_be(),
+        2 => p.add(&BigUint::from_bytes_be(noise)).to_bytes_be(),
+        3 => [vec![0u8; 5], group.element_to_bytes(&non_residue)].concat(),
+        4 => [noise, noise, noise, noise, noise].concat(),
+        5 => Vec::new(),
+        6 => vec![0u8; group.element_len()],
+        _ => non_residue.to_bytes_be(),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn prop_query_with_hostile_certificate_keys_is_refused_without_a_panic(
+        kind in 0usize..8,
+        noise in proptest::collection::vec(any::<u8>(), 40..41),
+        in_signing_key in any::<bool>(),
+        confidential in any::<bool>(),
+    ) {
+        use tdt::interop::driver::{query_auth_bytes, FabricDriver};
+        use tdt::relay::driver::NetworkDriver;
+        use tdt::wire::messages::{encode_certificate, AuthInfo, VerificationPolicy};
+        thread_local! {
+            static FIXTURE: (FabricDriver, tdt::fabric::msp::Identity) = {
+                let testbed = tdt::interop::setup::stl_swt_testbed();
+                tdt::interop::setup::issue_sample_bl(&testbed, "PO-1001");
+                (
+                    FabricDriver::new(std::sync::Arc::clone(&testbed.stl)),
+                    testbed.swt_seller_client.clone(),
+                )
+            };
+        }
+        FIXTURE.with(|(driver, client)| {
+            let genuine = client.certificate();
+            let hostile = hostile_key_bytes(kind, &noise);
+            let (sign_key, enc_key) = if in_signing_key {
+                (hostile, genuine.enc_key_bytes().map(<[u8]>::to_vec))
+            } else {
+                (genuine.sign_key_bytes().to_vec(), Some(hostile))
+            };
+            let cert = tdt::crypto::cert::Certificate::assemble(
+                genuine.subject().clone(),
+                genuine.serial(),
+                genuine.group_name().to_string(),
+                sign_key,
+                enc_key,
+                genuine.issuer().clone(),
+                genuine.signature().cloned(),
+            );
+            let mut policy = VerificationPolicy::all_of_orgs(["seller-org", "carrier-org"]);
+            if confidential {
+                policy = policy.with_confidentiality();
+            }
+            let mut query = Query {
+                request_id: "req-hostile".into(),
+                address: NetworkAddress::new("stl", "trade-channel", "TradeLensCC", "GetBillOfLading")
+                    .with_arg(b"PO-1001".to_vec()),
+                policy,
+                auth: AuthInfo {
+                    network_id: "swt".into(),
+                    organization_id: "seller-bank-org".into(),
+                    certificate: encode_certificate(&cert),
+                    signature: Vec::new(),
+                },
+                nonce: noise[..16].to_vec(),
+                invocation: false,
+            };
+            // Signed by the genuine key: with the genuine signing key in
+            // the certificate the signature check passes and the hostile
+            // encryption key travels on to the peers.
+            query.auth.signature = client.signing_key().sign(&query_auth_bytes(&query)).to_bytes();
+            match driver.execute_query(&query) {
+                Err(e) if in_signing_key => prop_assert!(
+                    e.to_string().contains("authentication failed"),
+                    "hostile signing key: {e}"
+                ),
+                // The certificate no longer is what the CA signed, so the
+                // exposure check refuses it before any key is used.
+                Ok(response) if !in_signing_key => prop_assert_eq!(
+                    response.status,
+                    tdt::wire::messages::ResponseStatus::AccessDenied,
+                    "{:?}", response.error
+                ),
+                other => prop_assert!(false, "kind {kind}: {other:?}"),
+            }
+            Ok(())
+        })?;
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Proof mutation resistance: no single byte flip may change the accepted
 // result.
 // ---------------------------------------------------------------------------
