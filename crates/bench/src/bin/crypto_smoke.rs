@@ -1,45 +1,66 @@
 //! Before/after microbenchmarks for the crypto hot path, one row per
 //! builtin group (`BENCH_crypto.json`, schema `crypto/v1`).
 //!
-//! * **Schnorr verify** — the "before" column re-runs the pre-overhaul
-//!   verify equation through the still-public Barrett APIs: two
-//!   `BarrettContext::modexp` calls (`g^s`, `y^(q-e)`), a `modmul` join, and
-//!   the challenge re-hash. The "after" column runs `schnorr::batch_verify`
-//!   over the same signatures with cached per-key fixed-base tables — the
-//!   steady state the cert cache maintains (`CertChainCache::key_table`).
+//! * **Schnorr verify** — the "before" column runs the verify equation
+//!   `g^s · y^e` the pre-overhaul way, through the still-public Barrett APIs:
+//!   two `BarrettContext::modexp` calls (a full-width `s`, the 256-bit
+//!   challenge `e`), a `modmul` join, and the challenge re-hash. The "after"
+//!   column runs `schnorr::batch_verify` over the same signatures with cached
+//!   per-key fixed-base tables — the steady state the cert cache maintains
+//!   (`CertChainCache::key_table`).
 //! * **Subgroup membership** — the definition, `x^q == 1 (mod p)` through
 //!   `Group::pow` (what `Group::is_element` ran before it computed the
 //!   Legendre symbol instead), against the shipped `Group::is_element`.
-//! * What membership sits inside: `VerifyingKey::from_bytes`, ElGamal
-//!   encrypt/decrypt, `Certificate::verify`.
+//! * **Exponent length** — the exponentiations of an ElGamal encrypt
+//!   (`g^k`, `y^k`) and decrypt (`c1^x`) with an exponent drawn from all of
+//!   `[1, q)` through `Group::pow_g`/`Group::pow` (what they cost before
+//!   `k` and `x` became 256-bit), against the shipped `encrypt_deterministic`
+//!   and `decrypt`, which also pay the KDF, the stream cipher and the MAC.
+//! * What else membership and the short challenge sit inside:
+//!   `VerifyingKey::from_bytes`, `Certificate::verify`.
 //!
 //! Usage: `cargo run -p tdt-bench --release --bin crypto_smoke --
 //!            [--check] [--out PATH] [--label NAME]`
 //!
 //! `--check` exits non-zero unless the amortized verify speedup at modp2048
-//! is at least [`REQUIRED_SPEEDUP_2048`]× and the shipped membership test
-//! beats its definition by [`REQUIRED_MEMBERSHIP_SPEEDUP`] — the CI
-//! regression guards. `--out` writes the rows as JSON, one per line; the
-//! file is a trajectory: rows already in it under another `--label`
+//! is at least [`REQUIRED_SPEEDUP_2048`]×, the shipped membership test beats
+//! its definition by [`REQUIRED_MEMBERSHIP_SPEEDUP`] and shipped ElGamal
+//! beats its full-width exponentiations by [`REQUIRED_SHORT_EXPONENT_SPEEDUP`]
+//! — the CI regression guards. `--out` writes the rows as JSON, one per
+//! line; the file is a trajectory: rows already in it under another `--label`
 //! (default `this`) are kept, so a parent commit's rows and a change's rows
 //! sit side by side (`--out BENCH_crypto.json --label prN`).
 
 use std::sync::Arc;
 use std::time::Instant;
 use tdt_bench::{arg_after, trajectory_rows};
-use tdt_crypto::bigint::{BarrettContext, BigUint};
+use tdt_crypto::bigint::{random_below, BarrettContext, BigUint};
 use tdt_crypto::cert::{CertRole, CertificateAuthority};
 use tdt_crypto::elgamal::DecryptionKey;
 use tdt_crypto::group::Group;
 use tdt_crypto::schnorr::{batch_verify, BatchItem, Signature, SigningKey, VerifyingKey};
+use tdt_crypto::sha256::sha256_concat;
 
-/// Hard floor enforced by `--check` at modp2048.
-const REQUIRED_SPEEDUP_2048: f64 = 5.0;
+/// Hard floor enforced by `--check` at modp2048. Both sides now compute
+/// `g^s · y^e` with a 256-bit `e`: 2047 + 256 Barrett exponent bits against
+/// 512 + 64 table multiplications striped over the cores. Measured 6.8–7.1×
+/// on 2 vCPUs when the challenge was shortened, 13× in the runs where the
+/// second vCPU was really there (the old equation: 5.0–7.6× on the same box
+/// in the same hour).
+const REQUIRED_SPEEDUP_2048: f64 = 4.0;
 
 /// Floors `--check` enforces on shipped `is_element` vs `x^q == 1`, per
 /// group. Measured 25× and 98× when the Legendre symbol went in; the floors
 /// leave room for a noisy runner, not for an exponentiation coming back.
 const REQUIRED_MEMBERSHIP_SPEEDUP: [(&str, f64); 2] = [("modp768", 8.0), ("modp2048", 25.0)];
+
+/// Floors `--check` enforces on shipped ElGamal encrypt *and* decrypt vs the
+/// same exponentiations with a `[1, q)` exponent, per group. 256 bits against
+/// 767 and 2047: the arithmetic says 3× and 8×, measured 2.5× and 6.7–7.4×
+/// when the exponents were shortened (the shipped side also pays the KDF,
+/// stream cipher, MAC and membership check); the floors catch a full-width
+/// exponent coming back, not a noisy runner.
+const REQUIRED_SHORT_EXPONENT_SPEEDUP: [(&str, f64); 2] = [("modp768", 2.0), ("modp2048", 4.0)];
 
 /// Signatures per batch. Small enough for a CI smoke run, large enough
 /// that the batch aggregate and challenge striping amortize.
@@ -90,9 +111,9 @@ fn fixture(group: &Group) -> Fixture {
     }
 }
 
-/// The pre-overhaul verify: Barrett `modexp` twice, `modmul`, re-hash.
-/// Byte-for-byte the old equation, driven through the public Barrett API
-/// that one-shot reductions still use.
+/// The pre-overhaul verify of today's equation `g^s · y^e`: Barrett `modexp`
+/// twice, `modmul`, re-hash — driven through the public Barrett API that
+/// one-shot reductions still use.
 fn verify_barrett_baseline(
     barrett: &BarrettContext,
     group: &Group,
@@ -102,15 +123,18 @@ fn verify_barrett_baseline(
 ) {
     let (e, s) = sig.scalars(group).expect("smoke signature decodes"); // lint:allow(panic: "smoke fixture: signatures were just produced by sign")
     let gs = barrett.modexp(group.generator(), &s);
-    let ye = barrett.modexp(vk.element(), &group.q().sub(&e));
+    let ye = barrett.modexp(vk.element(), &e);
     let r_prime = barrett.modmul(&gs, &ye);
-    let e_prime = group.hash_to_scalar(&[
-        b"tdt-schnorr",
+    let e_prime = sha256_concat(&[
+        b"tdt-schnorr-e256",
         &group.element_to_bytes(&r_prime),
         &group.element_to_bytes(vk.element()),
         message,
     ]);
-    assert!(e_prime == e, "baseline verify must accept the fixture");
+    assert!(
+        BigUint::from_bytes_be(&e_prime) == e,
+        "baseline verify must accept the fixture"
+    );
 }
 
 /// Minimum wall time over [`ROUNDS`] runs of `f`, in seconds.
@@ -134,7 +158,9 @@ struct Row {
     is_element_oracle_us: f64,
     is_element_us: f64,
     vk_from_bytes_us: f64,
+    elgamal_encrypt_full_exp_us: f64,
     elgamal_encrypt_us: f64,
+    elgamal_decrypt_full_exp_us: f64,
     elgamal_decrypt_us: f64,
     cert_verify_us: f64,
 }
@@ -144,16 +170,25 @@ impl Row {
         self.is_element_oracle_us / self.is_element_us
     }
 
+    /// The smaller of the encrypt and decrypt gains: both must clear the floor.
+    fn short_exponent_speedup(&self) -> f64 {
+        let encrypt = self.elgamal_encrypt_full_exp_us / self.elgamal_encrypt_us;
+        let decrypt = self.elgamal_decrypt_full_exp_us / self.elgamal_decrypt_us;
+        encrypt.min(decrypt)
+    }
+
     fn json(&self, label: &str) -> String {
         format!(
-            "    {{\"label\": \"{label}\", \"group\": \"{}\", \"verify_barrett_us\": {:.1}, \"verify_batch_us\": {:.1}, \"is_element_oracle_us\": {:.1}, \"is_element_us\": {:.1}, \"vk_from_bytes_us\": {:.1}, \"elgamal_encrypt_us\": {:.1}, \"elgamal_decrypt_us\": {:.1}, \"cert_verify_us\": {:.1}}}",
+            "    {{\"label\": \"{label}\", \"group\": \"{}\", \"verify_barrett_us\": {:.1}, \"verify_batch_us\": {:.1}, \"is_element_oracle_us\": {:.1}, \"is_element_us\": {:.1}, \"vk_from_bytes_us\": {:.1}, \"elgamal_encrypt_full_exp_us\": {:.1}, \"elgamal_encrypt_us\": {:.1}, \"elgamal_decrypt_full_exp_us\": {:.1}, \"elgamal_decrypt_us\": {:.1}, \"cert_verify_us\": {:.1}}}",
             self.name,
             self.before_us,
             self.after_us,
             self.is_element_oracle_us,
             self.is_element_us,
             self.vk_from_bytes_us,
+            self.elgamal_encrypt_full_exp_us,
             self.elgamal_encrypt_us,
+            self.elgamal_decrypt_full_exp_us,
             self.elgamal_decrypt_us,
             self.cert_verify_us,
         )
@@ -214,6 +249,13 @@ fn measure(group: &Group) -> Row {
     let ciphertext = ek.encrypt_deterministic(&plaintext, b"smoke");
     let elgamal_encrypt_us = us_per_call(|| ek.encrypt_deterministic(&plaintext, b"smoke"));
     let elgamal_decrypt_us = us_per_call(|| dk.decrypt(&ciphertext).is_ok());
+    // The same exponentiations with an exponent from all of [1, q); any
+    // subgroup element stands in for the recipient key and for `c1`.
+    let full = random_below(group.q(), &mut rand::thread_rng());
+    let element = group.pow_g(&full);
+    let elgamal_encrypt_full_exp_us =
+        us_per_call(|| (group.pow_g(&full), group.pow(&element, &full)));
+    let elgamal_decrypt_full_exp_us = us_per_call(|| group.pow(&element, &full));
     let mut ca = CertificateAuthority::new("smoke-net", "smoke-org", group.clone(), b"smoke-ca");
     let root = ca.root_certificate().clone();
     let certs: Vec<_> = fx
@@ -232,7 +274,9 @@ fn measure(group: &Group) -> Row {
         is_element_oracle_us,
         is_element_us,
         vk_from_bytes_us,
+        elgamal_encrypt_full_exp_us,
         elgamal_encrypt_us,
+        elgamal_decrypt_full_exp_us,
         elgamal_decrypt_us,
         cert_verify_us,
     }
@@ -270,19 +314,30 @@ fn main() {
             row.name, row.before_us, row.after_us, row.speedup
         );
     }
-    println!("| group | x^q == 1 (us) | is_element (us) | speedup | VerifyingKey::from_bytes (us) | elgamal encrypt (us) | elgamal decrypt (us) | Certificate::verify (us) |");
-    println!("|---|---|---|---|---|---|---|---|");
+    println!("| group | x^q == 1 (us) | is_element (us) | speedup | VerifyingKey::from_bytes (us) | Certificate::verify (us) |");
+    println!("|---|---|---|---|---|---|");
     for row in &rows {
         println!(
-            "| {} | {:.1} | {:.1} | {:.1}x | {:.1} | {:.1} | {:.1} | {:.1} |",
+            "| {} | {:.1} | {:.1} | {:.1}x | {:.1} | {:.1} |",
             row.name,
             row.is_element_oracle_us,
             row.is_element_us,
             row.membership_speedup(),
             row.vk_from_bytes_us,
-            row.elgamal_encrypt_us,
-            row.elgamal_decrypt_us,
             row.cert_verify_us,
+        );
+    }
+    println!("| group | g^k, y^k full-width (us) | elgamal encrypt (us) | c1^x full-width (us) | elgamal decrypt (us) | smaller speedup |");
+    println!("|---|---|---|---|---|---|");
+    for row in &rows {
+        println!(
+            "| {} | {:.1} | {:.1} | {:.1} | {:.1} | {:.1}x |",
+            row.name,
+            row.elgamal_encrypt_full_exp_us,
+            row.elgamal_encrypt_us,
+            row.elgamal_decrypt_full_exp_us,
+            row.elgamal_decrypt_us,
+            row.short_exponent_speedup(),
         );
     }
 
@@ -309,6 +364,10 @@ fn main() {
         for (group, floor) in REQUIRED_MEMBERSHIP_SPEEDUP {
             let got = speedup_of(group, Row::membership_speedup);
             checks.push((group, "is_element vs x^q == 1", floor, got));
+        }
+        for (group, floor) in REQUIRED_SHORT_EXPONENT_SPEEDUP {
+            let got = speedup_of(group, Row::short_exponent_speedup);
+            checks.push((group, "elgamal vs full-width exponents", floor, got));
         }
         let mut failed = false;
         for (group, what, floor, got) in checks {

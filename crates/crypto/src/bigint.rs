@@ -882,12 +882,14 @@ impl MontgomeryCtx {
 /// Panics if `upper <= 1`.
 pub fn random_below<R: rand::RngCore>(upper: &BigUint, rng: &mut R) -> BigUint {
     assert!(upper > &BigUint::one(), "upper bound must exceed 1");
-    let byte_len = upper.bits().div_ceil(8);
+    // Sized by the largest value wanted, so a power of two never rejects.
+    let bits = upper.sub(&BigUint::one()).bits();
+    let byte_len = bits.div_ceil(8);
     loop {
         let mut bytes = vec![0u8; byte_len];
         rng.fill_bytes(&mut bytes);
         // Mask the top byte so the rejection rate stays below 50%.
-        let excess_bits = byte_len * 8 - upper.bits();
+        let excess_bits = byte_len * 8 - bits;
         bytes[0] &= 0xffu8 >> excess_bits;
         let candidate = BigUint::from_bytes_be(&bytes);
         if !candidate.is_zero() && &candidate < upper {
@@ -1089,11 +1091,13 @@ mod tests {
     #[test]
     fn random_below_in_range() {
         let mut rng = rand::thread_rng();
-        let upper = big("ff00000000000001");
-        for _ in 0..50 {
-            let v = random_below(&upper, &mut rng);
-            assert!(!v.is_zero());
-            assert!(v < upper);
+        // The last two are powers of two: [1, 2) and a whole-byte width.
+        for upper in [big("ff00000000000001"), big("2"), big("010000")] {
+            for _ in 0..50 {
+                let v = random_below(&upper, &mut rng);
+                assert!(!v.is_zero());
+                assert!(v < upper);
+            }
         }
     }
 

@@ -3,8 +3,8 @@
 //! Proof verification authenticates every attestation's signer
 //! certificate against the source network's recorded root (paper §4.3).
 //! The same few endorser certificates recur across proofs, so the full
-//! Schnorr chain validation — two modular exponentiations per check —
-//! is wasted work after the first success. A [`CertChainCache`] keyed by
+//! Schnorr chain validation — a fixed-base walk and a 256-bit
+//! exponentiation per check — is wasted work after the first success. A [`CertChainCache`] keyed by
 //! the digest of (certificate, signature, root) remembers successful
 //! validations until the next configuration epoch.
 //!
@@ -32,9 +32,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
 /// Maximum number of per-verifying-key fixed-base tables kept alive. A
-/// table at modp2048 is ~2 MiB (512 windows × 16 entries × 256 bytes), so
-/// the cache is bounded to the handful of endorser keys that recur across
-/// proofs; older entries are evicted in insertion order.
+/// table covers the 256-bit Schnorr challenge — 64 windows × 16 entries ×
+/// the element size: ≈ 98 KB at modp768, ≈ 262 KB at modp2048 — so a full
+/// cache is under 1 MB and 2.1 MB; it is bounded to the handful of endorser
+/// keys that recur across proofs, older entries evicted in insertion order.
 pub const KEY_TABLE_CAP: usize = 8;
 
 /// Shared cache of certificate chains that have already validated.
@@ -114,7 +115,7 @@ impl CertChainCache {
     ) -> Result<Result<VerifyingKey, CryptoError>, CryptoError> {
         let key = Self::key(cert, root);
         // Capture the epoch before validating. Chain validation runs
-        // outside any lock (it is two modular exponentiations), so a
+        // outside any lock (it is a signature verification), so a
         // configuration change can land mid-validation: without the
         // epoch re-check below, a chain validated under the *old* root
         // set could be inserted *after* `bump_epoch` cleared the table,
@@ -140,8 +141,8 @@ impl CertChainCache {
     }
 
     /// Returns the cached fixed-base table for `vk`'s element, building
-    /// and caching it on a miss (outside the lock — a build is seconds of
-    /// work at modp2048 and must not stall concurrent lookups). A full
+    /// and caching it on a miss (outside the lock — a build is about two
+    /// plain verifications and must not stall concurrent lookups). A full
     /// cache evicts its oldest entry.
     ///
     /// The returned `Arc` stays valid across an epoch bump or eviction;
@@ -155,7 +156,7 @@ impl CertChainCache {
     /// built one while the cache has room, else `None` (the caller verifies
     /// table-less). For callers whose signer set can exceed
     /// [`KEY_TABLE_CAP`] — a commit path cycling through more endorsers
-    /// than that would otherwise evict and rebuild a table (several plain
+    /// than that would otherwise evict and rebuild a table (about two plain
     /// verifications' worth of work) on every lookup.
     pub fn key_table_if_room(&self, vk: &VerifyingKey) -> Option<Arc<FixedBaseTable>> {
         self.table(vk, false)

@@ -9,12 +9,20 @@
 //! Construction (group `G` of order `q`, generator `g`, recipient key
 //! `y = g^x`):
 //!
-//! * encrypt(m): ephemeral `k ← [1, q)`, `c1 = g^k`, `shared = y^k`,
+//! * keygen: `x ← [1, 2^256)`, `y = g^x`
+//! * encrypt(m): ephemeral `k ← [1, 2^256)`, `c1 = g^k`, `shared = y^k`,
 //!   `K = SHA256("kem" ‖ c1 ‖ shared)`, `ct = Stream_K(m)`,
 //!   `tag = HMAC_K("tag" ‖ c1 ‖ ct)` — encrypt-then-MAC.
-//! * decrypt: `shared = c1^x`, recompute `K`, check tag, XOR back.
+//! * decrypt: check `c1` is in the subgroup, `shared = c1^x`, recompute `K`,
+//!   check tag, XOR back.
+//!
+//! Both secrets are short exponents ([`Group::short_exponent`]: twice the
+//! security level, not the modulus length), which is sound because `p` is a
+//! safe prime and every foreign `y` and `c1` is held to the order-`q`
+//! subgroup before a secret touches it. Keys and ciphertexts made with
+//! full-width exponents remain valid: nothing here depends on the length.
 
-use crate::bigint::{random_below, BigUint};
+use crate::bigint::BigUint;
 use crate::drbg::HmacDrbg;
 use crate::error::CryptoError;
 use crate::group::Group;
@@ -96,7 +104,7 @@ impl fmt::Debug for DecryptionKey {
 impl DecryptionKey {
     /// Generates a fresh random key pair.
     pub fn generate<R: rand::RngCore>(group: Group, rng: &mut R) -> Self {
-        let x = random_below(group.q(), rng);
+        let x = group.short_exponent(rng);
         let y = group.pow_g(&x);
         DecryptionKey { group, x, y }
     }
@@ -104,7 +112,7 @@ impl DecryptionKey {
     /// Derives a key pair deterministically from seed material.
     pub fn from_seed(group: Group, seed: &[u8]) -> Self {
         let mut drbg = HmacDrbg::from_parts(&[b"tdt-encryption-key", seed]);
-        let x = random_below(group.q(), &mut drbg);
+        let x = group.short_exponent(&mut drbg);
         let y = group.pow_g(&x);
         DecryptionKey { group, x, y }
     }
@@ -180,7 +188,7 @@ impl EncryptionKey {
 
     /// Encrypts `plaintext` with a fresh ephemeral key from `rng`.
     pub fn encrypt<R: rand::RngCore>(&self, plaintext: &[u8], rng: &mut R) -> Ciphertext {
-        let k = random_below(self.group.q(), rng);
+        let k = self.group.short_exponent(rng);
         self.encrypt_with_ephemeral(plaintext, &k)
     }
 
@@ -188,7 +196,7 @@ impl EncryptionKey {
     /// material (reproducible fixtures).
     pub fn encrypt_deterministic(&self, plaintext: &[u8], seed: &[u8]) -> Ciphertext {
         let mut drbg = HmacDrbg::from_parts(&[b"tdt-elgamal-eph", seed, plaintext]);
-        let k = random_below(self.group.q(), &mut drbg);
+        let k = self.group.short_exponent(&mut drbg);
         self.encrypt_with_ephemeral(plaintext, &k)
     }
 
@@ -322,6 +330,42 @@ mod tests {
                 CryptoError::InvalidGroupElement
             };
             assert_eq!(dk.decrypt(&ct), Err(want), "{what}");
+        }
+    }
+
+    #[test]
+    fn secrets_are_short_exponents() {
+        let g = Group::test_group();
+        let seeded = (0..32u32).map(|i| DecryptionKey::from_seed(g.clone(), &i.to_be_bytes()));
+        let fresh = (0..32).map(|_| DecryptionKey::generate(g.clone(), &mut rand::thread_rng()));
+        for keys in [seeded.collect::<Vec<_>>(), fresh.collect()] {
+            assert_eq!(keys.iter().map(|dk| dk.x.bits()).max(), Some(256));
+            // A short x still names a subgroup element.
+            assert!(keys.iter().all(|dk| g.is_element(&dk.y)));
+        }
+    }
+
+    /// Key material and ciphertexts from before exponents were shortened: a
+    /// decryption key anywhere in `[1, q)` and an ephemeral `k` anywhere in
+    /// `[1, q)` are still what `decrypt` and `encrypt_with_ephemeral` accept.
+    #[test]
+    fn full_width_keys_and_ciphertexts_still_work() {
+        let g = Group::test_group();
+        let x = g.q().sub(&BigUint::from_u64(0xBEEF));
+        let k = g.q().sub(&BigUint::from_u64(0xCAFE));
+        assert!(x.bits() == g.q().bits() && k.bits() == g.q().bits());
+        let legacy = DecryptionKey {
+            group: g.clone(),
+            y: g.pow_g(&x),
+            x,
+        };
+        let short = keypair();
+        for dk in [&legacy, &short] {
+            let ek = dk.encryption_key();
+            let full_k = ek.encrypt_with_ephemeral(b"before the change", &k);
+            assert_eq!(dk.decrypt(&full_k).unwrap(), b"before the change");
+            let short_k = ek.encrypt_deterministic(b"after the change", b"seed");
+            assert_eq!(dk.decrypt(&short_k).unwrap(), b"after the change");
         }
     }
 

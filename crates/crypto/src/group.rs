@@ -14,7 +14,7 @@
 //! The unit tests verify the subgroup structure (`g^q == 1 mod p`), which
 //! guards against transcription errors in the constants.
 
-use crate::bigint::{BarrettContext, BigUint, MontElem, MontgomeryCtx};
+use crate::bigint::{random_below, BarrettContext, BigUint, MontElem, MontgomeryCtx};
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
@@ -38,6 +38,13 @@ const MODP_2048_HEX: &str = "FFFFFFFFFFFFFFFFC90FDAA22168C234C4C6628B80DC1CD1290
      9ED529077096966D670C354E4ABC9804F1746C08CA18217C32905E462E36CE3B\
      E39E772C180E86039B2783A2EC07A28FB5C55DF06F4C52C9DE2BCBF695581718\
      3995497CEA956AE515D2261898FA051015728E5A8AACAA68FFFFFFFFFFFFFFFF";
+
+/// Bit length of every exponent this crate is free to choose — ElGamal's `k`
+/// and `x`, the Schnorr challenge `e`: twice the 128-bit security level, the
+/// short-exponent rule for a safe-prime group whose foreign elements all pass
+/// [`Group::is_element`] (RFC 7919 §5.2). DESIGN.md "Exponent length" has the
+/// argument and the exponents that must stay full-width.
+const SHORT_EXPONENT_BITS: usize = 256;
 
 /// A multiplicative group of prime order `q` inside `Z_p^*`.
 ///
@@ -173,32 +180,55 @@ impl Group {
         self.inner.p_mont.modexp(base, exp)
     }
 
+    /// Bit length of a short exponent in this group: `SHORT_EXPONENT_BITS`,
+    /// capped so that a short exponent is always a scalar below `q`.
+    pub fn short_exponent_bits(&self) -> usize {
+        SHORT_EXPONENT_BITS.min(self.q().bits() - 1)
+    }
+
+    /// Draws a secret exponent uniformly from `[1, 2^bits)`, `bits` being
+    /// [`Self::short_exponent_bits`]. For ElGamal only: Schnorr nonces drawn
+    /// here would hand out the signing key (see `SigningKey::sign`).
+    pub fn short_exponent<R: rand::RngCore>(&self, rng: &mut R) -> BigUint {
+        random_below(&BigUint::one().shl(self.short_exponent_bits()), rng)
+    }
+
     /// `g^exp mod p` via the cached fixed-base generator table: one
-    /// Montgomery multiplication per 4-bit window of the exponent, no
-    /// squarings at all.
+    /// Montgomery multiplication per 4-bit window, no squarings at all. The
+    /// windows walked are those of one of two public lengths, never of the
+    /// exponent's own: 64 for a short exponent (ElGamal `k`, `x`), all of
+    /// them for anything longer — a uniform `[1, q)` nonce is short with
+    /// probability 2^-511, so the choice says nothing about it.
     pub fn pow_g(&self, exp: &BigUint) -> BigUint {
         let ctx = &self.inner.p_mont;
-        match self.generator_table().pow_mont(ctx, exp) {
+        let short = self.short_exponent_bits();
+        let bits = if exp.bits() <= short {
+            short
+        } else {
+            self.q().bits()
+        };
+        match self.generator_table().pow_mont(ctx, exp, bits) {
             Some(acc) => ctx.from_mont(&acc),
             None => ctx.modexp(&self.inner.generator, exp),
         }
     }
 
     /// The fixed-base table for this group's generator, built on first use
-    /// and shared by every handle over the same (interned) group.
+    /// and shared by every handle over the same (interned) group. Full-width:
+    /// the Schnorr response `s` and nonce `k` range over all of `[1, q)`.
     pub fn generator_table(&self) -> Arc<FixedBaseTable> {
         self.inner
             .gen_table
-            .get_or_init(|| Arc::new(self.precompute_table(&self.inner.generator)))
+            .get_or_init(|| Arc::new(self.precompute_table(&self.inner.generator, self.q().bits())))
             .clone()
     }
 
-    /// Builds a fixed-base window table for `base`, sized for exponents up
-    /// to the subgroup order `q`. Cost ≈ 15 Montgomery multiplications per
-    /// 4-bit window — a few plain modexps — amortized over every later
-    /// [`Self::mul_exp_g`] call that uses it.
-    pub fn precompute_table(&self, base: &BigUint) -> FixedBaseTable {
-        FixedBaseTable::build(&self.inner.p_mont, base, self.q().bits())
+    /// Builds a fixed-base window table for `base`, sized for exponents of up
+    /// to `exp_bits` bits. Cost ≈ 15 Montgomery multiplications per 4-bit
+    /// window, amortized over every later [`Self::mul_exp_g`] call that uses
+    /// it.
+    pub fn precompute_table(&self, base: &BigUint, exp_bits: usize) -> FixedBaseTable {
+        FixedBaseTable::build(&self.inner.p_mont, base, exp_bits)
     }
 
     /// Simultaneous multi-exponentiation `Π base_i^exp_i mod p`
@@ -272,11 +302,11 @@ impl Group {
         y_table: Option<&FixedBaseTable>,
     ) -> BigUint {
         let ctx = &self.inner.p_mont;
-        let g_part = match self.generator_table().pow_mont(ctx, s) {
+        let g_part = match self.generator_table().pow_mont(ctx, s, self.q().bits()) {
             Some(v) => v,
             None => ctx.modexp_mont(&ctx.to_mont(&self.inner.generator), s),
         };
-        let y_part = match y_table.and_then(|t| t.pow_mont(ctx, e)) {
+        let y_part = match y_table.and_then(|t| t.pow_mont(ctx, e, t.capacity_bits())) {
             Some(v) => v,
             None => ctx.modexp_mont(&ctx.to_mont(y), e),
         };
@@ -301,33 +331,6 @@ impl Group {
     /// Scalar arithmetic mod `q`: `(a * b) mod q`.
     pub fn scalar_mul<'a>(&'a self, a: &'a BigUint) -> ScalarMul<'a> {
         ScalarMul { group: self, a }
-    }
-
-    /// Hashes arbitrary bytes to a nonzero scalar mod `q`.
-    pub fn hash_to_scalar(&self, parts: &[&[u8]]) -> BigUint {
-        // Expand to 2x the scalar width to keep the mod-q bias negligible,
-        // by hashing with two domain-separated counters.
-        let mut wide = Vec::with_capacity(64);
-        let mut h0 = crate::sha256::Sha256::new();
-        h0.update(b"tdt-h2s-0");
-        for p in parts {
-            h0.update(&(p.len() as u64).to_be_bytes());
-            h0.update(p);
-        }
-        wide.extend_from_slice(&h0.finalize());
-        let mut h1 = crate::sha256::Sha256::new();
-        h1.update(b"tdt-h2s-1");
-        for p in parts {
-            h1.update(&(p.len() as u64).to_be_bytes());
-            h1.update(p);
-        }
-        wide.extend_from_slice(&h1.finalize());
-        let scalar = self.reduce_scalar(&BigUint::from_bytes_be(&wide));
-        if scalar.is_zero() {
-            BigUint::one()
-        } else {
-            scalar
-        }
     }
 
     /// Validates the group parameters: `p` must be a safe prime and the
@@ -445,22 +448,26 @@ impl FixedBaseTable {
         self.table.len() * self.table.first().map_or(0, |e| e.limb_count() * 8)
     }
 
-    /// `base^exp` in Montgomery form, or `None` when `exp` exceeds the
-    /// precomputed range (callers fall back to a plain modexp).
-    pub fn pow_mont(&self, ctx: &MontgomeryCtx, exp: &BigUint) -> Option<MontElem> {
-        if exp.bits() > self.capacity_bits() {
+    /// `base^exp` in Montgomery form over the `bits.div_ceil(4)` low
+    /// windows, or `None` when `exp` is longer than `bits` or `bits`
+    /// than the table (callers fall back to a plain modexp). `bits` must
+    /// be a public length: every window walked multiplies whatever its digit,
+    /// so the work depends on it alone — the Schnorr nonce passes through
+    /// here, and stopping at the exponent's own top window would time it.
+    pub fn pow_mont(&self, ctx: &MontgomeryCtx, exp: &BigUint, bits: usize) -> Option<MontElem> {
+        if exp.bits() > bits || bits > self.capacity_bits() {
             return None;
         }
         let mut acc = ctx.one();
         let mut scratch = ctx.scratch();
-        for w in 0..self.windows {
+        for w in 0..bits.div_ceil(4) {
             let mut digit = 0usize;
             for b in 0..4 {
                 if exp.bit(w * 4 + b) {
                     digit |= 1 << b;
                 }
             }
-            // lint:allow(ct: "fixed-base exponents are public verify-side scalars; digit-indexed lookups here do not touch signing secrets — see DESIGN.md crypto hot path")
+            // lint:allow(ct: "the window count is a public length and every window multiplies; the digit-indexed lookup's cache footprint is the one accepted for modexp_mont — see DESIGN.md crypto hot path")
             ctx.mont_mul_assign(&mut acc, &self.table[w * 16 + digit], &mut scratch);
         }
         Some(acc)
@@ -502,7 +509,6 @@ pub(crate) fn hostile_element_encodings(group: &Group) -> Vec<(&'static str, Vec
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bigint::random_below;
     use proptest::prelude::*;
 
     /// Transcription guard: the generator must have order exactly q. If a
@@ -666,18 +672,6 @@ mod tests {
     }
 
     #[test]
-    fn hash_to_scalar_deterministic_and_domain_separated() {
-        let g = Group::test_group();
-        let a = g.hash_to_scalar(&[b"hello", b"world"]);
-        let b = g.hash_to_scalar(&[b"hello", b"world"]);
-        let c = g.hash_to_scalar(&[b"helloworld"]);
-        assert_eq!(a, b);
-        // Length prefixes must prevent concatenation ambiguity.
-        assert_ne!(a, c);
-        assert!(&a < g.q());
-    }
-
-    #[test]
     fn by_name_lookup() {
         assert_eq!(Group::by_name("modp768"), Some(Group::modp_768()));
         assert_eq!(Group::by_name("modp1024"), Some(Group::modp_1024()));
@@ -730,13 +724,80 @@ mod tests {
         let g = Group::test_group();
         let mut rng = rand::thread_rng();
         let base = g.pow_g(&random_below(g.q(), &mut rng));
-        let table = g.precompute_table(&base);
+        let table = g.precompute_table(&base, g.q().bits());
         assert!(table.capacity_bits() >= g.q().bits());
         assert!(table.approx_bytes() > 0);
         for _ in 0..4 {
             let e = random_below(g.q(), &mut rng);
             let got = g.mul_exp_g(&BigUint::zero(), &base, &e, Some(&table));
             assert_eq!(got, g.pow(&base, &e));
+        }
+    }
+
+    #[test]
+    fn short_exponents_are_nonzero_and_fill_exactly_their_256_bits() {
+        for g in builtin_groups() {
+            assert_eq!(g.short_exponent_bits(), 256, "{}", g.name());
+            let mut rng = rand::thread_rng();
+            let draws: Vec<BigUint> = (0..64).map(|_| g.short_exponent(&mut rng)).collect();
+            assert!(draws.iter().all(|k| !k.is_zero() && k.bits() <= 256));
+            assert_eq!(draws.iter().map(BigUint::bits).max(), Some(256));
+        }
+    }
+
+    #[test]
+    fn pow_g_of_a_short_exponent_matches_pow_at_both_walk_lengths() {
+        let g = Group::test_group();
+        let one = BigUint::one();
+        // Either side of the length at which pow_g switches walks.
+        for e in [one.shl(256).sub(&one), one.shl(256), one.shl(255), one] {
+            assert_eq!(g.pow_g(&e), g.pow(g.generator(), &e), "{e}");
+        }
+    }
+
+    /// `bits`-bit exponent from the case's raw bytes, top bit set.
+    fn exponent_of_length(raw: &[u8], bits: usize) -> BigUint {
+        if bits == 0 {
+            return BigUint::zero();
+        }
+        let top = BigUint::one().shl(bits - 1);
+        BigUint::from_bytes_be(raw).rem(&top).add(&top)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        // Both table sizes against the plain exponentiation, for every
+        // exponent length from 0 to |q|: walking exactly the stated windows,
+        // walking more than the exponent has, and refusing an exponent
+        // longer than the stated length or a length beyond the table.
+        #[test]
+        fn prop_fixed_base_pow_mont_matches_modexp(
+            raw in proptest::collection::vec(any::<u8>(), 104..105),
+            bits in 0usize..768,
+            slack in 0usize..9,
+        ) {
+            let g = Group::modp_768();
+            let ctx = &g.inner.p_mont;
+            let base = g.pow_g(&BigUint::from_bytes_be(&raw[..12]));
+            let exp = exponent_of_length(&raw, bits);
+            let want = ctx.modexp(&base, &exp);
+            for capacity in [g.short_exponent_bits(), g.q().bits()] {
+                let table = g.precompute_table(&base, capacity);
+                let stated = bits + slack;
+                let got = table.pow_mont(ctx, &exp, stated);
+                if stated > table.capacity_bits() {
+                    prop_assert!(got.is_none(), "{bits}+{slack} bits fit a {capacity}-bit table");
+                } else {
+                    let got = got.map(|m| ctx.from_mont(&m));
+                    prop_assert_eq!(got.as_ref(), Some(&want), "{} bits, table {}", bits, capacity);
+                }
+                if bits > 0 {
+                    prop_assert!(table.pow_mont(ctx, &exp, bits - 1).is_none());
+                }
+                // What callers do with `None`: the plain exponentiation.
+                prop_assert_eq!(&g.mul_exp_g(&BigUint::zero(), &base, &exp, Some(&table)), &want);
+            }
         }
     }
 
@@ -763,8 +824,10 @@ mod tests {
         let e = random_below(g.q(), &mut rng);
         let want = g.mul(&g.pow_g(&s), &g.pow(&y, &e));
         assert_eq!(g.mul_exp_g(&s, &y, &e, None), want);
-        let table = g.precompute_table(&y);
-        assert_eq!(g.mul_exp_g(&s, &y, &e, Some(&table)), want);
+        for exp_bits in [g.short_exponent_bits(), g.q().bits()] {
+            let table = g.precompute_table(&y, exp_bits);
+            assert_eq!(g.mul_exp_g(&s, &y, &e, Some(&table)), want);
+        }
     }
 
     #[test]

@@ -6,17 +6,28 @@
 //! secret key and message via HMAC-DRBG, RFC 6979 style, so signing never
 //! needs an entropy source and cannot leak the key through nonce reuse.
 //!
-//! Scheme (group `G` of order `q`, generator `g`):
+//! Scheme (group `G` of order `q`, generator `g`) — Schnorr's original sign
+//! convention, which keeps the verifier's exponent on `y` as short as the
+//! challenge:
 //!
 //! * keygen: `x ← [1, q)`, `y = g^x`
-//! * sign(m): `k = DRBG(x, m)`, `r = g^k`, `e = H(r ‖ y ‖ m) mod q`,
-//!   `s = k + e·x mod q`; signature is `(e, s)`
-//! * verify: `r' = g^s · y^{-e}`, accept iff `e == H(r' ‖ y ‖ m) mod q`
+//! * sign(m): `k = DRBG(x, m) ∈ [1, q)`, `r = g^k`,
+//!   `e = SHA256("tdt-schnorr-e256" ‖ r ‖ y ‖ m)` (256 bits),
+//!   `s = k − e·x mod q`; signature is `(e, s)`
+//! * verify: `r' = g^s · y^e`, accept iff `e == SHA256(… ‖ r' ‖ y ‖ m)`
+//!
+//! Only `e` is short. The nonce `k` and the key `x` stay uniform in `[1, q)`:
+//! every signature states `k ≡ s + e·x (mod q)`, and with `k` known to be
+//! 256 bits two signatures make that a linear system with one small solution
+//! — `x` falls out (the hidden-number problem at its easiest); verification
+//! never touches `x`, so a short key would buy nothing (DESIGN.md "Exponent
+//! length").
 
 use crate::bigint::{random_below, BigUint};
 use crate::drbg::HmacDrbg;
 use crate::error::CryptoError;
 use crate::group::{FixedBaseTable, Group};
+use crate::sha256::sha256_concat;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
@@ -73,30 +84,35 @@ impl Signature {
     }
 
     /// Decodes both scalars canonically: the single place that defines what
-    /// an acceptable wire encoding is, for `e` and `s` symmetrically.
+    /// an acceptable wire encoding is.
     ///
     /// Canonical means exactly what [`SigningKey::sign`] emits — minimal
-    /// big-endian (no leading zero bytes), nonzero, and `< q`. Without the
+    /// big-endian (no leading zero bytes), nonzero, `s < q` and `e` no longer
+    /// than the challenge hash ([`Group::short_exponent_bits`]). Without the
     /// leading-zero rule the same scalar has many encodings and a signature
-    /// becomes malleable on the wire; without the `s != 0` rule rejection
-    /// is asymmetric with the `e != 0` check.
+    /// becomes malleable on the wire; the bound on `e` is what lets the
+    /// verifier's `y^e` and the per-key tables be sized for a short exponent,
+    /// and turns away signatures made under the old full-width challenge.
     ///
     /// # Errors
     ///
     /// Returns [`CryptoError::InvalidSignature`] for any non-canonical
     /// component.
     pub fn scalars(&self, group: &Group) -> Result<(BigUint, BigUint), CryptoError> {
-        let decode = |bytes: &[u8]| -> Result<BigUint, CryptoError> {
-            if bytes.is_empty() || bytes.len() > group.scalar_len() || bytes[0] == 0 {
+        let decode = |bytes: &[u8], max_bits: usize| -> Result<BigUint, CryptoError> {
+            if bytes.is_empty() || bytes.len() > max_bits.div_ceil(8) || bytes[0] == 0 {
                 return Err(CryptoError::InvalidSignature);
             }
             let v = BigUint::from_bytes_be(bytes);
-            if v.is_zero() || &v >= group.q() {
+            if v.bits() > max_bits || &v >= group.q() {
                 return Err(CryptoError::InvalidSignature);
             }
             Ok(v)
         };
-        Ok((decode(&self.e)?, decode(&self.s)?))
+        Ok((
+            decode(&self.e, group.short_exponent_bits())?,
+            decode(&self.s, group.q().bits())?,
+        ))
     }
 }
 
@@ -155,25 +171,19 @@ impl SigningKey {
     pub fn sign(&self, message: &[u8]) -> Signature {
         let x_bytes = self.x.to_bytes_be();
         let mut drbg = HmacDrbg::from_parts(&[b"tdt-schnorr-nonce", &x_bytes, message]);
+        // Full-width on purpose, never `Group::short_exponent`: the response
+        // below tells everyone `k ≡ s + e·x (mod q)`, and two such relations
+        // with nonces known to be short solve for `x`.
         let k = random_below(self.group.q(), &mut drbg);
         let r = self.group.pow_g(&k);
-        let e = self.challenge(&r, message);
-        // s = k + e*x mod q
+        let e = challenge(&self.group, &r, &self.y, message);
+        // s = k − e·x mod q
         let ex = self.group.scalar_mul(&e).by(&self.x);
-        let s = self.group.scalar_add(&k, &ex);
+        let s = k.mod_sub(&ex, self.group.q());
         Signature {
             e: e.to_bytes_be(),
             s: s.to_bytes_be(),
         }
-    }
-
-    fn challenge(&self, r: &BigUint, message: &[u8]) -> BigUint {
-        self.group.hash_to_scalar(&[
-            b"tdt-schnorr",
-            &self.group.element_to_bytes(r),
-            &self.group.element_to_bytes(&self.y),
-            message,
-        ])
     }
 
     /// Exports the secret scalar (big-endian). Handle with care.
@@ -253,8 +263,8 @@ impl VerifyingKey {
 
     /// Like [`Self::verify`] but uses a cached fixed-base table for this
     /// key's element `y` (see [`Self::precompute_table`]), turning the
-    /// `y^(q-e)` half of the verify equation into one multiplication per
-    /// exponent window.
+    /// `y^e` half of the verify equation into one multiplication per
+    /// window of the 256-bit challenge.
     ///
     /// # Errors
     ///
@@ -269,11 +279,13 @@ impl VerifyingKey {
     }
 
     /// Builds the fixed-base window table for this key's element, for use
-    /// with [`Self::verify_with_table`] / [`batch_verify`]. Costs a few
-    /// plain verifications to build; callers cache it (see
-    /// `certcache::CertChainCache::key_table`).
+    /// with [`Self::verify_with_table`] / [`batch_verify`]: 64 windows, the
+    /// length of the challenge `e` — the only exponent `y` is ever raised
+    /// to. Costs about two plain verifications to build; callers cache it
+    /// (see `certcache::CertChainCache::key_table`).
     pub fn precompute_table(&self) -> FixedBaseTable {
-        self.group.precompute_table(&self.y)
+        self.group
+            .precompute_table(&self.y, self.group.short_exponent_bits())
     }
 
     fn verify_inner(
@@ -284,16 +296,14 @@ impl VerifyingKey {
     ) -> Result<(), CryptoError> {
         tdt_obs::profile_scope!("crypto.schnorr_verify");
         let (e, s) = signature.scalars(&self.group)?;
-        // r' = g^s * y^(q - e)  (y has order q, so y^(q-e) = y^(-e)),
-        // fused into a single fixed-base + windowed multi-exponentiation.
-        let r_prime = self
-            .group
-            .mul_exp_g(&s, &self.y, &self.group.q().sub(&e), table);
-        let e_prime = self.challenge(&r_prime, message);
+        // r' = g^s · y^e: a full-width fixed-base walk for `s`, a 256-bit
+        // exponentiation (64 table windows when cached) for `e`.
+        let r_prime = self.group.mul_exp_g(&s, &self.y, &e, table);
+        let e_prime = challenge(&self.group, &r_prime, &self.y, message);
         // Compare *fixed-width* encodings with ct_eq: `to_bytes_be` strips
         // leading zeros, and a length mismatch takes ct_eq's early exit —
         // which would leak the leading-zero structure of the challenge.
-        let width = self.group.scalar_len();
+        let width = self.group.short_exponent_bits().div_ceil(8);
         if crate::hmac::ct_eq(
             &e_prime.to_bytes_be_padded(width),
             &e.to_bytes_be_padded(width),
@@ -304,21 +314,26 @@ impl VerifyingKey {
         }
     }
 
-    fn challenge(&self, r: &BigUint, message: &[u8]) -> BigUint {
-        self.group.hash_to_scalar(&[
-            b"tdt-schnorr",
-            &self.group.element_to_bytes(r),
-            &self.group.element_to_bytes(&self.y),
-            message,
-        ])
-    }
-
     /// Stable short identifier for this key (first 16 hex chars of the
     /// SHA-256 of the encoded element).
     pub fn key_id(&self) -> String {
         let digest = crate::sha256(&self.to_bytes());
         crate::hex_encode(&digest[..8])
     }
+}
+
+/// The challenge `e = SHA256(tag ‖ r ‖ y ‖ m)`, cut to the group's short
+/// exponent length (all 256 bits in the builtin groups). `r` and `y` are
+/// fixed-width, so the concatenation is unambiguous. The tag is new with the
+/// `s = k − e·x` convention: a signature from before it can never verify.
+fn challenge(group: &Group, r: &BigUint, y: &BigUint, message: &[u8]) -> BigUint {
+    let digest = sha256_concat(&[
+        b"tdt-schnorr-e256",
+        &group.element_to_bytes(r),
+        &group.element_to_bytes(y),
+        message,
+    ]);
+    BigUint::from_bytes_be(&digest).shr(256 - group.short_exponent_bits())
 }
 
 /// One signature in a [`batch_verify`] call.
@@ -372,7 +387,7 @@ impl std::error::Error for BatchVerifyError {}
 /// Verifies a batch of Schnorr signatures with one randomized aggregate
 /// check, pinpointing the offender by bisection on failure.
 ///
-/// For `(e, s)`-form Schnorr the commitment `r'_i = g^{s_i}·y_i^{q-e_i}`
+/// For `(e, s)`-form Schnorr the commitment `r'_i = g^{s_i}·y_i^{e_i}`
 /// must be recomputed per signature (each feeds its own challenge hash),
 /// so that part runs as fused multi-exponentiations in parallel across
 /// available cores. What *is* aggregated is the challenge comparison: with
@@ -435,7 +450,7 @@ pub fn batch_verify(items: &[BatchItem<'_>]) -> Result<(), BatchVerifyError> {
     Err(BatchVerifyError::Invalid { index })
 }
 
-/// Recomputes `e'_i = H(g^{s_i}·y_i^{q-e_i} ‖ y_i ‖ m_i)` for every item,
+/// Recomputes `e'_i = H(g^{s_i}·y_i^{e_i} ‖ y_i ‖ m_i)` for every item,
 /// striping the multi-exponentiations across available cores.
 fn compute_challenges(
     group: &Group,
@@ -446,8 +461,8 @@ fn compute_challenges(
     let challenge_of = |i: usize| -> BigUint {
         let it = &items[i];
         let (e, s) = &scalars[i];
-        let r_prime = group.mul_exp_g(s, it.key.element(), &group.q().sub(e), it.table.as_deref());
-        it.key.challenge(&r_prime, it.message)
+        let r_prime = group.mul_exp_g(s, it.key.element(), e, it.table.as_deref());
+        challenge(group, &r_prime, it.key.element(), it.message)
     };
     let workers = std::thread::available_parallelism()
         .map(|p| p.get())
@@ -650,20 +665,19 @@ mod tests {
     }
 
     /// Regression: a challenge whose top byte is zero encodes *shorter*
-    /// than `scalar_len` on the wire. The old comparison fed the stripped
-    /// encodings to `ct_eq`, whose length check rejected... nothing here —
-    /// both sides strip — but leaked the length; the fixed-width compare
-    /// must keep such signatures verifying.
+    /// than the 32-byte hash on the wire. The fixed-width compare must keep
+    /// such signatures verifying (and must not leak the length through
+    /// `ct_eq`'s early exit on unequal lengths).
     #[test]
     fn verify_accepts_challenge_with_leading_zero_bytes() {
         let sk = key();
         let vk = sk.verifying_key();
-        let scalar_len = vk.group().scalar_len();
         let mut found = false;
         for i in 0u32..4096 {
             let msg = format!("leading-zero-search-{i}").into_bytes();
             let sig = sk.sign(&msg);
-            if sig.e_bytes().len() < scalar_len {
+            assert!(sig.e_bytes().len() <= 32, "e is one SHA-256 long at most");
+            if sig.e_bytes().len() < 32 {
                 assert!(
                     vk.verify(&msg, &sig).is_ok(),
                     "short-challenge signature must verify"
@@ -719,6 +733,133 @@ mod tests {
         let oversized = vec![1u8; vk.group().scalar_len() + 1];
         let forged = Signature::from_scalars(oversized, sig.s_bytes().to_vec());
         assert_eq!(vk.verify(b"m", &forged), Err(CryptoError::InvalidSignature));
+    }
+
+    /// What `verify` and `batch_verify` must both say about a signature
+    /// that is wrong: rejected, and named by its index among valid ones.
+    fn assert_rejected_everywhere(vk: &VerifyingKey, msg: &[u8], bad: &Signature, what: &str) {
+        assert_eq!(
+            vk.verify(msg, bad),
+            Err(CryptoError::InvalidSignature),
+            "{what}"
+        );
+        let table = vk.precompute_table();
+        assert_eq!(
+            vk.verify_with_table(msg, bad, &table),
+            Err(CryptoError::InvalidSignature),
+            "{what} (table)"
+        );
+        let fixture = batch_fixture(3);
+        for at in 0..=fixture.len() {
+            let mut items = as_items(&fixture);
+            let bad_item = BatchItem {
+                key: vk,
+                message: msg,
+                signature: bad,
+                table: None,
+            };
+            items.insert(at, bad_item);
+            assert_eq!(
+                batch_verify(&items),
+                Err(BatchVerifyError::Invalid { index: at }),
+                "{what} at {at}"
+            );
+        }
+    }
+
+    /// The sign convention this crate used before `s = k − e·x`: same nonce,
+    /// same 256-bit challenge, `s = k + e·x`. Valid under the old equation
+    /// `g^s·y^(−e)`, so it is the signature a half-migrated signer would emit.
+    fn sign_old_convention(sk: &SigningKey, message: &[u8]) -> Signature {
+        let mut drbg = HmacDrbg::from_parts(&[b"tdt-schnorr-nonce", &sk.x.to_bytes_be(), message]);
+        let k = random_below(sk.group.q(), &mut drbg);
+        let e = challenge(&sk.group, &sk.group.pow_g(&k), &sk.y, message);
+        let s = sk.group.scalar_add(&k, &sk.group.scalar_mul(&e).by(&sk.x));
+        Signature::from_scalars(e.to_bytes_be(), s.to_bytes_be())
+    }
+
+    #[test]
+    fn old_convention_and_malformed_challenges_fail_closed() {
+        let sk = key();
+        let vk = sk.verifying_key();
+        let g = sk.group().clone();
+        let msg = b"fail closed";
+        let sig = sk.sign(msg);
+        let with_e = |e: Vec<u8>| Signature::from_scalars(e, sig.s_bytes().to_vec());
+
+        let old = sign_old_convention(&sk, msg);
+        let (e, s) = old.scalars(&g).unwrap();
+        // The oracle really is the old scheme: it verifies under g^s·y^(q−e).
+        let r_old = g.mul_exp_g(&s, vk.element(), &g.q().sub(&e), None);
+        assert_eq!(challenge(&g, &r_old, vk.element(), msg), e);
+        assert_rejected_everywhere(&vk, msg, &old, "old sign convention");
+
+        // A challenge wider than the hash: the pre-change 96-byte `e`, and
+        // the shortest over-long one. `scalars` turns both away before any
+        // group operation; a 33-byte `e` is still below `q`.
+        let wide = g.q().sub(&BigUint::one()).to_bytes_be();
+        assert_eq!(wide.len(), g.scalar_len());
+        assert_rejected_everywhere(&vk, msg, &with_e(wide), "full-width e");
+        let mut e33 = vec![1u8];
+        e33.extend_from_slice(&[0x5a; 32]);
+        assert!(with_e(e33.clone()).scalars(&g).is_err());
+        assert_rejected_everywhere(&vk, msg, &with_e(e33), "33-byte e");
+
+        assert_rejected_everywhere(&vk, msg, &with_e(vec![0]), "e = 0");
+        assert_rejected_everywhere(&vk, msg, &with_e(Vec::new()), "empty e");
+        let mut padded = vec![0u8];
+        padded.extend_from_slice(sig.e_bytes());
+        assert_rejected_everywhere(&vk, msg, &with_e(padded), "leading-zero e");
+        // A well-formed 32-byte challenge that is simply not this one.
+        let mut other = sig.e_bytes().to_vec();
+        *other.last_mut().unwrap() ^= 1;
+        assert_rejected_everywhere(&vk, msg, &with_e(other), "wrong e");
+    }
+
+    /// The regression guard against "finishing the job" on the nonce. Only
+    /// the challenge is short: `k` must stay uniform in `[1, q)`, or two
+    /// signatures' `k ≡ s + e·x (mod q)` solve for `x`. `s` alone cannot show
+    /// the nonce's length (it is uniform mod `q` whenever `x` is), so the
+    /// test recovers each `k = s + e·x` and checks it against the DRBG draw
+    /// it must be.
+    #[test]
+    fn nonce_and_response_stay_full_width() {
+        let sk = key();
+        let g = sk.group().clone();
+        let q_bits = g.q().bits();
+        let (mut max_s, mut max_k) = (0, 0);
+        for i in 0..64u32 {
+            let msg = format!("nonce-width-{i}").into_bytes();
+            let (e, s) = sk.sign(&msg).scalars(&g).unwrap();
+            assert!(e.bits() <= 256);
+            let k = g.scalar_add(&s, &g.scalar_mul(&e).by(&sk.x));
+            let mut drbg = HmacDrbg::from_parts(&[b"tdt-schnorr-nonce", &sk.x.to_bytes_be(), &msg]);
+            assert_eq!(
+                k,
+                random_below(g.q(), &mut drbg),
+                "nonce is the [1, q) draw"
+            );
+            max_s = max_s.max(s.bits());
+            max_k = max_k.max(k.bits());
+        }
+        assert!(max_s > q_bits - 16, "max |s| = {max_s} of {q_bits} bits");
+        assert!(max_k > q_bits - 16, "max |k| = {max_k} of {q_bits} bits");
+        // Signing keys keep their range too: verification never touches x.
+        let widest_x = (0..16u32)
+            .map(|i| SigningKey::from_seed(g.clone(), &i.to_be_bytes()).x.bits())
+            .max();
+        assert!(widest_x > Some(q_bits - 16));
+    }
+
+    #[test]
+    fn key_tables_are_sized_for_the_challenge() {
+        for g in [Group::modp_768(), Group::modp_2048()] {
+            let vk = SigningKey::from_seed(g.clone(), b"table-size").verifying_key();
+            let table = vk.precompute_table();
+            assert_eq!(table.capacity_bits(), 256);
+            assert_eq!(table.approx_bytes(), 64 * 16 * g.element_len());
+            assert!(g.generator_table().capacity_bits() >= g.q().bits());
+        }
     }
 
     #[test]
@@ -842,25 +983,29 @@ mod tests {
     }
 
     proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(8))]
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
 
-        // Soundness: a batch with exactly one mutated signature is
-        // rejected, and bisection names precisely that index.
+        // Soundness: a batch with exactly one mutated signature — a bit of
+        // `s` or a bit of `e` — is rejected by `verify`, and bisection names
+        // precisely that index.
         #[test]
         fn prop_batch_rejects_single_forgery(
             n in 2usize..6,
             forged in 0usize..6,
-            byte in 1usize..64,
-            bit in 0u8..7,
+            byte in 0usize..128,
+            bit in 0u8..8,
+            flip_e in proptest::prelude::any::<bool>(),
         ) {
             let forged = forged % n;
             let mut fixture = batch_fixture(n);
-            let mut s = fixture[forged].2.s_bytes().to_vec();
-            let byte = byte % s.len();
-            s[byte] ^= 1 << bit;
-            let mutated = Signature::from_scalars(fixture[forged].2.e_bytes().to_vec(), s);
-            proptest::prop_assume!(mutated != fixture[forged].2);
-            fixture[forged].2 = mutated;
+            let sig = &fixture[forged].2;
+            let (mut e, mut s) = (sig.e_bytes().to_vec(), sig.s_bytes().to_vec());
+            let target = if flip_e { &mut e } else { &mut s };
+            let byte = byte % target.len();
+            target[byte] ^= 1 << bit;
+            fixture[forged].2 = Signature::from_scalars(e, s);
+            let (vk, msg, mutated) = &fixture[forged];
+            proptest::prop_assert_eq!(vk.verify(msg, mutated), Err(CryptoError::InvalidSignature));
             proptest::prop_assert_eq!(
                 batch_verify(&as_items(&fixture)),
                 Err(BatchVerifyError::Invalid { index: forged })

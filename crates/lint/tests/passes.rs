@@ -147,6 +147,23 @@ fn variable_time_subgroup_check_only_ever_sees_public_values() {
 }
 
 #[test]
+fn short_exponents_are_drawn_for_elgamal_only() {
+    // `Group::short_exponent` is sound for ElGamal's `k` and `x`. A Schnorr
+    // nonce drawn from it gives the signing key away after two signatures,
+    // so `SigningKey::sign` (all of schnorr.rs) must never appear here.
+    let elgamal = |arg: &str| ("crates/crypto/src/elgamal.rs".to_owned(), arg.to_owned());
+    assert_eq!(
+        call_sites("short_exponent"),
+        vec![
+            elgamal("&mutdrbg"), // DecryptionKey::from_seed, encrypt_deterministic
+            elgamal("&mutdrbg"),
+            elgamal("rng"), // DecryptionKey::generate, EncryptionKey::encrypt
+            elgamal("rng"),
+        ]
+    );
+}
+
+#[test]
 fn wire_pass_rejects_renumbered_fixture_tag() {
     let baseline = lint::wire::extract_rows(&fixture("wire_baseline.rs", "wire").text);
     assert_eq!(baseline.len(), 3, "{baseline:?}");
