@@ -18,6 +18,11 @@
 //!   and `decrypt`, which also pay the KDF, the stream cipher and the MAC.
 //! * What else membership and the short challenge sit inside:
 //!   `VerifyingKey::from_bytes`, `Certificate::verify`.
+//! * **Hash kernels** — SHA-256 and CRC32 throughput over 1 MiB, as shipped
+//!   (on SHA-NI / `pclmulqdq` where the CPU has them) and through the
+//!   scalar paths called by name. Group-independent: one measurement,
+//!   repeated in each of a run's rows next to what the CPU was detected to
+//!   have (`sha_ni`, `pclmulqdq`).
 //!
 //! Usage: `cargo run -p tdt-bench --release --bin crypto_smoke --
 //!            [--check] [--out PATH] [--label NAME]`
@@ -26,8 +31,10 @@
 //! is at least [`REQUIRED_SPEEDUP_2048`]×, the shipped membership test beats
 //! its definition by [`REQUIRED_MEMBERSHIP_SPEEDUP`] and shipped ElGamal
 //! beats its full-width exponentiations by [`REQUIRED_SHORT_EXPONENT_SPEEDUP`]
-//! — the CI regression guards. `--out` writes the rows as JSON, one per
-//! line; the file is a trajectory: rows already in it under another `--label`
+//! — and, where the CPU has the instructions, that the hash kernels beat
+//! their scalar paths by [`REQUIRED_HASH_SPEEDUP`] (a CPU without them
+//! skips those floors and says why): the CI regression guards. `--out`
+//! writes the rows as JSON, one per line; the file is a trajectory: rows already in it under another `--label`
 //! (default `this`) are kept, so a parent commit's rows and a change's rows
 //! sit side by side (`--out BENCH_crypto.json --label prN`).
 
@@ -39,7 +46,8 @@ use tdt_crypto::cert::{CertRole, CertificateAuthority};
 use tdt_crypto::elgamal::DecryptionKey;
 use tdt_crypto::group::Group;
 use tdt_crypto::schnorr::{batch_verify, BatchItem, Signature, SigningKey, VerifyingKey};
-use tdt_crypto::sha256::sha256_concat;
+use tdt_crypto::sha256::{compress_blocks_scalar, sha256, sha256_concat};
+use tdt_obs::crc32::{crc32, crc32_scalar};
 
 /// Hard floor enforced by `--check` at modp2048. Both sides now compute
 /// `g^s · y^e` with a 256-bit `e`: 2047 + 256 Barrett exponent bits against
@@ -61,6 +69,17 @@ const REQUIRED_MEMBERSHIP_SPEEDUP: [(&str, f64); 2] = [("modp768", 8.0), ("modp2
 /// stream cipher, MAC and membership check); the floors catch a full-width
 /// exponent coming back, not a noisy runner.
 const REQUIRED_SHORT_EXPONENT_SPEEDUP: [(&str, f64); 2] = [("modp768", 2.0), ("modp2048", 4.0)];
+
+/// Floors `--check` enforces on the hash kernels against their scalar
+/// paths, where the CPU has the kernel. Measured 5–6× (SHA-NI) and 12×
+/// (`pclmulqdq`) on the 2-vCPU reference box when the kernels went in.
+const REQUIRED_HASH_SPEEDUP: [(&str, f64); 2] = [
+    ("sha256 SHA-NI vs scalar", 3.0),
+    ("crc32 pclmulqdq vs scalar", 4.0),
+];
+
+/// Bytes per hash-throughput measurement.
+const HASH_BYTES: usize = 1 << 20;
 
 /// Signatures per batch. Small enough for a CI smoke run, large enough
 /// that the batch aggregate and challenge striping amortize.
@@ -165,6 +184,73 @@ struct Row {
     cert_verify_us: f64,
 }
 
+/// Hash throughput, the same for every group.
+struct Hashes {
+    sha_ni: bool,
+    pclmulqdq: bool,
+    sha256_mb_s: f64,
+    sha256_scalar_mb_s: f64,
+    crc32_mb_s: f64,
+    crc32_scalar_mb_s: f64,
+}
+
+impl Hashes {
+    fn measure() -> Hashes {
+        let data: Vec<u8> = (0..HASH_BYTES).map(|i| (i * 131 + 7) as u8).collect();
+        let mb_s = |f: &dyn Fn(&[u8])| {
+            HASH_BYTES as f64 / time_min(|| f(std::hint::black_box(&data))) / 1e6
+        };
+        Hashes {
+            sha_ni: tdt_crypto::sha256::accelerated(),
+            pclmulqdq: tdt_obs::crc32::accelerated(),
+            sha256_mb_s: mb_s(&|bytes| {
+                std::hint::black_box(sha256(bytes));
+            }),
+            sha256_scalar_mb_s: mb_s(&|bytes| {
+                let mut state = [0u32; 8];
+                compress_blocks_scalar(&mut state, bytes.as_chunks::<64>().0);
+                std::hint::black_box(state);
+            }),
+            crc32_mb_s: mb_s(&|bytes| {
+                std::hint::black_box(crc32(bytes));
+            }),
+            crc32_scalar_mb_s: mb_s(&|bytes| {
+                std::hint::black_box(crc32_scalar(bytes));
+            }),
+        }
+    }
+
+    /// `(hash, kernel detected, shipped MB/s, scalar MB/s)`.
+    fn per_hash(&self) -> [(&'static str, bool, f64, f64); 2] {
+        [
+            (
+                "sha256",
+                self.sha_ni,
+                self.sha256_mb_s,
+                self.sha256_scalar_mb_s,
+            ),
+            (
+                "crc32",
+                self.pclmulqdq,
+                self.crc32_mb_s,
+                self.crc32_scalar_mb_s,
+            ),
+        ]
+    }
+
+    fn json(&self) -> String {
+        format!(
+            "\"sha_ni\": {}, \"pclmulqdq\": {}, \"sha256_mb_s\": {:.1}, \"sha256_scalar_mb_s\": {:.1}, \"crc32_mb_s\": {:.1}, \"crc32_scalar_mb_s\": {:.1}",
+            self.sha_ni,
+            self.pclmulqdq,
+            self.sha256_mb_s,
+            self.sha256_scalar_mb_s,
+            self.crc32_mb_s,
+            self.crc32_scalar_mb_s,
+        )
+    }
+}
+
 impl Row {
     fn membership_speedup(&self) -> f64 {
         self.is_element_oracle_us / self.is_element_us
@@ -177,9 +263,9 @@ impl Row {
         encrypt.min(decrypt)
     }
 
-    fn json(&self, label: &str) -> String {
+    fn json(&self, label: &str, hashes: &Hashes) -> String {
         format!(
-            "    {{\"label\": \"{label}\", \"group\": \"{}\", \"verify_barrett_us\": {:.1}, \"verify_batch_us\": {:.1}, \"is_element_oracle_us\": {:.1}, \"is_element_us\": {:.1}, \"vk_from_bytes_us\": {:.1}, \"elgamal_encrypt_full_exp_us\": {:.1}, \"elgamal_encrypt_us\": {:.1}, \"elgamal_decrypt_full_exp_us\": {:.1}, \"elgamal_decrypt_us\": {:.1}, \"cert_verify_us\": {:.1}}}",
+            "    {{\"label\": \"{label}\", \"group\": \"{}\", \"verify_barrett_us\": {:.1}, \"verify_batch_us\": {:.1}, \"is_element_oracle_us\": {:.1}, \"is_element_us\": {:.1}, \"vk_from_bytes_us\": {:.1}, \"elgamal_encrypt_full_exp_us\": {:.1}, \"elgamal_encrypt_us\": {:.1}, \"elgamal_decrypt_full_exp_us\": {:.1}, \"elgamal_decrypt_us\": {:.1}, \"cert_verify_us\": {:.1}, {}}}",
             self.name,
             self.before_us,
             self.after_us,
@@ -191,6 +277,7 @@ impl Row {
             self.elgamal_decrypt_full_exp_us,
             self.elgamal_decrypt_us,
             self.cert_verify_us,
+            hashes.json(),
         )
     }
 }
@@ -284,8 +371,8 @@ fn measure(group: &Group) -> Row {
 
 /// Writes `rows` (this run's, under `label`) to `path`, carrying over the
 /// rows an existing file holds under other labels.
-fn write_json(path: &str, label: &str, rows: &[Row]) -> std::io::Result<()> {
-    let rows: Vec<String> = rows.iter().map(|row| row.json(label)).collect();
+fn write_json(path: &str, label: &str, rows: &[Row], hashes: &Hashes) -> std::io::Result<()> {
+    let rows: Vec<String> = rows.iter().map(|row| row.json(label, hashes)).collect();
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
     let doc = format!(
         "{{\n  \"schema\": \"crypto/v1\",\n  \"generated_by\": \"cargo run -p tdt-bench --release --bin crypto_smoke -- --out PATH --label NAME\",\n  \
@@ -306,6 +393,7 @@ fn main() {
         .iter()
         .map(measure)
         .collect();
+    let hashes = Hashes::measure();
     println!("| group | barrett verify (us/sig) | batch+tables (us/sig) | speedup |");
     println!("|---|---|---|---|");
     for row in &rows {
@@ -341,8 +429,20 @@ fn main() {
         );
     }
 
+    println!("| hash, 1 MiB | shipped (MB/s) | scalar (MB/s) | speedup | kernel |");
+    println!("|---|---|---|---|---|");
+    for (name, detected, shipped, scalar) in hashes.per_hash() {
+        let kernel = if detected {
+            "detected"
+        } else {
+            "not on this CPU"
+        };
+        let speedup = shipped / scalar;
+        println!("| {name} | {shipped:.0} | {scalar:.0} | {speedup:.1}x | {kernel} |");
+    }
+
     if let Some(path) = out {
-        match write_json(&path, &label, &rows) {
+        match write_json(&path, &label, &rows, &hashes) {
             Ok(()) => println!("crypto_smoke: wrote {path}"),
             Err(e) => {
                 eprintln!("crypto_smoke: cannot write {path}: {e}");
@@ -368,6 +468,15 @@ fn main() {
         for (group, floor) in REQUIRED_SHORT_EXPONENT_SPEEDUP {
             let got = speedup_of(group, Row::short_exponent_speedup);
             checks.push((group, "elgamal vs full-width exponents", floor, got));
+        }
+        for ((_, detected, shipped, scalar), (what, floor)) in
+            hashes.per_hash().into_iter().zip(REQUIRED_HASH_SPEEDUP)
+        {
+            if detected {
+                checks.push(("1 MiB", what, floor, Some(shipped / scalar)));
+            } else {
+                println!("check skipped: {what}: this CPU lacks the instructions, so the scalar path is the shipped one");
+            }
         }
         let mut failed = false;
         for (group, what, floor, got) in checks {

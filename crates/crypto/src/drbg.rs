@@ -6,6 +6,7 @@
 //! a reproducible entropy source in simulations.
 
 use crate::hmac::hmac_sha256;
+use std::fmt;
 
 /// HMAC-DRBG over SHA-256.
 ///
@@ -18,10 +19,18 @@ use crate::hmac::hmac_sha256;
 /// let mut b = HmacDrbg::new(b"seed material");
 /// assert_eq!(a.generate(16), b.generate(16)); // deterministic
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct HmacDrbg {
     key: [u8; 32],
     value: [u8; 32],
+}
+
+impl fmt::Debug for HmacDrbg {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        // Never print `key` or `value`: together they are every output to
+        // come, Schnorr nonces included.
+        f.debug_struct("HmacDrbg").finish_non_exhaustive()
+    }
 }
 
 impl HmacDrbg {
@@ -187,6 +196,16 @@ mod tests {
         let x = a.generate_nonzero(16);
         assert!(x.iter().any(|&v| v != 0));
         assert_eq!(x, b.generate_nonzero(16));
+    }
+
+    #[test]
+    fn debug_shows_none_of_the_state() {
+        let mut d = HmacDrbg::new(b"nonce seed");
+        d.generate(48);
+        let shown = format!("{d:?}");
+        for secret in [d.key, d.value] {
+            assert!(!crate::sha256::debug_reveals(&shown, &secret), "{shown}");
+        }
     }
 
     #[test]

@@ -231,62 +231,6 @@ impl Group {
         FixedBaseTable::build(&self.inner.p_mont, base, exp_bits)
     }
 
-    /// Simultaneous multi-exponentiation `Π base_i^exp_i mod p`
-    /// (Straus/Shamir, 4-bit windows): the squarings of the accumulator are
-    /// shared across all bases instead of being paid once per base.
-    ///
-    /// Exponents here are public values (signature scalars being verified,
-    /// protocol constants), so zero windows may be skipped.
-    pub fn multi_exp(&self, pairs: &[(&BigUint, &BigUint)]) -> BigUint {
-        let ctx = &self.inner.p_mont;
-        if pairs.is_empty() {
-            return BigUint::one();
-        }
-        let mut scratch = ctx.scratch();
-        // Per-base tables of base^0..=15 in Montgomery form.
-        let tables: Vec<Vec<MontElem>> = pairs
-            .iter()
-            .map(|(base, _)| {
-                let mut t = Vec::with_capacity(16);
-                t.push(ctx.one());
-                let base_m = ctx.to_mont(base);
-                t.push(base_m.clone());
-                for i in 2..16 {
-                    t.push(ctx.mont_mul(&t[i - 1], &base_m));
-                }
-                t
-            })
-            .collect();
-        let nbits = pairs
-            .iter()
-            .map(|(_, e)| e.bits())
-            .max()
-            .unwrap_or(0)
-            .max(1);
-        let nwindows = nbits.div_ceil(4);
-        let mut acc = ctx.one();
-        for w in (0..nwindows).rev() {
-            if w + 1 != nwindows {
-                for _ in 0..4 {
-                    ctx.mont_sqr_assign(&mut acc, &mut scratch);
-                }
-            }
-            for (i, (_, e)) in pairs.iter().enumerate() {
-                let mut digit = 0usize;
-                for b in 0..4 {
-                    if e.bit(w * 4 + b) {
-                        digit |= 1 << b;
-                    }
-                }
-                if digit != 0 {
-                    // lint:allow(ct: "multi_exp exponents are public signature scalars; window digits do not carry secrets — see DESIGN.md crypto hot path")
-                    ctx.mont_mul_assign(&mut acc, &tables[i][digit], &mut scratch);
-                }
-            }
-        }
-        ctx.from_mont(&acc)
-    }
-
     /// The Schnorr verify equation's heavy step: `g^s · y^e mod p`.
     ///
     /// The generator contribution always uses the shared fixed-base table;
@@ -799,20 +743,6 @@ mod tests {
                 prop_assert_eq!(&g.mul_exp_g(&BigUint::zero(), &base, &exp, Some(&table)), &want);
             }
         }
-    }
-
-    #[test]
-    fn multi_exp_matches_naive() {
-        let g = Group::test_group();
-        let mut rng = rand::thread_rng();
-        let b1 = g.pow_g(&random_below(g.q(), &mut rng));
-        let b2 = g.pow_g(&random_below(g.q(), &mut rng));
-        let e1 = random_below(g.q(), &mut rng);
-        let e2 = random_below(g.q(), &mut rng);
-        let got = g.multi_exp(&[(&b1, &e1), (&b2, &e2)]);
-        let want = g.mul(&g.pow(&b1, &e1), &g.pow(&b2, &e2));
-        assert_eq!(got, want);
-        assert_eq!(g.multi_exp(&[]), BigUint::one());
     }
 
     #[test]

@@ -2,6 +2,7 @@
 //! PRF inside the deterministic random bit generator.
 
 use crate::sha256::{Sha256, BLOCK_LEN, DIGEST_LEN};
+use std::fmt;
 
 /// Computes `HMAC-SHA256(key, message)`.
 ///
@@ -25,10 +26,17 @@ pub fn hmac_sha256(key: &[u8], message: &[u8]) -> [u8; DIGEST_LEN] {
 }
 
 /// Incremental HMAC-SHA-256.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct HmacSha256 {
     inner: Sha256,
     opad_key: [u8; BLOCK_LEN],
+}
+
+impl fmt::Debug for HmacSha256 {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        // Never print the key's pads (or the inner hash they keyed).
+        f.debug_struct("HmacSha256").finish_non_exhaustive()
+    }
 }
 
 impl HmacSha256 {
@@ -143,6 +151,18 @@ mod tests {
             mac.finalize(),
             hmac_sha256(b"secret", b"part one, part two")
         );
+    }
+
+    #[test]
+    fn debug_shows_neither_the_key_nor_its_pads() {
+        let key: Vec<u8> = (0..40u8).map(|i| i.wrapping_mul(73) ^ 0xc3).collect();
+        let mut mac = HmacSha256::new(&key);
+        mac.update(b"message");
+        let shown = format!("{mac:?}");
+        for pad in [0x00, 0x36, 0x5c] {
+            let padded: Vec<u8> = key.iter().map(|b| b ^ pad).collect();
+            assert!(!crate::sha256::debug_reveals(&shown, &padded), "{shown}");
+        }
     }
 
     #[test]

@@ -1,13 +1,22 @@
 //! SHA-256 (FIPS 180-4), implemented from the specification.
 //!
 //! Provides both an incremental [`Sha256`] hasher and the one-shot
-//! [`sha256`] convenience function. Verified against the official FIPS
-//! test vectors in the unit tests below.
+//! [`sha256`] convenience function. The compression function runs on the
+//! CPU's SHA extensions where it has them ([`accelerated`]) and on the
+//! portable rounds everywhere else ([`compress_blocks_scalar`]); digests
+//! are the same either way (DESIGN.md "Hash kernels"). Verified against the
+//! official FIPS test vectors, and the two paths against each other, in the
+//! unit tests below.
+
+use std::fmt;
 
 /// Digest size in bytes.
 pub const DIGEST_LEN: usize = 32;
 /// Internal block size in bytes.
 pub const BLOCK_LEN: usize = 64;
+
+/// One message block.
+type Block = [u8; BLOCK_LEN];
 
 const K: [u32; 64] = [
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,
@@ -37,12 +46,32 @@ const H0: [u32; 8] = [
 /// let digest = hasher.finalize();
 /// assert_eq!(digest, tdt_crypto::sha256(b"hello world"));
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct Sha256 {
     state: [u32; 8],
     buffer: [u8; BLOCK_LEN],
     buffer_len: usize,
     total_len: u64,
+}
+
+impl fmt::Debug for Sha256 {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        // Never print the chaining state or the buffer: inside an HMAC they
+        // are the key's pads, absorbed or not.
+        f.debug_struct("Sha256")
+            .field("absorbed", &self.total_len)
+            .finish_non_exhaustive()
+    }
+}
+
+/// Whether `shown`, a `{:?}` rendering, contains three consecutive bytes
+/// of `secret` the way `Debug` prints a byte array, or in hex.
+#[cfg(test)]
+pub(crate) fn debug_reveals(shown: &str, secret: &[u8]) -> bool {
+    secret.windows(3).any(|w| {
+        shown.contains(&format!("{}, {}, {}", w[0], w[1], w[2]))
+            || shown.contains(&crate::hex_encode(w))
+    })
 }
 
 impl Default for Sha256 {
@@ -64,6 +93,17 @@ impl Sha256 {
 
     /// Absorbs `data` into the hash state.
     pub fn update(&mut self, data: &[u8]) -> &mut Self {
+        self.absorb(data, compress_blocks)
+    }
+
+    /// Completes the hash and returns the 32-byte digest.
+    pub fn finalize(self) -> [u8; DIGEST_LEN] {
+        self.pad(compress_blocks)
+    }
+
+    /// [`Self::update`] through a given compression function (the tests
+    /// run the scalar one on every CPU).
+    fn absorb(&mut self, data: &[u8], compress: impl Fn(&mut [u32; 8], &[Block])) -> &mut Self {
         self.total_len = self.total_len.wrapping_add(data.len() as u64);
         let mut input = data;
         if self.buffer_len > 0 {
@@ -73,27 +113,24 @@ impl Sha256 {
             self.buffer_len += take;
             input = &input[take..];
             if self.buffer_len == BLOCK_LEN {
-                let block = self.buffer;
-                self.compress(&block);
+                compress(&mut self.state, std::slice::from_ref(&self.buffer));
                 self.buffer_len = 0;
             }
         }
-        while input.len() >= BLOCK_LEN {
-            let (block, rest) = input.split_at(BLOCK_LEN);
-            let mut tmp = [0u8; BLOCK_LEN];
-            tmp.copy_from_slice(block);
-            self.compress(&tmp);
-            input = rest;
+        // Every whole block of the input in one call, straight from `data`.
+        let (blocks, rest) = input.as_chunks::<BLOCK_LEN>();
+        if !blocks.is_empty() {
+            compress(&mut self.state, blocks);
         }
-        if !input.is_empty() {
-            self.buffer[..input.len()].copy_from_slice(input);
-            self.buffer_len = input.len();
+        if !rest.is_empty() {
+            self.buffer[..rest.len()].copy_from_slice(rest);
+            self.buffer_len = rest.len();
         }
         self
     }
 
-    /// Completes the hash and returns the 32-byte digest.
-    pub fn finalize(mut self) -> [u8; DIGEST_LEN] {
+    /// [`Self::finalize`] through a given compression function.
+    fn pad(mut self, compress: impl Fn(&mut [u32; 8], &[Block])) -> [u8; DIGEST_LEN] {
         // Padding: 0x80, zeros up to 56 mod 64, then the 64-bit big-endian
         // bit length — built in the block buffer itself (`buffer_len` is
         // always < 64 between calls), spilling into a second block when
@@ -103,19 +140,45 @@ impl Sha256 {
         block[self.buffer_len] = 0x80;
         block[self.buffer_len + 1..].fill(0);
         if self.buffer_len >= BLOCK_LEN - 8 {
-            self.compress(&block);
+            compress(&mut self.state, std::slice::from_ref(&block));
             block = [0u8; BLOCK_LEN];
         }
         block[BLOCK_LEN - 8..].copy_from_slice(&bit_len.to_be_bytes());
-        self.compress(&block);
+        compress(&mut self.state, std::slice::from_ref(&block));
         let mut out = [0u8; DIGEST_LEN];
         for (i, word) in self.state.iter().enumerate() {
             out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
         }
         out
     }
+}
 
-    fn compress(&mut self, block: &[u8; BLOCK_LEN]) {
+/// The compression function over `blocks`, in order: on SHA-NI where the
+/// CPU has it, else [`compress_blocks_scalar`]; the same state either way.
+fn compress_blocks(state: &mut [u32; 8], blocks: &[Block]) {
+    #[cfg(target_arch = "x86_64")]
+    if shani::compress_blocks(state, blocks) {
+        return;
+    }
+    compress_blocks_scalar(state, blocks);
+}
+
+/// Whether SHA-256 runs on this CPU's SHA extensions (`sha`, `ssse3` and
+/// `sse4.1`; sse2 is part of x86_64 itself) rather than on
+/// [`compress_blocks_scalar`].
+pub fn accelerated() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    return is_x86_feature_detected!("sha")
+        && is_x86_feature_detected!("ssse3")
+        && is_x86_feature_detected!("sse4.1");
+    #[cfg(not(target_arch = "x86_64"))]
+    false
+}
+
+/// The FIPS 180-4 rounds in portable Rust: the only path off x86_64 or
+/// without SHA-NI, and the oracle the kernel is tested against.
+pub fn compress_blocks_scalar(state: &mut [u32; 8], blocks: &[Block]) {
+    for block in blocks {
         let mut w = [0u32; 64];
         for i in 0..16 {
             w[i] = u32::from_be_bytes([
@@ -133,7 +196,7 @@ impl Sha256 {
                 .wrapping_add(w[i - 7])
                 .wrapping_add(s1);
         }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
         for i in 0..64 {
             let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
             let ch = (e & f) ^ (!e & g);
@@ -154,14 +217,89 @@ impl Sha256 {
             b = a;
             a = temp1.wrapping_add(temp2);
         }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+        for (word, add) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+            *word = word.wrapping_add(add);
+        }
+    }
+}
+
+/// The SHA-NI kernel, and all of this crate's `unsafe`.
+#[cfg(target_arch = "x86_64")]
+mod shani {
+    use super::{Block, K};
+    use std::arch::x86_64::*;
+
+    /// Runs [`rounds`] when the CPU has it and says whether it did; `state`
+    /// is untouched when it did not.
+    pub(super) fn compress_blocks(state: &mut [u32; 8], blocks: &[Block]) -> bool {
+        let detected = super::accelerated();
+        if detected {
+            // SAFETY: `rounds` enables sha, ssse3 and sse4.1, all three
+            // detected on this CPU just above. It reads memory only through
+            // `load`, from the 16-byte quarters `as_chunks` cuts out of
+            // whole 64-byte blocks, so every load is in bounds by type.
+            unsafe { rounds(state, blocks) };
+        }
+        detected
+    }
+
+    /// One unaligned 16-byte load.
+    #[inline]
+    fn load(bytes: &[u8; 16]) -> __m128i {
+        // SAFETY: `bytes` is 16 readable bytes by its type, the width of
+        // the load, which has no alignment requirement; sse2 needs no
+        // detection on x86_64.
+        unsafe { _mm_loadu_si128(bytes.as_ptr().cast()) }
+    }
+
+    /// Four message words `W[t..t+4]` → `W[t+16..t+20]` (FIPS 180-4 §6.2.2
+    /// step 1), from the four 4-word groups starting at `W[t]`.
+    #[target_feature(enable = "sha,ssse3")]
+    fn schedule(w0: __m128i, w1: __m128i, w2: __m128i, w3: __m128i) -> __m128i {
+        let sigma0 = _mm_sha256msg1_epu32(w0, w1);
+        let w9 = _mm_alignr_epi8::<4>(w3, w2);
+        _mm_sha256msg2_epu32(_mm_add_epi32(sigma0, w9), w3)
+    }
+
+    /// Intel's SHA-NI round sequence: the state as the two registers the
+    /// instructions want, `ABEF` and `CDGH`, four rounds per group of four
+    /// words; the words of group `i + 4` are scheduled after group `i`'s
+    /// rounds, so four registers hold the whole window.
+    #[target_feature(enable = "sha,ssse3,sse4.1")]
+    fn rounds(state: &mut [u32; 8], blocks: &[Block]) {
+        let bswap = _mm_set_epi64x(0x0c0d_0e0f_0809_0a0b, 0x0405_0607_0001_0203);
+        let [a, b, c, d, e, f, g, h] = state.map(|word| word as i32);
+        let mut abef = _mm_set_epi32(a, b, e, f);
+        let mut cdgh = _mm_set_epi32(c, d, g, h);
+        let (round_keys, _) = K.as_chunks::<4>();
+        let (words, _) = blocks.as_flattened().as_chunks::<16>();
+        let (blocks, _) = words.as_chunks::<4>();
+        for block in blocks {
+            let (abef_in, cdgh_in) = (abef, cdgh);
+            let mut w = block.each_ref().map(|m| _mm_shuffle_epi8(load(m), bswap));
+            for (i, k) in round_keys.iter().enumerate() {
+                let ([w0, w1, w2, w3], [k0, k1, k2, k3]) = (w, k.map(|k| k as i32));
+                let wk = _mm_add_epi32(w0, _mm_set_epi32(k3, k2, k1, k0));
+                cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+                abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32::<0x0e>(wk));
+                let next = if i < 12 { schedule(w0, w1, w2, w3) } else { w0 };
+                w = [w1, w2, w3, next];
+            }
+            abef = _mm_add_epi32(abef, abef_in);
+            cdgh = _mm_add_epi32(cdgh, cdgh_in);
+        }
+        // ABEF = lanes 3..0, CDGH likewise.
+        *state = [
+            _mm_extract_epi32::<3>(abef),
+            _mm_extract_epi32::<2>(abef),
+            _mm_extract_epi32::<3>(cdgh),
+            _mm_extract_epi32::<2>(cdgh),
+            _mm_extract_epi32::<1>(abef),
+            _mm_extract_epi32::<0>(abef),
+            _mm_extract_epi32::<1>(cdgh),
+            _mm_extract_epi32::<0>(cdgh),
+        ]
+        .map(|lane| lane as u32);
     }
 }
 
@@ -272,19 +410,78 @@ mod tests {
         (0..len).map(|i| (i * 131 + 7) as u8).collect()
     }
 
+    /// Both compression paths, each called by name: the scalar rounds run
+    /// here on every CPU, not only on those without SHA-NI.
+    type Compress = fn(&mut [u32; 8], &[Block]);
+
+    const PATHS: [(&str, Compress); 2] = [
+        ("dispatched", compress_blocks),
+        ("scalar", compress_blocks_scalar),
+    ];
+
     #[test]
     fn digests_of_every_length_to_300_are_the_reference_ones() {
         // Hash of the 301 digests of `pattern(0..=300)`, computed with
         // Python's hashlib: every padding shape against an outside
-        // implementation, in one constant.
-        let mut all = Sha256::new();
-        for len in 0..=300 {
-            all.update(&sha256(&pattern(len)));
+        // implementation, in one constant — through each path.
+        for (path, compress) in PATHS {
+            let mut all = Sha256::new();
+            for len in 0..=300 {
+                let mut h = Sha256::new();
+                h.absorb(&pattern(len), compress);
+                all.absorb(&h.pad(compress), compress);
+            }
+            assert_eq!(
+                hex_encode(&all.pad(compress)),
+                "7722024365d27836079cbf29de35d060b9383d7c713083199661392f983216d4",
+                "{path}"
+            );
         }
-        assert_eq!(
-            hex_encode(&all.finalize()),
-            "7722024365d27836079cbf29de35d060b9383d7c713083199661392f983216d4"
-        );
+    }
+
+    #[test]
+    fn kernel_matches_the_scalar_rounds_on_every_run_length_and_offset() {
+        // Runs of 0..=40 blocks taken at every offset 0..16 into the
+        // buffer, so the kernel's unaligned loads see every alignment.
+        let buf = pattern(16 + 40 * BLOCK_LEN);
+        for offset in 0..16 {
+            let (blocks, _) = buf[offset..].as_chunks::<BLOCK_LEN>();
+            for n in 0..=40 {
+                let mut want = H0;
+                compress_blocks_scalar(&mut want, &blocks[..n]);
+                let mut got = H0;
+                compress_blocks(&mut got, &blocks[..n]);
+                assert_eq!(got, want, "offset {offset}, {n} blocks");
+            }
+        }
+    }
+
+    #[test]
+    fn a_multi_block_update_split_anywhere_gives_the_same_digest() {
+        let data = pattern(1024);
+        let want = sha256(&data);
+        for (path, compress) in PATHS {
+            for split in 0..=data.len() {
+                let mut h = Sha256::new();
+                h.absorb(&data[..split], compress)
+                    .absorb(&data[split..], compress);
+                assert_eq!(h.pad(compress), want, "{path}, split at {split}");
+            }
+        }
+    }
+
+    #[test]
+    fn debug_shows_neither_the_buffer_nor_the_chaining_state() {
+        let secret = pattern(100);
+        let mut h = Sha256::new();
+        h.update(&secret[..40]);
+        assert!(!debug_reveals(&format!("{h:?}"), &secret[..40]), "{h:?}");
+        h.update(&secret[40..]);
+        let shown = format!("{h:?}");
+        assert!(!debug_reveals(&shown, &secret[64..]), "{shown}");
+        for word in h.state {
+            assert!(!shown.contains(&word.to_string()), "{shown}");
+        }
     }
 
     #[test]

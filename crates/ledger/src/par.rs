@@ -9,7 +9,10 @@
 use tdt_obs::TraceContext;
 
 /// Input bytes below which one more worker costs more to spawn than it
-/// saves.
+/// saves. Re-measured when SHA-256 and CRC32 moved onto the CPU's own
+/// instructions (EXPERIMENTS.md E26, 2 vCPUs): a second worker breaks even
+/// at ≈ 128 KiB of WAL (≈ 32 KiB on the scalar kernels) and ≈ 128 KiB of
+/// replayed envelopes, twice this, which is when [`workers_for`] grants it.
 const MIN_BYTES_PER_WORKER: usize = 64 * 1024;
 
 /// How many workers `bytes` bytes of input are worth on this machine: one

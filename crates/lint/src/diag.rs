@@ -5,7 +5,8 @@ use std::fmt;
 /// A single finding, anchored to a file and line.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
-    /// Pass that produced the finding (`lock-order`, `panic`, `ct`, `wire`).
+    /// Pass that produced the finding (`lock-order`, `panic`, `ct`, `wire`,
+    /// `obs`, `sync`, `unsafe`).
     pub pass: &'static str,
     /// Workspace-relative path.
     pub file: String,

@@ -1,7 +1,7 @@
 //! `lint` — the workspace's own static analyzer.
 //!
-//! Six passes guard invariants the compiler cannot see (ISSUE 3, 5,
-//! and 8; paper §4–5 trust model):
+//! Seven passes guard invariants the compiler cannot see (ISSUE 3, 5,
+//! 8 and 21; paper §4–5 trust model):
 //!
 //! | pass         | scope                              | invariant                         |
 //! |--------------|------------------------------------|-----------------------------------|
@@ -11,6 +11,7 @@
 //! | `wire`       | wire message schema                | append-only field-tag evolution   |
 //! | `obs`        | relay request path, admission gate, ledger durability | fallible entry points record span errors |
 //! | `sync`       | relay, obs, crypto, core, fabric   | atomics: no racy RMW, no Relaxed sync edges, no lock bypass |
+//! | `unsafe`     | every crate                        | `unsafe` only in the hash kernels, each use with its `SAFETY` |
 //!
 //! Run as `cargo run -p lint --release -- check`; CI fails on any
 //! diagnostic. Opt-outs are per-site comments: `// lint:allow(<pass>)`,
@@ -31,6 +32,7 @@ pub mod locks;
 pub mod obs;
 pub mod panics;
 pub mod sync;
+pub mod unsafety;
 pub mod wire;
 pub mod workspace;
 
@@ -61,7 +63,7 @@ pub const MESSAGES_PATH: &str = "crates/wire/src/messages.rs";
 /// The blessed tag snapshot, relative to the workspace root.
 pub const SNAPSHOT_PATH: &str = "crates/lint/schema/wire.snapshot";
 
-/// Runs all six passes against the workspace at `root`.
+/// Runs all seven passes against the workspace at `root`.
 pub fn run_all(root: &Path) -> std::io::Result<Vec<Diagnostic>> {
     let mut out = Vec::new();
 
@@ -82,6 +84,12 @@ pub fn run_all(root: &Path) -> std::io::Result<Vec<Diagnostic>> {
 
     for file in workspace::load_crates(root, SYNC_CRATES)? {
         sync::check_file(&file, &mut out);
+    }
+
+    let crates = workspace::crate_names(root)?;
+    let crates: Vec<&str> = crates.iter().map(String::as_str).collect();
+    for file in workspace::load_crates(root, &crates)? {
+        unsafety::check_file(&file, &mut out);
     }
 
     let messages = std::fs::read_to_string(root.join(MESSAGES_PATH))?;

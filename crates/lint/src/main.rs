@@ -16,7 +16,7 @@ fn main() -> ExitCode {
     match cmd {
         "check" => match lint::run_all(&root) {
             Ok(diags) if diags.is_empty() => {
-                println!("lint: clean (lock-order, panic, ct, wire, obs, sync)");
+                println!("lint: clean (lock-order, panic, ct, wire, obs, sync, unsafe)");
                 ExitCode::SUCCESS
             }
             Ok(diags) => {

@@ -34,6 +34,19 @@ pub fn find_root(start: &Path) -> Option<PathBuf> {
     None
 }
 
+/// Every crate directory name under `crates/`, sorted.
+pub fn crate_names(root: &Path) -> std::io::Result<Vec<String>> {
+    let mut names = Vec::new();
+    for entry in std::fs::read_dir(root.join("crates"))? {
+        let entry = entry?;
+        if entry.path().is_dir() {
+            names.push(entry.file_name().to_string_lossy().into_owned());
+        }
+    }
+    names.sort();
+    Ok(names)
+}
+
 /// Loads every `src/**/*.rs` of the given crates (by crate directory name).
 pub fn load_crates(root: &Path, crates: &[&str]) -> std::io::Result<Vec<SourceFile>> {
     let mut out = Vec::new();

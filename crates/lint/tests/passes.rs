@@ -82,10 +82,7 @@ fn ct_pass_flags_seeded_compare_and_secret_branch() {
 /// `(file, argument tokens joined)`.
 fn call_sites(name: &str) -> Vec<(String, String)> {
     let root = workspace_root();
-    let crates: Vec<String> = std::fs::read_dir(root.join("crates"))
-        .expect("crates/ readable")
-        .filter_map(|e| e.ok()?.file_name().into_string().ok())
-        .collect();
+    let crates = lint::workspace::crate_names(&root).expect("crates/ readable");
     let crates: Vec<&str> = crates.iter().map(String::as_str).collect();
     let mut out = Vec::new();
     for file in lint::workspace::load_crates(&root, &crates).expect("workspace readable") {
@@ -294,6 +291,47 @@ fn sync_inventory_covers_real_tree() {
         "lock-guarded fields missing: {relay:?}"
     );
     assert!(inv.render().contains("crate relay"));
+}
+
+#[test]
+fn unsafe_pass_flags_each_kind_of_violation() {
+    // In a reviewed kernel file: the undocumented block and the `unsafe fn`
+    // without a `# Safety` section, not their documented twins.
+    let mut text = fixture("unsafe_code.rs", "obs");
+    text.rel_path = lint::unsafety::UNSAFE_FILES[1].to_owned();
+    let mut out = Vec::new();
+    lint::unsafety::check_file(&text, &mut out);
+    assert_eq!(out.len(), 2, "{out:?}");
+    assert!(out.iter().all(|d| d.pass == "unsafe"));
+    assert!(out[0].message.contains("`// SAFETY:`"), "{out:?}");
+    assert!(out[1].message.contains("`# Safety`"), "{out:?}");
+
+    // Anywhere else every `unsafe` is a finding, documented or not.
+    let mut out = Vec::new();
+    lint::unsafety::check_file(&fixture("unsafe_code.rs", "relay"), &mut out);
+    assert_eq!(out.len(), 6, "{out:?}");
+    assert!(out.iter().all(|d| d.message.contains("outside")), "{out:?}");
+}
+
+#[test]
+fn unsafe_lives_only_in_the_two_hash_kernel_files() {
+    // The real tree: `UNSAFE_FILES` is exactly the files that use it.
+    let root = workspace_root();
+    let crates = lint::workspace::crate_names(&root).expect("crates/ readable");
+    let crates: Vec<&str> = crates.iter().map(String::as_str).collect();
+    let mut users: Vec<String> = lint::workspace::load_crates(&root, &crates)
+        .expect("workspace readable")
+        .into_iter()
+        .filter(|f| {
+            lint::lexer::lex(&f.text)
+                .tokens
+                .iter()
+                .any(|t| t.tok.is_ident("unsafe"))
+        })
+        .map(|f| f.rel_path)
+        .collect();
+    users.sort();
+    assert_eq!(users, lint::unsafety::UNSAFE_FILES);
 }
 
 #[test]
