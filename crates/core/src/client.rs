@@ -72,15 +72,12 @@ impl RelayHandle {
 
 /// Starts the client-side span of a cross-network operation: joins the
 /// caller's trace when one is installed on this thread, otherwise roots a
-/// fresh trace — the query path's head-based sampling decision, made at
-/// the global ratio (`tdt_obs::trace::set_sample_ratio` /
-/// `TDT_TRACE_SAMPLE_RATE`, default 1.0) so production operators can turn
-/// per-query recording down without touching call sites.
+/// fresh sampled trace.
 fn root_span(name: &'static str) -> (Span, ContextGuard) {
     match TraceContext::current() {
         Some(_) => obs_span::enter(name),
         None => {
-            let root = TraceContext::root_sampled();
+            let root = TraceContext::root();
             let guard = root.install();
             (Span::start(name, &root), guard)
         }

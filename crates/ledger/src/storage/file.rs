@@ -251,7 +251,7 @@ impl FileBackend {
                 Ok(bytes) => bytes.unwrap_or_default(),
                 Err(e) => {
                     self.stats.set_recovery_phase(recovery_phase::IDLE, 0);
-                    load_span.fail(&e.to_string());
+                    load_span.fail();
                     return Err(e.into());
                 }
             };
@@ -289,8 +289,8 @@ impl FileBackend {
         } = {
             let (mut span, _guard) = obs_span::enter("recovery.verify");
             let scan = frames.link();
-            if let Some(broken @ TailReason::ChainBroken(_)) = &scan.tail {
-                span.fail(&broken.to_string());
+            if let Some(TailReason::ChainBroken(_)) = &scan.tail {
+                span.fail();
             }
             scan
         };
@@ -308,7 +308,7 @@ impl FileBackend {
             let (mut span, _guard) = obs_span::enter("recovery.truncate");
             if let Err(e) = wal.truncate_to(valid_len).record_err(&mut span) {
                 self.stats.set_recovery_phase(recovery_phase::IDLE, 0);
-                load_span.fail(&e.to_string());
+                load_span.fail();
                 return Err(e.into());
             }
             self.stats.note_wal_truncation(truncated);
@@ -320,7 +320,7 @@ impl FileBackend {
         let mut fallbacks = 0u64;
         let snapshot = self.load_snapshot(&names, chain_height, speculated, &mut fallbacks);
         if snapshot.is_none() && fallbacks > 0 {
-            snapshot_span.fail(&format!("all {fallbacks} snapshot candidates rejected"));
+            snapshot_span.fail();
         }
         drop(snapshot_span);
         for _ in 0..fallbacks {

@@ -1,13 +1,15 @@
 //! Always-on flight recorder: lock-free per-thread rings of compact
 //! structured events, drained on demand into a CRC-framed incident dump.
+//! It is the crate's only in-process recorder: spans are written here too,
+//! and [`crate::span::spans_for_trace`] is a view over [`snapshot`].
 //!
-//! Every interesting decision on the hot path — span opens/closes,
+//! Every interesting decision on the hot path — span opens/events/closes,
 //! retries, hedges, breaker transitions, admission sheds, chaos faults,
 //! WAL appends, recovery phases, SLO breaches — drops one fixed-size
 //! event into the calling thread's ring via [`record`]. Recording is
 //! wait-free for the writer: a global sequence number is claimed with
 //! one `fetch_add` and the event is published into a per-slot seqlock
-//! (five payload words guarded by a version counter), so the hot path
+//! (seven payload words guarded by a version counter), so the hot path
 //! never takes a lock and never allocates.
 //!
 //! A drain ([`snapshot`]) walks every registered ring plus the orphan
@@ -18,24 +20,23 @@
 //! self-describing binary file in the `ledger::storage::codec` idiom:
 //! magic + big-endian fields + a CRC32 trailer, rejecting truncation
 //! and corruption on decode. Dumps fire on demand (the relay admin
-//! endpoint's `GET /debug/flightrec`), on SLO breach
-//! ([`crate::slo::Slo`]), or — when armed via [`arm_error_dump`] — when
-//! a span closes with error status.
+//! endpoint's `GET /debug/flightrec`) and on SLO breach
+//! ([`crate::slo::Slo`]).
 //!
 //! ## Tearing argument
 //!
-//! A slot is six `AtomicU64` words: a version plus five payload words.
-//! The owning thread bumps the version to odd (relaxed), publishes the
-//! payload with release stores, then bumps the version to even with a
-//! release store. A drainer reads the version with acquire, the payload
-//! with acquire, then the version again: an odd or changed version
-//! means the writer was mid-publish and the slot is skipped. All
+//! A slot is eight `AtomicU64` words (64 bytes): a version plus seven
+//! payload words. The owning thread bumps the version to odd (relaxed),
+//! publishes the payload with release stores, then bumps the version to
+//! even with a release store. A drainer reads the version with acquire,
+//! the payload with acquire, then the version again: an odd or changed
+//! version means the writer was mid-publish and the slot is skipped. All
 //! accesses are atomic, so a torn read is a *skipped event*, never
 //! undefined behavior. The release payload stores order the odd
 //! version store before any payload word a reader can observe, which
 //! closes the classic seqlock store-reorder window without fences.
 
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, Weak};
 
 use crate::clock;
@@ -56,8 +57,8 @@ const MAX_REASON_LEN: usize = 4096;
 /// Magic prefix of an encoded flight dump.
 pub const DUMP_MAGIC: &[u8; 8] = b"TDTFREC1";
 
-/// Minimum interval between automatic error-status dumps.
-const ERROR_DUMP_COOLDOWN_NANOS: u64 = 5_000_000_000;
+/// Version of the dump payload; [`decode_dump`] accepts this one only.
+const DUMP_VERSION: u32 = 2;
 
 // ---------------------------------------------------------------------------
 // Event vocabulary
@@ -69,11 +70,13 @@ const ERROR_DUMP_COOLDOWN_NANOS: u64 = 5_000_000_000;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum FlightKind {
-    /// A sampled span opened (`a` = span id, `b` = trace low word).
+    /// A sampled span opened (`code` = interned name id, see
+    /// [`crate::profile::tag_name`]; `a` = span id, `b` = parent span id,
+    /// `c`/`d` = trace id high/low word).
     SpanOpen = 1,
     /// A sampled span closed OK (`a` = span id, `b` = duration ns).
     SpanClose = 2,
-    /// A sampled span closed with error status.
+    /// A sampled span closed with error status (payload as `SpanClose`).
     SpanFail = 3,
     /// A transport retry fired (`code` = attempt number).
     Retry = 4,
@@ -97,6 +100,9 @@ pub enum FlightKind {
     Slo = 11,
     /// A free-form marker for tests and tooling.
     Mark = 12,
+    /// A named event inside a sampled span (`code` = interned name id,
+    /// `a` = span id).
+    SpanEvent = 13,
 }
 
 impl FlightKind {
@@ -116,6 +122,7 @@ impl FlightKind {
             10 => "recovery",
             11 => "slo",
             12 => "mark",
+            13 => "span.event",
             _ => "unknown",
         }
     }
@@ -139,6 +146,10 @@ pub struct FlightRecord {
     pub a: u64,
     /// Second kind-specific payload word.
     pub b: u64,
+    /// Third kind-specific payload word.
+    pub c: u64,
+    /// Fourth kind-specific payload word.
+    pub d: u64,
 }
 
 impl FlightRecord {
@@ -169,11 +180,12 @@ pub fn thread_ordinal() -> u32 {
 // Seqlock ring
 // ---------------------------------------------------------------------------
 
-/// One published event slot: a seqlock version word plus five payload
-/// words (`seq`, `at_nanos`, packed `thread|kind|code`, `a`, `b`).
+/// One published event slot, 64 bytes: a seqlock version word plus seven
+/// payload words (`seq`, `at_nanos`, packed `thread|kind|code`, `a`, `b`,
+/// `c`, `d`).
 struct Slot {
     version: AtomicU64,
-    words: [AtomicU64; 5],
+    words: [AtomicU64; 7],
 }
 
 impl Slot {
@@ -211,7 +223,7 @@ impl Ring {
     }
 
     /// Publishes one event. Owner thread only; wait-free.
-    fn push(&self, seq: u64, at_nanos: u64, kind: u8, code: u16, a: u64, b: u64) {
+    fn push(&self, seq: u64, at_nanos: u64, kind: u8, code: u16, payload: [u64; 4]) {
         // lint:allow(sync: "single-writer cursor: only the owning thread loads and advances pos; drainers scan every slot instead")
         let pos = self.pos.load(Ordering::Relaxed);
         // lint:allow(sync: "single-writer cursor, see above; a fetch_add would buy nothing but a locked RMW on the hot path")
@@ -225,12 +237,13 @@ impl Ring {
         // order this store before any payload word a reader observes.
         // lint:allow(sync: "seqlock odd-mark: ordered before the payload by the payload's own Release stores; single writer, so the RMW cannot lose an update")
         slot.version.store(v.wrapping_add(1), Ordering::Relaxed);
-        let [w_seq, w_at, w_meta, w_a, w_b] = &slot.words;
+        let [w_seq, w_at, w_meta, w_payload @ ..] = &slot.words;
         w_seq.store(seq, Ordering::Release);
         w_at.store(at_nanos, Ordering::Release);
         w_meta.store(pack_meta(self.thread, kind, code), Ordering::Release);
-        w_a.store(a, Ordering::Release);
-        w_b.store(b, Ordering::Release);
+        for (word, value) in w_payload.iter().zip(payload) {
+            word.store(value, Ordering::Release);
+        }
         // lint:allow(sync: "seqlock even-mark: Release publishes the payload; single writer, so the read-modify-write cannot race itself")
         slot.version.store(v.wrapping_add(2), Ordering::Release);
     }
@@ -247,12 +260,8 @@ impl Ring {
                     }
                     continue; // mid-publish, retry
                 }
-                let [w_seq, w_at, w_meta, w_a, w_b] = &slot.words;
-                let seq = w_seq.load(Ordering::Acquire);
-                let at = w_at.load(Ordering::Acquire);
-                let meta = w_meta.load(Ordering::Acquire);
-                let a = w_a.load(Ordering::Acquire);
-                let b = w_b.load(Ordering::Acquire);
+                let [seq, at, meta, a, b, c, d] =
+                    slot.words.each_ref().map(|w| w.load(Ordering::Acquire));
                 let v2 = slot.version.load(Ordering::Acquire);
                 if v1 == v2 {
                     let (thread, kind, code) = unpack_meta(meta);
@@ -264,6 +273,8 @@ impl Ring {
                         code,
                         a,
                         b,
+                        c,
+                        d,
                     });
                     break;
                 }
@@ -280,10 +291,6 @@ impl Ring {
 static SEQ: AtomicU64 = AtomicU64::new(1);
 
 static DUMPS: AtomicU64 = AtomicU64::new(0);
-
-static ERROR_DUMP_ARMED: AtomicBool = AtomicBool::new(false);
-
-static LAST_ERROR_DUMP: AtomicU64 = AtomicU64::new(0);
 
 fn rings() -> &'static Mutex<Vec<Weak<Ring>>> {
     static RINGS: OnceLock<Mutex<Vec<Weak<Ring>>>> = OnceLock::new();
@@ -335,15 +342,23 @@ thread_local! {
     };
 }
 
-/// Records one event into the calling thread's ring. Wait-free on the
-/// hot path (one global `fetch_add` plus six atomic stores); during
-/// thread teardown the event is silently dropped rather than blocking.
+/// Records one event into the calling thread's ring, with `c = d = 0`.
+/// Wait-free on the hot path (one global `fetch_add` plus nine atomic
+/// stores); during thread teardown the event is silently dropped rather
+/// than blocking.
 pub fn record(kind: FlightKind, code: u16, a: u64, b: u64) {
+    record_wide(kind, code, [a, b, 0, 0]);
+}
+
+/// [`record`] with all four payload words `[a, b, c, d]`; returns the
+/// event's timestamp so a span can measure its duration from it.
+pub(crate) fn record_wide(kind: FlightKind, code: u16, payload: [u64; 4]) -> u64 {
     let seq = SEQ.fetch_add(1, Ordering::Relaxed);
     let at = clock::now_nanos();
     let _ = LOCAL_RING.try_with(|handle| {
-        handle.ring.push(seq, at, kind as u8, code, a, b);
+        handle.ring.push(seq, at, kind as u8, code, payload);
     });
+    at
 }
 
 /// Total events recorded since process start.
@@ -351,7 +366,7 @@ pub fn events_recorded() -> u64 {
     SEQ.load(Ordering::Relaxed).saturating_sub(1)
 }
 
-/// Dumps taken since process start (on-demand, SLO breach, or error).
+/// Dumps taken since process start (on demand or on SLO breach).
 pub fn dumps_taken() -> u64 {
     DUMPS.load(Ordering::Relaxed)
 }
@@ -477,8 +492,8 @@ fn encode_payload(reason: &str, dumped_at_nanos: u64, records: &[FlightRecord]) 
     let reason = reason_bytes
         .get(..reason_bytes.len().min(MAX_REASON_LEN))
         .unwrap_or(reason_bytes);
-    let mut out = Vec::with_capacity(24 + reason.len() + records.len() * 39);
-    put_u32(&mut out, 1); // format version
+    let mut out = Vec::with_capacity(24 + reason.len() + records.len() * 55);
+    put_u32(&mut out, DUMP_VERSION);
     put_u32(&mut out, reason.len() as u32);
     out.extend_from_slice(reason);
     put_u64(&mut out, dumped_at_nanos);
@@ -489,8 +504,9 @@ fn encode_payload(reason: &str, dumped_at_nanos: u64, records: &[FlightRecord]) 
         put_u32(&mut out, r.thread);
         out.push(r.kind);
         put_u16(&mut out, r.code);
-        put_u64(&mut out, r.a);
-        put_u64(&mut out, r.b);
+        for word in [r.a, r.b, r.c, r.d] {
+            put_u64(&mut out, word);
+        }
     }
     out
 }
@@ -517,10 +533,7 @@ pub fn canonical_dump_bytes(reason: &str, records: &[FlightRecord]) -> Vec<u8> {
             seq: i as u64 + 1,
             at_nanos: 0,
             thread: 0,
-            kind: r.kind,
-            code: r.code,
-            a: r.a,
-            b: r.b,
+            ..r.clone()
         })
         .collect();
     encode_dump(reason, 0, &canonical)
@@ -552,7 +565,7 @@ pub fn decode_dump(bytes: &[u8]) -> Result<FlightDump, DumpError> {
     }
     let mut r = Reader::new(payload);
     let version = r.u32("version")?;
-    if version != 1 {
+    if version != DUMP_VERSION {
         return Err(DumpError(format!("unsupported version {version}")));
     }
     let reason_len = r.u32("reason length")? as usize;
@@ -577,6 +590,8 @@ pub fn decode_dump(bytes: &[u8]) -> Result<FlightDump, DumpError> {
             code: r.u16(&what)?,
             a: r.u64(&what)?,
             b: r.u64(&what)?,
+            c: r.u64(&what)?,
+            d: r.u64(&what)?,
         });
     }
     if r.pos != payload.len() {
@@ -611,34 +626,6 @@ pub fn dump(reason: &str) -> Vec<u8> {
 /// The most recent dump taken by any trigger, if one exists.
 pub fn last_dump() -> Option<Vec<u8>> {
     last_dump_slot().lock().ok().and_then(|slot| slot.clone())
-}
-
-/// Arms (or disarms) automatic dumps when a span closes with error
-/// status. Disarmed by default: error spans are routine in chaos and
-/// negative tests, so auto-dumping is an operator opt-in.
-pub fn arm_error_dump(enabled: bool) {
-    // lint:allow(sync: "freestanding config flag: no dependent data is published through it, a dump fired one beat early or late is equally valid")
-    ERROR_DUMP_ARMED.store(enabled, Ordering::Relaxed);
-}
-
-/// Takes a dump for an error-status span if armed and outside the
-/// cooldown window. Called by the span plane on error close.
-pub fn maybe_error_dump(reason: &str) {
-    // lint:allow(sync: "freestanding config flag, see arm_error_dump: the dump content comes from the rings, not from data ordered by this flag")
-    if !ERROR_DUMP_ARMED.load(Ordering::Relaxed) {
-        return;
-    }
-    let now = clock::now_nanos();
-    let last = LAST_ERROR_DUMP.load(Ordering::Relaxed);
-    if now.saturating_sub(last) < ERROR_DUMP_COOLDOWN_NANOS {
-        return;
-    }
-    if LAST_ERROR_DUMP
-        .compare_exchange(last, now, Ordering::Relaxed, Ordering::Relaxed)
-        .is_ok()
-    {
-        let _ = dump(&format!("error status: {reason}"));
-    }
 }
 
 #[cfg(test)]
@@ -687,6 +674,8 @@ mod tests {
                 code: 2,
                 a: 42,
                 b: 7,
+                c: 0,
+                d: u64::MAX,
             },
             FlightRecord {
                 seq: 2,
@@ -696,6 +685,8 @@ mod tests {
                 code: 1,
                 a: 12_000,
                 b: 0,
+                c: 3,
+                d: 4,
             },
         ];
         let bytes = encode_dump("unit test", 99, &records);
@@ -717,6 +708,14 @@ mod tests {
         let mut bad_magic = bytes;
         bad_magic[0] ^= 0xff;
         assert!(decode_dump(&bad_magic).is_err(), "bad magic");
+        // A version-1 payload with a valid CRC is refused, not misread.
+        let mut payload = encode_payload("x", 1, &[]);
+        payload[..4].copy_from_slice(&1u32.to_be_bytes());
+        let mut v1 = DUMP_MAGIC.to_vec();
+        v1.extend_from_slice(&payload);
+        v1.extend_from_slice(&crc32(&payload).to_be_bytes());
+        let err = decode_dump(&v1).expect_err("version 1 is not decoded");
+        assert!(err.0.contains("version 1"), "{err}");
     }
 
     #[test]
@@ -729,6 +728,8 @@ mod tests {
             code: 1,
             a: 5,
             b: 6,
+            c: 7,
+            d: 8,
         }];
         let b = vec![FlightRecord {
             seq: 77,
@@ -738,6 +739,8 @@ mod tests {
             code: 1,
             a: 5,
             b: 6,
+            c: 7,
+            d: 8,
         }];
         assert_eq!(
             canonical_dump_bytes("r", &a),

@@ -7,10 +7,10 @@
 //! 1. **Tracing** ([`trace`], [`span`]) — a 128-bit [`trace::TraceContext`]
 //!    is minted at the client, carried across the wire inside the relay
 //!    envelope, and re-installed on every hop so one trade-finance query
-//!    yields a single span tree spanning both networks. Spans land in
-//!    bounded per-thread ring buffers; recording is lock-cheap (one
-//!    uncontended mutex per thread) and inert when the context is
-//!    unsampled.
+//!    yields a single span tree spanning both networks. Spans are
+//!    written into the flight recorder's per-thread rings (wait-free, no
+//!    allocation) and read back as a view; recording is inert when the
+//!    context is unsampled.
 //! 2. **Metrics** ([`metrics`]) — a [`metrics::Registry`] of named
 //!    counters, gauges and exponential-bound histograms that unifies the
 //!    relay's scattered stat bags behind one model.
@@ -19,7 +19,7 @@
 //!    the message-flow example.
 //! 4. **Incident forensics** ([`flight`], [`profile`], [`slo`]) — an
 //!    always-on flight recorder (lock-free per-thread event rings drained
-//!    into CRC-framed dumps), a scoped sampling profiler exporting folded
+//!    into CRC-framed dumps; the crate's only in-process recorder), a scoped sampling profiler exporting folded
 //!    stacks, and an SLO engine with multi-window burn-rate breach
 //!    detection that fires a flight dump so every alert carries its own
 //!    evidence.

@@ -33,8 +33,6 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering}
 use std::sync::{Arc, Mutex, OnceLock, Weak};
 use std::time::{Duration, Instant};
 
-use crate::flight::thread_ordinal;
-
 /// Deepest scope nesting the stack tracks; deeper scopes still count
 /// toward depth but are not attributed (the sampler clamps).
 pub const MAX_DEPTH: usize = 32;
@@ -44,7 +42,7 @@ pub const MAX_DEPTH: usize = 32;
 pub const DEFAULT_HZ: u64 = 19;
 
 // ---------------------------------------------------------------------------
-// Tag interning
+// Name interning (profile tags and span names share one table)
 // ---------------------------------------------------------------------------
 
 /// A statically declared scope tag. Declare one per call site (the
@@ -72,26 +70,16 @@ impl ProfileTag {
         if id != 0 {
             return id;
         }
-        self.intern()
-    }
-
-    #[cold]
-    fn intern(&'static self) -> u32 {
-        let mut names = tag_names().lock().unwrap_or_else(|e| e.into_inner());
-        // Re-check under the lock: another thread may have won the race.
-        // lint:allow(sync: "the tag_names mutex held here serializes the load/store pair; no lock-free writer exists")
-        let again = self.id.load(Ordering::Relaxed);
-        if again != 0 {
-            return again;
-        }
-        names.push(self.name);
-        let id = names.len() as u32;
-        // lint:allow(sync: "store under the same mutex as the read above; racing readers that miss it fall into the interning slow path and re-check under the lock")
+        let id = intern(self.name);
+        // lint:allow(sync: "idempotent: intern returns one id per name, so racing first users all store the same value")
         self.id.store(id, Ordering::Relaxed);
         id
     }
 }
 
+/// The crate's one name table, shared by profile tags and span names;
+/// an id is a 1-based index into it. It only grows, so an id read from a
+/// stack or a flight record always resolves.
 fn tag_names() -> &'static Mutex<Vec<&'static str>> {
     static NAMES: OnceLock<Mutex<Vec<&'static str>>> = OnceLock::new();
     NAMES.get_or_init(|| Mutex::new(Vec::new()))
@@ -109,22 +97,86 @@ pub fn tag_name(id: u32) -> Option<&'static str> {
         .and_then(|names| names.get(id as usize - 1).copied())
 }
 
+/// Entries in the lock-free front of the name table. A name that finds
+/// no free entry still interns correctly, through the mutex every time.
+const FRONT_SLOTS: usize = 256;
+
+/// One write-once front entry: where a name's bytes live, and its length
+/// and id packed `len << 32 | id`. `addr` is stored last, with Release.
+struct FrontSlot {
+    addr: AtomicUsize,
+    len_id: AtomicU64,
+}
+
+/// Names already in [`tag_names`], keyed by address (open addressing,
+/// linear probing), so looking one up again takes no lock.
+static FRONT: [FrontSlot; FRONT_SLOTS] = [const {
+    FrontSlot {
+        addr: AtomicUsize::new(0),
+        len_id: AtomicU64::new(0),
+    }
+}; FRONT_SLOTS];
+
+/// `Ok(id)` when `name` is in the front, else the free entry it would
+/// take (`None` when the front is full).
+fn front_lookup(name: &'static str) -> Result<u32, Option<&'static FrontSlot>> {
+    let addr = name.as_ptr() as usize;
+    let hash = (addr as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32;
+    let (wrapped, first) = FRONT.split_at(hash as usize % FRONT_SLOTS);
+    for slot in first.iter().chain(wrapped) {
+        match slot.addr.load(Ordering::Acquire) {
+            0 => return Err(Some(slot)),
+            a if a == addr => {
+                let len_id = slot.len_id.load(Ordering::Acquire);
+                if len_id >> 32 == name.len() as u64 {
+                    return Ok(len_id as u32);
+                }
+            }
+            _ => {}
+        }
+    }
+    Err(None)
+}
+
+/// The interned id (1-based) of `name`. After a name's first use this is
+/// a few Acquire loads: span names arrive as bare `&'static str`s with no
+/// per-site static to cache the id in, so the front stands in for one.
+pub fn intern(name: &'static str) -> u32 {
+    front_lookup(name).unwrap_or_else(|_| intern_slow(name))
+}
+
+#[cold]
+fn intern_slow(name: &'static str) -> u32 {
+    let mut names = tag_names().lock().unwrap_or_else(|e| e.into_inner());
+    let id = match names.iter().position(|n| *n == name) {
+        Some(index) => index as u32 + 1,
+        None => {
+            names.push(name);
+            names.len() as u32
+        }
+    };
+    // Still under the lock, so each front entry has one writer at a time.
+    if let Err(Some(slot)) = front_lookup(name) {
+        slot.len_id
+            .store((name.len() as u64) << 32 | u64::from(id), Ordering::Release);
+        slot.addr.store(name.as_ptr() as usize, Ordering::Release);
+    }
+    id
+}
+
 // ---------------------------------------------------------------------------
 // Per-thread scope stacks
 // ---------------------------------------------------------------------------
 
 /// One thread's scope-tag stack, readable by the sampler.
 struct ScopeStack {
-    #[allow(dead_code)] // kept for dump tooling; the sampler aggregates across threads
-    thread: u32,
     depth: AtomicUsize,
     tags: [AtomicU32; MAX_DEPTH],
 }
 
 impl ScopeStack {
-    fn new(thread: u32) -> ScopeStack {
+    fn new() -> ScopeStack {
         ScopeStack {
-            thread,
             depth: AtomicUsize::new(0),
             tags: std::array::from_fn(|_| AtomicU32::new(0)),
         }
@@ -138,7 +190,7 @@ fn stacks() -> &'static Mutex<Vec<Weak<ScopeStack>>> {
 
 thread_local! {
     static LOCAL_STACK: Arc<ScopeStack> = {
-        let stack = Arc::new(ScopeStack::new(thread_ordinal()));
+        let stack = Arc::new(ScopeStack::new());
         if let Ok(mut stacks) = stacks().lock() {
             stacks.retain(|w| w.strong_count() > 0);
             stacks.push(Arc::downgrade(&stack));
@@ -204,14 +256,6 @@ macro_rules! profile_scope {
             $crate::profile::ProfileTag::new($name);
         let _tdt_profile_guard = $crate::profile::enter(&__TDT_PROFILE_TAG);
     };
-}
-
-/// Registered scope stacks currently alive.
-pub fn live_stacks() -> u64 {
-    stacks()
-        .lock()
-        .map(|stacks| stacks.iter().filter(|w| w.strong_count() > 0).count() as u64)
-        .unwrap_or(0)
 }
 
 // ---------------------------------------------------------------------------
@@ -425,6 +469,10 @@ mod tests {
         assert_ne!(a, 0);
         assert_eq!(tag_name(a), Some("test.intern"));
         assert_eq!(tag_name(0), None);
+        // Same text at another address: the front misses, the table
+        // matches by content, and the second lookup hits the front.
+        let copy: &'static str = Box::leak(String::from("test.intern").into_boxed_str());
+        assert_eq!((intern(copy), intern(copy)), (a, a));
     }
 
     #[test]

@@ -1,45 +1,32 @@
-//! Spans and the per-thread ring buffers that record them.
+//! Spans: per-hop measurements recorded into the flight recorder, and the
+//! view that reads them back.
 //!
-//! A [`Span`] measures one hop of the query path. Starting one against a
-//! non-recording context costs nothing (the span is inert); a recording
-//! span captures start/end timestamps from [`crate::clock`], a list of
-//! named events (`retry.attempt`, `breaker.fast_reject`, `hedge.fired`,
-//! `chaos.fault`, ...) and an error status, and lands in a bounded
-//! per-thread ring on drop. Rings overwrite their oldest record when full
-//! and count the overwrites, so recording never blocks or allocates
-//! unboundedly on the hot path.
+//! A [`Span`] measures one hop of the query path; started from a
+//! non-recording context it is inert. A recording span is a handle (span
+//! id, start time, failed flag) with no storage of its own: starting it
+//! writes a `SpanOpen` record (interned name, span and parent ids, trace
+//! id) into the calling thread's [`crate::flight`] ring, [`Span::event`]
+//! writes a `SpanEvent` (`retry.attempt`, `hedge.fired`, `chaos.fault`,
+//! ...), and drop writes `SpanClose` or `SpanFail` with the duration —
+//! wait-free slot writes, no allocation.
 //!
-//! Snapshots are **non-destructive**: [`snapshot_spans`] clones every
-//! ring, and [`spans_for_trace`] filters to one trace id, so concurrent
-//! tests can each inspect their own tree without racing on a shared drain.
-//!
-//! Rings are **reclaimed with their threads**: the process-wide registry
-//! holds only weak references, a dying thread flushes its unsnapshotted
-//! records into a bounded shared orphan ring, and dead registrations are
-//! pruned on every registration and snapshot — a relay that churns
-//! short-lived worker threads (hedged attempts, failover probes) holds a
-//! bounded number of rings no matter how long it runs.
+//! [`snapshot_spans`] and [`spans_for_trace`] are a non-destructive view
+//! over [`crate::flight::snapshot`]: each open is paired with its close by
+//! span id and given the events in between. A span still open, or whose
+//! open its ring has since overwritten, is left out — never half-reported.
 
 use crate::clock::now_nanos;
+use crate::flight::{self, FlightKind, FlightRecord};
 use crate::trace::{ContextGuard, TraceContext};
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError, Weak};
-
-/// Capacity of each per-thread span ring.
-const RING_CAPACITY: usize = 4096;
-
-/// Maximum named events retained per span (excess increments a counter on
-/// the final event instead of growing without bound).
-const MAX_EVENTS_PER_SPAN: usize = 64;
+use std::collections::HashMap;
 
 /// Terminal status of a finished span.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SpanStatus {
     /// The hop completed without a recorded error.
     Ok,
-    /// The hop failed; the payload is the error's display form.
-    Error(String),
+    /// The hop failed.
+    Error,
 }
 
 /// A named point-in-time marker inside a span.
@@ -51,7 +38,7 @@ pub struct SpanEvent {
     pub at_nanos: u64,
 }
 
-/// A finished span as stored in the ring buffers.
+/// A finished span, as the view reassembles it from flight records.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpanRecord {
     /// Hop name, e.g. `relay.query`.
@@ -68,7 +55,7 @@ pub struct SpanRecord {
     pub start_nanos: u64,
     /// End timestamp on the process monotonic clock.
     pub end_nanos: u64,
-    /// Named events recorded while the span was active.
+    /// Named events recorded while the span was active, oldest first.
     pub events: Vec<SpanEvent>,
     /// Terminal status.
     pub status: SpanStatus,
@@ -82,143 +69,88 @@ impl SpanRecord {
 
     /// True when the span ended in [`SpanStatus::Error`].
     pub fn is_error(&self) -> bool {
-        matches!(self.status, SpanStatus::Error(_))
+        self.status == SpanStatus::Error
     }
 }
 
-struct Ring {
-    records: VecDeque<SpanRecord>,
+/// The flight-record code for a span or event name: its id in the crate's
+/// one intern table, or 0 ("unknown") past the `u16` range.
+fn name_code(name: &'static str) -> u16 {
+    u16::try_from(crate::profile::intern(name)).unwrap_or(0)
 }
 
-/// Weak registrations only: a ring is owned by its thread's [`RingHandle`]
-/// and dies with the thread, so short-lived workers (hedged attempts,
-/// pool threads) cannot grow this list without bound. Dead entries are
-/// pruned on every registration and snapshot.
-static RINGS: Mutex<Vec<Weak<Mutex<Ring>>>> = Mutex::new(Vec::new());
-/// Spans flushed from exiting threads' rings, bounded like any ring.
-static ORPHANS: Mutex<VecDeque<SpanRecord>> = Mutex::new(VecDeque::new());
-static DROPPED: AtomicU64 = AtomicU64::new(0);
-
-/// Owns one thread's ring; flushing on drop moves any still-unsnapshotted
-/// records into the shared orphan ring so spans recorded on short-lived
-/// threads stay visible after the thread exits.
-struct RingHandle(Arc<Mutex<Ring>>);
-
-impl Drop for RingHandle {
-    fn drop(&mut self) {
-        let records = std::mem::take(
-            &mut self
-                .0
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .records,
-        );
-        let mut orphans = ORPHANS.lock().unwrap_or_else(PoisonError::into_inner);
-        for rec in records {
-            push_bounded(&mut orphans, rec);
-        }
-        drop(orphans);
-        prune_dead_rings();
-    }
-}
-
-thread_local! {
-    // The VecDeque starts empty and grows on demand: an idle thread that
-    // never records costs a pointer, not a full pre-sized ring.
-    static LOCAL_RING: RingHandle = {
-        let ring = Arc::new(Mutex::new(Ring {
-            records: VecDeque::new(),
-        }));
-        let mut rings = RINGS.lock().unwrap_or_else(PoisonError::into_inner);
-        rings.retain(|w| w.strong_count() > 0);
-        rings.push(Arc::downgrade(&ring));
-        RingHandle(ring)
-    };
-}
-
-fn prune_dead_rings() {
-    RINGS
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .retain(|w| w.strong_count() > 0);
-}
-
-fn push_bounded(records: &mut VecDeque<SpanRecord>, rec: SpanRecord) {
-    if records.len() >= RING_CAPACITY {
-        records.pop_front();
-        DROPPED.fetch_add(1, Ordering::Relaxed);
-    }
-    records.push_back(rec);
-}
-
-fn record(rec: SpanRecord) {
-    let mut rec = Some(rec);
-    let _ = LOCAL_RING.try_with(|handle| {
-        if let Some(rec) = rec.take() {
-            let mut ring = handle.0.lock().unwrap_or_else(PoisonError::into_inner);
-            push_bounded(&mut ring.records, rec);
-        }
-    });
-    // Thread-local already destroyed (span dropped during thread
-    // teardown): record straight into the orphan ring.
-    if let Some(rec) = rec {
-        let mut orphans = ORPHANS.lock().unwrap_or_else(PoisonError::into_inner);
-        push_bounded(&mut orphans, rec);
-    }
-}
-
-/// Total spans overwritten before anyone snapshotted them (process-wide).
-pub fn spans_dropped() -> u64 {
-    DROPPED.load(Ordering::Relaxed)
-}
-
-/// Number of per-thread rings currently alive (exported as the
-/// `tdt_obs_span_rings` gauge; a value that tracks thread churn instead
-/// of plateauing at the worker count indicates a ring leak).
-pub fn live_rings() -> u64 {
-    let mut rings = RINGS.lock().unwrap_or_else(PoisonError::into_inner);
-    rings.retain(|w| w.strong_count() > 0);
-    rings.len() as u64
-}
-
-/// Clones every span currently held in any thread's ring, plus spans
-/// flushed from rings of threads that have since exited.
+/// Every finished span in the flight recorder, oldest close first.
 pub fn snapshot_spans() -> Vec<SpanRecord> {
-    let rings: Vec<Arc<Mutex<Ring>>> = {
-        let mut rings = RINGS.lock().unwrap_or_else(PoisonError::into_inner);
-        rings.retain(|w| w.strong_count() > 0);
-        rings.iter().filter_map(Weak::upgrade).collect()
-    };
-    let mut out: Vec<SpanRecord> = ORPHANS
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .iter()
-        .cloned()
-        .collect();
-    for ring in rings {
-        let ring = ring.lock().unwrap_or_else(PoisonError::into_inner);
-        out.extend(ring.records.iter().cloned());
+    assemble(&flight::snapshot(), |_| true)
+}
+
+/// Every finished span of the given 128-bit trace id, oldest close first.
+pub fn spans_for_trace(trace_hi: u64, trace_lo: u64) -> Vec<SpanRecord> {
+    assemble(&flight::snapshot(), |open| {
+        open.c == trace_hi && open.d == trace_lo
+    })
+}
+
+/// Pairs each `SpanOpen` accepted by `wanted` with its close by span id,
+/// attaching the events in between. `records` must ascend by `seq`.
+fn assemble(records: &[FlightRecord], wanted: impl Fn(&FlightRecord) -> bool) -> Vec<SpanRecord> {
+    let name = |code: u16| crate::profile::tag_name(code.into()).unwrap_or("?");
+    let mut open: HashMap<u64, SpanRecord> = HashMap::new();
+    let mut out = Vec::new();
+    for r in records {
+        match r.kind {
+            k if k == FlightKind::SpanOpen as u8 && wanted(r) => {
+                let span = SpanRecord {
+                    name: name(r.code),
+                    trace_hi: r.c,
+                    trace_lo: r.d,
+                    span_id: r.a,
+                    parent_span_id: r.b,
+                    start_nanos: r.at_nanos,
+                    end_nanos: r.at_nanos,
+                    events: Vec::new(),
+                    status: SpanStatus::Ok,
+                };
+                open.insert(r.a, span);
+            }
+            k if k == FlightKind::SpanEvent as u8 => {
+                if let Some(span) = open.get_mut(&r.a) {
+                    let (name, at_nanos) = (name(r.code), r.at_nanos);
+                    span.events.push(SpanEvent { name, at_nanos });
+                }
+            }
+            k if k == FlightKind::SpanClose as u8 || k == FlightKind::SpanFail as u8 => {
+                if let Some(mut span) = open.remove(&r.a) {
+                    span.end_nanos = span.start_nanos.saturating_add(r.b);
+                    if k == FlightKind::SpanFail as u8 {
+                        span.status = SpanStatus::Error;
+                    }
+                    out.push(span);
+                }
+            }
+            _ => {}
+        }
     }
     out
-}
-
-/// Clones every recorded span belonging to the given 128-bit trace id.
-pub fn spans_for_trace(trace_hi: u64, trace_lo: u64) -> Vec<SpanRecord> {
-    snapshot_spans()
-        .into_iter()
-        .filter(|s| s.trace_hi == trace_hi && s.trace_lo == trace_lo)
-        .collect()
 }
 
 /// An in-flight measurement of one hop.
 ///
 /// Inert (all methods are no-ops) when started from a non-recording
-/// context. A live span records itself into the thread-local ring when
-/// dropped; [`Span::fail`] or [`RecordErr::record_err`] set the error
-/// status first.
+/// context. A live span writes its close into the calling thread's flight
+/// ring when dropped; [`Span::fail`] or [`RecordErr::record_err`] make
+/// that close a failure.
 #[derive(Debug)]
 pub struct Span {
-    inner: Option<SpanRecord>,
+    /// `None` for an inert span.
+    live: Option<LiveSpan>,
+}
+
+#[derive(Debug)]
+struct LiveSpan {
+    span_id: u64,
+    start_nanos: u64,
+    failed: bool,
 }
 
 impl Span {
@@ -227,78 +159,55 @@ impl Span {
         if !ctx.is_recording() {
             return Span::inert();
         }
-        crate::flight::record(
-            crate::flight::FlightKind::SpanOpen,
-            0,
-            ctx.span_id,
-            ctx.trace_lo,
+        let start_nanos = flight::record_wide(
+            FlightKind::SpanOpen,
+            name_code(name),
+            [ctx.span_id, ctx.parent_span_id, ctx.trace_hi, ctx.trace_lo],
         );
         Span {
-            inner: Some(SpanRecord {
-                name,
-                trace_hi: ctx.trace_hi,
-                trace_lo: ctx.trace_lo,
+            live: Some(LiveSpan {
                 span_id: ctx.span_id,
-                parent_span_id: ctx.parent_span_id,
-                start_nanos: now_nanos(),
-                end_nanos: 0,
-                events: Vec::new(),
-                status: SpanStatus::Ok,
+                start_nanos,
+                failed: false,
             }),
         }
     }
 
     /// A span that records nothing.
     pub fn inert() -> Span {
-        Span { inner: None }
+        Span { live: None }
     }
 
     /// True when this span will actually be recorded.
     pub fn is_recording(&self) -> bool {
-        self.inner.is_some()
+        self.live.is_some()
     }
 
     /// Records a named point-in-time event on this span.
     pub fn event(&mut self, name: &'static str) {
-        if let Some(rec) = self.inner.as_mut() {
-            if rec.events.len() < MAX_EVENTS_PER_SPAN {
-                rec.events.push(SpanEvent {
-                    name,
-                    at_nanos: now_nanos(),
-                });
-            }
+        if let Some(live) = &self.live {
+            flight::record(FlightKind::SpanEvent, name_code(name), live.span_id, 0);
         }
     }
 
-    /// Marks the span as failed with the error's display form.
-    pub fn fail(&mut self, message: &str) {
-        if let Some(rec) = self.inner.as_mut() {
-            rec.status = SpanStatus::Error(message.to_string());
+    /// Marks the span as failed.
+    pub fn fail(&mut self) {
+        if let Some(live) = &mut self.live {
+            live.failed = true;
         }
     }
 }
 
 impl Drop for Span {
     fn drop(&mut self) {
-        if let Some(mut rec) = self.inner.take() {
-            rec.end_nanos = now_nanos();
-            if rec.is_error() {
-                crate::flight::record(
-                    crate::flight::FlightKind::SpanFail,
-                    0,
-                    rec.span_id,
-                    rec.duration_nanos(),
-                );
-                crate::flight::maybe_error_dump(rec.name);
+        if let Some(live) = self.live.take() {
+            let kind = if live.failed {
+                FlightKind::SpanFail
             } else {
-                crate::flight::record(
-                    crate::flight::FlightKind::SpanClose,
-                    0,
-                    rec.span_id,
-                    rec.duration_nanos(),
-                );
-            }
-            record(rec);
+                FlightKind::SpanClose
+            };
+            let duration = now_nanos().saturating_sub(live.start_nanos);
+            flight::record(kind, 0, live.span_id, duration);
         }
     }
 }
@@ -333,18 +242,18 @@ pub fn enter_remote(name: &'static str, remote: &TraceContext) -> (Span, Context
 /// Extension trait recording `Err` outcomes onto the active span.
 ///
 /// `result.record_err(&mut span)` is the idiom the `lint` `obs` pass
-/// checks for in relay entry points: it sets the span's error status on
-/// the `Err` arm and hands the result back unchanged either way.
+/// checks for in relay entry points: it marks the span failed on the
+/// `Err` arm and hands the result back unchanged either way.
 pub trait RecordErr {
-    /// Sets the error status on `span` when `self` is `Err`.
+    /// Marks `span` failed when `self` is `Err`.
     #[must_use]
     fn record_err(self, span: &mut Span) -> Self;
 }
 
-impl<T, E: std::fmt::Display> RecordErr for Result<T, E> {
+impl<T, E> RecordErr for Result<T, E> {
     fn record_err(self, span: &mut Span) -> Self {
-        if let Err(e) = &self {
-            span.fail(&e.to_string());
+        if self.is_err() {
+            span.fail();
         }
         self
     }
@@ -353,6 +262,8 @@ impl<T, E: std::fmt::Display> RecordErr for Result<T, E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::sync::Barrier;
 
     #[test]
     fn span_records_on_drop() {
@@ -366,6 +277,7 @@ mod tests {
         assert_eq!(spans[0].name, "test.hop");
         assert_eq!(spans[0].span_id, ctx.span_id);
         assert_eq!(spans[0].events.len(), 1);
+        assert_eq!(spans[0].events[0].name, "test.event");
         assert_eq!(spans[0].status, SpanStatus::Ok);
         assert!(spans[0].end_nanos >= spans[0].start_nanos);
     }
@@ -376,7 +288,7 @@ mod tests {
         {
             let mut span = Span::start("test.quiet", &ctx);
             span.event("ignored");
-            span.fail("ignored");
+            span.fail();
             assert!(!span.is_recording());
         }
         assert!(spans_for_trace(ctx.trace_hi, ctx.trace_lo).is_empty());
@@ -392,7 +304,7 @@ mod tests {
         }
         let spans = spans_for_trace(ctx.trace_hi, ctx.trace_lo);
         assert_eq!(spans.len(), 1);
-        assert_eq!(spans[0].status, SpanStatus::Error("boom".into()));
+        assert_eq!(spans[0].status, SpanStatus::Error);
         assert!(spans[0].is_error());
     }
 
@@ -438,7 +350,7 @@ mod tests {
     #[test]
     fn dead_thread_rings_are_reclaimed_and_spans_flushed() {
         let ctx = TraceContext::root();
-        let before = live_rings();
+        let before = flight::live_rings();
         const THREADS: u64 = 32;
         for _ in 0..THREADS {
             let ctx = ctx.child();
@@ -456,24 +368,141 @@ mod tests {
         // ...but the dead workers' rings did not accumulate (slack for
         // rings other concurrently running tests legitimately create).
         assert!(
-            live_rings() < before + THREADS / 2,
+            flight::live_rings() < before + THREADS / 2,
             "dead rings not reclaimed: {} live before, {} after {} short-lived threads",
             before,
-            live_rings(),
+            flight::live_rings(),
             THREADS
         );
     }
 
     #[test]
-    fn event_cap_holds() {
+    fn half_spans_are_never_reported() {
+        // Still open: absent until it closes.
         let ctx = TraceContext::root();
-        {
-            let mut span = Span::start("test.cap", &ctx);
-            for _ in 0..(MAX_EVENTS_PER_SPAN + 10) {
-                span.event("e");
-            }
-        }
+        let mut span = Span::start("test.open", &ctx);
+        span.event("test.midway");
+        assert!(spans_for_trace(ctx.trace_hi, ctx.trace_lo).is_empty());
+        drop(span);
         let spans = spans_for_trace(ctx.trace_hi, ctx.trace_lo);
-        assert_eq!(spans[0].events.len(), MAX_EVENTS_PER_SPAN);
+        assert_eq!((spans.len(), spans[0].events.len()), (1, 1));
+        // Open overwritten by RING_CAPACITY later records on its thread:
+        // the close survives, the span is dropped whole.
+        let ctx = TraceContext::root();
+        let span = Span::start("test.evicted", &ctx);
+        for i in 0..flight::RING_CAPACITY as u64 {
+            flight::record(FlightKind::Mark, 300, i, 0);
+        }
+        drop(span);
+        let closed = flight::snapshot()
+            .iter()
+            .any(|r| r.kind == FlightKind::SpanClose as u8 && r.a == ctx.span_id);
+        assert!(closed, "the close record is still in the ring");
+        assert!(spans_for_trace(ctx.trace_hi, ctx.trace_lo).is_empty());
+    }
+
+    const NAMES: [&str; 4] = ["prop.a", "prop.b", "prop.c", "prop.d"];
+    const EVENTS: [&str; 3] = ["prop.ev.x", "prop.ev.y", "prop.ev.z"];
+
+    /// What the view must report for one span: id, parent, name, events,
+    /// failed.
+    type Expected = (u64, u64, &'static str, Vec<&'static str>, bool);
+
+    /// Records one thread's spans under `remote` (the wire parent) from
+    /// `(parent choice, event indexes, fails)` plans, closing innermost
+    /// first as scoped guards do.
+    fn record_thread(remote: TraceContext, plan: &[(u8, Vec<u8>, bool)]) -> Vec<Expected> {
+        let (mut ctxs, mut spans, mut expected) = (Vec::new(), Vec::new(), Vec::new());
+        for (i, (parent, events, fails)) in plan.iter().enumerate() {
+            // Parent: the wire context, or a span opened earlier here.
+            let ctx = ctxs
+                .get(usize::from(*parent) % (i + 1))
+                .unwrap_or(&remote)
+                .child();
+            let mut span = Span::start(NAMES[i % 4], &ctx);
+            let events: Vec<_> = events.iter().map(|&e| EVENTS[usize::from(e)]).collect();
+            events.iter().for_each(|&e| span.event(e));
+            if *fails {
+                span.fail();
+            }
+            expected.push((
+                ctx.span_id,
+                ctx.parent_span_id,
+                NAMES[i % 4],
+                events,
+                *fails,
+            ));
+            ctxs.push(ctx);
+            spans.push(span);
+        }
+        while spans.pop().is_some() {}
+        expected
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        // Span forests on several threads, some of which exit before the
+        // snapshot: the view returns exactly what was recorded.
+        #[test]
+        fn view_returns_exactly_the_recorded_forest(
+            threads in prop::collection::vec(
+                prop::collection::vec(
+                    (any::<u8>(), prop::collection::vec(0u8..3, 0..4), any::<bool>()),
+                    1..7,
+                ),
+                1..5,
+            ),
+            exit_mask in any::<u8>(),
+        ) {
+            let root = TraceContext::root();
+            let exits = |t: usize| exit_mask & (1 << t) != 0;
+            let gate = Barrier::new(1 + (0..threads.len()).filter(|&t| !exits(t)).count());
+            let (mut expected, got) = std::thread::scope(|s| {
+                let handles: Vec<_> = threads
+                    .iter()
+                    .enumerate()
+                    .map(|(t, plan)| {
+                        let (remote, gate) = (root.child(), &gate);
+                        s.spawn(move || {
+                            let expected = record_thread(remote, plan);
+                            if !exits(t) {
+                                gate.wait(); // recorded
+                                gate.wait(); // snapshot taken
+                            }
+                            expected
+                        })
+                    })
+                    .collect();
+                // Exiting threads are joined before the snapshot; the rest
+                // stay alive across it.
+                let (gone, live): (Vec<_>, Vec<_>) =
+                    handles.into_iter().enumerate().partition(|(t, _)| exits(*t));
+                let join = |(_, h): (usize, std::thread::ScopedJoinHandle<'_, Vec<Expected>>)| {
+                    h.join().expect("recording thread")
+                };
+                let mut expected: Vec<Expected> = gone.into_iter().flat_map(join).collect();
+                gate.wait();
+                let got = spans_for_trace(root.trace_hi, root.trace_lo);
+                gate.wait();
+                expected.extend(live.into_iter().flat_map(join));
+                (expected, got)
+            });
+            for span in &got {
+                let during = span.start_nanos..=span.end_nanos;
+                prop_assert!(span.start_nanos <= span.end_nanos, "{span:?}");
+                prop_assert!(span.events.iter().all(|e| during.contains(&e.at_nanos)), "{span:?}");
+            }
+            let mut got: Vec<Expected> = got
+                .iter()
+                .map(|s| {
+                    let events = s.events.iter().map(|e| e.name).collect();
+                    (s.span_id, s.parent_span_id, s.name, events, s.is_error())
+                })
+                .collect();
+            got.sort();
+            expected.sort();
+            prop_assert_eq!(got, expected);
+        }
     }
 }

@@ -12,11 +12,9 @@
 //!
 //! The all-zero context is "unset" and makes every span inert; `sampled`
 //! is a head-based decision made once at the root and inherited by every
-//! child. Production roots ([`TraceContext::root_sampled`]) consult a
-//! global ratio ([`set_sample_ratio`], or the `TDT_TRACE_SAMPLE_RATE`
-//! environment variable, default 1.0) so operators can turn per-query
-//! recording down under heavy traffic; [`TraceContext::root`] is the
-//! always-sampled variant for tests and demos.
+//! child, including across the wire. [`TraceContext::root`] roots a
+//! sampled trace; [`TraceContext::unsampled_root`] one that propagates
+//! without recording.
 
 use std::cell::Cell;
 use std::collections::hash_map::DefaultHasher;
@@ -46,56 +44,6 @@ thread_local! {
 const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
 
 static SEQ: AtomicU64 = AtomicU64::new(GOLDEN);
-
-/// Sampling probabilities are stored in parts-per-million.
-const PPM_SCALE: u64 = 1_000_000;
-/// Sentinel meaning "not yet initialised from the environment".
-const PPM_UNSET: u64 = u64::MAX;
-
-/// Global head-sampling ratio used by [`TraceContext::root_sampled`],
-/// initialised lazily from `TDT_TRACE_SAMPLE_RATE` (a float in `0..=1`)
-/// and defaulting to 1.0 (sample everything) when unset or malformed.
-static SAMPLE_PPM: AtomicU64 = AtomicU64::new(PPM_UNSET);
-
-fn ratio_to_ppm(ratio: f64) -> u64 {
-    if !ratio.is_finite() {
-        return PPM_SCALE;
-    }
-    (ratio.clamp(0.0, 1.0) * PPM_SCALE as f64).round() as u64
-}
-
-fn sample_ppm() -> u64 {
-    // lint:allow(sync: "freestanding config word: the ppm value is the entire payload, no other data is published through it")
-    match SAMPLE_PPM.load(Ordering::Relaxed) {
-        PPM_UNSET => {
-            let ppm = std::env::var("TDT_TRACE_SAMPLE_RATE")
-                .ok()
-                .and_then(|v| v.trim().parse::<f64>().ok())
-                .map(ratio_to_ppm)
-                .unwrap_or(PPM_SCALE);
-            // First initialiser wins so concurrent callers agree.
-            // lint:allow(sync: "CAS decides only which identical-meaning ppm wins; losers adopt the stored value")
-            match SAMPLE_PPM.compare_exchange(PPM_UNSET, ppm, Ordering::Relaxed, Ordering::Relaxed)
-            {
-                Ok(_) => ppm,
-                Err(current) => current,
-            }
-        }
-        ppm => ppm,
-    }
-}
-
-/// Sets the global head-sampling ratio (clamped to `0..=1`) consulted by
-/// [`TraceContext::root_sampled`]. Overrides `TDT_TRACE_SAMPLE_RATE`.
-pub fn set_sample_ratio(ratio: f64) {
-    // lint:allow(sync: "samplers may apply the new ratio a beat late; no dependent data rides on the flip")
-    SAMPLE_PPM.store(ratio_to_ppm(ratio), Ordering::Relaxed);
-}
-
-/// The current global head-sampling ratio in `0..=1`.
-pub fn sample_ratio() -> f64 {
-    sample_ppm() as f64 / PPM_SCALE as f64
-}
 
 /// SplitMix64 finalizer — a cheap, well-mixed 64-bit permutation.
 fn mix64(mut x: u64) -> u64 {
@@ -132,25 +80,6 @@ impl TraceContext {
             parent_span_id: 0,
             sampled: true,
         }
-    }
-
-    /// A fresh root context whose sampling decision comes from the global
-    /// ratio ([`set_sample_ratio`] / `TDT_TRACE_SAMPLE_RATE`): the
-    /// head-based decision production query roots should make, so heavy
-    /// traffic can turn recording down without touching call sites.
-    /// [`TraceContext::root`] stays always-sampled for tests and demos.
-    pub fn root_sampled() -> TraceContext {
-        TraceContext::root_with_rate(sample_ratio())
-    }
-
-    /// A fresh root context sampled with probability `ratio` (clamped to
-    /// `0..=1`). The decision is a deterministic function of the minted
-    /// trace id, so a given trace is all-or-nothing across hops.
-    pub fn root_with_rate(ratio: f64) -> TraceContext {
-        let mut ctx = TraceContext::root();
-        let ppm = ratio_to_ppm(ratio);
-        ctx.sampled = ppm >= PPM_SCALE || ctx.trace_lo % PPM_SCALE < ppm;
-        ctx
     }
 
     /// A fresh root context whose spans will *not* be recorded. Useful to
@@ -283,26 +212,11 @@ mod tests {
     }
 
     #[test]
-    fn root_with_rate_extremes() {
-        for _ in 0..64 {
-            assert!(TraceContext::root_with_rate(1.0).is_recording());
-            assert!(!TraceContext::root_with_rate(0.0).is_recording());
-        }
-        // An unsampled root still propagates: ids exist, children inherit
-        // the negative decision.
-        let ctx = TraceContext::root_with_rate(0.0);
+    fn unsampled_root_propagates_without_recording() {
+        let ctx = TraceContext::unsampled_root();
         assert!(!ctx.is_unset());
+        assert!(!ctx.is_recording());
         assert!(!ctx.child().is_recording());
-    }
-
-    #[test]
-    fn sample_ratio_set_get_and_clamp() {
-        let before = sample_ratio();
-        set_sample_ratio(0.25);
-        assert!((sample_ratio() - 0.25).abs() < 1e-9);
-        set_sample_ratio(7.0);
-        assert!((sample_ratio() - 1.0).abs() < 1e-9);
-        set_sample_ratio(before);
     }
 
     #[test]

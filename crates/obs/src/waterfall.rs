@@ -81,7 +81,7 @@ pub fn render(spans: &[SpanRecord]) -> String {
         );
         let status = match &span.status {
             SpanStatus::Ok => "",
-            SpanStatus::Error(_) => " !",
+            SpanStatus::Error => " !",
         };
         let _ = writeln!(
             out,
@@ -155,7 +155,7 @@ mod tests {
     #[test]
     fn marks_errors_and_events() {
         let mut failed = span("bad.hop", 2, 1, 100, 200);
-        failed.status = SpanStatus::Error("boom".into());
+        failed.status = SpanStatus::Error;
         failed.events.push(SpanEvent {
             name: "retry.attempt",
             at_nanos: 150,

@@ -605,7 +605,7 @@ impl RelayTransport for ChaosTransport {
             let message = format!("chaos: partitioned from {endpoint} (op {op})");
             if let Some((span, _)) = obs.as_mut() {
                 span.event("chaos.partitioned");
-                span.fail(&message);
+                span.fail();
             }
             return Err(RelayError::TransportFailed(message));
         }
@@ -615,7 +615,7 @@ impl RelayTransport for ChaosTransport {
             let message = format!("chaos: dropped request to {endpoint} (op {op})");
             if let Some((span, _)) = obs.as_mut() {
                 span.event("chaos.drop");
-                span.fail(&message);
+                span.fail();
             }
             return Err(RelayError::TransportFailed(message));
         }
@@ -644,7 +644,7 @@ impl RelayTransport for ChaosTransport {
                     Ok(corrupted) => corrupted,
                     Err(e) => {
                         if let Some((span, _)) = obs.as_mut() {
-                            span.fail(&e.to_string());
+                            span.fail();
                         }
                         return Err(e);
                     }

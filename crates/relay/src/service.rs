@@ -454,7 +454,7 @@ impl RelayService {
                     "{OVERLOADED_PREFIX}queue depth {depth} implies ~{estimated:?} wait \
                      against a {budget:?} deadline budget"
                 );
-                span.fail(&message);
+                span.fail();
                 return RelayEnvelope::error(self.id.clone(), dest_network, message);
             }
         }
@@ -501,7 +501,7 @@ impl RelayService {
 
     /// Builds an error reply, recording the failure on the active span.
     fn error_reply(&self, span: &mut Span, dest_network: String, message: String) -> RelayEnvelope {
-        span.fail(&message);
+        span.fail();
         RelayEnvelope::error(self.id.clone(), dest_network, message)
     }
 

@@ -91,23 +91,10 @@ pub(crate) fn export_snapshot(registry: &Registry, relay_id: &str, snapshot: &Re
 /// Family, help, kind and scrape-time reader of one process-wide series.
 type ProcessSeries = (&'static str, &'static str, MetricKind, fn() -> u64);
 
-/// Process-global health of the span plane, flight recorder and profiler:
-/// deliberately unlabeled (every bridged relay writes the same
-/// process-wide value).
+/// Process-global health of the flight recorder (which also holds the
+/// spans) and profiler: deliberately unlabeled (every bridged relay writes
+/// the same process-wide value).
 const PROCESS_SERIES: &[ProcessSeries] = &[
-    (
-        "tdt_obs_spans_dropped_total",
-        "Span records overwritten in full ring buffers before snapshot",
-        MetricKind::Counter,
-        tdt_obs::span::spans_dropped,
-    ),
-    (
-        "tdt_obs_span_rings",
-        "Per-thread span rings currently alive (growth past the worker \
-         count indicates leaked rings)",
-        MetricKind::Gauge,
-        tdt_obs::span::live_rings,
-    ),
     (
         "tdt_obs_flight_events_total",
         "Events written to the flight recorder since process start",
@@ -116,13 +103,14 @@ const PROCESS_SERIES: &[ProcessSeries] = &[
     ),
     (
         "tdt_obs_flight_dumps_total",
-        "Incident dumps taken (on demand, on error, or on SLO breach)",
+        "Incident dumps taken (on demand or on SLO breach)",
         MetricKind::Counter,
         tdt_obs::flight::dumps_taken,
     ),
     (
         "tdt_obs_flight_rings",
-        "Per-thread flight-recorder rings currently alive",
+        "Per-thread flight-recorder rings currently alive (growth past \
+         the worker count indicates leaked rings)",
         MetricKind::Gauge,
         tdt_obs::flight::live_rings,
     ),

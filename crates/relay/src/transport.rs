@@ -1377,9 +1377,15 @@ mod tests {
             RetryPolicy::is_retryable(&err),
             "dead pooled connection must be retryable, got {err:?}"
         );
-        // Whichever way the death was noticed, the next checkout prunes
-        // the dead connection and counts the cull.
-        let _ = transport.send(&endpoint, &request(b"again"));
+        // Whichever way the death was noticed, a checkout after the reader
+        // thread has marked the connection dead prunes it and counts the
+        // cull. A failed write returns before the reader has run, so a
+        // checkout straight after it may still see the connection alive.
+        let deadline = Instant::now() + Duration::from_secs(2);
+        while transport.stats().connections_culled() == 0 && Instant::now() < deadline {
+            let _ = transport.send(&endpoint, &request(b"again"));
+            std::thread::sleep(Duration::from_millis(5));
+        }
         assert!(
             transport.stats().connections_culled() >= 1,
             "checkout must count pruned dead connections"

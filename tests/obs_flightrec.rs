@@ -9,8 +9,8 @@ use std::sync::Arc;
 use std::time::Duration;
 use tdt::obs::export::parse_exposition;
 use tdt::obs::flight;
-use tdt::obs::profile::{parse_folded, Accumulator};
-use tdt::obs::ObsHandle;
+use tdt::obs::profile::{self, parse_folded, Accumulator};
+use tdt::obs::{ObsHandle, TraceContext};
 use tdt::relay::breaker::{BreakerConfig, CircuitBreaker};
 use tdt::relay::chaos::{ChaosConfig, ChaosTransport};
 use tdt::relay::discovery::{DiscoveryService, StaticRegistry};
@@ -289,6 +289,48 @@ fn slo_breach_fires_a_decodable_flight_dump() {
             .any(|r| r.kind == flight::FlightKind::Slo as u8 && r.code == 1),
         "dump must contain the SLO breach event"
     );
+}
+
+/// Spans live in the flight recorder: a dump taken after a failed relay
+/// query holds that query's open and fail records, and the open's name id
+/// resolves to `relay.query` through the crate's one intern table.
+#[test]
+fn failed_relay_query_leaves_its_span_in_the_dump() {
+    let registry = Arc::new(StaticRegistry::new());
+    let swt = RelayService::new(
+        "swt-lonely",
+        "swt",
+        Arc::clone(&registry) as Arc<dyn DiscoveryService>,
+        Arc::new(InProcessBus::new()) as Arc<dyn RelayTransport>,
+    );
+    let root = TraceContext::root();
+    {
+        let _guard = root.install();
+        let query = Query {
+            request_id: "unroutable".into(),
+            address: NetworkAddress::new("nowhere", "l", "c", "f"),
+            ..Default::default()
+        };
+        assert!(swt.relay_query(&query).is_err(), "no route to `nowhere`");
+    }
+    let dump = flight::decode_dump(&flight::dump("test: failed relay query")).expect("decodes");
+    let open = dump
+        .records
+        .iter()
+        .find(|r| {
+            r.kind == flight::FlightKind::SpanOpen as u8
+                && (r.c, r.d) == (root.trace_hi, root.trace_lo)
+                && r.b == root.span_id
+        })
+        .expect("the relay.query span opened under the test root");
+    assert_eq!(open.kind_name(), "span.open");
+    assert_eq!(profile::tag_name(open.code.into()), Some("relay.query"));
+    let fail = dump
+        .records
+        .iter()
+        .find(|r| r.a == open.a && r.seq > open.seq && r.kind_name() != "span.event")
+        .expect("the span closed");
+    assert_eq!(fail.kind_name(), "span.fail");
 }
 
 proptest! {
