@@ -2,11 +2,11 @@
 //! builtin group (`BENCH_crypto.json`, schema `crypto/v1`).
 //!
 //! * **Schnorr verify** — the "before" column runs the verify equation
-//!   `g^s · y^e` the pre-overhaul way, through the still-public Barrett APIs:
-//!   two `BarrettContext::modexp` calls (a full-width `s`, the 256-bit
-//!   challenge `e`), a `modmul` join, and the challenge re-hash. The "after"
-//!   column runs `schnorr::batch_verify` over the same signatures with cached
-//!   per-key fixed-base tables — the steady state the cert cache maintains
+//!   `g^s · y^e` plainly: two `Group::pow` calls (a full-width `s`, the
+//!   256-bit challenge `e`), a `Group::mul` join and the challenge re-hash,
+//!   with no tables and no batch. The "after" column runs
+//!   `schnorr::batch_verify` over the same signatures with cached per-key
+//!   fixed-base tables — the steady state the cert cache maintains
 //!   (`CertChainCache::key_table`).
 //! * **Subgroup membership** — the definition, `x^q == 1 (mod p)` through
 //!   `Group::pow` (what `Group::is_element` ran before it computed the
@@ -41,7 +41,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 use tdt_bench::{arg_after, trajectory_rows};
-use tdt_crypto::bigint::{random_below, BarrettContext, BigUint};
+use tdt_crypto::bigint::{random_below, BigUint};
 use tdt_crypto::cert::{CertRole, CertificateAuthority};
 use tdt_crypto::elgamal::DecryptionKey;
 use tdt_crypto::group::Group;
@@ -49,12 +49,11 @@ use tdt_crypto::schnorr::{batch_verify, BatchItem, Signature, SigningKey, Verify
 use tdt_crypto::sha256::{compress_blocks_scalar, sha256, sha256_concat};
 use tdt_obs::crc32::{crc32, crc32_scalar};
 
-/// Hard floor enforced by `--check` at modp2048. Both sides now compute
-/// `g^s · y^e` with a 256-bit `e`: 2047 + 256 Barrett exponent bits against
-/// 512 + 64 table multiplications striped over the cores. Measured 6.8–7.1×
-/// on 2 vCPUs when the challenge was shortened, 13× in the runs where the
-/// second vCPU was really there (the old equation: 5.0–7.6× on the same box
-/// in the same hour).
+/// Hard floor enforced by `--check` at modp2048. Both sides compute
+/// `g^s · y^e` with a 256-bit `e`: 2047 + 256 exponent bits of windowed
+/// Montgomery exponentiation against 512 + 64 table multiplications striped
+/// over the cores. The plain side's arithmetic predicts about 8×; see
+/// `BENCH_crypto.json` for what was measured.
 const REQUIRED_SPEEDUP_2048: f64 = 4.0;
 
 /// Floors `--check` enforces on shipped `is_element` vs `x^q == 1`, per
@@ -130,20 +129,13 @@ fn fixture(group: &Group) -> Fixture {
     }
 }
 
-/// The pre-overhaul verify of today's equation `g^s · y^e`: Barrett `modexp`
-/// twice, `modmul`, re-hash — driven through the public Barrett API that
-/// one-shot reductions still use.
-fn verify_barrett_baseline(
-    barrett: &BarrettContext,
-    group: &Group,
-    vk: &VerifyingKey,
-    message: &[u8],
-    sig: &Signature,
-) {
+/// The verify equation `g^s · y^e` without tables or batching: `Group::pow`
+/// twice, `Group::mul`, re-hash.
+fn verify_plain(group: &Group, vk: &VerifyingKey, message: &[u8], sig: &Signature) {
     let (e, s) = sig.scalars(group).expect("smoke signature decodes"); // lint:allow(panic: "smoke fixture: signatures were just produced by sign")
-    let gs = barrett.modexp(group.generator(), &s);
-    let ye = barrett.modexp(vk.element(), &e);
-    let r_prime = barrett.modmul(&gs, &ye);
+    let gs = group.pow(group.generator(), &s);
+    let ye = group.pow(vk.element(), &e);
+    let r_prime = group.mul(&gs, &ye);
     let e_prime = sha256_concat(&[
         b"tdt-schnorr-e256",
         &group.element_to_bytes(&r_prime),
@@ -265,7 +257,7 @@ impl Row {
 
     fn json(&self, label: &str, hashes: &Hashes) -> String {
         format!(
-            "    {{\"label\": \"{label}\", \"group\": \"{}\", \"verify_barrett_us\": {:.1}, \"verify_batch_us\": {:.1}, \"is_element_oracle_us\": {:.1}, \"is_element_us\": {:.1}, \"vk_from_bytes_us\": {:.1}, \"elgamal_encrypt_full_exp_us\": {:.1}, \"elgamal_encrypt_us\": {:.1}, \"elgamal_decrypt_full_exp_us\": {:.1}, \"elgamal_decrypt_us\": {:.1}, \"cert_verify_us\": {:.1}, {}}}",
+            "    {{\"label\": \"{label}\", \"group\": \"{}\", \"verify_plain_us\": {:.1}, \"verify_batch_us\": {:.1}, \"is_element_oracle_us\": {:.1}, \"is_element_us\": {:.1}, \"vk_from_bytes_us\": {:.1}, \"elgamal_encrypt_full_exp_us\": {:.1}, \"elgamal_encrypt_us\": {:.1}, \"elgamal_decrypt_full_exp_us\": {:.1}, \"elgamal_decrypt_us\": {:.1}, \"cert_verify_us\": {:.1}, {}}}",
             self.name,
             self.before_us,
             self.after_us,
@@ -294,12 +286,10 @@ fn us_per_call<T>(mut f: impl FnMut() -> T) -> f64 {
 
 fn measure(group: &Group) -> Row {
     let fx = fixture(group);
-    let barrett = BarrettContext::new(group.p().clone());
 
     let before = time_min(|| {
         for i in 0..BATCH {
-            verify_barrett_baseline(
-                &barrett,
+            verify_plain(
                 group,
                 &fx.keys[fx.owner[i]], // lint:allow(panic: "smoke fixture: indices are i % KEYS / i < BATCH by construction")
                 &fx.messages[i],
@@ -394,7 +384,7 @@ fn main() {
         .map(measure)
         .collect();
     let hashes = Hashes::measure();
-    println!("| group | barrett verify (us/sig) | batch+tables (us/sig) | speedup |");
+    println!("| group | plain verify (us/sig) | batch+tables (us/sig) | speedup |");
     println!("|---|---|---|---|");
     for row in &rows {
         println!(
@@ -457,7 +447,7 @@ fn main() {
         };
         let mut checks = vec![(
             "modp2048",
-            "batch verify vs Barrett",
+            "batch verify vs plain verify",
             REQUIRED_SPEEDUP_2048,
             speedup_of("modp2048", |row| row.speedup),
         )];

@@ -2,9 +2,10 @@
 //!
 //! Implements exactly the operations needed by the Schnorr/ElGamal layer:
 //! comparison, addition, subtraction, schoolbook multiplication, binary long
-//! division, Barrett reduction (HAC 14.42) for one-shot reductions, and
-//! Montgomery (CIOS) multiplication behind a [`MontgomeryCtx`] for the
-//! modular-exponentiation hot loop. Limbs are `u64`, stored little-endian.
+//! division, and Montgomery (CIOS) multiplication behind a [`MontgomeryCtx`],
+//! the one modular-reduction engine: exponentiations and one-shot products
+//! modulo every (odd) modulus the groups use. Limbs are `u64`, stored
+//! little-endian.
 
 use crate::error::CryptoError;
 use std::cmp::Ordering;
@@ -336,25 +337,6 @@ impl BigUint {
         r
     }
 
-    /// Drops the limbs above index `k` (i.e. `self mod 2^(64k)`).
-    fn truncate_limbs(&self, k: usize) -> BigUint {
-        let mut limbs = self.limbs.clone();
-        limbs.truncate(k);
-        let mut r = BigUint { limbs };
-        r.normalize();
-        r
-    }
-
-    /// Shifts right by whole limbs (i.e. `self / 2^(64k)`).
-    fn shr_limbs(&self, k: usize) -> BigUint {
-        if k >= self.limbs.len() {
-            return BigUint::zero();
-        }
-        BigUint {
-            limbs: self.limbs[k..].to_vec(),
-        }
-    }
-
     /// Binary long division: returns `(quotient, remainder)`.
     ///
     /// # Panics
@@ -426,12 +408,6 @@ impl BigUint {
             self.add(m).sub(other)
         }
     }
-
-    /// Modular exponentiation `self^exp mod m` using a Barrett context.
-    pub fn modexp(&self, exp: &BigUint, m: &BigUint) -> BigUint {
-        let ctx = BarrettContext::new(m.clone());
-        ctx.modexp(self, exp)
-    }
 }
 
 impl PartialOrd for BigUint {
@@ -482,118 +458,6 @@ impl From<u64> for BigUint {
     }
 }
 
-/// Barrett reduction context (HAC algorithm 14.42) for a fixed modulus.
-///
-/// Precomputes `mu = floor(b^(2k) / m)` once, after which each reduction of a
-/// value `x < m^2` costs two multiplications and a few subtractions — the
-/// workhorse behind [`BarrettContext::modexp`].
-#[derive(Debug, Clone)]
-pub struct BarrettContext {
-    modulus: BigUint,
-    mu: BigUint,
-    k: usize,
-}
-
-impl BarrettContext {
-    /// Builds a reduction context for `modulus`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `modulus` is zero or one.
-    pub fn new(modulus: BigUint) -> Self {
-        assert!(modulus > BigUint::one(), "modulus must be > 1");
-        let k = modulus.limbs.len();
-        // b^(2k) where b = 2^64.
-        let b2k = BigUint::one().shl(64 * 2 * k);
-        let (mu, _) = b2k.div_rem(&modulus);
-        BarrettContext { modulus, mu, k }
-    }
-
-    /// The modulus this context reduces by.
-    pub fn modulus(&self) -> &BigUint {
-        &self.modulus
-    }
-
-    /// Reduces `x` modulo `m`.
-    ///
-    /// The Barrett fast path requires `x < b^(2k)` (HAC 14.42); callers
-    /// used to be on the hook for that precondition, and feeding a wider
-    /// value (e.g. a 64-byte hash against a narrow subgroup order) made
-    /// the correction loop below effectively unbounded. Oversized inputs
-    /// now take a guarded [`BigUint::div_rem`] fallback instead.
-    pub fn reduce(&self, x: &BigUint) -> BigUint {
-        if x < &self.modulus {
-            return x.clone();
-        }
-        if x.limbs.len() > 2 * self.k {
-            // Barrett precondition violated: fall back to long division.
-            return x.rem(&self.modulus);
-        }
-        let k = self.k;
-        // q1 = floor(x / b^(k-1)); q2 = q1*mu; q3 = floor(q2 / b^(k+1)).
-        let q1 = x.shr_limbs(k - 1);
-        let q2 = q1.mul(&self.mu);
-        let q3 = q2.shr_limbs(k + 1);
-        // r1 = x mod b^(k+1); r2 = (q3*m) mod b^(k+1).
-        let r1 = x.truncate_limbs(k + 1);
-        let r2 = q3.mul(&self.modulus).truncate_limbs(k + 1);
-        let mut r = if r1 >= r2 {
-            r1.sub(&r2)
-        } else {
-            // r1 - r2 + b^(k+1)
-            r1.add(&BigUint::one().shl(64 * (k + 1))).sub(&r2)
-        };
-        while r >= self.modulus {
-            r = r.sub(&self.modulus);
-        }
-        r
-    }
-
-    /// Modular multiplication `(a * b) mod m`.
-    pub fn modmul(&self, a: &BigUint, b: &BigUint) -> BigUint {
-        self.reduce(&a.mul(b))
-    }
-
-    /// Modular exponentiation `base^exp mod m` with a 4-bit window.
-    pub fn modexp(&self, base: &BigUint, exp: &BigUint) -> BigUint {
-        if exp.is_zero() {
-            return BigUint::one();
-        }
-        let base = self.reduce(base);
-        // Precompute base^0..=15.
-        let mut table = Vec::with_capacity(16);
-        table.push(BigUint::one());
-        table.push(base.clone());
-        for i in 2..16 {
-            let prev: &BigUint = &table[i - 1];
-            table.push(self.modmul(prev, &base));
-        }
-        let nbits = exp.bits();
-        let nwindows = nbits.div_ceil(4);
-        let mut result = BigUint::one();
-        for w in (0..nwindows).rev() {
-            if result > BigUint::one() {
-                for _ in 0..4 {
-                    result = self.modmul(&result, &result);
-                }
-            }
-            let mut window = 0usize;
-            for b in 0..4 {
-                let bit_idx = w * 4 + (3 - b);
-                window <<= 1;
-                if exp.bit(bit_idx) {
-                    window |= 1;
-                }
-            }
-            if window != 0 {
-                // lint:allow(ct: "Barrett modexp serves one-shot public-exponent reductions (subgroup checks, scalar reduction); secret exponents go through MontgomeryCtx — see DESIGN.md crypto hot path")
-                result = self.modmul(&result, &table[window]);
-            }
-        }
-        result
-    }
-}
-
 /// An element in Montgomery form: `x·R mod m` where `R = b^k`, stored as
 /// exactly `k` little-endian limbs (fixed width, never normalized).
 ///
@@ -628,13 +492,11 @@ pub struct MontScratch {
 /// Montgomery multiplication context (CIOS, Koç et al.) for a fixed odd
 /// modulus.
 ///
-/// Replaces Barrett reduction on the modular-exponentiation hot loop: a
-/// CIOS `mont_mul` fuses the multiplication with the reduction in a single
-/// `O(k^2)` pass over fixed-width limb buffers — no intermediate `2k`-limb
-/// product, no per-operation allocations beyond the output, and no
-/// normalization. Barrett ([`BarrettContext`]) remains the right tool for
-/// one-shot reductions where the conversion into and out of Montgomery
-/// form (two extra multiplications) would dominate.
+/// A CIOS `mont_mul` fuses the multiplication with the reduction in a
+/// single `O(k^2)` pass over fixed-width limb buffers — no intermediate
+/// `2k`-limb product, no per-operation allocations beyond the output, and
+/// no normalization. One-shot products go through [`Self::modmul`], which
+/// pays one extra pass to leave the Montgomery domain.
 #[derive(Debug, Clone)]
 pub struct MontgomeryCtx {
     modulus: BigUint,
@@ -695,11 +557,6 @@ impl MontgomeryCtx {
         &self.modulus
     }
 
-    /// Limb width `k` of elements in this context.
-    pub fn width(&self) -> usize {
-        self.k
-    }
-
     /// Montgomery form of `1` (`R mod m`).
     pub fn one(&self) -> MontElem {
         self.one.clone()
@@ -711,18 +568,33 @@ impl MontgomeryCtx {
         limbs
     }
 
+    /// `x mod m` as exactly `k` limbs; only an `x ≥ m` pays the division.
+    fn reduced(&self, x: &BigUint) -> Vec<u64> {
+        if x < &self.modulus {
+            Self::fixed_width(x, self.k)
+        } else {
+            Self::fixed_width(&x.rem(&self.modulus), self.k)
+        }
+    }
+
     /// Converts `x` into Montgomery form (`x` is reduced mod `m` first).
     pub fn to_mont(&self, x: &BigUint) -> MontElem {
-        let reduced = if x < &self.modulus {
-            x.clone()
-        } else {
-            x.rem(&self.modulus)
-        };
-        let limbs = Self::fixed_width(&reduced, self.k);
         let mut scratch = self.scratch();
         let mut out = vec![0u64; self.k];
-        self.cios(&limbs, &self.r2.limbs, &mut out, &mut scratch.tl);
+        self.cios(&self.reduced(x), &self.r2.limbs, &mut out, &mut scratch.tl);
         MontElem { limbs: out }
+    }
+
+    /// `(a·b) mod m` in two CIOS passes, `a·b·R⁻¹` and then `·R²·R⁻¹`; an
+    /// operand `≥ m` is reduced first, as in [`Self::to_mont`].
+    pub fn modmul(&self, a: &BigUint, b: &BigUint) -> BigUint {
+        let mut scratch = self.scratch();
+        let mut ab = vec![0u64; self.k];
+        self.cios(&self.reduced(a), &self.reduced(b), &mut ab, &mut scratch.tl);
+        self.cios(&ab, &self.r2.limbs, &mut scratch.out, &mut scratch.tl);
+        let mut r = BigUint { limbs: scratch.out };
+        r.normalize();
+        r
     }
 
     /// Converts back out of Montgomery form.
@@ -754,11 +626,6 @@ impl MontgomeryCtx {
         let mut out = vec![0u64; self.k];
         self.cios(&a.limbs, &b.limbs, &mut out, &mut scratch.tl);
         MontElem { limbs: out }
-    }
-
-    /// Montgomery square.
-    pub fn mont_sqr(&self, a: &MontElem) -> MontElem {
-        self.mont_mul(a, a)
     }
 
     /// `acc <- acc · b` reusing `scratch` buffers (no allocation).
@@ -996,51 +863,46 @@ mod tests {
         BigUint::one().div_rem(&BigUint::zero());
     }
 
+    /// `base^exp mod m` by square-and-multiply over `mul` and `rem`: the
+    /// definition, and the reference every Montgomery exponentiation is
+    /// checked against.
+    fn modexp_by_definition(base: &BigUint, exp: &BigUint, m: &BigUint) -> BigUint {
+        let mut acc = BigUint::one().rem(m);
+        for i in (0..exp.bits()).rev() {
+            acc = acc.mul(&acc).rem(m);
+            if exp.bit(i) {
+                acc = acc.mul(base).rem(m);
+            }
+        }
+        acc
+    }
+
+    fn mont(m: u64) -> MontgomeryCtx {
+        MontgomeryCtx::new(BigUint::from_u64(m)).unwrap()
+    }
+
     #[test]
     fn modexp_small() {
-        // 3^7 mod 10 = 2187 mod 10 = 7
-        let r = BigUint::from_u64(3).modexp(&BigUint::from_u64(7), &BigUint::from_u64(10));
-        assert_eq!(r, BigUint::from_u64(7));
+        // 3^7 mod 11 = 2187 mod 11 = 9
+        let r = mont(11).modexp(&BigUint::from_u64(3), &BigUint::from_u64(7));
+        assert_eq!(r, BigUint::from_u64(9));
     }
 
     #[test]
     fn modexp_fermat() {
         // Fermat's little theorem: a^(p-1) = 1 mod p for prime p.
-        let p = BigUint::from_u64(1_000_000_007);
+        let p = 1_000_000_007;
         let a = BigUint::from_u64(123_456_789);
-        let r = a.modexp(&p.sub(&BigUint::one()), &p);
+        let r = mont(p).modexp(&a, &BigUint::from_u64(p - 1));
         assert_eq!(r, BigUint::one());
     }
 
     #[test]
     fn modexp_zero_exponent() {
-        let m = BigUint::from_u64(97);
         assert_eq!(
-            BigUint::from_u64(5).modexp(&BigUint::zero(), &m),
+            mont(97).modexp(&BigUint::from_u64(5), &BigUint::zero()),
             BigUint::one()
         );
-    }
-
-    #[test]
-    fn barrett_reduce_matches_div_rem() {
-        let m = big("c90fdaa22168c234c4c6628b80dc1cd1");
-        let ctx = BarrettContext::new(m.clone());
-        let x = big("0123456789abcdef0123456789abcdef0123456789abcdef0123456789abcdef");
-        assert_eq!(ctx.reduce(&x), x.rem(&m));
-    }
-
-    #[test]
-    fn barrett_reduce_oversized_input() {
-        // A narrow modulus (k = 1 limb) fed an input far beyond b^(2k):
-        // the Barrett precondition is violated, the guarded div_rem
-        // fallback must keep the result correct. This is exactly the
-        // shape `Group::reduce_scalar` produces: a 64-byte wide hash
-        // reduced by a small subgroup order.
-        let m = big("f1fd5bcc8f50c141");
-        let ctx = BarrettContext::new(m.clone());
-        let x = BigUint::from_bytes_be(&[0xabu8; 64]);
-        assert!(x.limbs.len() > 2); // 2·k with k = 1 limb
-        assert_eq!(ctx.reduce(&x), x.rem(&m));
     }
 
     #[test]
@@ -1071,19 +933,40 @@ mod tests {
         let b = big("fedcba9876543210fedcba9876543210");
         let got = ctx.from_mont(&ctx.mont_mul(&ctx.to_mont(&a), &ctx.to_mont(&b)));
         assert_eq!(got, a.mul(&b).rem(&m));
+        assert_eq!(ctx.modmul(&a, &b), a.mul(&b).rem(&m));
     }
 
     #[test]
-    fn montgomery_modexp_matches_barrett() {
+    fn modmul_edges() {
+        let m = big("c90fdaa22168c234c4c6628b80dc1cd129024e088a67cc74020bbea63b139b23");
+        let ctx = MontgomeryCtx::new(m.clone()).unwrap();
+        let one = BigUint::one();
+        let top = m.sub(&one);
+        assert_eq!(ctx.modmul(&BigUint::zero(), &top), BigUint::zero());
+        assert_eq!(ctx.modmul(&top, &one), top);
+        // (-1)·(-1) = 1, and m itself is zero.
+        assert_eq!(ctx.modmul(&top, &top), one);
+        assert_eq!(ctx.modmul(&m, &top), BigUint::zero());
+        assert_eq!(ctx.modmul(&m.add(&one), &top), top);
+        assert_eq!(
+            mont(3).modmul(&BigUint::from_u64(2), &BigUint::from_u64(2)),
+            one
+        );
+    }
+
+    #[test]
+    fn montgomery_modexp_matches_square_and_multiply() {
         let m = big("c90fdaa22168c234c4c6628b80dc1cd129024e088a67cc74020bbea63b139b23");
         let mont = MontgomeryCtx::new(m.clone()).unwrap();
-        let barrett = BarrettContext::new(m.clone());
         let base = big("0123456789abcdef0123456789abcdef");
         let exp = big("deadbeefcafebabe0000000000000001ffffffffffffffff");
-        assert_eq!(mont.modexp(&base, &exp), barrett.modexp(&base, &exp));
+        assert_eq!(
+            mont.modexp(&base, &exp),
+            modexp_by_definition(&base, &exp, &m)
+        );
         assert_eq!(
             mont.modexp(&base, &BigUint::zero()),
-            barrett.modexp(&base, &BigUint::zero())
+            modexp_by_definition(&base, &BigUint::zero(), &m)
         );
         assert_eq!(mont.modexp(&BigUint::zero(), &exp), BigUint::zero());
     }
@@ -1201,37 +1084,10 @@ mod tests {
         }
 
         #[test]
-        fn prop_barrett_matches_rem(x in proptest::collection::vec(any::<u8>(), 0..64),
-                                    m in proptest::collection::vec(any::<u8>(), 2..32)) {
-            let x = BigUint::from_bytes_be(&x);
-            let m = BigUint::from_bytes_be(&m);
-            prop_assume!(m > BigUint::one());
-            // Barrett precondition: x < m^2 * b. Reduce x first if it is too big.
-            let x = x.rem(&m.mul(&m));
-            let ctx = BarrettContext::new(m.clone());
-            prop_assert_eq!(ctx.reduce(&x), x.rem(&m));
-        }
-
-        #[test]
         fn prop_shift_roundtrip(a in proptest::collection::vec(any::<u8>(), 0..32),
                                 n in 0usize..200) {
             let v = BigUint::from_bytes_be(&a);
             prop_assert_eq!(v.shl(n).shr(n), v);
-        }
-
-        // Satellite: Barrett `reduce` vs long division on inputs up to
-        // 4·k limbs — far past the b^(2k) precondition, exercising the
-        // guarded fallback (narrow moduli, x up to 4k limbs in bytes).
-        #[test]
-        fn prop_barrett_oversized_matches_rem(
-            x in proptest::collection::vec(any::<u8>(), 0..128),
-            m in proptest::collection::vec(any::<u8>(), 2..16),
-        ) {
-            let x = BigUint::from_bytes_be(&x);
-            let m = BigUint::from_bytes_be(&m);
-            prop_assume!(m > BigUint::one());
-            let ctx = BarrettContext::new(m.clone());
-            prop_assert_eq!(ctx.reduce(&x), x.rem(&m));
         }
 
         // Multi-limb operands have no independent oracle short of an
@@ -1254,7 +1110,7 @@ mod tests {
         }
 
         #[test]
-        fn prop_montgomery_modexp_matches_barrett(
+        fn prop_montgomery_modexp_matches_square_and_multiply(
             base in proptest::collection::vec(any::<u8>(), 0..32),
             exp in proptest::collection::vec(any::<u8>(), 0..24),
             m in proptest::collection::vec(any::<u8>(), 2..24),
@@ -1267,8 +1123,7 @@ mod tests {
                 m = m.add(&BigUint::one());
             }
             let mont = MontgomeryCtx::new(m.clone()).unwrap();
-            let barrett = BarrettContext::new(m);
-            prop_assert_eq!(mont.modexp(&base, &exp), barrett.modexp(&base, &exp));
+            prop_assert_eq!(mont.modexp(&base, &exp), modexp_by_definition(&base, &exp, &m));
         }
 
         #[test]
@@ -1287,6 +1142,26 @@ mod tests {
             let ctx = MontgomeryCtx::new(m.clone()).unwrap();
             let got = ctx.from_mont(&ctx.mont_mul(&ctx.to_mont(&a), &ctx.to_mont(&b)));
             prop_assert_eq!(got, a.mul(&b).rem(&m));
+        }
+
+        // Odd moduli of 1 to 24 bytes, operands up to twice as wide: most
+        // are ≥ m and take the `rem` on the way in, some are empty (zero).
+        // group.rs runs the same check on each group's q.
+        #[test]
+        fn prop_modmul_matches_mul_rem(
+            a in proptest::collection::vec(any::<u8>(), 0..48),
+            b in proptest::collection::vec(any::<u8>(), 0..48),
+            m in proptest::collection::vec(any::<u8>(), 1..25),
+        ) {
+            let (a, b) = (BigUint::from_bytes_be(&a), BigUint::from_bytes_be(&b));
+            let mut m = BigUint::from_bytes_be(&m);
+            if !m.is_odd() {
+                m = m.add(&BigUint::one());
+            }
+            prop_assume!(m > BigUint::one());
+            let ctx = MontgomeryCtx::new(m.clone()).unwrap();
+            prop_assert_eq!(ctx.modmul(&a, &b), a.mul(&b).rem(&m));
+            prop_assert_eq!(ctx.modmul(&BigUint::zero(), &b), BigUint::zero());
         }
     }
 }

@@ -11,10 +11,10 @@
 //! * [`Group::modp_1024`] — Oakley Group 2 (RFC 2409), the default.
 //! * [`Group::modp_2048`] — RFC 3526 Group 14, for production-equivalent runs.
 //!
-//! The unit tests verify the subgroup structure (`g^q == 1 mod p`), which
-//! guards against transcription errors in the constants.
+//! The unit tests guard against transcription errors in the constants: `p`
+//! and `q` pass Miller–Rabin, and `g^q == 1 mod p`.
 
-use crate::bigint::{random_below, BarrettContext, BigUint, MontElem, MontgomeryCtx};
+use crate::bigint::{random_below, BigUint, MontElem, MontgomeryCtx};
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
@@ -49,8 +49,8 @@ const SHORT_EXPONENT_BITS: usize = 256;
 /// A multiplicative group of prime order `q` inside `Z_p^*`.
 ///
 /// Cheap to clone (internally reference-counted), and the three builtin
-/// groups are interned: every handle over one prime shares a single set of
-/// Barrett/Montgomery contexts and one generator table.
+/// groups are interned: every handle over one prime shares its two
+/// Montgomery contexts (mod `p`, mod `q`) and one generator table.
 #[derive(Clone)]
 pub struct Group {
     inner: Arc<GroupInner>,
@@ -58,9 +58,8 @@ pub struct Group {
 
 struct GroupInner {
     name: &'static str,
-    p_ctx: BarrettContext,
-    q_ctx: BarrettContext,
     p_mont: MontgomeryCtx,
+    q_mont: MontgomeryCtx,
     generator: BigUint,
     element_len: usize,
     scalar_len: usize,
@@ -91,13 +90,11 @@ impl Group {
         let q = p.sub(&BigUint::one()).shr(1);
         let element_len = p.bits().div_ceil(8);
         let scalar_len = q.bits().div_ceil(8);
-        let p_mont = MontgomeryCtx::new(p.clone()).expect("builtin prime is odd and > 1");
         Group {
             inner: Arc::new(GroupInner {
                 name,
-                p_ctx: BarrettContext::new(p),
-                q_ctx: BarrettContext::new(q),
-                p_mont,
+                p_mont: MontgomeryCtx::new(p).expect("builtin prime is odd and > 1"),
+                q_mont: MontgomeryCtx::new(q).expect("builtin subgroup order is odd and > 1"),
                 generator: BigUint::from_u64(4),
                 element_len,
                 scalar_len,
@@ -152,12 +149,12 @@ impl Group {
 
     /// The safe prime `p`.
     pub fn p(&self) -> &BigUint {
-        self.inner.p_ctx.modulus()
+        self.inner.p_mont.modulus()
     }
 
     /// The subgroup order `q = (p-1)/2`.
     pub fn q(&self) -> &BigUint {
-        self.inner.q_ctx.modulus()
+        self.inner.q_mont.modulus()
     }
 
     /// The subgroup generator (`4`).
@@ -259,12 +256,7 @@ impl Group {
 
     /// `(a * b) mod p`.
     pub fn mul(&self, a: &BigUint, b: &BigUint) -> BigUint {
-        self.inner.p_ctx.modmul(a, b)
-    }
-
-    /// Reduces an arbitrary integer modulo the subgroup order `q`.
-    pub fn reduce_scalar(&self, x: &BigUint) -> BigUint {
-        self.inner.q_ctx.reduce(x)
+        self.inner.p_mont.modmul(a, b)
     }
 
     /// Scalar arithmetic mod `q`: `(a + b) mod q`.
@@ -273,30 +265,8 @@ impl Group {
     }
 
     /// Scalar arithmetic mod `q`: `(a * b) mod q`.
-    pub fn scalar_mul<'a>(&'a self, a: &'a BigUint) -> ScalarMul<'a> {
-        ScalarMul { group: self, a }
-    }
-
-    /// Validates the group parameters: `p` must be a safe prime and the
-    /// generator must have order exactly `q`. Expensive (Miller-Rabin over
-    /// `p` and `q`); intended for one-time validation of *imported*
-    /// parameters — the built-ins are checked by the test-suite.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::CryptoError::InvalidKey`] describing what failed.
-    pub fn validate(&self, rounds: u32) -> Result<(), crate::CryptoError> {
-        if !crate::prime::is_safe_prime(self.p(), rounds) {
-            return Err(crate::CryptoError::InvalidKey(
-                "group modulus is not a safe prime".into(),
-            ));
-        }
-        if self.pow_g(self.q()) != BigUint::one() {
-            return Err(crate::CryptoError::InvalidKey(
-                "generator does not have order q".into(),
-            ));
-        }
-        Ok(())
+    pub fn scalar_mul(&self, a: &BigUint, b: &BigUint) -> BigUint {
+        self.inner.q_mont.modmul(a, b)
     }
 
     /// Checks that `x` is a valid element of the order-`q` subgroup:
@@ -324,21 +294,6 @@ impl Group {
     /// Serializes a group element as fixed-width big-endian bytes.
     pub fn element_to_bytes(&self, x: &BigUint) -> Vec<u8> {
         x.to_bytes_be_padded(self.inner.element_len)
-    }
-}
-
-/// Borrowed helper returned by [`Group::scalar_mul`], letting callers finish
-/// the multiplication with a second operand.
-#[derive(Debug)]
-pub struct ScalarMul<'a> {
-    group: &'a Group,
-    a: &'a BigUint,
-}
-
-impl ScalarMul<'_> {
-    /// Completes the product `(a * b) mod q`.
-    pub fn by(self, b: &BigUint) -> BigUint {
-        self.group.inner.q_ctx.reduce(&self.a.mul(b))
     }
 }
 
@@ -543,7 +498,7 @@ mod tests {
     /// whole zero limbs at the bottom and at the top, small integers.
     fn candidates(g: &Group, raw: &[u8], small: u64) -> Vec<BigUint> {
         let wide = BigUint::from_bytes_be(raw);
-        let element = g.pow_g(&g.reduce_scalar(&wide));
+        let element = g.pow_g(&wide.rem(g.q()));
         let short = BigUint::from_bytes_be(&raw[..g.element_len() - 16]);
         vec![
             g.p().sub(&element),
@@ -630,17 +585,93 @@ mod tests {
         assert_eq!(g.element_len(), 96);
     }
 
+    /// Miller–Rabin to the fixed bases 2, 3, …, 37 through
+    /// [`MontgomeryCtx::modexp`]. A mistyped digit leaves a composite, and
+    /// each base exposes one with probability at least 3/4.
+    fn passes_miller_rabin(n: &BigUint) -> bool {
+        let ctx = MontgomeryCtx::new(n.clone()).unwrap();
+        let one = BigUint::one();
+        let n_minus_1 = n.sub(&one);
+        let twos = (0..).find(|&i| n_minus_1.bit(i)).unwrap();
+        let odd = n_minus_1.shr(twos);
+        [2u64, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
+            .into_iter()
+            .all(|base| {
+                let mut x = ctx.modexp(&BigUint::from_u64(base), &odd);
+                for _ in 1..twos {
+                    if x == one || x == n_minus_1 {
+                        break;
+                    }
+                    x = ctx.modmul(&x, &x);
+                }
+                x == one || x == n_minus_1
+            })
+    }
+
+    /// Transcription guard for the bundled constants: `p` and `q = (p-1)/2`
+    /// are both prime, for every group.
     #[test]
-    fn validate_accepts_builtin_group() {
-        assert!(Group::modp_768().validate(4).is_ok());
+    fn builtin_p_and_q_pass_miller_rabin() {
+        for g in builtin_groups() {
+            assert!(passes_miller_rabin(g.p()), "{} p", g.name());
+            assert!(passes_miller_rabin(g.q()), "{} q", g.name());
+        }
+    }
+
+    #[test]
+    fn miller_rabin_rejects_composites() {
+        // Carmichael numbers fool the Fermat test; products of two primes,
+        // word-sized and group-sized, have no small factor to stumble on.
+        let p = Group::modp_768().p().clone();
+        let composites = [561u64, 1105, 1729, 2465, 2821, 6601, 8911, 62745, 162401]
+            .map(BigUint::from_u64)
+            .into_iter()
+            .chain([
+                BigUint::from_u64(1_000_000_007).mul(&BigUint::from_u64(1_000_000_009)),
+                p.mul(Group::modp_1024().p()),
+            ]);
+        for c in composites {
+            assert!(!passes_miller_rabin(&c), "{c} is composite");
+        }
+        assert!(passes_miller_rabin(&BigUint::from_u64(1_000_000_007)));
     }
 
     #[test]
     fn scalar_mul_matches_naive() {
-        let g = Group::test_group();
-        let a = BigUint::from_u64(u64::MAX);
-        let b = BigUint::from_u64(u64::MAX - 1);
-        assert_eq!(g.scalar_mul(&a).by(&b), a.mul(&b).rem(g.q()));
+        let mut rng = rand::thread_rng();
+        for g in builtin_groups() {
+            let q = g.q();
+            let a = BigUint::from_u64(u64::MAX);
+            let b = BigUint::from_u64(u64::MAX - 1);
+            assert_eq!(g.scalar_mul(&a, &b), a.mul(&b).rem(q), "{}", g.name());
+            // Sign-shaped: a 256-bit challenge times a full-width key.
+            let e = g.short_exponent(&mut rng);
+            let x = random_below(q, &mut rng);
+            assert_eq!(g.scalar_mul(&e, &x), e.mul(&x).rem(q), "{}", g.name());
+            assert_eq!(g.scalar_mul(&BigUint::zero(), &x), BigUint::zero());
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        // Every group's q, operands from empty (zero) to past 2048 bits
+        // (≥ q in every group), and the shape `sign` multiplies: the
+        // 256-bit challenge times a full-width key.
+        #[test]
+        fn prop_scalar_mul_matches_mul_rem(
+            a in proptest::collection::vec(any::<u8>(), 0..300),
+            b in proptest::collection::vec(any::<u8>(), 0..300),
+        ) {
+            let e = BigUint::from_bytes_be(&a[..a.len().min(32)]);
+            let (a, b) = (BigUint::from_bytes_be(&a), BigUint::from_bytes_be(&b));
+            for g in builtin_groups() {
+                let q = g.q();
+                prop_assert_eq!(g.scalar_mul(&a, &b), a.mul(&b).rem(q), "{}", g.name());
+                let x = b.rem(q);
+                prop_assert_eq!(g.scalar_mul(&e, &x), e.mul(&x).rem(q), "{}", g.name());
+            }
+        }
     }
 
     #[test]

@@ -11,17 +11,15 @@
 //! * [`hmac`] — HMAC-SHA-256 (RFC 2104).
 //! * [`drbg`] — a deterministic HMAC-DRBG (SP 800-90A flavoured) used for
 //!   nonce derivation and keystream generation.
-//! * [`bigint`] — arbitrary-precision unsigned integers with Barrett-reduced
-//!   modular exponentiation.
+//! * [`bigint`] — arbitrary-precision unsigned integers, and Montgomery
+//!   multiplication and exponentiation modulo any odd modulus.
 //! * [`group`] — named multiplicative groups modulo safe primes (Oakley /
-//!   RFC 3526 MODP groups plus a small test group).
+//!   RFC 3526 MODP groups), their primes pinned by a Miller–Rabin test.
 //! * [`schnorr`] — Schnorr signatures over a MODP subgroup of prime order.
 //! * [`elgamal`] — ElGamal KEM + SHA-256 counter-mode stream cipher with
 //!   encrypt-then-MAC, used for end-to-end confidentiality of query results.
 //! * [`cert`] — minimal X.509-like certificates and certificate authorities,
 //!   the basis for the Fabric-like Membership Service Providers.
-//! * [`prime`] — Miller-Rabin primality testing, validating the built-in
-//!   safe-prime constants and any imported group parameters.
 //!
 //! # Example
 //!
@@ -42,7 +40,6 @@ pub mod elgamal;
 pub mod error;
 pub mod group;
 pub mod hmac;
-pub mod prime;
 pub mod schnorr;
 pub mod sha256;
 pub mod stream;

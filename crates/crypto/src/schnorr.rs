@@ -178,7 +178,7 @@ impl SigningKey {
         let r = self.group.pow_g(&k);
         let e = challenge(&self.group, &r, &self.y, message);
         // s = k − e·x mod q
-        let ex = self.group.scalar_mul(&e).by(&self.x);
+        let ex = self.group.scalar_mul(&e, &self.x);
         let s = k.mod_sub(&ex, self.group.q());
         Signature {
             e: e.to_bytes_be(),
@@ -503,8 +503,8 @@ fn aggregates_match(
     let mut lhs = BigUint::zero();
     let mut rhs = BigUint::zero();
     for i in lo..hi {
-        lhs = group.scalar_add(&lhs, &group.scalar_mul(&z[i]).by(&e_primes[i]));
-        rhs = group.scalar_add(&rhs, &group.scalar_mul(&z[i]).by(&scalars[i].0));
+        lhs = group.scalar_add(&lhs, &group.scalar_mul(&z[i], &e_primes[i]));
+        rhs = group.scalar_add(&rhs, &group.scalar_mul(&z[i], &scalars[i].0));
     }
     crate::hmac::ct_eq(
         &lhs.to_bytes_be_padded(width),
@@ -774,7 +774,7 @@ mod tests {
         let mut drbg = HmacDrbg::from_parts(&[b"tdt-schnorr-nonce", &sk.x.to_bytes_be(), message]);
         let k = random_below(sk.group.q(), &mut drbg);
         let e = challenge(&sk.group, &sk.group.pow_g(&k), &sk.y, message);
-        let s = sk.group.scalar_add(&k, &sk.group.scalar_mul(&e).by(&sk.x));
+        let s = sk.group.scalar_add(&k, &sk.group.scalar_mul(&e, &sk.x));
         Signature::from_scalars(e.to_bytes_be(), s.to_bytes_be())
     }
 
@@ -832,7 +832,7 @@ mod tests {
             let msg = format!("nonce-width-{i}").into_bytes();
             let (e, s) = sk.sign(&msg).scalars(&g).unwrap();
             assert!(e.bits() <= 256);
-            let k = g.scalar_add(&s, &g.scalar_mul(&e).by(&sk.x));
+            let k = g.scalar_add(&s, &g.scalar_mul(&e, &sk.x));
             let mut drbg = HmacDrbg::from_parts(&[b"tdt-schnorr-nonce", &sk.x.to_bytes_be(), &msg]);
             assert_eq!(
                 k,
