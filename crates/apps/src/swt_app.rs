@@ -122,11 +122,6 @@ impl SellerClientApp {
         }
     }
 
-    /// The underlying interop client (for diagnostics and tests).
-    pub fn interop_client(&self) -> &InteropClient {
-        &self.client
-    }
-
     /// The verification policy used for B/L queries: one peer from each of
     /// STL's organizations, confidential (paper §4.3).
     pub fn bl_verification_policy() -> VerificationPolicy {

@@ -5,10 +5,9 @@
 //! measured results in `EXPERIMENTS.md`.
 
 use interop::driver::query_auth_bytes;
-use interop::setup::{issue_sample_bl, stl_swt_testbed, Testbed};
+use interop::setup::{issue_sample_bl, issue_sample_lc, stl_swt_testbed, Testbed};
 use interop::InteropClient;
 use std::sync::Arc;
-use tdt_contracts::swt::SwtChaincode;
 use tdt_crypto::cert::CertRole;
 use tdt_crypto::group::Group;
 use tdt_crypto::sha256::sha256;
@@ -23,27 +22,7 @@ use tdt_wire::messages::{
 pub fn prepared_testbed(po: &str) -> Testbed {
     let t = stl_swt_testbed();
     issue_sample_bl(&t, po);
-    let buyer = t.swt_buyer_gateway();
-    buyer
-        .submit(
-            SwtChaincode::NAME,
-            "RequestLC",
-            vec![
-                po.as_bytes().to_vec(),
-                b"LC-1".to_vec(),
-                b"buyer".to_vec(),
-                b"seller".to_vec(),
-                b"100000".to_vec(),
-            ],
-        )
-        .unwrap() // lint:allow(panic: "bench fixture: abort loudly on broken setup")
-        .into_committed()
-        .unwrap(); // lint:allow(panic: "bench fixture: abort loudly on broken setup")
-    buyer
-        .submit(SwtChaincode::NAME, "IssueLC", vec![po.as_bytes().to_vec()])
-        .unwrap() // lint:allow(panic: "bench fixture: abort loudly on broken setup")
-        .into_committed()
-        .unwrap(); // lint:allow(panic: "bench fixture: abort loudly on broken setup")
+    issue_sample_lc(&t, po);
     t
 }
 

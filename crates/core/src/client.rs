@@ -116,7 +116,8 @@ impl InteropClient {
         &self.gateway
     }
 
-    /// Builds a signed query (exposed for the instrumented flow harness).
+    /// Builds a signed query for `address` under `policy`, as
+    /// [`InteropClient::query_remote`] sends it.
     pub fn build_query(&self, address: NetworkAddress, policy: VerificationPolicy) -> Query {
         self.build_request(address, policy, false)
     }
@@ -218,7 +219,9 @@ impl InteropClient {
     }
 
     /// Submits a local transaction whose final two arguments are the
-    /// remote data and its encoded proof (Fig. 2, Step 10).
+    /// remote data and its encoded proof (Fig. 2, Step 10). Under a trace
+    /// installed around [`InteropClient::query_remote`] too, one tree
+    /// covers Steps 1-10.
     ///
     /// # Errors
     ///
@@ -231,16 +234,20 @@ impl InteropClient {
         mut args: Vec<Vec<u8>>,
         remote: &RemoteData,
     ) -> Result<TxOutcome, InteropError> {
+        let (mut span, _obs_guard) = root_span("client.submit");
         args.push(remote.data.clone());
         args.push(remote.proof_bytes());
-        Ok(self.gateway.submit(chaincode, function, args)?)
+        Ok(self
+            .gateway
+            .submit(chaincode, function, args)
+            .record_err(&mut span)?)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::setup::{issue_sample_bl, stl_swt_testbed};
+    use crate::setup::{issue_sample_bl, issue_sample_lc, stl_swt_testbed};
     use tdt_contracts::stl::BillOfLading;
     use tdt_contracts::swt::{LcStatus, LetterOfCredit, SwtChaincode};
     use tdt_wire::messages::PolicyNode;
@@ -258,28 +265,7 @@ mod tests {
     fn end_to_end_query_and_upload() {
         let t = stl_swt_testbed();
         issue_sample_bl(&t, "PO-1001");
-        // Open and issue the L/C on SWT.
-        let buyer = t.swt_buyer_gateway();
-        buyer
-            .submit(
-                SwtChaincode::NAME,
-                "RequestLC",
-                vec![
-                    b"PO-1001".to_vec(),
-                    b"LC-1".to_vec(),
-                    b"buyer-gmbh".to_vec(),
-                    b"tulip-exports".to_vec(),
-                    b"100000".to_vec(),
-                ],
-            )
-            .unwrap()
-            .into_committed()
-            .unwrap();
-        buyer
-            .submit(SwtChaincode::NAME, "IssueLC", vec![b"PO-1001".to_vec()])
-            .unwrap()
-            .into_committed()
-            .unwrap();
+        issue_sample_lc(&t, "PO-1001");
         // The SWT Seller Client fetches the B/L with proof (Step 9)...
         let client = InteropClient::new(t.swt_seller_gateway(), Arc::clone(&t.swt_relay));
         let remote = client

@@ -96,9 +96,10 @@ pub fn add_exposure_rule(
 /// policy for `chaincode` and records it on the destination ledger — the
 /// automated construction the paper lists as future work (§7: "the
 /// construction of an optimal verification policy from a network's
-/// consensus policy"). The derived policy mirrors the endorsement policy's
-/// structure, so any accepted proof reflects at least the endorsement
-/// quorum that would have committed the data.
+/// consensus policy"). Both policies are one [`tdt_wire::messages::PolicyNode`]
+/// algebra, so the derived policy is the endorsement policy itself: any
+/// accepted proof reflects at least the endorsement quorum that would have
+/// committed the data.
 ///
 /// # Errors
 ///
@@ -115,7 +116,7 @@ pub fn derive_and_record_policy(
         InteropError::PolicyUnsatisfiable(format!("source network has no chaincode {chaincode:?}"))
     })?;
     let policy = VerificationPolicy {
-        expression: crate::policy::from_endorsement_policy(endorsement_policy),
+        expression: endorsement_policy.clone(),
         confidential,
     };
     set_verification_policy(

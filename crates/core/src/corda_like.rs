@@ -172,7 +172,7 @@ impl CordaLikeDriver {
             });
         };
         // Pick notaries per the verification policy.
-        let orgs = crate::policy::minimal_org_set(&query.policy.expression).ok_or_else(|| {
+        let orgs = query.policy.expression.minimal_org_set().ok_or_else(|| {
             InteropError::PolicyUnsatisfiable("policy has no satisfying org set".into())
         })?;
         // Encrypt the fact for the requester when confidential.

@@ -11,7 +11,6 @@
 
 use crate::error::InteropError;
 use crate::plugin::{InteropEndorsement, TRANSIENT_CERT, TRANSIENT_NETWORK, TRANSIENT_ORG};
-use crate::policy::minimal_org_set;
 use std::sync::Arc;
 use tdt_contracts::ecc::EncryptedResult;
 use tdt_crypto::sha256::sha256;
@@ -86,7 +85,7 @@ impl FabricDriver {
             .map_err(|_| InteropError::BadAuthentication("query signature invalid".into()))?;
 
         // Select the organizations to query from the verification policy.
-        let orgs = minimal_org_set(&query.policy.expression).ok_or_else(|| {
+        let orgs = query.policy.expression.minimal_org_set().ok_or_else(|| {
             InteropError::PolicyUnsatisfiable("policy has no satisfying org set".into())
         })?;
         if orgs.is_empty() {

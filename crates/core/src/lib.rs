@@ -9,7 +9,6 @@
 //! (`tdt-crypto`, `tdt-wire`, `tdt-ledger`, `tdt-fabric`, `tdt-contracts`,
 //! `tdt-relay`) into the architecture of Fig. 2:
 //!
-//! * [`policy`] — verification-policy construction and satisfiability.
 //! * [`plugin`] — the custom endorsement plugin that signs query metadata
 //!   and encrypts it for the requesting client (paper §4.3).
 //! * [`driver`] — the Fabric [`tdt_relay::driver::NetworkDriver`]:
@@ -28,8 +27,6 @@
 //! * [`events`] — cross-network event subscription: a peer-attested
 //!   block-event feed pushed through the relays (paper §2 primitive,
 //!   deferred in §7).
-//! * [`flow`] — an instrumented step-by-step execution of the Fig. 2
-//!   message flow, used to regenerate the paper's protocol figures.
 //! * [`corda_like`] — a second (notary-based) network driver, the
 //!   extensibility demonstration of §5.
 //! * [`block_proof`] — a second *proof scheme* (block-inclusion via
@@ -48,9 +45,7 @@ pub mod corda_like;
 pub mod driver;
 pub mod error;
 pub mod events;
-pub mod flow;
 pub mod plugin;
-pub mod policy;
 pub mod proof;
 pub mod setup;
 

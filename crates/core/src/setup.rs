@@ -302,6 +302,40 @@ pub fn issue_sample_bl(testbed: &Testbed, po_ref: &str) {
         .expect("B/L committed");
 }
 
+/// Opens and issues the letter of credit for `po_ref` on SWT (paper
+/// Fig. 3, Steps 2-4), so the seller can later upload dispatch documents.
+pub fn issue_sample_lc(testbed: &Testbed, po_ref: &str) {
+    let buyer = testbed.swt_buyer_gateway();
+    buyer
+        .submit(
+            SwtChaincode::NAME,
+            "RequestLC",
+            vec![
+                po_ref.as_bytes().to_vec(),
+                b"LC-1".to_vec(),
+                b"buyer".to_vec(),
+                b"seller".to_vec(),
+                b"100000".to_vec(),
+            ],
+        )
+        // lint:allow(panic: "demo lifecycle driver over a fixture ledger; not reachable from network input")
+        .expect("request L/C")
+        .into_committed()
+        // lint:allow(panic: "demo lifecycle driver over a fixture ledger; not reachable from network input")
+        .expect("L/C request committed");
+    buyer
+        .submit(
+            SwtChaincode::NAME,
+            "IssueLC",
+            vec![po_ref.as_bytes().to_vec()],
+        )
+        // lint:allow(panic: "demo lifecycle driver over a fixture ledger; not reachable from network input")
+        .expect("issue L/C")
+        .into_committed()
+        // lint:allow(panic: "demo lifecycle driver over a fixture ledger; not reachable from network input")
+        .expect("L/C issue committed");
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -122,7 +122,8 @@ impl Gateway {
             .ok_or_else(|| FabricError::ChaincodeNotDeployed(chaincode.to_string()))?;
         let orgs = policy.minimal_org_set().ok_or_else(|| {
             FabricError::EndorsementPolicyUnsatisfied(format!(
-                "policy {policy} cannot be satisfied by any org set"
+                "policy {} cannot be satisfied by any org set",
+                crate::policy::fabric_text(policy)
             ))
         })?;
         let proposal = self.build_proposal(chaincode, function, args, transient);

@@ -9,7 +9,7 @@ use crate::msp::{Identity, Msp, MspRegistry};
 use crate::net::FaultInjector;
 use crate::orderer::OrderingService;
 use crate::peer::Peer;
-use crate::policy::EndorsementPolicy;
+use crate::policy::{fabric_text, EndorsementPolicy};
 use parking_lot::{Mutex, RwLock};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -113,7 +113,8 @@ impl NetworkBuilder {
         genesis_config.push(format!("network={}", self.name).into_bytes());
         genesis_config.push(format!("channel={}", self.channel).into_bytes());
         for (name, code, policy) in self.chaincodes {
-            genesis_config.push(format!("chaincode={name} policy={policy}").into_bytes());
+            genesis_config
+                .push(format!("chaincode={name} policy={}", fabric_text(&policy)).into_bytes());
             registry.deploy(name.clone(), code);
             policies.insert(name, policy);
         }
@@ -170,7 +171,6 @@ impl NetworkBuilder {
             peers,
             orderer: Mutex::new(OrderingService::new(&genesis, self.batch_size)),
             delivery_lock: Mutex::new(()),
-            registry,
             msp_registry,
             policies,
             events: EventHub::new(),
@@ -192,7 +192,6 @@ pub struct FabricNetwork {
     /// Serializes block delivery: a block must be committed on every peer
     /// before the next block is cut, or replicas would observe gaps.
     delivery_lock: Mutex<()>,
-    registry: Arc<ChaincodeRegistry>,
     msp_registry: Arc<MspRegistry>,
     policies: Arc<HashMap<String, EndorsementPolicy>>,
     events: EventHub,
@@ -229,11 +228,6 @@ impl FabricNetwork {
     /// The MSP registry (root certificates of all local organizations).
     pub fn msp_registry(&self) -> &MspRegistry {
         &self.msp_registry
-    }
-
-    /// The deployed chaincode registry.
-    pub fn chaincode_registry(&self) -> &ChaincodeRegistry {
-        &self.registry
     }
 
     /// Endorsement policy of a chaincode.

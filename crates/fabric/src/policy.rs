@@ -1,177 +1,28 @@
 //! Endorsement policies: which organizations must endorse a transaction.
 //!
-//! Fabric expresses these as boolean expressions over MSP principals; this
-//! module implements the same algebra (`AND`/`OR`/`OutOf` over org ids).
-//! The interop verification policy (in `tdt-wire`) is a distinct language
-//! evaluated by the *destination* network; endorsement policies are local.
+//! Fabric expresses these as boolean expressions over MSP principals. An
+//! endorsement policy and the interop verification policy play distinct
+//! roles — the first is local consensus on the source network, the second
+//! is what a destination demands of a proof — but they are one algebra
+//! (`AND`/`OR`/`OutOf` over org ids), so both are a
+//! [`tdt_wire::messages::PolicyNode`]. This module adds only Fabric's text
+//! form of a policy.
 
-use std::fmt;
+pub use tdt_wire::messages::PolicyNode as EndorsementPolicy;
 
-/// An endorsement policy expression.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum EndorsementPolicy {
-    /// A member of the named organization must endorse.
-    Org(String),
-    /// All sub-policies must be satisfied.
-    And(Vec<EndorsementPolicy>),
-    /// Any sub-policy suffices.
-    Or(Vec<EndorsementPolicy>),
-    /// At least `k` sub-policies must be satisfied.
-    OutOf(u32, Vec<EndorsementPolicy>),
-}
-
-impl EndorsementPolicy {
-    /// Policy requiring one endorsement from each listed org.
-    pub fn all_of<I, S>(orgs: I) -> Self
-    where
-        I: IntoIterator<Item = S>,
-        S: Into<String>,
-    {
-        EndorsementPolicy::And(
-            orgs.into_iter()
-                .map(|o| EndorsementPolicy::Org(o.into()))
-                .collect(),
-        )
-    }
-
-    /// Policy satisfied by any one of the listed orgs.
-    pub fn any_of<I, S>(orgs: I) -> Self
-    where
-        I: IntoIterator<Item = S>,
-        S: Into<String>,
-    {
-        EndorsementPolicy::Or(
-            orgs.into_iter()
-                .map(|o| EndorsementPolicy::Org(o.into()))
-                .collect(),
-        )
-    }
-
-    /// Policy satisfied by at least `k` of the listed orgs.
-    pub fn k_of<I, S>(k: u32, orgs: I) -> Self
-    where
-        I: IntoIterator<Item = S>,
-        S: Into<String>,
-    {
-        EndorsementPolicy::OutOf(
-            k,
-            orgs.into_iter()
-                .map(|o| EndorsementPolicy::Org(o.into()))
-                .collect(),
-        )
-    }
-
-    /// Evaluates against the set of orgs with valid endorsements.
-    pub fn is_satisfied<S: AsRef<str>>(&self, endorsing_orgs: &[S]) -> bool {
-        match self {
-            EndorsementPolicy::Org(org) => endorsing_orgs.iter().any(|o| o.as_ref() == org),
-            EndorsementPolicy::And(ps) => ps.iter().all(|p| p.is_satisfied(endorsing_orgs)),
-            EndorsementPolicy::Or(ps) => ps.iter().any(|p| p.is_satisfied(endorsing_orgs)),
-            EndorsementPolicy::OutOf(k, ps) => {
-                ps.iter().filter(|p| p.is_satisfied(endorsing_orgs)).count() >= *k as usize
-            }
-        }
-    }
-
-    /// A minimal set of organizations that would satisfy the policy, used
-    /// by gateways and relay drivers to choose which peers to contact.
-    /// Returns `None` for unsatisfiable policies (e.g. `OutOf(3, [a, b])`).
-    pub fn minimal_org_set(&self) -> Option<Vec<String>> {
-        match self {
-            EndorsementPolicy::Org(org) => Some(vec![org.clone()]),
-            EndorsementPolicy::And(ps) => {
-                let mut out = Vec::new();
-                for p in ps {
-                    for org in p.minimal_org_set()? {
-                        if !out.contains(&org) {
-                            out.push(org);
-                        }
-                    }
-                }
-                Some(out)
-            }
-            EndorsementPolicy::Or(ps) => ps
-                .iter()
-                .filter_map(EndorsementPolicy::minimal_org_set)
-                .min_by_key(Vec::len),
-            EndorsementPolicy::OutOf(k, ps) => {
-                let mut candidates: Vec<Vec<String>> = ps
-                    .iter()
-                    .filter_map(EndorsementPolicy::minimal_org_set)
-                    .collect();
-                if candidates.len() < *k as usize {
-                    return None;
-                }
-                candidates.sort_by_key(Vec::len);
-                let mut out = Vec::new();
-                for set in candidates.into_iter().take(*k as usize) {
-                    for org in set {
-                        if !out.contains(&org) {
-                            out.push(org);
-                        }
-                    }
-                }
-                Some(out)
-            }
-        }
-    }
-
-    /// Every organization mentioned anywhere in the policy.
-    pub fn all_orgs(&self) -> Vec<String> {
-        let mut out = Vec::new();
-        self.collect(&mut out);
-        out
-    }
-
-    fn collect(&self, out: &mut Vec<String>) {
-        match self {
-            EndorsementPolicy::Org(o) => {
-                if !out.contains(o) {
-                    out.push(o.clone());
-                }
-            }
-            EndorsementPolicy::And(ps)
-            | EndorsementPolicy::Or(ps)
-            | EndorsementPolicy::OutOf(_, ps) => {
-                for p in ps {
-                    p.collect(out);
-                }
-            }
-        }
-    }
-}
-
-impl fmt::Display for EndorsementPolicy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            EndorsementPolicy::Org(o) => write!(f, "'{o}.member'"),
-            EndorsementPolicy::And(ps) => {
-                write!(f, "AND(")?;
-                for (i, p) in ps.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ", ")?;
-                    }
-                    write!(f, "{p}")?;
-                }
-                write!(f, ")")
-            }
-            EndorsementPolicy::Or(ps) => {
-                write!(f, "OR(")?;
-                for (i, p) in ps.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ", ")?;
-                    }
-                    write!(f, "{p}")?;
-                }
-                write!(f, ")")
-            }
-            EndorsementPolicy::OutOf(k, ps) => {
-                write!(f, "OutOf({k}")?;
-                for p in ps {
-                    write!(f, ", {p}")?;
-                }
-                write!(f, ")")
-            }
+/// Renders `policy` in Fabric's text form, e.g.
+/// `AND('seller.member', 'carrier.member')`. Genesis blocks record every
+/// deployed policy in this form.
+pub fn fabric_text(policy: &EndorsementPolicy) -> String {
+    let list = |ps: &[EndorsementPolicy]| ps.iter().map(fabric_text).collect::<Vec<_>>();
+    match policy {
+        EndorsementPolicy::Org(o) => format!("'{o}.member'"),
+        EndorsementPolicy::And(ps) => format!("AND({})", list(ps).join(", ")),
+        EndorsementPolicy::Or(ps) => format!("OR({})", list(ps).join(", ")),
+        EndorsementPolicy::OutOf(k, ps) => {
+            let mut args = vec![k.to_string()];
+            args.extend(list(ps));
+            format!("OutOf({})", args.join(", "))
         }
     }
 }
@@ -179,100 +30,19 @@ impl fmt::Display for EndorsementPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
-
-    #[test]
-    fn all_of_requires_every_org() {
-        let p = EndorsementPolicy::all_of(["a", "b"]);
-        assert!(p.is_satisfied(&["a", "b"]));
-        assert!(!p.is_satisfied(&["a"]));
-        assert!(!p.is_satisfied::<&str>(&[]));
-    }
-
-    #[test]
-    fn any_of_requires_one() {
-        let p = EndorsementPolicy::any_of(["a", "b"]);
-        assert!(p.is_satisfied(&["b"]));
-        assert!(!p.is_satisfied(&["c"]));
-    }
-
-    #[test]
-    fn k_of_threshold() {
-        let p = EndorsementPolicy::k_of(2, ["a", "b", "c"]);
-        assert!(p.is_satisfied(&["a", "c"]));
-        assert!(!p.is_satisfied(&["b"]));
-        assert!(p.is_satisfied(&["a", "b", "c"]));
-    }
-
-    #[test]
-    fn nested_policy() {
-        // AND( org-x, OR(a, b) )
-        let p = EndorsementPolicy::And(vec![
-            EndorsementPolicy::Org("x".into()),
-            EndorsementPolicy::any_of(["a", "b"]),
-        ]);
-        assert!(p.is_satisfied(&["x", "b"]));
-        assert!(!p.is_satisfied(&["x"]));
-        assert!(!p.is_satisfied(&["a", "b"]));
-    }
-
-    #[test]
-    fn minimal_set_and() {
-        let p = EndorsementPolicy::all_of(["a", "b"]);
-        assert_eq!(p.minimal_org_set().unwrap(), vec!["a", "b"]);
-    }
-
-    #[test]
-    fn minimal_set_or_prefers_smallest() {
-        let p = EndorsementPolicy::Or(vec![
-            EndorsementPolicy::all_of(["a", "b"]),
-            EndorsementPolicy::Org("c".into()),
-        ]);
-        assert_eq!(p.minimal_org_set().unwrap(), vec!["c"]);
-    }
-
-    #[test]
-    fn minimal_set_outof() {
-        let p = EndorsementPolicy::k_of(2, ["a", "b", "c"]);
-        let set = p.minimal_org_set().unwrap();
-        assert_eq!(set.len(), 2);
-        assert!(p.is_satisfied(&set));
-    }
-
-    #[test]
-    fn minimal_set_unsatisfiable() {
-        let p = EndorsementPolicy::OutOf(3, vec![EndorsementPolicy::Org("a".into())]);
-        assert!(p.minimal_org_set().is_none());
-    }
-
-    #[test]
-    fn all_orgs_deduplicated() {
-        let p = EndorsementPolicy::And(vec![
-            EndorsementPolicy::Org("a".into()),
-            EndorsementPolicy::any_of(["a", "b"]),
-        ]);
-        assert_eq!(p.all_orgs(), vec!["a", "b"]);
-    }
 
     #[test]
     fn display_format() {
-        let p = EndorsementPolicy::And(vec![
-            EndorsementPolicy::Org("seller".into()),
-            EndorsementPolicy::Org("carrier".into()),
-        ]);
-        assert_eq!(p.to_string(), "AND('seller.member', 'carrier.member')");
-        let k = EndorsementPolicy::k_of(2, ["a", "b"]);
-        assert_eq!(k.to_string(), "OutOf(2, 'a.member', 'b.member')");
-    }
-
-    proptest! {
-        #[test]
-        fn prop_minimal_set_satisfies(orgs in proptest::collection::vec("[a-e]", 1..5), k in 1u32..4) {
-            let k = k.min(orgs.len() as u32);
-            let p = EndorsementPolicy::k_of(k, orgs);
-            if let Some(set) = p.minimal_org_set() {
-                prop_assert!(p.is_satisfied(&set));
-            }
-        }
+        let p = EndorsementPolicy::all_of(["seller", "carrier"]);
+        assert_eq!(fabric_text(&p), "AND('seller.member', 'carrier.member')");
+        let k = EndorsementPolicy::OutOf(
+            2,
+            vec![
+                EndorsementPolicy::any_of(["a"]),
+                EndorsementPolicy::Org("b".into()),
+            ],
+        );
+        assert_eq!(fabric_text(&k), "OutOf(2, OR('a.member'), 'b.member')");
+        assert_eq!(fabric_text(&EndorsementPolicy::And(Vec::new())), "AND()");
     }
 }

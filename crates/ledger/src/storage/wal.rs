@@ -84,13 +84,6 @@ pub struct WalScan {
     pub tail: Option<TailReason>,
 }
 
-impl WalScan {
-    /// Bytes past the last trusted frame.
-    pub fn tail_bytes(&self) -> u64 {
-        self.file_len - self.valid_len
-    }
-}
-
 /// One frame as the length prefixes delimit it; nothing about its payload
 /// has been checked yet.
 struct Frame<'a> {

@@ -453,30 +453,6 @@ impl Registry {
         });
     }
 
-    /// Adopts an externally created counter handle under `name` (first
-    /// registration wins).
-    pub fn register_counter(&self, name: &str, help: &str, value: &Counter) {
-        self.with_map(|map| {
-            map.entry(name.to_string())
-                .or_insert_with(|| Metric::Counter {
-                    help: help.to_string(),
-                    value: value.clone(),
-                });
-        });
-    }
-
-    /// Adopts an externally created gauge handle under `name` (first
-    /// registration wins).
-    pub fn register_gauge(&self, name: &str, help: &str, value: &Gauge) {
-        self.with_map(|map| {
-            map.entry(name.to_string())
-                .or_insert_with(|| Metric::Gauge {
-                    help: help.to_string(),
-                    value: value.clone(),
-                });
-        });
-    }
-
     /// Snapshots every registered metric, sorted by name.
     pub fn snapshot(&self) -> RegistrySnapshot {
         self.with_map(|map| RegistrySnapshot {

@@ -90,13 +90,6 @@ impl SloConfig {
         self
     }
 
-    /// Overrides the objectives (builder style).
-    pub fn with_objectives(mut self, latency: f64, availability: f64) -> SloConfig {
-        self.latency_objective = latency;
-        self.availability_objective = availability;
-        self
-    }
-
     /// Overrides the per-window sample floor (builder style).
     pub fn with_min_samples(mut self, min_samples: u64) -> SloConfig {
         self.min_samples = min_samples;

@@ -21,7 +21,7 @@ use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 use tdt_obs::ObsHandle;
@@ -814,54 +814,92 @@ const ADMIN_MAX_HEAD: usize = 8192;
 /// each byte reset the 2 s read timeout.
 const ADMIN_HEAD_DEADLINE: Duration = Duration::from_secs(2);
 
-/// Concurrent admin requests served; excess get a fast 503 so a scrape
-/// storm cannot exhaust threads.
+/// Admin requests rendering a body at once (metrics, flight dumps,
+/// profiles); excess get a fast 503 so a scrape storm or a profile
+/// capture cannot exhaust threads. `/healthz` and `/readyz` take no
+/// render slot, so neither is ever shed behind them.
 const ADMIN_MAX_CONCURRENT: usize = 8;
+
+/// Admin connections served at once, counting those still reading a
+/// request head or writing a response; excess get a fast 503 from the
+/// accept loop. This bounds the worker threads a connection flood can
+/// start, and sits well above [`ADMIN_MAX_CONCURRENT`] so probes find
+/// room while every render slot is taken.
+const ADMIN_MAX_CONNECTIONS: usize = 4 * ADMIN_MAX_CONCURRENT;
+
+/// Test-only pause before a render slot is freed, widening the window in
+/// which a client that already holds its response could reconnect.
+#[cfg(test)]
+static RENDER_SLOT_RELEASE_DELAY_MS: AtomicU64 = AtomicU64::new(0);
 
 /// Longest profile window `GET /debug/profile` will run, bounding both
 /// the serving thread's lifetime and shutdown latency.
 const ADMIN_MAX_PROFILE_SECONDS: f64 = 10.0;
 
+/// One of a bounded number of admin slots, freed on drop.
+struct AdminSlot(Arc<AtomicUsize>);
+
+impl AdminSlot {
+    /// Takes a slot of `count` unless `cap` are already taken.
+    fn try_take(count: &Arc<AtomicUsize>, cap: usize) -> Option<AdminSlot> {
+        count
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |n| {
+                (n < cap).then_some(n + 1)
+            })
+            .ok()
+            .map(|_| AdminSlot(Arc::clone(count)))
+    }
+}
+
+impl Drop for AdminSlot {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::AcqRel);
+    }
+}
+
+fn write_admin_busy(stream: &mut TcpStream) {
+    stream
+        .set_write_timeout(Some(Duration::from_millis(200)))
+        .ok();
+    write_admin_response(
+        stream,
+        "503 Service Unavailable",
+        "text/plain",
+        b"admin endpoint busy\n",
+    )
+    .ok();
+}
+
 /// Accept loop of the loopback admin listener. Each exchange is served
-/// on its own short-lived thread (bounded by [`ADMIN_MAX_CONCURRENT`])
+/// on its own short-lived thread (bounded by [`ADMIN_MAX_CONNECTIONS`])
 /// so a multi-second profile capture or a slow client never blocks
-/// concurrent metric scrapes.
+/// concurrent metric scrapes or probes.
 fn admin_loop(
     listener: &TcpListener,
     shutdown: &AtomicBool,
     obs: &Arc<ObsHandle>,
     readiness: Option<Arc<Readiness>>,
 ) {
-    let active = Arc::new(AtomicU64::new(0));
+    let connections = Arc::new(AtomicUsize::new(0));
+    let renders = Arc::new(AtomicUsize::new(0));
     while !shutdown.load(Ordering::Acquire) {
         match listener.accept() {
             Ok((mut stream, _)) => {
-                if active.load(Ordering::Relaxed) >= ADMIN_MAX_CONCURRENT as u64 {
-                    stream
-                        .set_write_timeout(Some(Duration::from_millis(200)))
-                        .ok();
-                    write_admin_response(
-                        &mut stream,
-                        "503 Service Unavailable",
-                        "text/plain",
-                        b"admin endpoint busy\n",
-                    )
-                    .ok();
+                let Some(slot) = AdminSlot::try_take(&connections, ADMIN_MAX_CONNECTIONS) else {
+                    write_admin_busy(&mut stream);
                     continue;
-                }
-                active.fetch_add(1, Ordering::Relaxed);
-                let worker_active = Arc::clone(&active);
+                };
                 let obs = Arc::clone(obs);
                 let readiness = readiness.clone();
-                let spawned = std::thread::Builder::new()
+                let renders = Arc::clone(&renders);
+                // A failed spawn drops the closure, and the slot with it.
+                std::thread::Builder::new()
                     .name("tcp-relay-admin-worker".into())
                     .spawn(move || {
-                        serve_admin_request(stream, &obs, readiness.as_deref()).ok();
-                        worker_active.fetch_sub(1, Ordering::Relaxed);
-                    });
-                if spawned.is_err() {
-                    active.fetch_sub(1, Ordering::Relaxed);
-                }
+                        let _slot = slot;
+                        serve_admin_request(stream, &obs, readiness.as_deref(), &renders).ok();
+                    })
+                    .ok();
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                 std::thread::sleep(Duration::from_millis(5));
@@ -945,6 +983,7 @@ fn serve_admin_request(
     mut stream: TcpStream,
     obs: &ObsHandle,
     readiness: Option<&Readiness>,
+    renders: &Arc<AtomicUsize>,
 ) -> std::io::Result<()> {
     stream.set_nonblocking(false)?;
     stream.set_write_timeout(Some(Duration::from_secs(2)))?;
@@ -970,6 +1009,22 @@ fn serve_admin_request(
     let (path, query) = match target.split_once('?') {
         Some((p, q)) => (p, Some(q)),
         None => (target, None),
+    };
+    let renders_body = method == "GET"
+        && matches!(
+            path,
+            "/metrics" | "/metrics.json" | "/debug/flightrec" | "/debug/profile"
+        );
+    let render_slot = if renders_body {
+        match AdminSlot::try_take(renders, ADMIN_MAX_CONCURRENT) {
+            Some(slot) => Some(slot),
+            None => {
+                write_admin_busy(&mut stream);
+                return Ok(());
+            }
+        }
+    } else {
+        None
     };
     let (status, content_type, body): (&str, &str, Vec<u8>) = match (method, path) {
         ("GET", "/metrics") => (
@@ -1004,6 +1059,13 @@ fn serve_admin_request(
             b"method not allowed\n".to_vec(),
         ),
     };
+    #[cfg(test)]
+    std::thread::sleep(Duration::from_millis(
+        RENDER_SLOT_RELEASE_DELAY_MS.load(Ordering::Relaxed),
+    ));
+    // Free the render slot before the response goes out: a client that
+    // reads its response and reconnects at once must find it free.
+    drop(render_slot);
     write_admin_response(&mut stream, status, content_type, &body)
 }
 
@@ -1486,6 +1548,74 @@ mod tests {
         assert!(json.contains("\"tdt_test_scrapes_total\""), "got: {json}");
         let missing = http_get(&base, "/nope");
         assert!(missing.starts_with("HTTP/1.1 404"), "got: {missing}");
+    }
+
+    fn spawn_admin_server() -> (TcpRelayServer, String) {
+        let server = TcpRelayServer::spawn_with(
+            "127.0.0.1:0",
+            Arc::new(EchoHandler),
+            TcpServerConfig {
+                obs: Some(Arc::new(ObsHandle::new())),
+                ..TcpServerConfig::default()
+            },
+        )
+        .unwrap();
+        let base = server.admin_endpoint().expect("admin listener configured");
+        (server, base)
+    }
+
+    /// A client that reconnects the moment it has read its response must
+    /// not be shed by its own previous request: the render slot is freed
+    /// before the response is written, however long the release takes.
+    #[test]
+    fn admin_reconnect_after_response_is_not_shed() {
+        let (server, base) = spawn_admin_server();
+        RENDER_SLOT_RELEASE_DELAY_MS.store(20, Ordering::Relaxed);
+        std::thread::scope(|scope| {
+            for _ in 0..ADMIN_MAX_CONCURRENT {
+                scope.spawn(|| {
+                    for _ in 0..10 {
+                        let reply = http_get(&base, "/metrics");
+                        assert!(reply.starts_with("HTTP/1.1 200 OK"), "got: {reply}");
+                    }
+                });
+            }
+        });
+        RENDER_SLOT_RELEASE_DELAY_MS.store(0, Ordering::Relaxed);
+        server.shutdown();
+    }
+
+    /// With every render slot held by a profile capture, a further scrape
+    /// is shed with 503 while liveness and readiness still answer 200.
+    #[test]
+    fn admin_cap_sheds_scrapes_but_never_probes() {
+        let (server, base) = spawn_admin_server();
+        std::thread::scope(|scope| {
+            for _ in 0..ADMIN_MAX_CONCURRENT {
+                scope.spawn(|| loop {
+                    // A capture shed by one of the polls below retries.
+                    let reply = http_get(&base, "/debug/profile?seconds=2&hz=1");
+                    if !reply.starts_with("HTTP/1.1 503") {
+                        assert!(reply.starts_with("HTTP/1.1 200 OK"), "got: {reply}");
+                        break;
+                    }
+                });
+            }
+            // Once every capture holds a slot none takes another, so a 503
+            // before and after the probes proves all slots were held
+            // throughout them.
+            let deadline = Instant::now() + Duration::from_secs(2);
+            while !http_get(&base, "/metrics").starts_with("HTTP/1.1 503") {
+                assert!(Instant::now() < deadline, "the cap never filled");
+            }
+            let health = http_get(&base, "/healthz");
+            assert!(health.starts_with("HTTP/1.1 200 OK"), "got: {health}");
+            let ready = http_get(&base, "/readyz");
+            assert!(ready.starts_with("HTTP/1.1 200 OK"), "got: {ready}");
+            let shed = http_get(&base, "/metrics");
+            assert!(shed.starts_with("HTTP/1.1 503"), "got: {shed}");
+        });
+        server.shutdown();
     }
 
     #[test]

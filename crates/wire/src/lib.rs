@@ -12,7 +12,8 @@
 //! * [`messages`] — the relay protocol schema: [`messages::NetworkAddress`],
 //!   [`messages::Query`], [`messages::QueryResponse`], attestation proofs,
 //!   verification policies, and the [`messages::RelayEnvelope`] that wraps
-//!   them on the wire.
+//!   them on the wire. Evaluation of the [`messages::PolicyNode`] algebra
+//!   lives beside it in the private `policy` module.
 //! * [`framing`] — length-prefixed frames for stream transports (TCP).
 //!
 //! # Example
@@ -34,6 +35,7 @@ pub mod codec;
 pub mod error;
 pub mod framing;
 pub mod messages;
+mod policy;
 pub mod varint;
 
 pub use error::WireError;

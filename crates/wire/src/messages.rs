@@ -87,7 +87,9 @@ impl Message for NetworkAddress {
     }
 }
 
-/// A node in a verification-policy expression tree.
+/// A node in a policy expression tree: the one algebra behind both a
+/// destination's verification policy and a source's endorsement policy
+/// (`tdt_fabric::policy::EndorsementPolicy`).
 ///
 /// The paper's proof-of-concept policy — "proof from a peer in both the
 /// Seller and Carrier organizations" — is `And[Org(seller), Org(carrier)]`.
@@ -117,37 +119,6 @@ impl Default for PolicyNode {
 pub const MAX_POLICY_DEPTH: usize = 32;
 
 impl PolicyNode {
-    /// All organization ids referenced anywhere in the tree.
-    pub fn organizations(&self) -> Vec<&str> {
-        let mut out = Vec::new();
-        self.collect_orgs(&mut out);
-        out
-    }
-
-    fn collect_orgs<'a>(&'a self, out: &mut Vec<&'a str>) {
-        match self {
-            PolicyNode::Org(o) => out.push(o),
-            PolicyNode::And(cs) | PolicyNode::Or(cs) | PolicyNode::OutOf(_, cs) => {
-                for c in cs {
-                    c.collect_orgs(out);
-                }
-            }
-        }
-    }
-
-    /// Evaluates the tree against the set of organizations that produced
-    /// valid attestations.
-    pub fn is_satisfied<S: AsRef<str>>(&self, endorsing_orgs: &[S]) -> bool {
-        match self {
-            PolicyNode::Org(org) => endorsing_orgs.iter().any(|o| o.as_ref() == org),
-            PolicyNode::And(cs) => cs.iter().all(|c| c.is_satisfied(endorsing_orgs)),
-            PolicyNode::Or(cs) => cs.iter().any(|c| c.is_satisfied(endorsing_orgs)),
-            PolicyNode::OutOf(k, cs) => {
-                cs.iter().filter(|c| c.is_satisfied(endorsing_orgs)).count() >= *k as usize
-            }
-        }
-    }
-
     /// Depth of the expression tree (an `Org` leaf is depth 1).
     pub fn depth(&self) -> usize {
         match self {
@@ -241,27 +212,7 @@ impl VerificationPolicy {
         S: Into<String>,
     {
         VerificationPolicy {
-            expression: PolicyNode::And(
-                orgs.into_iter()
-                    .map(|o| PolicyNode::Org(o.into()))
-                    .collect(),
-            ),
-            confidential: false,
-        }
-    }
-
-    /// A policy requiring any one of the listed organizations.
-    pub fn any_of_orgs<I, S>(orgs: I) -> Self
-    where
-        I: IntoIterator<Item = S>,
-        S: Into<String>,
-    {
-        VerificationPolicy {
-            expression: PolicyNode::Or(
-                orgs.into_iter()
-                    .map(|o| PolicyNode::Org(o.into()))
-                    .collect(),
-            ),
+            expression: PolicyNode::all_of(orgs),
             confidential: false,
         }
     }
@@ -1400,19 +1351,6 @@ mod tests {
         assert!(p.is_satisfied(&["seller-org", "carrier-org"]));
         assert!(p.is_satisfied(&["carrier-org", "seller-org", "extra"]));
         assert!(!p.is_satisfied(&["seller-org"]));
-        let any = VerificationPolicy::any_of_orgs(["a", "b"]).expression;
-        assert!(any.is_satisfied(&["b"]));
-        assert!(!any.is_satisfied(&["c"]));
-        let outof = PolicyNode::OutOf(
-            2,
-            vec![
-                PolicyNode::Org("a".into()),
-                PolicyNode::Org("b".into()),
-                PolicyNode::Org("c".into()),
-            ],
-        );
-        assert!(outof.is_satisfied(&["a", "c"]));
-        assert!(!outof.is_satisfied(&["a"]));
     }
 
     #[test]

@@ -1,81 +1,111 @@
 //! Regenerates the Fig. 2 / Fig. 4 protocol trace: the 10-step message
-//! flow with per-step latency, run over the standard testbed.
+//! flow as one span tree with real timestamps, run over the standard
+//! testbed.
 //!
 //! Run with: `cargo run --example message_flow_trace`
 
+use std::collections::BTreeSet;
 use std::sync::Arc;
 use tdt::contracts::swt::SwtChaincode;
-use tdt::interop::flow::harness_for_testbed;
-use tdt::interop::setup::{issue_sample_bl, stl_swt_testbed};
+use tdt::interop::setup::{issue_sample_bl, issue_sample_lc, stl_swt_testbed};
 use tdt::interop::InteropClient;
 use tdt::obs::span as obs_span;
 use tdt::obs::{waterfall, TraceContext};
 use tdt::wire::messages::{NetworkAddress, VerificationPolicy};
 
+/// Which Fig. 2 steps each span covers.
+const LEGEND: &[(&str, &str)] = &[
+    (
+        "client.query_remote",
+        "1-9   client builds and signs the query, gets the proof",
+    ),
+    (
+        "relay.query",
+        "2-3   local relay: discovery lookup, forward request",
+    ),
+    (
+        "transport.send",
+        "3, 8  request and reply between the relays",
+    ),
+    (
+        "relay.handle",
+        "4, 8  source relay: decode, dispatch, encode reply",
+    ),
+    (
+        "driver.execute",
+        "5     driver queries the peers the policy names",
+    ),
+    (
+        "contract.execute",
+        "6, 10 chaincode: ECC check (6), UploadDispatchDocs + CMDAC (10)",
+    ),
+    (
+        "peer.endorse",
+        "7     interop plugin attests (signs, encrypts) the result",
+    ),
+    (
+        "proof.verify",
+        "9     client decrypts and verifies the proof",
+    ),
+    (
+        "client.submit",
+        "10    local transaction with data and proof",
+    ),
+];
+
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("building the STL/SWT testbed...");
     let testbed = stl_swt_testbed();
     issue_sample_bl(&testbed, "PO-1001");
-    let buyer = testbed.swt_buyer_gateway();
-    buyer
-        .submit(
-            SwtChaincode::NAME,
-            "RequestLC",
-            vec![
-                b"PO-1001".to_vec(),
-                b"LC-1".to_vec(),
-                b"buyer".to_vec(),
-                b"seller".to_vec(),
-                b"100000".to_vec(),
-            ],
-        )?
-        .into_committed()?;
-    buyer
-        .submit(SwtChaincode::NAME, "IssueLC", vec![b"PO-1001".to_vec()])?
-        .into_committed()?;
+    issue_sample_lc(&testbed, "PO-1001");
 
-    println!("executing the instrumented Fig. 2 message flow...\n");
-    let harness = harness_for_testbed(&testbed);
+    // One trace context travels from the client across both relays into
+    // the source network's contracts and back into the local transaction,
+    // so every hop of Steps 1-10 lands in one tree.
+    println!("executing the Fig. 2 message flow under one trace...\n");
+    let client = InteropClient::new(testbed.swt_seller_gateway(), Arc::clone(&testbed.swt_relay));
     let address = NetworkAddress::new("stl", "trade-channel", "TradeLensCC", "GetBillOfLading")
         .with_arg(b"PO-1001".to_vec());
     let policy =
         VerificationPolicy::all_of_orgs(["seller-org", "carrier-org"]).with_confidentiality();
-    let traced = harness.run_traced(
-        address.clone(),
-        policy.clone(),
-        SwtChaincode::NAME,
-        "UploadDispatchDocs",
-        vec![b"PO-1001".to_vec()],
-    )?;
-    print!("{}", traced.table());
-    println!("\ntotal: {:.1?}", traced.total());
-    println!("transaction outcome: {:?}", traced.outcome.code);
-    println!(
-        "proof: {} attestations, result {} bytes (encrypted in transit)",
-        traced.remote.proof.attestations.len(),
-        traced.remote.data.len()
-    );
-
-    // The same cross-network query again, this time observed end to end:
-    // one trace context travels from the client across both relays into
-    // the source network's contracts, and every hop lands in one tree.
-    println!("\ndistributed trace of the cross-network query (real timestamps):\n");
-    let client = InteropClient::new(testbed.swt_seller_gateway(), Arc::clone(&testbed.swt_relay));
     let root = TraceContext::root();
-    {
+    let (remote, outcome) = {
         let _guard = root.install();
-        client.query_remote(address, policy)?;
-    }
+        let remote = client.query_remote(address, policy)?;
+        let outcome = client.submit_with_remote_data(
+            SwtChaincode::NAME,
+            "UploadDispatchDocs",
+            vec![b"PO-1001".to_vec()],
+            &remote,
+        )?;
+        (remote, outcome)
+    };
     let spans = obs_span::spans_for_trace(root.trace_hi, root.trace_lo);
     print!("{}", waterfall::render(&spans));
-    let hops: std::collections::BTreeSet<&str> = spans.iter().map(|s| s.name).collect();
+
+    println!("\nspan                 Fig. 2 steps");
+    for (name, steps) in LEGEND {
+        println!("{name:<20} {steps}");
+    }
+    let hops: BTreeSet<&str> = spans.iter().map(|s| s.name).collect();
     println!(
         "\n{} spans across {} distinct hops",
         spans.len(),
         hops.len()
     );
-    if hops.len() < 6 {
-        return Err(format!("expected >= 6 distinct hops, got {hops:?}").into());
+    println!("transaction outcome: {:?}", outcome.code);
+    println!(
+        "proof: {} attestations, result {} bytes (encrypted in transit)",
+        remote.proof.attestations.len(),
+        remote.data.len()
+    );
+    let missing: Vec<&str> = LEGEND
+        .iter()
+        .map(|(name, _)| *name)
+        .filter(|name| !hops.contains(name))
+        .collect();
+    if !missing.is_empty() {
+        return Err(format!("no span for {missing:?}").into());
     }
     Ok(())
 }

@@ -1,42 +1,24 @@
-//! E2 — Fig. 2: the architecture and 10-step message flow.
+//! E2/E17 — Fig. 2: the architecture and 10-step message flow.
 //!
-//! Exercises the complete flow both through the production path (client →
-//! relay → relay → driver → peers and back) and through the instrumented
-//! harness that labels each protocol step.
+//! Exercises the complete flow through the production path (client →
+//! relay → relay → driver → peers and back, in-process and over TCP) and
+//! checks that one installed trace root sees Steps 1-10 as one span tree.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 use tdt::contracts::stl::BillOfLading;
 use tdt::contracts::swt::{LcStatus, LetterOfCredit, SwtChaincode};
-use tdt::interop::flow::harness_for_testbed;
-use tdt::interop::setup::{issue_sample_bl, stl_swt_testbed, Testbed};
+use tdt::interop::setup::{issue_sample_bl, issue_sample_lc, stl_swt_testbed, Testbed};
 use tdt::interop::InteropClient;
+use tdt::obs::span::{self as obs_span, SpanRecord};
+use tdt::obs::TraceContext;
 use tdt::wire::codec::Message;
 use tdt::wire::messages::{NetworkAddress, VerificationPolicy};
 
 fn prepared() -> Testbed {
     let t = stl_swt_testbed();
     issue_sample_bl(&t, "PO-1001");
-    let buyer = t.swt_buyer_gateway();
-    buyer
-        .submit(
-            SwtChaincode::NAME,
-            "RequestLC",
-            vec![
-                b"PO-1001".to_vec(),
-                b"LC-1".to_vec(),
-                b"buyer".to_vec(),
-                b"seller".to_vec(),
-                b"100000".to_vec(),
-            ],
-        )
-        .unwrap()
-        .into_committed()
-        .unwrap();
-    buyer
-        .submit(SwtChaincode::NAME, "IssueLC", vec![b"PO-1001".to_vec()])
-        .unwrap()
-        .into_committed()
-        .unwrap();
+    issue_sample_lc(&t, "PO-1001");
     t
 }
 
@@ -92,34 +74,78 @@ fn production_path_through_relays() {
     }
 }
 
+/// Steps 1-9 (`query_remote`) and Step 10 (`submit_with_remote_data`)
+/// under one installed root land in one connected span tree.
 #[test]
 fn traced_steps_cover_figure_two() {
     let t = prepared();
-    let harness = harness_for_testbed(&t);
-    let traced = harness
-        .run_traced(
-            bl_address(),
-            policy(),
-            SwtChaincode::NAME,
-            "UploadDispatchDocs",
-            vec![b"PO-1001".to_vec()],
-        )
-        .unwrap();
-    let labels: Vec<&str> = traced.steps.iter().map(|s| s.step).collect();
-    assert_eq!(labels, vec!["1", "2", "3", "4", "5-7", "8", "9", "10"]);
-    assert!(traced.outcome.code.is_valid());
-    // Proof collection (Steps 5-7) and the destination transaction
-    // (Step 10) dominate; serialization steps are comparatively trivial.
-    let get = |label: &str| {
-        traced
-            .steps
-            .iter()
-            .find(|s| s.step == label)
+    let client = InteropClient::new(t.swt_seller_gateway(), Arc::clone(&t.swt_relay));
+    let root = TraceContext::root();
+    let outcome = {
+        let _guard = root.install();
+        let remote = client.query_remote(bl_address(), policy()).unwrap();
+        client
+            .submit_with_remote_data(
+                SwtChaincode::NAME,
+                "UploadDispatchDocs",
+                vec![b"PO-1001".to_vec()],
+                &remote,
+            )
             .unwrap()
-            .duration
     };
-    assert!(get("5-7") > get("3"));
-    assert!(get("10") > get("8"));
+    assert!(outcome.code.is_valid());
+    let lc = client
+        .gateway()
+        .query(SwtChaincode::NAME, "GetLC", vec![b"PO-1001".to_vec()])
+        .unwrap();
+    let lc = LetterOfCredit::decode_from_slice(&lc).unwrap();
+    assert_eq!(lc.status, LcStatus::DocsUploaded);
+
+    let spans = obs_span::spans_for_trace(root.trace_hi, root.trace_lo);
+    let parents: HashMap<u64, u64> = spans
+        .iter()
+        .map(|s| (s.span_id, s.parent_span_id))
+        .collect();
+    for span in &spans {
+        assert!(
+            span.parent_span_id == root.span_id || parents.contains_key(&span.parent_span_id),
+            "orphan span {:?}",
+            span.name
+        );
+    }
+    let named =
+        |name: &str| -> Vec<&SpanRecord> { spans.iter().filter(|s| s.name == name).collect() };
+    for name in [
+        "client.query_remote",
+        "relay.query",
+        "transport.send",
+        "relay.handle",
+        "driver.execute",
+        "proof.verify",
+        "client.submit",
+    ] {
+        assert!(!named(name).is_empty(), "no {name} span");
+    }
+    assert!(named("contract.execute").len() >= 2);
+    assert!(named("peer.endorse").len() >= 2);
+
+    // Step 10's CMDAC `ValidateProof` runs under `client.submit`, which
+    // opens only after the client has verified the proof.
+    let submit = named("client.submit")[0];
+    let verify = named("proof.verify")[0];
+    assert!(verify.end_nanos <= submit.start_nanos);
+    let under_submit = |mut id: u64| {
+        while let Some(&parent) = parents.get(&id) {
+            if parent == submit.span_id {
+                return true;
+            }
+            id = parent;
+        }
+        false
+    };
+    assert!(named("contract.execute")
+        .iter()
+        .any(|s| under_submit(s.span_id)));
 }
 
 #[test]

@@ -339,7 +339,7 @@ proptest! {
 
     #[test]
     fn prop_minimal_org_set_sound_and_complete(policy in arb_policy()) {
-        match tdt::interop::policy::minimal_org_set(&policy) {
+        match policy.minimal_org_set() {
             Some(set) => prop_assert!(policy.is_satisfied(&set), "minimal set must satisfy"),
             None => {
                 // Unsatisfiable even with every mentioned org present.
@@ -357,7 +357,7 @@ proptest! {
         // like And([]) — which arb_policy cannot generate — aside).
         let empty: Vec<String> = Vec::new();
         if policy.is_satisfied(&empty) {
-            let set = tdt::interop::policy::minimal_org_set(&policy);
+            let set = policy.minimal_org_set();
             prop_assert!(set.is_some());
         }
     }

@@ -9,7 +9,7 @@
 use std::sync::Arc;
 use tdt::contracts::swt::SwtChaincode;
 use tdt::crypto::sha256::sha256;
-use tdt::interop::setup::{issue_sample_bl, stl_swt_testbed, Testbed};
+use tdt::interop::setup::{issue_sample_bl, issue_sample_lc, stl_swt_testbed, Testbed};
 use tdt::interop::{InteropClient, InteropError};
 use tdt::wire::codec::Message;
 use tdt::wire::messages::{decode_certificate, NetworkAddress, ResultMetadata, VerificationPolicy};
@@ -17,27 +17,7 @@ use tdt::wire::messages::{decode_certificate, NetworkAddress, ResultMetadata, Ve
 fn prepared() -> (Testbed, InteropClient) {
     let t = stl_swt_testbed();
     issue_sample_bl(&t, "PO-1001");
-    let buyer = t.swt_buyer_gateway();
-    buyer
-        .submit(
-            SwtChaincode::NAME,
-            "RequestLC",
-            vec![
-                b"PO-1001".to_vec(),
-                b"LC-1".to_vec(),
-                b"buyer".to_vec(),
-                b"seller".to_vec(),
-                b"100000".to_vec(),
-            ],
-        )
-        .unwrap()
-        .into_committed()
-        .unwrap();
-    buyer
-        .submit(SwtChaincode::NAME, "IssueLC", vec![b"PO-1001".to_vec()])
-        .unwrap()
-        .into_committed()
-        .unwrap();
+    issue_sample_lc(&t, "PO-1001");
     let client = InteropClient::new(t.swt_seller_gateway(), Arc::clone(&t.swt_relay));
     (t, client)
 }

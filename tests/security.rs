@@ -7,7 +7,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use tdt::contracts::swt::SwtChaincode;
 use tdt::interop::driver::FabricDriver;
-use tdt::interop::setup::{issue_sample_bl, stl_swt_testbed, Testbed};
+use tdt::interop::setup::{issue_sample_bl, issue_sample_lc, stl_swt_testbed, Testbed};
 use tdt::interop::{InteropClient, InteropError};
 use tdt::relay::discovery::{DiscoveryService, StaticRegistry};
 use tdt::relay::ratelimit::RateLimiter;
@@ -22,27 +22,7 @@ use tdt::wire::messages::{NetworkAddress, RelayEnvelope, VerificationPolicy};
 fn prepared() -> Testbed {
     let t = stl_swt_testbed();
     issue_sample_bl(&t, "PO-1001");
-    let buyer = t.swt_buyer_gateway();
-    buyer
-        .submit(
-            SwtChaincode::NAME,
-            "RequestLC",
-            vec![
-                b"PO-1001".to_vec(),
-                b"LC-1".to_vec(),
-                b"buyer".to_vec(),
-                b"seller".to_vec(),
-                b"100000".to_vec(),
-            ],
-        )
-        .unwrap()
-        .into_committed()
-        .unwrap();
-    buyer
-        .submit(SwtChaincode::NAME, "IssueLC", vec![b"PO-1001".to_vec()])
-        .unwrap()
-        .into_committed()
-        .unwrap();
+    issue_sample_lc(&t, "PO-1001");
     t
 }
 
