@@ -22,128 +22,58 @@
 
 use tdt_fabric::chaincode::{Chaincode, TxContext};
 use tdt_fabric::error::ChaincodeError;
-use tdt_wire::codec::{Message, Reader, Writer};
-use tdt_wire::WireError;
+use tdt_wire::codec::Message;
+use tdt_wire::{message, wire_enum};
 
-/// Shipment lifecycle states.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ShipmentStatus {
-    /// Created by the seller against a purchase order.
-    #[default]
-    Created,
-    /// Carrier confirmed the booking.
-    BookingConfirmed,
-    /// Carrier has taken possession of the goods.
-    InPossession,
-    /// Bill of lading issued.
-    BlIssued,
-}
-
-impl ShipmentStatus {
-    fn code(self) -> u64 {
-        match self {
-            ShipmentStatus::Created => 1,
-            ShipmentStatus::BookingConfirmed => 2,
-            ShipmentStatus::InPossession => 3,
-            ShipmentStatus::BlIssued => 4,
-        }
-    }
-
-    fn from_code(code: u64) -> Result<Self, WireError> {
-        match code {
-            1 => Ok(ShipmentStatus::Created),
-            2 => Ok(ShipmentStatus::BookingConfirmed),
-            3 => Ok(ShipmentStatus::InPossession),
-            4 => Ok(ShipmentStatus::BlIssued),
-            v => Err(WireError::UnknownEnumValue {
-                field: "shipment status",
-                value: v,
-            }),
-        }
+wire_enum! {
+    /// Shipment lifecycle states.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+    pub enum ShipmentStatus("shipment status") {
+        /// Created by the seller against a purchase order.
+        #[default]
+        Created = 1,
+        /// Carrier confirmed the booking.
+        BookingConfirmed = 2,
+        /// Carrier has taken possession of the goods.
+        InPossession = 3,
+        /// Bill of lading issued.
+        BlIssued = 4,
     }
 }
 
-/// A shipment tracked on the STL ledger.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct Shipment {
-    /// Purchase-order reference negotiated offline (the cross-network key).
-    pub po_ref: String,
-    /// Seller identity (qualified name).
-    pub seller: String,
-    /// Carrier identity (qualified name) — set at booking confirmation.
-    pub carrier: String,
-    /// Description of the goods.
-    pub goods: String,
-    /// Lifecycle state.
-    pub status: ShipmentStatus,
-    /// Bill-of-lading id once issued.
-    pub bl_id: String,
-}
-
-impl Message for Shipment {
-    fn encode(&self, w: &mut Writer) {
-        w.string(1, &self.po_ref);
-        w.string(2, &self.seller);
-        w.string(3, &self.carrier);
-        w.string(4, &self.goods);
-        w.u64(5, self.status.code());
-        w.string(6, &self.bl_id);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let mut out = Shipment::default();
-        while let Some((field, v)) = r.next_field()? {
-            match field {
-                1 => out.po_ref = v.as_string(1, "po_ref")?,
-                2 => out.seller = v.as_string(2, "seller")?,
-                3 => out.carrier = v.as_string(3, "carrier")?,
-                4 => out.goods = v.as_string(4, "goods")?,
-                5 => out.status = ShipmentStatus::from_code(v.as_u64(5)?)?,
-                6 => out.bl_id = v.as_string(6, "bl_id")?,
-                _ => {}
-            }
-        }
-        Ok(out)
+message! {
+    /// A shipment tracked on the STL ledger.
+    #[derive(Debug, Clone, PartialEq, Eq, Default)]
+    pub struct Shipment {
+        /// Purchase-order reference negotiated offline (the cross-network key).
+        1 string po_ref: String,
+        /// Seller identity (qualified name).
+        2 string seller: String,
+        /// Carrier identity (qualified name) — set at booking confirmation.
+        3 string carrier: String,
+        /// Description of the goods.
+        4 string goods: String,
+        /// Lifecycle state.
+        5 enumeration status: ShipmentStatus,
+        /// Bill-of-lading id once issued.
+        6 string bl_id: String,
     }
 }
 
-/// A bill of lading: the carrier's acknowledgement of shipment receipt.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct BillOfLading {
-    /// Unique B/L id.
-    pub bl_id: String,
-    /// Purchase-order reference it covers.
-    pub po_ref: String,
-    /// Issuing carrier (qualified name).
-    pub carrier: String,
-    /// Goods description as received.
-    pub goods: String,
-    /// Ledger height at issuance.
-    pub issued_height: u64,
-}
-
-impl Message for BillOfLading {
-    fn encode(&self, w: &mut Writer) {
-        w.string(1, &self.bl_id);
-        w.string(2, &self.po_ref);
-        w.string(3, &self.carrier);
-        w.string(4, &self.goods);
-        w.u64(5, self.issued_height);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let mut out = BillOfLading::default();
-        while let Some((field, v)) = r.next_field()? {
-            match field {
-                1 => out.bl_id = v.as_string(1, "bl_id")?,
-                2 => out.po_ref = v.as_string(2, "po_ref")?,
-                3 => out.carrier = v.as_string(3, "carrier")?,
-                4 => out.goods = v.as_string(4, "goods")?,
-                5 => out.issued_height = v.as_u64(5)?,
-                _ => {}
-            }
-        }
-        Ok(out)
+message! {
+    /// A bill of lading: the carrier's acknowledgement of shipment receipt.
+    #[derive(Debug, Clone, PartialEq, Eq, Default)]
+    pub struct BillOfLading {
+        /// Unique B/L id.
+        1 string bl_id: String,
+        /// Purchase-order reference it covers.
+        2 string po_ref: String,
+        /// Issuing carrier (qualified name).
+        3 string carrier: String,
+        /// Goods description as received.
+        4 string goods: String,
+        /// Ledger height at issuance.
+        5 u64 issued_height: u64,
     }
 }
 

@@ -20,96 +20,45 @@
 use crate::stl::BillOfLading;
 use tdt_fabric::chaincode::{Chaincode, TxContext};
 use tdt_fabric::error::ChaincodeError;
-use tdt_wire::codec::{Message, Reader, Writer};
-use tdt_wire::WireError;
+use tdt_wire::codec::Message;
+use tdt_wire::{message, wire_enum};
 
-/// Letter-of-credit lifecycle states.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum LcStatus {
-    /// Buyer applied for the L/C.
-    #[default]
-    Requested,
-    /// Buyer's bank issued the L/C in favour of the seller's bank.
-    Issued,
-    /// Dispatch documents (the B/L) uploaded and verified.
-    DocsUploaded,
-    /// Seller's bank requested payment.
-    PaymentRequested,
-    /// Buyer's bank paid.
-    Paid,
-}
-
-impl LcStatus {
-    fn code(self) -> u64 {
-        match self {
-            LcStatus::Requested => 1,
-            LcStatus::Issued => 2,
-            LcStatus::DocsUploaded => 3,
-            LcStatus::PaymentRequested => 4,
-            LcStatus::Paid => 5,
-        }
-    }
-
-    fn from_code(code: u64) -> Result<Self, WireError> {
-        match code {
-            1 => Ok(LcStatus::Requested),
-            2 => Ok(LcStatus::Issued),
-            3 => Ok(LcStatus::DocsUploaded),
-            4 => Ok(LcStatus::PaymentRequested),
-            5 => Ok(LcStatus::Paid),
-            v => Err(WireError::UnknownEnumValue {
-                field: "lc status",
-                value: v,
-            }),
-        }
+wire_enum! {
+    /// Letter-of-credit lifecycle states.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+    pub enum LcStatus("lc status") {
+        /// Buyer applied for the L/C.
+        #[default]
+        Requested = 1,
+        /// Buyer's bank issued the L/C in favour of the seller's bank.
+        Issued = 2,
+        /// Dispatch documents (the B/L) uploaded and verified.
+        DocsUploaded = 3,
+        /// Seller's bank requested payment.
+        PaymentRequested = 4,
+        /// Buyer's bank paid.
+        Paid = 5,
     }
 }
 
-/// A letter of credit on the SWT ledger.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct LetterOfCredit {
-    /// L/C identifier.
-    pub lc_id: String,
-    /// Purchase-order reference (the cross-network key).
-    pub po_ref: String,
-    /// Buyer name.
-    pub buyer: String,
-    /// Seller name.
-    pub seller: String,
-    /// Amount in minor currency units.
-    pub amount: u64,
-    /// Lifecycle state.
-    pub status: LcStatus,
-    /// The verified B/L bytes once docs are uploaded.
-    pub bl: Vec<u8>,
-}
-
-impl Message for LetterOfCredit {
-    fn encode(&self, w: &mut Writer) {
-        w.string(1, &self.lc_id);
-        w.string(2, &self.po_ref);
-        w.string(3, &self.buyer);
-        w.string(4, &self.seller);
-        w.u64(5, self.amount);
-        w.u64(6, self.status.code());
-        w.bytes(7, &self.bl);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let mut out = LetterOfCredit::default();
-        while let Some((field, v)) = r.next_field()? {
-            match field {
-                1 => out.lc_id = v.as_string(1, "lc_id")?,
-                2 => out.po_ref = v.as_string(2, "po_ref")?,
-                3 => out.buyer = v.as_string(3, "buyer")?,
-                4 => out.seller = v.as_string(4, "seller")?,
-                5 => out.amount = v.as_u64(5)?,
-                6 => out.status = LcStatus::from_code(v.as_u64(6)?)?,
-                7 => out.bl = v.as_bytes(7)?.to_vec(),
-                _ => {}
-            }
-        }
-        Ok(out)
+message! {
+    /// A letter of credit on the SWT ledger.
+    #[derive(Debug, Clone, PartialEq, Eq, Default)]
+    pub struct LetterOfCredit {
+        /// L/C identifier.
+        1 string lc_id: String,
+        /// Purchase-order reference (the cross-network key).
+        2 string po_ref: String,
+        /// Buyer name.
+        3 string buyer: String,
+        /// Seller name.
+        4 string seller: String,
+        /// Amount in minor currency units.
+        5 u64 amount: u64,
+        /// Lifecycle state.
+        6 enumeration status: LcStatus,
+        /// The verified B/L bytes once docs are uploaded.
+        7 bytes bl: Vec<u8>,
     }
 }
 

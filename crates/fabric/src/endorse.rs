@@ -126,6 +126,9 @@ impl EndorsementPlugin for DefaultEndorsement {
 }
 
 /// A fully endorsed transaction, ready for ordering.
+///
+/// Its codec is hand-written: the rwset, certificate and endorsement
+/// fields are computed encodings, not declared fields.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TransactionEnvelope {
     /// Transaction id.
@@ -160,6 +163,7 @@ impl TransactionEnvelope {
 // Wire encoding
 // ---------------------------------------------------------------------------
 
+/// Hand-written codec: a presence flag, and versions written plus one.
 struct KvReadMsg(KvRead);
 
 impl Message for KvReadMsg {
@@ -198,6 +202,7 @@ impl Message for KvReadMsg {
     }
 }
 
+/// Hand-written codec: a presence flag tells a delete from an empty value.
 struct KvWriteMsg(KvWrite);
 
 impl Message for KvWriteMsg {
@@ -228,6 +233,7 @@ impl Message for KvWriteMsg {
     }
 }
 
+/// Hand-written codec: it wraps the ledger's rwset types, not wire structs.
 struct NsRwSetMsg(NsRwSet);
 
 impl Message for NsRwSetMsg {

@@ -5,12 +5,12 @@ use std::fmt;
 /// A single finding, anchored to a file and line.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
-    /// Pass that produced the finding (`lock-order`, `panic`, `ct`, `wire`,
-    /// `obs`, `sync`, `unsafe`).
+    /// Pass that produced the finding (`lock-order`, `panic`, `ct`, `obs`,
+    /// `sync`, `unsafe`).
     pub pass: &'static str,
     /// Workspace-relative path.
     pub file: String,
-    /// 1-based line; 0 when the finding is not line-anchored.
+    /// 1-based line.
     pub line: u32,
     /// Human-readable description.
     pub message: String,
@@ -34,14 +34,10 @@ impl Diagnostic {
 
 impl fmt::Display for Diagnostic {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.line == 0 {
-            write!(f, "[{}] {}: {}", self.pass, self.file, self.message)
-        } else {
-            write!(
-                f,
-                "[{}] {}:{}: {}",
-                self.pass, self.file, self.line, self.message
-            )
-        }
+        write!(
+            f,
+            "[{}] {}:{}: {}",
+            self.pass, self.file, self.line, self.message
+        )
     }
 }

@@ -1,14 +1,13 @@
 //! `lint` — the workspace's own static analyzer.
 //!
-//! Seven passes guard invariants the compiler cannot see (ISSUE 3, 5,
-//! 8 and 21; paper §4–5 trust model):
+//! Six passes guard invariants the compiler cannot see (paper §4–5 trust
+//! model):
 //!
 //! | pass         | scope                              | invariant                         |
 //! |--------------|------------------------------------|-----------------------------------|
 //! | `lock-order` | relay, crypto, core, fabric        | no lock-graph cycles (deadlocks)  |
-//! | `panic`      | relay, core, fabric, contracts, ledger, obs, bench | fail closed, never panic |
+//! | `panic`      | wire, relay, core, fabric, contracts, ledger, obs, bench | fail closed, never panic |
 //! | `ct`         | crypto                             | constant-time secret comparisons  |
-//! | `wire`       | wire message schema                | append-only field-tag evolution   |
 //! | `obs`        | relay request path, admission gate, ledger durability | fallible entry points record span errors |
 //! | `sync`       | relay, obs, crypto, core, fabric   | atomics: no racy RMW, no Relaxed sync edges, no lock bypass |
 //! | `unsafe`     | every crate                        | `unsafe` only in the hash kernels, each use with its `SAFETY` |
@@ -33,7 +32,6 @@ pub mod obs;
 pub mod panics;
 pub mod sync;
 pub mod unsafety;
-pub mod wire;
 pub mod workspace;
 
 use diag::Diagnostic;
@@ -43,6 +41,7 @@ use std::path::Path;
 pub const LOCK_ORDER_CRATES: &[&str] = &["relay", "crypto", "core", "fabric"];
 /// Crates where panicking is forbidden outside tests.
 pub const PANIC_CRATES: &[&str] = &[
+    "wire",
     "relay",
     "core",
     "fabric",
@@ -58,12 +57,8 @@ pub const SYNC_CRATES: &[&str] = &["relay", "obs", "crypto", "core", "fabric", "
 /// Crates scanned by the observability (`obs`) pass; per-file scope and
 /// error matching live in [`obs::OBS_FILES`].
 pub const OBS_CRATES: &[&str] = &["relay", "ledger"];
-/// The wire schema source, relative to the workspace root.
-pub const MESSAGES_PATH: &str = "crates/wire/src/messages.rs";
-/// The blessed tag snapshot, relative to the workspace root.
-pub const SNAPSHOT_PATH: &str = "crates/lint/schema/wire.snapshot";
 
-/// Runs all seven passes against the workspace at `root`.
+/// Runs all six passes against the workspace at `root`.
 pub fn run_all(root: &Path) -> std::io::Result<Vec<Diagnostic>> {
     let mut out = Vec::new();
 
@@ -92,11 +87,6 @@ pub fn run_all(root: &Path) -> std::io::Result<Vec<Diagnostic>> {
         unsafety::check_file(&file, &mut out);
     }
 
-    let messages = std::fs::read_to_string(root.join(MESSAGES_PATH))?;
-    let rows = wire::extract_rows(&messages);
-    let snapshot = std::fs::read_to_string(root.join(SNAPSHOT_PATH)).unwrap_or_default();
-    wire::check_against_snapshot(&rows, &snapshot, MESSAGES_PATH, SNAPSHOT_PATH, &mut out);
-
     Ok(out)
 }
 
@@ -104,11 +94,4 @@ pub fn run_all(root: &Path) -> std::io::Result<Vec<Diagnostic>> {
 pub fn sync_inventory(root: &Path) -> std::io::Result<sync::Inventory> {
     let files = workspace::load_crates(root, SYNC_CRATES)?;
     Ok(sync::inventory(&files))
-}
-
-/// Regenerates the wire snapshot from the current schema.
-pub fn bless(root: &Path) -> std::io::Result<()> {
-    let messages = std::fs::read_to_string(root.join(MESSAGES_PATH))?;
-    let rows = wire::extract_rows(&messages);
-    std::fs::write(root.join(SNAPSHOT_PATH), wire::render_snapshot(&rows))
 }

@@ -1,4 +1,4 @@
-//! CLI entry point: `cargo run -p lint --release -- check|bless|sync-inventory`.
+//! CLI entry point: `cargo run -p lint --release -- check|sync-inventory`.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -16,7 +16,7 @@ fn main() -> ExitCode {
     match cmd {
         "check" => match lint::run_all(&root) {
             Ok(diags) if diags.is_empty() => {
-                println!("lint: clean (lock-order, panic, ct, wire, obs, sync, unsafe)");
+                println!("lint: clean (lock-order, panic, ct, obs, sync, unsafe)");
                 ExitCode::SUCCESS
             }
             Ok(diags) => {
@@ -31,16 +31,6 @@ fn main() -> ExitCode {
                 ExitCode::from(2)
             }
         },
-        "bless" => match lint::bless(&root) {
-            Ok(()) => {
-                println!("lint: wire snapshot regenerated at {}", lint::SNAPSHOT_PATH);
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("lint: bless failed: {e}");
-                ExitCode::from(2)
-            }
-        },
         "sync-inventory" => match lint::sync_inventory(&root) {
             Ok(inv) => {
                 print!("{}", inv.render());
@@ -52,9 +42,7 @@ fn main() -> ExitCode {
             }
         },
         other => {
-            eprintln!(
-                "lint: unknown command `{other}` (expected `check`, `bless`, or `sync-inventory`)"
-            );
+            eprintln!("lint: unknown command `{other}` (expected `check` or `sync-inventory`)");
             ExitCode::from(2)
         }
     }

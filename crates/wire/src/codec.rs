@@ -78,11 +78,6 @@ impl Writer {
         self
     }
 
-    /// Writes a `sint64` field with zigzag encoding (zero elided).
-    pub fn i64(&mut self, field: u32, value: i64) -> &mut Self {
-        self.u64(field, varint::zigzag_encode(value))
-    }
-
     /// Writes a `bool` field (false elided).
     pub fn bool(&mut self, field: u32, value: bool) -> &mut Self {
         self.u64(field, value as u64)
@@ -151,16 +146,6 @@ impl Writer {
         }
         self
     }
-
-    /// Current encoded length.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// True if nothing has been written.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
 }
 
 /// One decoded field: number, wire type, and its raw value.
@@ -190,15 +175,6 @@ impl<'a> FieldValue<'a> {
                 expected: "varint",
             }),
         }
-    }
-
-    /// Interprets the field as zigzag-encoded `i64`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WireError::WireTypeMismatch`] for non-varint fields.
-    pub fn as_i64(&self, field: u32) -> Result<i64, WireError> {
-        Ok(varint::zigzag_decode(self.as_u64(field)?))
     }
 
     /// Interprets the field as `bool`.
@@ -246,72 +222,73 @@ impl<'a> FieldValue<'a> {
     }
 }
 
+/// Largest field number proto3 allows (2^29 - 1).
+pub const MAX_FIELD_NUMBER: u64 = (1 << 29) - 1;
+
 /// Streaming decoder over an encoded message.
 #[derive(Debug)]
 pub struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
+    /// The bytes not yet read.
+    rest: &'a [u8],
 }
 
 impl<'a> Reader<'a> {
     /// Creates a reader over `buf`.
     pub fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
+        Reader { rest: buf }
+    }
+
+    fn varint(&mut self) -> Result<u64, WireError> {
+        let (value, read) = varint::decode_u64(self.rest)?;
+        self.rest = self.rest.get(read..).unwrap_or_default();
+        Ok(value)
+    }
+
+    fn take_array<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
+        let (head, rest) = self
+            .rest
+            .split_first_chunk::<N>()
+            .ok_or(WireError::UnexpectedEof)?;
+        self.rest = rest;
+        Ok(*head)
     }
 
     /// Returns the next `(field_number, value)` pair, or `None` at the end.
     ///
     /// # Errors
     ///
-    /// Returns a [`WireError`] on malformed input.
+    /// Returns a [`WireError`] on malformed input, including a field number
+    /// of zero or above [`MAX_FIELD_NUMBER`].
     pub fn next_field(&mut self) -> Result<Option<(u32, FieldValue<'a>)>, WireError> {
-        if self.pos >= self.buf.len() {
+        if self.rest.is_empty() {
             return Ok(None);
         }
-        let (tag, read) = varint::decode_u64(&self.buf[self.pos..])?;
-        self.pos += read;
-        let field = (tag >> 3) as u32;
-        let ty = WireType::from_code((tag & 0x7) as u8)?;
-        let value = match ty {
-            WireType::Varint => {
-                let (v, read) = varint::decode_u64(&self.buf[self.pos..])?;
-                self.pos += read;
-                FieldValue::Varint(v)
-            }
-            WireType::I64 => {
-                if self.buf.len() - self.pos < 8 {
-                    return Err(WireError::UnexpectedEof);
-                }
-                let mut b = [0u8; 8];
-                b.copy_from_slice(&self.buf[self.pos..self.pos + 8]);
-                self.pos += 8;
-                FieldValue::I64(u64::from_le_bytes(b))
-            }
-            WireType::I32 => {
-                if self.buf.len() - self.pos < 4 {
-                    return Err(WireError::UnexpectedEof);
-                }
-                let mut b = [0u8; 4];
-                b.copy_from_slice(&self.buf[self.pos..self.pos + 4]);
-                self.pos += 4;
-                FieldValue::I32(u32::from_le_bytes(b))
-            }
+        let tag = self.varint()?;
+        let field = tag >> 3;
+        if field == 0 || field > MAX_FIELD_NUMBER {
+            return Err(WireError::Invalid(format!(
+                "field number {field} outside 1..={MAX_FIELD_NUMBER}"
+            )));
+        }
+        let value = match WireType::from_code((tag & 0x7) as u8)? {
+            WireType::Varint => FieldValue::Varint(self.varint()?),
+            WireType::I64 => FieldValue::I64(u64::from_le_bytes(self.take_array()?)),
+            WireType::I32 => FieldValue::I32(u32::from_le_bytes(self.take_array()?)),
             WireType::Len => {
-                let (len, read) = varint::decode_u64(&self.buf[self.pos..])?;
-                self.pos += read;
-                let remaining = self.buf.len() - self.pos;
-                if len as usize > remaining {
+                let declared = self.varint()?;
+                let remaining = self.rest.len();
+                let split = usize::try_from(declared).ok();
+                let Some((head, rest)) = split.and_then(|n| self.rest.split_at_checked(n)) else {
                     return Err(WireError::LengthOutOfBounds {
-                        declared: len,
+                        declared,
                         remaining,
                     });
-                }
-                let slice = &self.buf[self.pos..self.pos + len as usize];
-                self.pos += len as usize;
-                FieldValue::Len(slice)
+                };
+                self.rest = rest;
+                FieldValue::Len(head)
             }
         };
-        Ok(Some((field, value)))
+        Ok(Some((field as u32, value)))
     }
 }
 
@@ -350,40 +327,15 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    #[derive(Debug, Clone, PartialEq, Eq, Default)]
-    struct Sample {
-        id: u64,
-        name: String,
-        payload: Vec<u8>,
-        flag: bool,
-        tags: Vec<String>,
-        delta: i64,
-    }
-
-    impl Message for Sample {
-        fn encode(&self, w: &mut Writer) {
-            w.u64(1, self.id);
-            w.string(2, &self.name);
-            w.bytes(3, &self.payload);
-            w.bool(4, self.flag);
-            w.repeated_bytes(5, self.tags.iter().map(String::as_bytes));
-            w.i64(6, self.delta);
-        }
-
-        fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-            let mut out = Sample::default();
-            while let Some((field, value)) = r.next_field()? {
-                match field {
-                    1 => out.id = value.as_u64(1)?,
-                    2 => out.name = value.as_string(2, "name")?,
-                    3 => out.payload = value.as_bytes(3)?.to_vec(),
-                    4 => out.flag = value.as_bool(4)?,
-                    5 => out.tags.push(value.as_string(5, "tags")?),
-                    6 => out.delta = value.as_i64(6)?,
-                    _ => {} // skip unknown
-                }
-            }
-            Ok(out)
+    crate::message! {
+        /// One field of each scalar kind, declared like a relay message.
+        #[derive(Debug, Clone, PartialEq, Eq, Default)]
+        pub struct Sample {
+            1 u64 id: u64,
+            2 string name: String,
+            3 bytes payload: Vec<u8>,
+            4 bool flag: bool,
+            5 repeated_string tags: Vec<String>,
         }
     }
 
@@ -395,7 +347,6 @@ mod tests {
             payload: vec![1, 2, 3],
             flag: true,
             tags: vec!["a".into(), "b".into()],
-            delta: -17,
         };
         let decoded = Sample::decode_from_slice(&s.encode_to_vec()).unwrap();
         assert_eq!(decoded, s);
@@ -492,26 +443,12 @@ mod tests {
 
     #[test]
     fn embedded_messages() {
-        #[derive(Debug, PartialEq, Default)]
-        struct Outer {
-            inner: Sample,
-            others: Vec<Sample>,
-        }
-        impl Message for Outer {
-            fn encode(&self, w: &mut Writer) {
-                w.message(1, &self.inner);
-                w.repeated_messages(2, &self.others);
-            }
-            fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-                let mut out = Outer::default();
-                while let Some((field, value)) = r.next_field()? {
-                    match field {
-                        1 => out.inner = value.as_message(1)?,
-                        2 => out.others.push(value.as_message(2)?),
-                        _ => {}
-                    }
-                }
-                Ok(out)
+        crate::message! {
+            /// A message embedding [`Sample`]s.
+            #[derive(Debug, PartialEq, Default)]
+            pub struct Outer {
+                1 message inner: Sample,
+                2 repeated_messages others: Vec<Sample>,
             }
         }
         let o = Outer {
@@ -540,9 +477,8 @@ mod tests {
             payload in proptest::collection::vec(any::<u8>(), 0..100),
             flag in any::<bool>(),
             tags in proptest::collection::vec("[a-z]{1,8}", 0..5),
-            delta in any::<i64>(),
         ) {
-            let s = Sample { id, name, payload, flag, tags, delta };
+            let s = Sample { id, name, payload, flag, tags };
             let decoded = Sample::decode_from_slice(&s.encode_to_vec()).unwrap();
             prop_assert_eq!(decoded, s);
         }

@@ -58,19 +58,13 @@ pub fn read_frame<R: Read>(mut r: R, max_frame: usize) -> Result<Vec<u8>, WireEr
             max: max_frame,
         });
     }
-    // Read incrementally: allocate at most MAX_EAGER_FRAME_ALLOC ahead of
-    // the bytes that have really arrived, so the declared length alone
-    // cannot exhaust memory.
+    // Allocate at most MAX_EAGER_FRAME_ALLOC ahead of the bytes that have
+    // really arrived (`read_to_end` grows the buffer only as it fills), so
+    // the declared length alone cannot exhaust memory.
     let mut payload = Vec::with_capacity(len.min(MAX_EAGER_FRAME_ALLOC));
-    let mut chunk = vec![0u8; len.min(MAX_EAGER_FRAME_ALLOC)];
-    while payload.len() < len {
-        let want = (len - payload.len()).min(chunk.len());
-        match r.read(&mut chunk[..want]) {
-            Ok(0) => return Err(WireError::UnexpectedEof),
-            Ok(n) => payload.extend_from_slice(&chunk[..n]),
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e.into()),
-        }
+    r.take(len as u64).read_to_end(&mut payload)?;
+    if payload.len() < len {
+        return Err(WireError::UnexpectedEof);
     }
     Ok(payload)
 }

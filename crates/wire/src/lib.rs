@@ -14,6 +14,8 @@
 //!   verification policies, and the [`messages::RelayEnvelope`] that wraps
 //!   them on the wire. Evaluation of the [`messages::PolicyNode`] algebra
 //!   lives beside it in the private `policy` module.
+//! * [`schema`] — [`message!`] and [`wire_enum!`]: each field stated once,
+//!   the codec and the `FIELDS` table generated from it.
 //! * [`framing`] — length-prefixed frames for stream transports (TCP).
 //!
 //! # Example
@@ -36,6 +38,7 @@ pub mod error;
 pub mod framing;
 pub mod messages;
 mod policy;
+pub mod schema;
 pub mod varint;
 
 pub use error::WireError;

@@ -8,26 +8,31 @@
 //! verification policy."*
 //!
 //! All messages implement [`Message`] and therefore encode to the proto3
-//! binary format via [`crate::codec`].
+//! binary format via [`crate::codec`]. Every struct message is declared
+//! with [`message!`](crate::message!), so each field's tag and wire kind
+//! is stated once (see [`crate::schema`]).
 
 use crate::codec::{Message, Reader, Writer};
 use crate::error::WireError;
+use crate::{message, wire_enum};
 use tdt_crypto::cert::{CertRole, Certificate, Subject};
 use tdt_crypto::schnorr::Signature;
 
-/// Addresses a contract function on a remote ledger.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct NetworkAddress {
-    /// Unique name of the target network, e.g. `simplified-tradelens`.
-    pub network_id: String,
-    /// Ledger (channel) within the network.
-    pub ledger_id: String,
-    /// Contract (chaincode) name.
-    pub contract_id: String,
-    /// Function to invoke.
-    pub function: String,
-    /// Function arguments, opaque bytes.
-    pub args: Vec<Vec<u8>>,
+message! {
+    /// Addresses a contract function on a remote ledger.
+    #[derive(Debug, Clone, PartialEq, Eq, Default)]
+    pub struct NetworkAddress {
+        /// Unique name of the target network, e.g. `simplified-tradelens`.
+        1 string network_id: String,
+        /// Ledger (channel) within the network.
+        2 string ledger_id: String,
+        /// Contract (chaincode) name.
+        3 string contract_id: String,
+        /// Function to invoke.
+        4 string function: String,
+        /// Function arguments, opaque bytes.
+        5 repeated_bytes args: Vec<Vec<u8>>,
+    }
 }
 
 impl NetworkAddress {
@@ -62,37 +67,15 @@ impl NetworkAddress {
     }
 }
 
-impl Message for NetworkAddress {
-    fn encode(&self, w: &mut Writer) {
-        w.string(1, &self.network_id);
-        w.string(2, &self.ledger_id);
-        w.string(3, &self.contract_id);
-        w.string(4, &self.function);
-        w.repeated_bytes(5, &self.args);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let mut out = NetworkAddress::default();
-        while let Some((field, value)) = r.next_field()? {
-            match field {
-                1 => out.network_id = value.as_string(1, "network_id")?,
-                2 => out.ledger_id = value.as_string(2, "ledger_id")?,
-                3 => out.contract_id = value.as_string(3, "contract_id")?,
-                4 => out.function = value.as_string(4, "function")?,
-                5 => out.args.push(value.as_bytes(5)?.to_vec()),
-                _ => {}
-            }
-        }
-        Ok(out)
-    }
-}
-
 /// A node in a policy expression tree: the one algebra behind both a
 /// destination's verification policy and a source's endorsement policy
 /// (`tdt_fabric::policy::EndorsementPolicy`).
 ///
 /// The paper's proof-of-concept policy — "proof from a peer in both the
 /// Seller and Carrier organizations" — is `And[Org(seller), Org(carrier)]`.
+///
+/// Its codec is hand-written: it is a recursive oneof whose decoder
+/// bounds the nesting at [`MAX_POLICY_DEPTH`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PolicyNode {
     /// Satisfied by a valid attestation from any peer of the organization.
@@ -185,7 +168,12 @@ impl PolicyNode {
             1 => Ok(PolicyNode::Org(org)),
             2 => Ok(PolicyNode::And(children)),
             3 => Ok(PolicyNode::Or(children)),
-            4 => Ok(PolicyNode::OutOf(threshold as u32, children)),
+            4 => match u32::try_from(threshold) {
+                Ok(threshold) => Ok(PolicyNode::OutOf(threshold, children)),
+                Err(_) => Err(WireError::Invalid(format!(
+                    "policy threshold {threshold} exceeds u32"
+                ))),
+            },
             v => Err(WireError::UnknownEnumValue {
                 field: "policy kind",
                 value: v,
@@ -194,14 +182,16 @@ impl PolicyNode {
     }
 }
 
-/// A verification policy: the proof criteria a destination network demands.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct VerificationPolicy {
-    /// The policy expression.
-    pub expression: PolicyNode,
-    /// True when result and metadata must be encrypted end-to-end with the
-    /// requesting client's public key.
-    pub confidential: bool,
+message! {
+    /// A verification policy: the proof criteria a destination network demands.
+    #[derive(Debug, Clone, PartialEq, Eq, Default)]
+    pub struct VerificationPolicy {
+        /// The policy expression.
+        1 message expression: PolicyNode,
+        /// True when result and metadata must be encrypted end-to-end with the
+        /// requesting client's public key.
+        2 bool confidential: bool,
+    }
 }
 
 impl VerificationPolicy {
@@ -224,36 +214,19 @@ impl VerificationPolicy {
     }
 }
 
-impl Message for VerificationPolicy {
-    fn encode(&self, w: &mut Writer) {
-        w.message(1, &self.expression);
-        w.bool(2, self.confidential);
+message! {
+    /// Authentication details of the requesting entity (paper §3.2).
+    #[derive(Debug, Clone, PartialEq, Default)]
+    pub struct AuthInfo {
+        /// Network the requester belongs to.
+        1 string network_id: String,
+        /// Organization within that network.
+        2 string organization_id: String,
+        /// The requester's certificate (wire-encoded [`Certificate`]).
+        3 bytes certificate: Vec<u8>,
+        /// Requester's signature over the query's canonical bytes.
+        4 bytes signature: Vec<u8>,
     }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let mut out = VerificationPolicy::default();
-        while let Some((field, value)) = r.next_field()? {
-            match field {
-                1 => out.expression = value.as_message(1)?,
-                2 => out.confidential = value.as_bool(2)?,
-                _ => {}
-            }
-        }
-        Ok(out)
-    }
-}
-
-/// Authentication details of the requesting entity (paper §3.2).
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct AuthInfo {
-    /// Network the requester belongs to.
-    pub network_id: String,
-    /// Organization within that network.
-    pub organization_id: String,
-    /// The requester's certificate (wire-encoded [`Certificate`]).
-    pub certificate: Vec<u8>,
-    /// Requester's signature over the query's canonical bytes.
-    pub signature: Vec<u8>,
 }
 
 impl AuthInfo {
@@ -267,98 +240,52 @@ impl AuthInfo {
     }
 }
 
-impl Message for AuthInfo {
-    fn encode(&self, w: &mut Writer) {
-        w.string(1, &self.network_id);
-        w.string(2, &self.organization_id);
-        w.bytes(3, &self.certificate);
-        w.bytes(4, &self.signature);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let mut out = AuthInfo::default();
-        while let Some((field, value)) = r.next_field()? {
-            match field {
-                1 => out.network_id = value.as_string(1, "network_id")?,
-                2 => out.organization_id = value.as_string(2, "organization_id")?,
-                3 => out.certificate = value.as_bytes(3)?.to_vec(),
-                4 => out.signature = value.as_bytes(4)?.to_vec(),
-                _ => {}
-            }
-        }
-        Ok(out)
+message! {
+    /// A cross-network query: Step 1 of the paper's message flow (Fig. 2).
+    #[derive(Debug, Clone, PartialEq, Default)]
+    pub struct Query {
+        /// Globally unique request id (set by the requesting relay).
+        1 string request_id: String,
+        /// What to invoke, where.
+        2 message address: NetworkAddress,
+        /// Proof criteria the source must satisfy.
+        3 message policy: VerificationPolicy,
+        /// Who is asking.
+        4 message auth: AuthInfo,
+        /// Anti-replay nonce generated by the requesting client and recorded on
+        /// the destination ledger (paper §4.3).
+        5 bytes nonce: Vec<u8>,
+        /// True for a cross-network *invocation* (ledger update) rather than a
+        /// read-only query — the extension sketched in paper §5 and §7.
+        6 bool invocation: bool,
     }
 }
 
-/// A cross-network query: Step 1 of the paper's message flow (Fig. 2).
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct Query {
-    /// Globally unique request id (set by the requesting relay).
-    pub request_id: String,
-    /// What to invoke, where.
-    pub address: NetworkAddress,
-    /// Proof criteria the source must satisfy.
-    pub policy: VerificationPolicy,
-    /// Who is asking.
-    pub auth: AuthInfo,
-    /// Anti-replay nonce generated by the requesting client and recorded on
-    /// the destination ledger (paper §4.3).
-    pub nonce: Vec<u8>,
-    /// True for a cross-network *invocation* (ledger update) rather than a
-    /// read-only query — the extension sketched in paper §5 and §7.
-    pub invocation: bool,
-}
-
-impl Message for Query {
-    fn encode(&self, w: &mut Writer) {
-        w.string(1, &self.request_id);
-        w.message(2, &self.address);
-        w.message(3, &self.policy);
-        w.message(4, &self.auth);
-        w.bytes(5, &self.nonce);
-        w.bool(6, self.invocation);
+message! {
+    /// The metadata each endorsing peer signs over a query result (paper §4.3:
+    /// "a signature over query result metadata ... including the result").
+    #[derive(Debug, Clone, PartialEq, Eq, Default)]
+    pub struct ResultMetadata {
+        /// Request this result answers.
+        1 string request_id: String,
+        /// Canonical address string of the queried function.
+        2 string address: String,
+        /// SHA-256 of the (plaintext) result bytes.
+        3 bytes result_hash: Vec<u8>,
+        /// The requester's anti-replay nonce, echoed back.
+        4 bytes nonce: Vec<u8>,
+        /// Qualified name of the responding peer.
+        5 string peer_id: String,
+        /// Organization of the responding peer.
+        6 string org_id: String,
+        /// Ledger height at execution time.
+        7 u64 ledger_height: u64,
+        /// For cross-network *invocations*: the block the transaction
+        /// committed in, plus one (zero means "not an invocation receipt").
+        8 u64 committed_block_plus_one: u64,
+        /// For cross-network invocations: the committed transaction id.
+        9 string txid: String,
     }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let mut out = Query::default();
-        while let Some((field, value)) = r.next_field()? {
-            match field {
-                1 => out.request_id = value.as_string(1, "request_id")?,
-                2 => out.address = value.as_message(2)?,
-                3 => out.policy = value.as_message(3)?,
-                4 => out.auth = value.as_message(4)?,
-                5 => out.nonce = value.as_bytes(5)?.to_vec(),
-                6 => out.invocation = value.as_bool(6)?,
-                _ => {}
-            }
-        }
-        Ok(out)
-    }
-}
-
-/// The metadata each endorsing peer signs over a query result (paper §4.3:
-/// "a signature over query result metadata ... including the result").
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct ResultMetadata {
-    /// Request this result answers.
-    pub request_id: String,
-    /// Canonical address string of the queried function.
-    pub address: String,
-    /// SHA-256 of the (plaintext) result bytes.
-    pub result_hash: Vec<u8>,
-    /// The requester's anti-replay nonce, echoed back.
-    pub nonce: Vec<u8>,
-    /// Qualified name of the responding peer.
-    pub peer_id: String,
-    /// Organization of the responding peer.
-    pub org_id: String,
-    /// Ledger height at execution time.
-    pub ledger_height: u64,
-    /// For cross-network *invocations*: the block the transaction
-    /// committed in, plus one (zero means "not an invocation receipt").
-    pub committed_block_plus_one: u64,
-    /// For cross-network invocations: the committed transaction id.
-    pub txid: String,
 }
 
 impl ResultMetadata {
@@ -369,239 +296,108 @@ impl ResultMetadata {
     }
 }
 
-impl Message for ResultMetadata {
-    fn encode(&self, w: &mut Writer) {
-        w.string(1, &self.request_id);
-        w.string(2, &self.address);
-        w.bytes(3, &self.result_hash);
-        w.bytes(4, &self.nonce);
-        w.string(5, &self.peer_id);
-        w.string(6, &self.org_id);
-        w.u64(7, self.ledger_height);
-        w.u64(8, self.committed_block_plus_one);
-        w.string(9, &self.txid);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let mut out = ResultMetadata::default();
-        while let Some((field, value)) = r.next_field()? {
-            match field {
-                1 => out.request_id = value.as_string(1, "request_id")?,
-                2 => out.address = value.as_string(2, "address")?,
-                3 => out.result_hash = value.as_bytes(3)?.to_vec(),
-                4 => out.nonce = value.as_bytes(4)?.to_vec(),
-                5 => out.peer_id = value.as_string(5, "peer_id")?,
-                6 => out.org_id = value.as_string(6, "org_id")?,
-                7 => out.ledger_height = value.as_u64(7)?,
-                8 => out.committed_block_plus_one = value.as_u64(8)?,
-                9 => out.txid = value.as_string(9, "txid")?,
-                _ => {}
-            }
-        }
-        Ok(out)
+message! {
+    /// One peer's attestation: `<encrypted metadata, signature>` per §4.3, plus
+    /// the signer's certificate so the destination can authenticate the signer.
+    #[derive(Debug, Clone, PartialEq, Default)]
+    pub struct Attestation {
+        /// Wire-encoded [`Certificate`] of the signing peer.
+        1 bytes signer_cert: Vec<u8>,
+        /// Schnorr signature over the (plaintext) metadata bytes.
+        2 bytes signature: Vec<u8>,
+        /// Metadata — encrypted with the requester's public key when the policy
+        /// is confidential, plaintext [`ResultMetadata`] encoding otherwise.
+        3 bytes metadata: Vec<u8>,
+        /// True when `metadata` is an ElGamal ciphertext.
+        4 bool metadata_encrypted: bool,
     }
 }
 
-/// One peer's attestation: `<encrypted metadata, signature>` per §4.3, plus
-/// the signer's certificate so the destination can authenticate the signer.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct Attestation {
-    /// Wire-encoded [`Certificate`] of the signing peer.
-    pub signer_cert: Vec<u8>,
-    /// Schnorr signature over the (plaintext) metadata bytes.
-    pub signature: Vec<u8>,
-    /// Metadata — encrypted with the requester's public key when the policy
-    /// is confidential, plaintext [`ResultMetadata`] encoding otherwise.
-    pub metadata: Vec<u8>,
-    /// True when `metadata` is an ElGamal ciphertext.
-    pub metadata_encrypted: bool,
-}
-
-impl Message for Attestation {
-    fn encode(&self, w: &mut Writer) {
-        w.bytes(1, &self.signer_cert);
-        w.bytes(2, &self.signature);
-        w.bytes(3, &self.metadata);
-        w.bool(4, self.metadata_encrypted);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let mut out = Attestation::default();
-        while let Some((field, value)) = r.next_field()? {
-            match field {
-                1 => out.signer_cert = value.as_bytes(1)?.to_vec(),
-                2 => out.signature = value.as_bytes(2)?.to_vec(),
-                3 => out.metadata = value.as_bytes(3)?.to_vec(),
-                4 => out.metadata_encrypted = value.as_bool(4)?,
-                _ => {}
-            }
-        }
-        Ok(out)
+wire_enum! {
+    /// Query outcome status codes.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+    pub enum ResponseStatus("status") {
+        /// The query succeeded and carries a result + proof.
+        #[default]
+        Ok = 0,
+        /// The requester failed the source network's exposure-control check.
+        AccessDenied = 1,
+        /// The source network could not satisfy the verification policy.
+        PolicyUnsatisfiable = 2,
+        /// The addressed network/ledger/contract/function was not found.
+        NotFound = 3,
+        /// Internal error in the source network or relay.
+        Error = 4,
     }
 }
 
-/// Query outcome status codes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ResponseStatus {
-    /// The query succeeded and carries a result + proof.
-    #[default]
-    Ok,
-    /// The requester failed the source network's exposure-control check.
-    AccessDenied,
-    /// The source network could not satisfy the verification policy.
-    PolicyUnsatisfiable,
-    /// The addressed network/ledger/contract/function was not found.
-    NotFound,
-    /// Internal error in the source network or relay.
-    Error,
-}
-
-impl ResponseStatus {
-    fn code(self) -> u64 {
-        match self {
-            ResponseStatus::Ok => 0,
-            ResponseStatus::AccessDenied => 1,
-            ResponseStatus::PolicyUnsatisfiable => 2,
-            ResponseStatus::NotFound => 3,
-            ResponseStatus::Error => 4,
-        }
-    }
-
-    fn from_code(code: u64) -> Result<Self, WireError> {
-        match code {
-            0 => Ok(ResponseStatus::Ok),
-            1 => Ok(ResponseStatus::AccessDenied),
-            2 => Ok(ResponseStatus::PolicyUnsatisfiable),
-            3 => Ok(ResponseStatus::NotFound),
-            4 => Ok(ResponseStatus::Error),
-            v => Err(WireError::UnknownEnumValue {
-                field: "status",
-                value: v,
-            }),
-        }
+message! {
+    /// The reply to a [`Query`]: data plus proof (Steps 7-8 of Fig. 2).
+    #[derive(Debug, Clone, PartialEq, Default)]
+    pub struct QueryResponse {
+        /// Echoes the request id.
+        1 string request_id: String,
+        /// Outcome.
+        2 enumeration status: ResponseStatus,
+        /// Human-readable error when status is not [`ResponseStatus::Ok`].
+        3 string error: String,
+        /// The query result — ElGamal ciphertext when confidential, plaintext
+        /// otherwise.
+        4 bytes result: Vec<u8>,
+        /// True when `result` is encrypted.
+        5 bool result_encrypted: bool,
+        /// The proof: one attestation per selected peer.
+        6 repeated_messages attestations: Vec<Attestation>,
     }
 }
 
-/// The reply to a [`Query`]: data plus proof (Steps 7-8 of Fig. 2).
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct QueryResponse {
-    /// Echoes the request id.
-    pub request_id: String,
-    /// Outcome.
-    pub status: ResponseStatus,
-    /// Human-readable error when status is not [`ResponseStatus::Ok`].
-    pub error: String,
-    /// The query result — ElGamal ciphertext when confidential, plaintext
-    /// otherwise.
-    pub result: Vec<u8>,
-    /// True when `result` is encrypted.
-    pub result_encrypted: bool,
-    /// The proof: one attestation per selected peer.
-    pub attestations: Vec<Attestation>,
-}
-
-impl Message for QueryResponse {
-    fn encode(&self, w: &mut Writer) {
-        w.string(1, &self.request_id);
-        w.u64(2, self.status.code());
-        w.string(3, &self.error);
-        w.bytes(4, &self.result);
-        w.bool(5, self.result_encrypted);
-        w.repeated_messages(6, &self.attestations);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let mut out = QueryResponse::default();
-        while let Some((field, value)) = r.next_field()? {
-            match field {
-                1 => out.request_id = value.as_string(1, "request_id")?,
-                2 => out.status = ResponseStatus::from_code(value.as_u64(2)?)?,
-                3 => out.error = value.as_string(3, "error")?,
-                4 => out.result = value.as_bytes(4)?.to_vec(),
-                5 => out.result_encrypted = value.as_bool(5)?,
-                6 => out.attestations.push(value.as_message(6)?),
-                _ => {}
-            }
-        }
-        Ok(out)
+wire_enum! {
+    /// Discriminates [`RelayEnvelope`] payloads.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+    pub enum EnvelopeKind("envelope kind") {
+        /// Payload is a [`Query`].
+        #[default]
+        QueryRequest = 0,
+        /// Payload is a [`QueryResponse`].
+        QueryResponse = 1,
+        /// Payload is a UTF-8 error string.
+        Error = 2,
+        /// Liveness probe.
+        Ping = 3,
+        /// Liveness reply.
+        Pong = 4,
+        /// Payload is an [`EventSubscribeRequest`] (cross-network events).
+        EventSubscribe = 5,
+        /// Payload is a pushed [`EventNotice`].
+        Event = 6,
+        /// Positive acknowledgement (subscription accepted, event received).
+        Ack = 7,
     }
 }
 
-/// Discriminates [`RelayEnvelope`] payloads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EnvelopeKind {
-    /// Payload is a [`Query`].
-    #[default]
-    QueryRequest,
-    /// Payload is a [`QueryResponse`].
-    QueryResponse,
-    /// Payload is a UTF-8 error string.
-    Error,
-    /// Liveness probe.
-    Ping,
-    /// Liveness reply.
-    Pong,
-    /// Payload is an [`EventSubscribeRequest`] (cross-network events).
-    EventSubscribe,
-    /// Payload is a pushed [`EventNotice`].
-    Event,
-    /// Positive acknowledgement (subscription accepted, event received).
-    Ack,
-}
-
-impl EnvelopeKind {
-    fn code(self) -> u64 {
-        match self {
-            EnvelopeKind::QueryRequest => 0,
-            EnvelopeKind::QueryResponse => 1,
-            EnvelopeKind::Error => 2,
-            EnvelopeKind::Ping => 3,
-            EnvelopeKind::Pong => 4,
-            EnvelopeKind::EventSubscribe => 5,
-            EnvelopeKind::Event => 6,
-            EnvelopeKind::Ack => 7,
-        }
+message! {
+    /// Distributed-trace position carried between relays (an embedded,
+    /// zero-elided message — the same backward-compat trick as
+    /// [`RelayEnvelope::correlation_id`]).
+    ///
+    /// The all-default header means "no trace": every field is proto3
+    /// zero-elided, so a default header encodes to zero bytes, the embedded
+    /// field itself is elided, and frames from peers that do not trace stay
+    /// byte-identical to the pre-field encoding. Old decoders skip the field
+    /// as unknown.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+    pub struct TraceHeader {
+        /// High 64 bits of the 128-bit trace id (zero when untraced).
+        1 u64 trace_hi: u64,
+        /// Low 64 bits of the 128-bit trace id (zero when untraced).
+        2 u64 trace_lo: u64,
+        /// Sending span's id — the receiver parents its span under this.
+        3 u64 span_id: u64,
+        /// Parent of the sending span (zero for a root span).
+        4 u64 parent_span_id: u64,
+        /// Head-based sampling decision, propagated unchanged.
+        5 bool sampled: bool,
     }
-
-    fn from_code(code: u64) -> Result<Self, WireError> {
-        match code {
-            0 => Ok(EnvelopeKind::QueryRequest),
-            1 => Ok(EnvelopeKind::QueryResponse),
-            2 => Ok(EnvelopeKind::Error),
-            3 => Ok(EnvelopeKind::Ping),
-            4 => Ok(EnvelopeKind::Pong),
-            5 => Ok(EnvelopeKind::EventSubscribe),
-            6 => Ok(EnvelopeKind::Event),
-            7 => Ok(EnvelopeKind::Ack),
-            v => Err(WireError::UnknownEnumValue {
-                field: "envelope kind",
-                value: v,
-            }),
-        }
-    }
-}
-
-/// Distributed-trace position carried between relays (an embedded,
-/// zero-elided message — the same backward-compat trick as
-/// [`RelayEnvelope::correlation_id`]).
-///
-/// The all-default header means "no trace": every field is proto3
-/// zero-elided, so a default header encodes to zero bytes, the embedded
-/// field itself is elided, and frames from peers that do not trace stay
-/// byte-identical to the pre-field encoding. Old decoders skip the field
-/// as unknown.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct TraceHeader {
-    /// High 64 bits of the 128-bit trace id (zero when untraced).
-    pub trace_hi: u64,
-    /// Low 64 bits of the 128-bit trace id (zero when untraced).
-    pub trace_lo: u64,
-    /// Sending span's id — the receiver parents its span under this.
-    pub span_id: u64,
-    /// Parent of the sending span (zero for a root span).
-    pub parent_span_id: u64,
-    /// Head-based sampling decision, propagated unchanged.
-    pub sampled: bool,
 }
 
 impl TraceHeader {
@@ -611,59 +407,36 @@ impl TraceHeader {
     }
 }
 
-impl Message for TraceHeader {
-    fn encode(&self, w: &mut Writer) {
-        w.u64(1, self.trace_hi);
-        w.u64(2, self.trace_lo);
-        w.u64(3, self.span_id);
-        w.u64(4, self.parent_span_id);
-        w.bool(5, self.sampled);
+message! {
+    /// The unit of relay-to-relay communication (Steps 3-4 and 8-9 of Fig. 2).
+    #[derive(Debug, Clone, PartialEq, Default)]
+    pub struct RelayEnvelope {
+        /// Payload discriminator.
+        1 enumeration kind: EnvelopeKind,
+        /// Identifier of the sending relay.
+        2 string source_relay: String,
+        /// Network the payload is addressed to.
+        3 string dest_network: String,
+        /// Encoded payload ([`Query`], [`QueryResponse`], or error text).
+        4 bytes payload: Vec<u8>,
+        /// Correlates a reply with its request when many requests are
+        /// multiplexed over one stream. Zero means "unset": peers that speak
+        /// one request per connection never write the field (proto3 zero
+        /// elision), so their frames are byte-identical to the pre-field
+        /// encoding and old decoders skip it as an unknown field.
+        5 u64 correlation_id: u64,
+        /// Distributed-trace position of the sender. The all-default header
+        /// means "untraced" and is elided from the wire entirely, preserving
+        /// byte-identical frames for peers without tracing.
+        6 message trace: TraceHeader,
+        /// Batched sub-frames: each element is a complete encoded
+        /// [`RelayEnvelope`] riding inside this one, amortizing framing over
+        /// many queries per TCP frame. Empty means "unbatched": a repeated
+        /// field with no elements writes zero bytes (proto3 elision), so
+        /// frames from peers that never batch stay byte-identical to the
+        /// pre-field encoding and old decoders skip the field as unknown.
+        7 repeated_bytes batch: Vec<Vec<u8>>,
     }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let mut out = TraceHeader::default();
-        while let Some((field, value)) = r.next_field()? {
-            match field {
-                1 => out.trace_hi = value.as_u64(1)?,
-                2 => out.trace_lo = value.as_u64(2)?,
-                3 => out.span_id = value.as_u64(3)?,
-                4 => out.parent_span_id = value.as_u64(4)?,
-                5 => out.sampled = value.as_bool(5)?,
-                _ => {}
-            }
-        }
-        Ok(out)
-    }
-}
-
-/// The unit of relay-to-relay communication (Steps 3-4 and 8-9 of Fig. 2).
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct RelayEnvelope {
-    /// Payload discriminator.
-    pub kind: EnvelopeKind,
-    /// Identifier of the sending relay.
-    pub source_relay: String,
-    /// Network the payload is addressed to.
-    pub dest_network: String,
-    /// Encoded payload ([`Query`], [`QueryResponse`], or error text).
-    pub payload: Vec<u8>,
-    /// Correlates a reply with its request when many requests are
-    /// multiplexed over one stream. Zero means "unset": peers that speak
-    /// one request per connection never write the field (proto3 zero
-    /// elision), so their frames are byte-identical to the pre-field
-    /// encoding and old decoders skip it as an unknown field.
-    pub correlation_id: u64,
-    /// Distributed-trace position of the sender. The all-default header
-    /// means "untraced" and is elided from the wire entirely, preserving
-    /// byte-identical frames for peers without tracing.
-    pub trace: TraceHeader,
-    /// Batched sub-frames: each element is a complete encoded
-    /// [`RelayEnvelope`] riding inside this one, amortizing framing over
-    /// many queries per TCP frame. Empty means "unbatched": a repeated
-    /// field with no elements writes zero bytes (proto3 elision), so
-    /// frames from peers that never batch stay byte-identical to the
-    /// pre-field encoding and old decoders skip the field as unknown.
-    pub batch: Vec<Vec<u8>>,
 }
 
 impl RelayEnvelope {
@@ -778,200 +551,91 @@ impl RelayEnvelope {
     }
 }
 
-impl Message for RelayEnvelope {
-    fn encode(&self, w: &mut Writer) {
-        w.u64(1, self.kind.code());
-        w.string(2, &self.source_relay);
-        w.string(3, &self.dest_network);
-        w.bytes(4, &self.payload);
-        w.u64(5, self.correlation_id);
-        w.message(6, &self.trace);
-        w.repeated_bytes(7, &self.batch);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let mut out = RelayEnvelope::default();
-        while let Some((field, value)) = r.next_field()? {
-            match field {
-                1 => out.kind = EnvelopeKind::from_code(value.as_u64(1)?)?,
-                2 => out.source_relay = value.as_string(2, "source_relay")?,
-                3 => out.dest_network = value.as_string(3, "dest_network")?,
-                4 => out.payload = value.as_bytes(4)?.to_vec(),
-                5 => out.correlation_id = value.as_u64(5)?,
-                6 => out.trace = value.as_message(6)?,
-                7 => out.batch.push(value.as_bytes(7)?.to_vec()),
-                _ => {}
-            }
-        }
-        Ok(out)
+message! {
+    /// A decrypted proof bundle, as submitted by a destination-network client in
+    /// its transaction arguments (Step 10 of Fig. 2): the plaintext result plus
+    /// one attestation per source peer with *plaintext* metadata. The Data
+    /// Acceptance contract validates this bundle against the recorded
+    /// verification policy and source-network configuration.
+    #[derive(Debug, Clone, PartialEq, Default)]
+    pub struct Proof {
+        /// Request id the proof answers.
+        1 string request_id: String,
+        /// Canonical address string of the queried function.
+        2 string address: String,
+        /// The anti-replay nonce used in the query.
+        3 bytes nonce: Vec<u8>,
+        /// The plaintext query result.
+        4 bytes result: Vec<u8>,
+        /// Attestations with decrypted (plaintext) metadata.
+        5 repeated_messages attestations: Vec<Attestation>,
     }
 }
 
-/// A decrypted proof bundle, as submitted by a destination-network client in
-/// its transaction arguments (Step 10 of Fig. 2): the plaintext result plus
-/// one attestation per source peer with *plaintext* metadata. The Data
-/// Acceptance contract validates this bundle against the recorded
-/// verification policy and source-network configuration.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct Proof {
-    /// Request id the proof answers.
-    pub request_id: String,
-    /// Canonical address string of the queried function.
-    pub address: String,
-    /// The anti-replay nonce used in the query.
-    pub nonce: Vec<u8>,
-    /// The plaintext query result.
-    pub result: Vec<u8>,
-    /// Attestations with decrypted (plaintext) metadata.
-    pub attestations: Vec<Attestation>,
-}
-
-impl Message for Proof {
-    fn encode(&self, w: &mut Writer) {
-        w.string(1, &self.request_id);
-        w.string(2, &self.address);
-        w.bytes(3, &self.nonce);
-        w.bytes(4, &self.result);
-        w.repeated_messages(5, &self.attestations);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let mut out = Proof::default();
-        while let Some((field, value)) = r.next_field()? {
-            match field {
-                1 => out.request_id = value.as_string(1, "request_id")?,
-                2 => out.address = value.as_string(2, "address")?,
-                3 => out.nonce = value.as_bytes(3)?.to_vec(),
-                4 => out.result = value.as_bytes(4)?.to_vec(),
-                5 => out.attestations.push(value.as_message(5)?),
-                _ => {}
-            }
-        }
-        Ok(out)
+message! {
+    /// One organization's share of a network configuration: its root CA
+    /// certificate and member peer certificates (what CMDAC records).
+    #[derive(Debug, Clone, PartialEq, Default)]
+    pub struct OrgConfig {
+        /// Organization id.
+        1 string org_id: String,
+        /// Wire-encoded root CA [`Certificate`].
+        2 bytes root_cert: Vec<u8>,
+        /// Wire-encoded peer [`Certificate`]s.
+        3 repeated_bytes peer_certs: Vec<Vec<u8>>,
     }
 }
 
-/// One organization's share of a network configuration: its root CA
-/// certificate and member peer certificates (what CMDAC records).
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct OrgConfig {
-    /// Organization id.
-    pub org_id: String,
-    /// Wire-encoded root CA [`Certificate`].
-    pub root_cert: Vec<u8>,
-    /// Wire-encoded peer [`Certificate`]s.
-    pub peer_certs: Vec<Vec<u8>>,
-}
-
-impl Message for OrgConfig {
-    fn encode(&self, w: &mut Writer) {
-        w.string(1, &self.org_id);
-        w.bytes(2, &self.root_cert);
-        w.repeated_bytes(3, &self.peer_certs);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let mut out = OrgConfig::default();
-        while let Some((field, value)) = r.next_field()? {
-            match field {
-                1 => out.org_id = value.as_string(1, "org_id")?,
-                2 => out.root_cert = value.as_bytes(2)?.to_vec(),
-                3 => out.peer_certs.push(value.as_bytes(3)?.to_vec()),
-                _ => {}
-            }
-        }
-        Ok(out)
+message! {
+    /// A foreign network's identity and topology information, the
+    /// "platform-independent schema" for configuration sharing (paper §5).
+    #[derive(Debug, Clone, PartialEq, Default)]
+    pub struct NetworkConfig {
+        /// Unique network name.
+        1 string network_id: String,
+        /// Group the network's keys live in.
+        2 string group_name: String,
+        /// Per-organization certificates.
+        3 repeated_messages orgs: Vec<OrgConfig>,
     }
 }
 
-/// A foreign network's identity and topology information, the
-/// "platform-independent schema" for configuration sharing (paper §5).
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct NetworkConfig {
-    /// Unique network name.
-    pub network_id: String,
-    /// Group the network's keys live in.
-    pub group_name: String,
-    /// Per-organization certificates.
-    pub orgs: Vec<OrgConfig>,
-}
-
-impl Message for NetworkConfig {
-    fn encode(&self, w: &mut Writer) {
-        w.string(1, &self.network_id);
-        w.string(2, &self.group_name);
-        w.repeated_messages(3, &self.orgs);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let mut out = NetworkConfig::default();
-        while let Some((field, value)) = r.next_field()? {
-            match field {
-                1 => out.network_id = value.as_string(1, "network_id")?,
-                2 => out.group_name = value.as_string(2, "group_name")?,
-                3 => out.orgs.push(value.as_message(3)?),
-                _ => {}
-            }
-        }
-        Ok(out)
+message! {
+    /// A request to receive a source network's block events (the
+    /// publish/subscribe primitive the paper lists in §2 and defers in §7).
+    #[derive(Debug, Clone, PartialEq, Default)]
+    pub struct EventSubscribeRequest {
+        /// Unique subscription id chosen by the subscriber.
+        1 string subscription_id: String,
+        /// The source network whose events are requested.
+        2 string network_id: String,
+        /// Relay endpoint events should be pushed back to.
+        3 string reply_endpoint: String,
+        /// Authentication of the subscriber (same structure as queries).
+        4 message auth: AuthInfo,
     }
 }
 
-/// A request to receive a source network's block events (the
-/// publish/subscribe primitive the paper lists in §2 and defers in §7).
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct EventSubscribeRequest {
-    /// Unique subscription id chosen by the subscriber.
-    pub subscription_id: String,
-    /// The source network whose events are requested.
-    pub network_id: String,
-    /// Relay endpoint events should be pushed back to.
-    pub reply_endpoint: String,
-    /// Authentication of the subscriber (same structure as queries).
-    pub auth: AuthInfo,
-}
-
-impl Message for EventSubscribeRequest {
-    fn encode(&self, w: &mut Writer) {
-        w.string(1, &self.subscription_id);
-        w.string(2, &self.network_id);
-        w.string(3, &self.reply_endpoint);
-        w.message(4, &self.auth);
+message! {
+    /// A pushed block-event notification, attested by a source-network peer so
+    /// the subscriber can authenticate it against the recorded configuration.
+    #[derive(Debug, Clone, PartialEq, Default)]
+    pub struct EventNotice {
+        /// The subscription this notice answers.
+        1 string subscription_id: String,
+        /// Source network.
+        2 string network_id: String,
+        /// Committed block number.
+        3 u64 block_number: u64,
+        /// Transaction ids in the block.
+        4 repeated_string txids: Vec<String>,
+        /// Validation code per transaction (1 = valid, 0 = invalidated).
+        5 bytes validation: Vec<u8>,
+        /// Wire-encoded certificate of the attesting peer.
+        6 bytes signer_cert: Vec<u8>,
+        /// Peer signature over [`EventNotice::signing_bytes`].
+        7 bytes signature: Vec<u8>,
     }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let mut out = EventSubscribeRequest::default();
-        while let Some((field, value)) = r.next_field()? {
-            match field {
-                1 => out.subscription_id = value.as_string(1, "subscription_id")?,
-                2 => out.network_id = value.as_string(2, "network_id")?,
-                3 => out.reply_endpoint = value.as_string(3, "reply_endpoint")?,
-                4 => out.auth = value.as_message(4)?,
-                _ => {}
-            }
-        }
-        Ok(out)
-    }
-}
-
-/// A pushed block-event notification, attested by a source-network peer so
-/// the subscriber can authenticate it against the recorded configuration.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct EventNotice {
-    /// The subscription this notice answers.
-    pub subscription_id: String,
-    /// Source network.
-    pub network_id: String,
-    /// Committed block number.
-    pub block_number: u64,
-    /// Transaction ids in the block.
-    pub txids: Vec<String>,
-    /// Validation code per transaction (1 = valid, 0 = invalidated).
-    pub validation: Vec<u8>,
-    /// Wire-encoded certificate of the attesting peer.
-    pub signer_cert: Vec<u8>,
-    /// Peer signature over [`EventNotice::signing_bytes`].
-    pub signature: Vec<u8>,
 }
 
 impl EventNotice {
@@ -995,112 +659,51 @@ impl EventNotice {
     }
 }
 
-impl Message for EventNotice {
-    fn encode(&self, w: &mut Writer) {
-        w.string(1, &self.subscription_id);
-        w.string(2, &self.network_id);
-        w.u64(3, self.block_number);
-        w.repeated_bytes(4, self.txids.iter().map(String::as_bytes));
-        w.bytes(5, &self.validation);
-        w.bytes(6, &self.signer_cert);
-        w.bytes(7, &self.signature);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let mut out = EventNotice::default();
-        while let Some((field, value)) = r.next_field()? {
-            match field {
-                1 => out.subscription_id = value.as_string(1, "subscription_id")?,
-                2 => out.network_id = value.as_string(2, "network_id")?,
-                3 => out.block_number = value.as_u64(3)?,
-                4 => out.txids.push(value.as_string(4, "txids")?),
-                5 => out.validation = value.as_bytes(5)?.to_vec(),
-                6 => out.signer_cert = value.as_bytes(6)?.to_vec(),
-                7 => out.signature = value.as_bytes(7)?.to_vec(),
-                _ => {}
-            }
-        }
-        Ok(out)
+message! {
+    /// One peer's signature over a block header (used by [`BlockProof`]).
+    #[derive(Debug, Clone, PartialEq, Default)]
+    pub struct HeaderSig {
+        /// Wire-encoded certificate of the signing peer.
+        1 bytes signer_cert: Vec<u8>,
+        /// Signature over the domain-separated header hash.
+        2 bytes signature: Vec<u8>,
     }
 }
 
-/// One peer's signature over a block header (used by [`BlockProof`]).
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct HeaderSig {
-    /// Wire-encoded certificate of the signing peer.
-    pub signer_cert: Vec<u8>,
-    /// Signature over the domain-separated header hash.
-    pub signature: Vec<u8>,
-}
-
-impl Message for HeaderSig {
-    fn encode(&self, w: &mut Writer) {
-        w.bytes(1, &self.signer_cert);
-        w.bytes(2, &self.signature);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let mut out = HeaderSig::default();
-        while let Some((field, value)) = r.next_field()? {
-            match field {
-                1 => out.signer_cert = value.as_bytes(1)?.to_vec(),
-                2 => out.signature = value.as_bytes(2)?.to_vec(),
-                _ => {}
-            }
-        }
-        Ok(out)
+message! {
+    /// One step of a Merkle inclusion path (sibling hash + side).
+    #[derive(Debug, Clone, PartialEq, Default)]
+    pub struct MerkleStep {
+        /// The sibling node hash.
+        1 bytes sibling: Vec<u8>,
+        /// True when the sibling sits to the right of the running hash.
+        2 bool sibling_on_right: bool,
     }
 }
 
-/// One step of a Merkle inclusion path (sibling hash + side).
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct MerkleStep {
-    /// The sibling node hash.
-    pub sibling: Vec<u8>,
-    /// True when the sibling sits to the right of the running hash.
-    pub sibling_on_right: bool,
-}
-
-impl Message for MerkleStep {
-    fn encode(&self, w: &mut Writer) {
-        w.bytes(1, &self.sibling);
-        w.bool(2, self.sibling_on_right);
+message! {
+    /// An *alternative proof scheme* (paper §6: "the architecture allows any
+    /// suitable proof scheme to be plugged in"): instead of per-result
+    /// attestations, prove that a specific transaction is *included in a
+    /// committed block* — peer signatures over the block header plus a Merkle
+    /// inclusion path from the transaction to the header's data hash.
+    #[derive(Debug, Clone, PartialEq, Default)]
+    pub struct BlockProof {
+        /// Source network id.
+        1 string network_id: String,
+        /// Block number, plus one (zero means unset).
+        2 u64 block_number_plus_one: u64,
+        /// The header's previous-block hash.
+        3 bytes prev_hash: Vec<u8>,
+        /// The header's transaction Merkle root.
+        4 bytes data_hash: Vec<u8>,
+        /// Peer signatures over the header hash.
+        5 repeated_messages header_sigs: Vec<HeaderSig>,
+        /// The full transaction payload being proven.
+        6 bytes tx_bytes: Vec<u8>,
+        /// Merkle path from the transaction to `data_hash`.
+        7 repeated_messages merkle_steps: Vec<MerkleStep>,
     }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let mut out = MerkleStep::default();
-        while let Some((field, value)) = r.next_field()? {
-            match field {
-                1 => out.sibling = value.as_bytes(1)?.to_vec(),
-                2 => out.sibling_on_right = value.as_bool(2)?,
-                _ => {}
-            }
-        }
-        Ok(out)
-    }
-}
-
-/// An *alternative proof scheme* (paper §6: "the architecture allows any
-/// suitable proof scheme to be plugged in"): instead of per-result
-/// attestations, prove that a specific transaction is *included in a
-/// committed block* — peer signatures over the block header plus a Merkle
-/// inclusion path from the transaction to the header's data hash.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct BlockProof {
-    /// Source network id.
-    pub network_id: String,
-    /// Block number, plus one (zero means unset).
-    pub block_number_plus_one: u64,
-    /// The header's previous-block hash.
-    pub prev_hash: Vec<u8>,
-    /// The header's transaction Merkle root.
-    pub data_hash: Vec<u8>,
-    /// Peer signatures over the header hash.
-    pub header_sigs: Vec<HeaderSig>,
-    /// The full transaction payload being proven.
-    pub tx_bytes: Vec<u8>,
-    /// Merkle path from the transaction to `data_hash`.
-    pub merkle_steps: Vec<MerkleStep>,
 }
 
 impl BlockProof {
@@ -1110,59 +713,18 @@ impl BlockProof {
     }
 }
 
-impl Message for BlockProof {
-    fn encode(&self, w: &mut Writer) {
-        w.string(1, &self.network_id);
-        w.u64(2, self.block_number_plus_one);
-        w.bytes(3, &self.prev_hash);
-        w.bytes(4, &self.data_hash);
-        w.repeated_messages(5, &self.header_sigs);
-        w.bytes(6, &self.tx_bytes);
-        w.repeated_messages(7, &self.merkle_steps);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let mut out = BlockProof::default();
-        while let Some((field, value)) = r.next_field()? {
-            match field {
-                1 => out.network_id = value.as_string(1, "network_id")?,
-                2 => out.block_number_plus_one = value.as_u64(2)?,
-                3 => out.prev_hash = value.as_bytes(3)?.to_vec(),
-                4 => out.data_hash = value.as_bytes(4)?.to_vec(),
-                5 => out.header_sigs.push(value.as_message(5)?),
-                6 => out.tx_bytes = value.as_bytes(6)?.to_vec(),
-                7 => out.merkle_steps.push(value.as_message(7)?),
-                _ => {}
-            }
-        }
-        Ok(out)
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Certificate <-> wire conversion
 // ---------------------------------------------------------------------------
 
-fn role_code(role: CertRole) -> u64 {
-    match role {
-        CertRole::RootCa => 0,
-        CertRole::Peer => 1,
-        CertRole::Orderer => 2,
-        CertRole::Client => 3,
-    }
-}
-
-fn role_from_code(code: u64) -> Result<CertRole, WireError> {
-    match code {
-        0 => Ok(CertRole::RootCa),
-        1 => Ok(CertRole::Peer),
-        2 => Ok(CertRole::Orderer),
-        3 => Ok(CertRole::Client),
-        v => Err(WireError::UnknownEnumValue {
+fn decode_role(code: u64) -> Result<CertRole, WireError> {
+    u8::try_from(code)
+        .ok()
+        .and_then(|c| CertRole::from_code(c).ok())
+        .ok_or(WireError::UnknownEnumValue {
             field: "cert role",
-            value: v,
-        }),
-    }
+            value: code,
+        })
 }
 
 /// Encodes a [`Certificate`] to wire bytes.
@@ -1171,7 +733,7 @@ pub fn encode_certificate(cert: &Certificate) -> Vec<u8> {
     w.string(1, &cert.subject().common_name);
     w.string(2, &cert.subject().organization);
     w.string(3, &cert.subject().network);
-    w.u64(4, role_code(cert.subject().role) + 1); // +1 so RootCa survives proto3 zero-elision
+    w.u64(4, u64::from(cert.subject().role.code()) + 1);
     w.u64(5, cert.serial() + 1);
     w.string(6, cert.group_name());
     w.bytes(7, cert.sign_key_bytes());
@@ -1181,7 +743,7 @@ pub fn encode_certificate(cert: &Certificate) -> Vec<u8> {
     w.string(9, &cert.issuer().common_name);
     w.string(10, &cert.issuer().organization);
     w.string(11, &cert.issuer().network);
-    w.u64(12, role_code(cert.issuer().role) + 1);
+    w.u64(12, u64::from(cert.issuer().role.code()) + 1);
     if let Some(sig) = cert.signature() {
         w.bytes(13, sig.e_bytes());
         w.bytes(14, sig.s_bytes());
@@ -1229,26 +791,26 @@ pub fn decode_certificate(bytes: &[u8]) -> Result<Certificate, WireError> {
             _ => {}
         }
     }
-    if role == 0 || irole == 0 || serial == 0 && cn.is_empty() {
+    // Serial and both roles are written plus one (so `RootCa` and serial 0
+    // survive proto3 zero-elision): zero means the field is absent.
+    let (Some(serial), Some(role), Some(irole)) = (
+        serial.checked_sub(1),
+        role.checked_sub(1),
+        irole.checked_sub(1),
+    ) else {
         return Err(WireError::MissingField("certificate role/serial"));
-    }
+    };
     if sign_key.is_empty() {
         return Err(WireError::MissingField("sign_key"));
     }
-    let subject = Subject::new(cn, org, network, role_from_code(role - 1)?);
-    let issuer = Subject::new(icn, iorg, inetwork, role_from_code(irole - 1)?);
+    let subject = Subject::new(cn, org, network, decode_role(role)?);
+    let issuer = Subject::new(icn, iorg, inetwork, decode_role(irole)?);
     let signature = match (sig_e, sig_s) {
         (Some(e), Some(s)) => Some(Signature::from_scalars(e, s)),
         _ => None,
     };
     Ok(Certificate::assemble(
-        subject,
-        serial - 1,
-        group,
-        sign_key,
-        enc_key,
-        issuer,
-        signature,
+        subject, serial, group, sign_key, enc_key, issuer, signature,
     ))
 }
 
@@ -1717,6 +1279,65 @@ mod tests {
         w.u64(5, 1);
         let err = decode_certificate(&w.into_bytes()).unwrap_err();
         assert_eq!(err, WireError::MissingField("sign_key"));
+    }
+
+    #[test]
+    fn certificate_without_serial_is_rejected_not_wrapped() {
+        // A common name used to excuse a missing serial, and `serial - 1`
+        // then underflowed (a panic in debug builds, serial u64::MAX in
+        // release).
+        let mut w = Writer::new();
+        w.string(1, "cn");
+        w.u64(4, 2);
+        w.u64(12, 1);
+        w.bytes(7, &[1]);
+        let err = decode_certificate(&w.into_bytes()).unwrap_err();
+        assert_eq!(err, WireError::MissingField("certificate role/serial"));
+    }
+
+    #[test]
+    fn certificate_role_out_of_range_is_an_enum_error() {
+        let mut w = Writer::new();
+        w.u64(4, 1 << 40);
+        w.u64(12, 1);
+        w.u64(5, 1);
+        w.bytes(7, &[1]);
+        let err = decode_certificate(&w.into_bytes()).unwrap_err();
+        let value = (1 << 40) - 1;
+        assert_eq!(
+            err,
+            WireError::UnknownEnumValue {
+                field: "cert role",
+                value
+            }
+        );
+    }
+
+    #[test]
+    fn policy_threshold_above_u32_is_rejected_not_truncated() {
+        let mut w = Writer::new();
+        w.u64(1, 4);
+        w.u64(3, (1 << 32) + 1);
+        w.message(4, &PolicyNode::Org("a".into()));
+        let err = PolicyNode::decode_from_slice(&w.into_bytes()).unwrap_err();
+        assert!(matches!(err, WireError::Invalid(m) if m.contains("threshold")));
+    }
+
+    #[test]
+    fn field_number_is_not_truncated_to_32_bits() {
+        // Field 2^32 + 1 used to be read as field 1 (`network_id`).
+        let mut bytes = Vec::new();
+        varint::encode_u64((((1u64 << 32) + 1) << 3) | 2, &mut bytes);
+        varint::encode_u64(3, &mut bytes);
+        bytes.extend_from_slice(b"swt");
+        let err = AuthInfo::decode_from_slice(&bytes).unwrap_err();
+        assert!(matches!(err, WireError::Invalid(m) if m.contains("field number")));
+        // Field 0 is not a field either; 2^29 - 1 is the last one.
+        assert!(AuthInfo::decode_from_slice(&[0x02, 0x00]).is_err());
+        let mut last = Vec::new();
+        varint::encode_u64((crate::codec::MAX_FIELD_NUMBER << 3) | 2, &mut last);
+        last.push(0);
+        assert_eq!(AuthInfo::decode_from_slice(&last), Ok(AuthInfo::default()));
     }
 
     #[test]

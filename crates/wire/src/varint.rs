@@ -44,16 +44,6 @@ pub fn decode_u64(buf: &[u8]) -> Result<(u64, usize), WireError> {
     Err(WireError::UnexpectedEof)
 }
 
-/// ZigZag-encodes a signed value so small magnitudes stay small.
-pub fn zigzag_encode(value: i64) -> u64 {
-    ((value << 1) ^ (value >> 63)) as u64
-}
-
-/// Inverse of [`zigzag_encode`].
-pub fn zigzag_decode(value: u64) -> i64 {
-    ((value >> 1) as i64) ^ -((value & 1) as i64)
-}
-
 /// Number of bytes [`encode_u64`] would produce for `value`.
 pub fn encoded_len(value: u64) -> usize {
     if value == 0 {
@@ -117,15 +107,6 @@ mod tests {
     }
 
     #[test]
-    fn zigzag_reference() {
-        assert_eq!(zigzag_encode(0), 0);
-        assert_eq!(zigzag_encode(-1), 1);
-        assert_eq!(zigzag_encode(1), 2);
-        assert_eq!(zigzag_encode(-2), 3);
-        assert_eq!(zigzag_encode(i64::MIN), u64::MAX);
-    }
-
-    #[test]
     fn encoded_len_matches() {
         for v in [0u64, 1, 127, 128, 16_383, 16_384, u64::MAX] {
             let mut buf = Vec::new();
@@ -142,11 +123,6 @@ mod tests {
             let (decoded, read) = decode_u64(&buf).unwrap();
             prop_assert_eq!(decoded, v);
             prop_assert_eq!(read, buf.len());
-        }
-
-        #[test]
-        fn prop_zigzag_roundtrip(v in any::<i64>()) {
-            prop_assert_eq!(zigzag_decode(zigzag_encode(v)), v);
         }
 
         #[test]
