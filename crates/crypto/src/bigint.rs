@@ -63,9 +63,7 @@ impl BigUint {
             limbs.push(limb);
             chunk_start = lo;
         }
-        let mut out = BigUint { limbs };
-        out.normalize();
-        out
+        BigUint::from_limbs(limbs)
     }
 
     /// Parses a hex string (whitespace tolerated).
@@ -144,6 +142,13 @@ impl BigUint {
         self.limbs.first().copied().unwrap_or(0)
     }
 
+    /// The value of little-endian `limbs`, trailing zero limbs dropped.
+    fn from_limbs(limbs: Vec<u64>) -> Self {
+        let mut r = BigUint { limbs };
+        r.normalize();
+        r
+    }
+
     fn normalize(&mut self) {
         while self.limbs.last() == Some(&0) {
             self.limbs.pop();
@@ -169,9 +174,7 @@ impl BigUint {
         if carry > 0 {
             out.push(carry);
         }
-        let mut r = BigUint { limbs: out };
-        r.normalize();
-        r
+        BigUint::from_limbs(out)
     }
 
     /// `self - other`.
@@ -281,9 +284,7 @@ impl BigUint {
                 k += 1;
             }
         }
-        let mut r = BigUint { limbs: out };
-        r.normalize();
-        r
+        BigUint::from_limbs(out)
     }
 
     /// Left shift by `n` bits.
@@ -306,9 +307,7 @@ impl BigUint {
                 out.push(carry);
             }
         }
-        let mut r = BigUint { limbs: out };
-        r.normalize();
-        r
+        BigUint::from_limbs(out)
     }
 
     /// Right shift by `n` bits.
@@ -332,9 +331,7 @@ impl BigUint {
                 out.push((src[i] >> bit_shift) | hi);
             }
         }
-        let mut r = BigUint { limbs: out };
-        r.normalize();
-        r
+        BigUint::from_limbs(out)
     }
 
     /// Binary long division: returns `(quotient, remainder)`.
@@ -363,11 +360,7 @@ impl BigUint {
             shifted = shifted.shr(1);
             i -= 1;
         }
-        let mut q = BigUint {
-            limbs: quotient_limbs,
-        };
-        q.normalize();
-        (q, remainder)
+        (BigUint::from_limbs(quotient_limbs), remainder)
     }
 
     fn div_rem_u64(&self, d: u64) -> (BigUint, BigUint) {
@@ -378,9 +371,7 @@ impl BigUint {
             q[i] = (cur / d as u128) as u64;
             rem = cur % d as u128;
         }
-        let mut quotient = BigUint { limbs: q };
-        quotient.normalize();
-        (quotient, BigUint::from_u64(rem as u64))
+        (BigUint::from_limbs(q), BigUint::from_u64(rem as u64))
     }
 
     /// `self mod m`.
@@ -481,22 +472,19 @@ impl fmt::Debug for MontElem {
     }
 }
 
-/// Reusable CIOS scratch buffers so the modexp hot loop allocates nothing
-/// per multiplication. Obtain via [`MontgomeryCtx::scratch`].
-#[derive(Debug)]
-pub struct MontScratch {
-    out: Vec<u64>,
-    tl: Vec<u64>,
-}
+/// Widest modulus a [`MontgomeryCtx`] accepts, in limbs: 2 048 bits, the
+/// largest group's `p`. Every width up to it has its own instance of the
+/// fixed-width kernel.
+const MAX_LIMBS: usize = 32;
 
 /// Montgomery multiplication context (CIOS, Koç et al.) for a fixed odd
-/// modulus.
+/// modulus of 1 to 32 limbs (2 048 bits).
 ///
 /// A CIOS `mont_mul` fuses the multiplication with the reduction in a
-/// single `O(k^2)` pass over fixed-width limb buffers — no intermediate
-/// `2k`-limb product, no per-operation allocations beyond the output, and
-/// no normalization. One-shot products go through [`Self::modmul`], which
-/// pays one extra pass to leave the Montgomery domain.
+/// single `O(k^2)` pass over fixed-width limb arrays — no intermediate
+/// `2k`-limb product, no heap scratch, and no normalization. One-shot
+/// products go through [`Self::modmul`], which pays one extra pass to
+/// leave the Montgomery domain.
 #[derive(Debug, Clone)]
 pub struct MontgomeryCtx {
     modulus: BigUint,
@@ -512,12 +500,14 @@ pub struct MontgomeryCtx {
 }
 
 impl MontgomeryCtx {
-    /// Builds a context for `modulus`.
+    /// Builds a context for `modulus`, which must fit in 32 limbs (2 048
+    /// bits): the kernel is instantiated for each width from 1 to 32.
     ///
     /// # Errors
     ///
     /// Returns [`CryptoError::InvalidKey`] when the modulus is even or ≤ 1
-    /// (Montgomery reduction needs `gcd(m, b) = 1`).
+    /// (Montgomery reduction needs `gcd(m, b) = 1`), or wider than 2 048
+    /// bits.
     pub fn new(modulus: BigUint) -> Result<Self, CryptoError> {
         if modulus <= BigUint::one() || !modulus.is_odd() {
             return Err(CryptoError::InvalidKey(
@@ -525,8 +515,12 @@ impl MontgomeryCtx {
             ));
         }
         let k = modulus.limbs.len();
-        let mut m = modulus.limbs.clone();
-        m.resize(k, 0);
+        if k > MAX_LIMBS {
+            return Err(CryptoError::InvalidKey(format!(
+                "Montgomery modulus must fit in {MAX_LIMBS} limbs, got {k}"
+            )));
+        }
+        let m = modulus.limbs.clone();
         // n0_inv = -m[0]^(-1) mod 2^64 via Newton iteration (m[0] is odd).
         let mut inv = 1u64;
         for _ in 0..6 {
@@ -536,19 +530,18 @@ impl MontgomeryCtx {
         // R^2 mod m with R = b^k, via long division (setup cost only).
         let r2_value = BigUint::one().shl(64 * 2 * k).rem(&modulus);
         let one_value = BigUint::one().shl(64 * k).rem(&modulus);
-        let r2 = MontElem {
-            limbs: Self::fixed_width(&r2_value, k),
-        };
-        let one = MontElem {
-            limbs: Self::fixed_width(&one_value, k),
+        let fixed_width = |x: BigUint| {
+            let mut limbs = x.limbs;
+            limbs.resize(k, 0);
+            MontElem { limbs }
         };
         Ok(MontgomeryCtx {
             modulus,
             m,
             k,
             n0_inv,
-            r2,
-            one,
+            r2: fixed_width(r2_value),
+            one: fixed_width(one_value),
         })
     }
 
@@ -562,134 +555,84 @@ impl MontgomeryCtx {
         self.one.clone()
     }
 
-    fn fixed_width(x: &BigUint, k: usize) -> Vec<u64> {
-        let mut limbs = x.limbs.clone();
-        limbs.resize(k, 0);
-        limbs
-    }
-
-    /// `x mod m` as exactly `k` limbs; only an `x ≥ m` pays the division.
-    fn reduced(&self, x: &BigUint) -> Vec<u64> {
-        if x < &self.modulus {
-            Self::fixed_width(x, self.k)
+    /// `x mod m` in the low `k` limbs; only an `x ≥ m` pays the division.
+    fn reduced(&self, x: &BigUint) -> [u64; MAX_LIMBS] {
+        let rem;
+        let x = if x < &self.modulus {
+            x
         } else {
-            Self::fixed_width(&x.rem(&self.modulus), self.k)
-        }
+            rem = x.rem(&self.modulus);
+            &rem
+        };
+        let mut out = [0u64; MAX_LIMBS];
+        out[..x.limbs.len()].copy_from_slice(&x.limbs);
+        out
     }
 
     /// Converts `x` into Montgomery form (`x` is reduced mod `m` first).
     pub fn to_mont(&self, x: &BigUint) -> MontElem {
-        let mut scratch = self.scratch();
-        let mut out = vec![0u64; self.k];
-        self.cios(&self.reduced(x), &self.r2.limbs, &mut out, &mut scratch.tl);
-        MontElem { limbs: out }
+        let out = self.mul_limbs(&self.reduced(x), &self.r2.limbs);
+        MontElem {
+            limbs: out[..self.k].to_vec(),
+        }
     }
 
     /// `(a·b) mod m` in two CIOS passes, `a·b·R⁻¹` and then `·R²·R⁻¹`; an
     /// operand `≥ m` is reduced first, as in [`Self::to_mont`].
     pub fn modmul(&self, a: &BigUint, b: &BigUint) -> BigUint {
-        let mut scratch = self.scratch();
-        let mut ab = vec![0u64; self.k];
-        self.cios(&self.reduced(a), &self.reduced(b), &mut ab, &mut scratch.tl);
-        self.cios(&ab, &self.r2.limbs, &mut scratch.out, &mut scratch.tl);
-        let mut r = BigUint { limbs: scratch.out };
-        r.normalize();
-        r
+        let ab = self.mul_limbs(&self.reduced(a), &self.reduced(b));
+        let out = self.mul_limbs(&ab, &self.r2.limbs);
+        BigUint::from_limbs(out[..self.k].to_vec())
     }
 
     /// Converts back out of Montgomery form.
     pub fn from_mont(&self, x: &MontElem) -> BigUint {
-        let one_limbs = {
-            let mut v = vec![0u64; self.k];
-            v[0] = 1;
-            v
-        };
-        let mut scratch = self.scratch();
-        let mut out = vec![0u64; self.k];
-        self.cios(&x.limbs, &one_limbs, &mut out, &mut scratch.tl);
-        let mut r = BigUint { limbs: out };
-        r.normalize();
-        r
-    }
-
-    /// Allocates reusable scratch space for the in-place hot-loop variants.
-    pub fn scratch(&self) -> MontScratch {
-        MontScratch {
-            out: vec![0u64; self.k],
-            tl: vec![0u64; self.k + 2],
-        }
+        let mut one = [0u64; MAX_LIMBS];
+        one[0] = 1;
+        BigUint::from_limbs(self.mul_limbs(&x.limbs, &one)[..self.k].to_vec())
     }
 
     /// Montgomery product `a·b·R^(-1) mod m`.
     pub fn mont_mul(&self, a: &MontElem, b: &MontElem) -> MontElem {
-        let mut scratch = self.scratch();
-        let mut out = vec![0u64; self.k];
-        self.cios(&a.limbs, &b.limbs, &mut out, &mut scratch.tl);
-        MontElem { limbs: out }
+        let out = self.mul_limbs(&a.limbs, &b.limbs);
+        MontElem {
+            limbs: out[..self.k].to_vec(),
+        }
     }
 
-    /// `acc <- acc · b` reusing `scratch` buffers (no allocation).
-    pub fn mont_mul_assign(&self, acc: &mut MontElem, b: &MontElem, scratch: &mut MontScratch) {
-        self.cios(&acc.limbs, &b.limbs, &mut scratch.out, &mut scratch.tl);
-        std::mem::swap(&mut acc.limbs, &mut scratch.out);
+    /// `acc <- acc · b` in place (no allocation).
+    pub fn mont_mul_assign(&self, acc: &mut MontElem, b: &MontElem) {
+        let out = self.mul_limbs(&acc.limbs, &b.limbs);
+        acc.limbs.copy_from_slice(&out[..self.k]);
     }
 
-    /// `acc <- acc²` reusing `scratch` buffers (no allocation).
-    pub fn mont_sqr_assign(&self, acc: &mut MontElem, scratch: &mut MontScratch) {
-        self.cios(&acc.limbs, &acc.limbs, &mut scratch.out, &mut scratch.tl);
-        std::mem::swap(&mut acc.limbs, &mut scratch.out);
+    /// `acc <- acc²` in place (no allocation).
+    pub fn mont_sqr_assign(&self, acc: &mut MontElem) {
+        let out = self.mul_limbs(&acc.limbs, &acc.limbs);
+        acc.limbs.copy_from_slice(&out[..self.k]);
     }
 
-    /// CIOS (coarsely integrated operand scanning) Montgomery
-    /// multiplication: interleaves the multiply and the reduction limb by
-    /// limb. Loop bounds depend only on the (public) limb count `k`; the
-    /// final modulus subtraction is selected branchlessly by mask.
-    fn cios(&self, a: &[u64], b: &[u64], out: &mut [u64], tl: &mut Vec<u64>) {
-        let k = self.k;
-        debug_assert!(a.len() == k && b.len() == k && out.len() == k);
-        // t has k+2 limbs: t[k+1] never exceeds 1.
-        tl.clear();
-        tl.resize(k + 2, 0);
-        for &bi in b.iter() {
-            // t += a * bi
-            let mut carry = 0u128;
-            for j in 0..k {
-                let cur = tl[j] as u128 + a[j] as u128 * bi as u128 + carry;
-                tl[j] = cur as u64;
-                carry = cur >> 64;
-            }
-            let cur = tl[k] as u128 + carry;
-            tl[k] = cur as u64;
-            tl[k + 1] += (cur >> 64) as u64;
-            // m_val makes t divisible by b: t = (t + m_val*m) / b
-            let m_val = tl[0].wrapping_mul(self.n0_inv);
-            let mut carry = (tl[0] as u128 + m_val as u128 * self.m[0] as u128) >> 64;
-            for j in 1..k {
-                let cur = tl[j] as u128 + m_val as u128 * self.m[j] as u128 + carry;
-                tl[j - 1] = cur as u64;
-                carry = cur >> 64;
-            }
-            let cur = tl[k] as u128 + carry;
-            tl[k - 1] = cur as u64;
-            tl[k] = tl[k + 1] + (cur >> 64) as u64;
-            tl[k + 1] = 0;
+    /// `a·b·R^(-1) mod m` in the low `k` limbs, from the low `k` limbs of
+    /// `a` and `b`: dispatches on the (public) width `k` to the [`cios`]
+    /// instance of that many limbs.
+    fn mul_limbs(&self, a: &[u64], b: &[u64]) -> [u64; MAX_LIMBS] {
+        fn fixed<const N: usize>(x: &[u64]) -> &[u64; N] {
+            x.first_chunk().expect("every row is at least k limbs wide")
         }
-        // Conditional subtraction: result = tl - m if tl >= m (including
-        // the overflow limb), selected by mask rather than branch.
-        let mut borrow = 0u64;
-        for j in 0..k {
-            let (d1, b1) = tl[j].overflowing_sub(self.m[j]);
-            let (d2, b2) = d1.overflowing_sub(borrow);
-            out[j] = d2;
-            borrow = (b1 as u64) | (b2 as u64);
+        let mut out = [0u64; MAX_LIMBS];
+        macro_rules! dispatch {
+            ($($n:literal)*) => {
+                match self.k {
+                    $($n => out[..$n].copy_from_slice(
+                        &cios::<$n>(fixed(a), fixed(b), fixed(&self.m), self.n0_inv),
+                    ),)*
+                    _ => unreachable!("MontgomeryCtx::new admits 1 to {MAX_LIMBS} limbs"),
+                }
+            };
         }
-        // Need the subtraction iff the overflow limb is set (value has a
-        // 2^(64k) component, always >= m) or tl >= m (no borrow).
-        let need = (tl[k] != 0) as u64 | (borrow == 0) as u64;
-        let mask = need.wrapping_neg();
-        for j in 0..k {
-            out[j] = (out[j] & mask) | (tl[j] & !mask);
-        }
+        dispatch!(1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16
+                  17 18 19 20 21 22 23 24 25 26 27 28 29 30 31 32);
+        out
     }
 
     /// Modular exponentiation `base^exp mod m` with a fixed 4-bit window
@@ -720,11 +663,10 @@ impl MontgomeryCtx {
         let nbits = exp.bits().max(1);
         let nwindows = nbits.div_ceil(4);
         let mut acc = self.one.clone();
-        let mut scratch = self.scratch();
         for w in (0..nwindows).rev() {
             if w + 1 != nwindows {
                 for _ in 0..4 {
-                    self.mont_sqr_assign(&mut acc, &mut scratch);
+                    self.mont_sqr_assign(&mut acc);
                 }
             }
             let mut window = 0usize;
@@ -736,10 +678,61 @@ impl MontgomeryCtx {
                 }
             }
             // lint:allow(ct: "window digit derives from the exponent; exponents here are public signature scalars (verify) or DRBG nonces whose table-lookup cache footprint we accept — see DESIGN.md crypto hot path")
-            self.mont_mul_assign(&mut acc, &table[window], &mut scratch);
+            self.mont_mul_assign(&mut acc, &table[window]);
         }
         acc
     }
+}
+
+/// CIOS (coarsely integrated operand scanning) Montgomery multiplication
+/// `a·b·R^(-1) mod m` at a width `N` fixed at compile time: interleaves the
+/// multiply and the reduction limb by limb in a stack accumulator of `N`
+/// limbs plus one overflow word. Loop bounds depend only on `N`; the final
+/// modulus subtraction is selected branchlessly by mask.
+fn cios<const N: usize>(a: &[u64; N], b: &[u64; N], m: &[u64; N], n0_inv: u64) -> [u64; N] {
+    let mut t = [0u64; N];
+    // The limb above t[N-1]: with a, b < m, t < 2m after every step, so it
+    // is 0 or 1.
+    let mut t_hi = 0u64;
+    for &bi in b {
+        // t += a * bi; `spill` is the bit above t_hi, at most 1.
+        let mut carry = 0u64;
+        for j in 0..N {
+            let cur = t[j] as u128 + a[j] as u128 * bi as u128 + carry as u128;
+            t[j] = cur as u64;
+            carry = (cur >> 64) as u64;
+        }
+        let (top, spill) = t_hi.overflowing_add(carry);
+        // m_val makes t divisible by b: t = (t + m_val*m) / b
+        let m_val = t[0].wrapping_mul(n0_inv);
+        let mut carry = ((t[0] as u128 + m_val as u128 * m[0] as u128) >> 64) as u64;
+        for j in 1..N {
+            let cur = t[j] as u128 + m_val as u128 * m[j] as u128 + carry as u128;
+            t[j - 1] = cur as u64;
+            carry = (cur >> 64) as u64;
+        }
+        let cur = top as u128 + carry as u128;
+        t[N - 1] = cur as u64;
+        t_hi = spill as u64 + (cur >> 64) as u64;
+    }
+    // Conditional subtraction: result = t - m if t >= m (including the
+    // overflow limb), selected by mask rather than branch.
+    let mut out = [0u64; N];
+    let mut borrow = 0u64;
+    for j in 0..N {
+        let (d1, b1) = t[j].overflowing_sub(m[j]);
+        let (d2, b2) = d1.overflowing_sub(borrow);
+        out[j] = d2;
+        borrow = (b1 as u64) | (b2 as u64);
+    }
+    // Need the subtraction iff the overflow limb is set (value has a
+    // 2^(64N) component, always >= m) or t >= m (no borrow).
+    let need = (t_hi != 0) as u64 | (borrow == 0) as u64;
+    let mask = need.wrapping_neg();
+    for j in 0..N {
+        out[j] = (out[j] & mask) | (t[j] & !mask);
+    }
+    out
 }
 
 /// Generates a uniformly random value in `[1, upper)`.
@@ -972,6 +965,89 @@ mod tests {
     }
 
     #[test]
+    fn montgomery_rejects_modulus_wider_than_32_limbs() {
+        let widest = BigUint::one().shl(2048).sub(&BigUint::one());
+        assert_eq!(MontgomeryCtx::new(widest.clone()).unwrap().k, MAX_LIMBS);
+        let too_wide = widest.add(&BigUint::from_u64(2));
+        assert_eq!(too_wide.bits(), 2049);
+        assert!(matches!(
+            MontgomeryCtx::new(too_wide),
+            Err(CryptoError::InvalidKey(_))
+        ));
+    }
+
+    /// The widths the groups run: `p` and `q` of modp768, modp1024 and
+    /// modp2048.
+    const GROUP_WIDTHS: [usize; 3] = [12, 16, 32];
+
+    /// An odd modulus of exactly `n` limbs drawn from `limbs`. `shape` bit 0
+    /// sets the low limb to all ones, as in every MODP prime
+    /// (`n0_inv = 1`); bit 1 sets the top limb to all ones, where products
+    /// reach the overflow word and the final subtraction.
+    fn wide_modulus(n: usize, limbs: &[u64], shape: u8) -> BigUint {
+        let mut limbs = limbs[..n].to_vec();
+        limbs[0] |= 1;
+        if shape & 1 == 1 {
+            limbs[0] = u64::MAX;
+        }
+        if shape & 2 == 2 {
+            limbs[n - 1] = u64::MAX;
+        }
+        limbs[n - 1] = limbs[n - 1].max(1);
+        BigUint { limbs }
+    }
+
+    /// `0`, `1`, `m − 1`, or (for any other `kind`) the value of `random`.
+    fn operand(kind: u8, m: &BigUint, random: &[u64]) -> BigUint {
+        match kind {
+            0 => BigUint::zero(),
+            1 => BigUint::one(),
+            2 => m.sub(&BigUint::one()),
+            _ => BigUint::from_limbs(random.to_vec()),
+        }
+    }
+
+    /// `mont_mul`, both in-place forms and `modmul` against `mul` + `rem`.
+    fn check_products(m: &BigUint, a: &BigUint, b: &BigUint) -> Result<(), String> {
+        let ctx = MontgomeryCtx::new(m.clone()).map_err(|e| e.to_string())?;
+        let (am, bm) = (ctx.to_mont(a), ctx.to_mont(b));
+        let (want, want_sqr) = (a.mul(b).rem(m), a.mul(a).rem(m));
+        let mut acc = am.clone();
+        ctx.mont_mul_assign(&mut acc, &bm);
+        let mut sqr = am.clone();
+        ctx.mont_sqr_assign(&mut sqr);
+        let got = [
+            ("mont_mul", ctx.from_mont(&ctx.mont_mul(&am, &bm)), &want),
+            ("mont_mul_assign", ctx.from_mont(&acc), &want),
+            ("mont_sqr_assign", ctx.from_mont(&sqr), &want_sqr),
+            ("modmul", ctx.modmul(a, b), &want),
+        ];
+        for (name, value, want) in got {
+            if &value != want {
+                return Err(format!("{name}: {value:?} != {want:?} mod {m:?}"));
+            }
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn montgomery_edges_at_group_widths() {
+        let mut rng = proptest::test_runner::TestRng::new("edges");
+        for n in GROUP_WIDTHS {
+            for shape in 0..4 {
+                let limbs: Vec<u64> = (0..2 * n).map(|_| rng.next_u64()).collect();
+                let (m, random) = (wide_modulus(n, &limbs, shape), &limbs[n..]);
+                for (ka, kb) in (0..4).flat_map(|a| (0..4).map(move |b| (a, b))) {
+                    let (a, b) = (operand(ka, &m, random), operand(kb, &m, random));
+                    if let Err(e) = check_products(&m, &a, &b) {
+                        panic!("n = {n}, shape = {shape}, operands {ka}/{kb}: {e}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn random_below_in_range() {
         let mut rng = rand::thread_rng();
         // The last two are powers of two: [1, 2) and a whole-byte width.
@@ -1162,6 +1238,45 @@ mod tests {
             let ctx = MontgomeryCtx::new(m.clone()).unwrap();
             prop_assert_eq!(ctx.modmul(&a, &b), a.mul(&b).rem(&m));
             prop_assert_eq!(ctx.modmul(&BigUint::zero(), &b), BigUint::zero());
+        }
+    }
+
+    // The same oracles at the widths the groups run, on moduli whose low or
+    // top limb is all ones half of the time each, with each operand 0, 1 or
+    // m − 1 half of the time and exponents up to the 256 bits the groups
+    // use. Random operands are up to twice the modulus wide, so they take
+    // the `rem` on the way in.
+    proptest! {
+        #[test]
+        fn prop_products_match_mul_rem_at_group_widths(
+            n in prop_oneof![Just(12usize), Just(16), Just(32)],
+            shape in 0u8..4,
+            m in proptest::collection::vec(any::<u64>(), 32..33),
+            kinds in (0u8..6, 0u8..6),
+            a in proptest::collection::vec(any::<u64>(), 0..65),
+            b in proptest::collection::vec(any::<u64>(), 0..65),
+        ) {
+            let m = wide_modulus(n, &m, shape);
+            let (a, b) = (operand(kinds.0, &m, &a), operand(kinds.1, &m, &b));
+            if let Err(e) = check_products(&m, &a, &b) {
+                prop_assert!(false, "n = {}: {}", n, e);
+            }
+        }
+
+        #[test]
+        fn prop_montgomery_modexp_matches_square_and_multiply_at_group_widths(
+            n in prop_oneof![Just(12usize), Just(16), Just(32)],
+            shape in 0u8..4,
+            m in proptest::collection::vec(any::<u64>(), 32..33),
+            kind in 0u8..6,
+            base in proptest::collection::vec(any::<u64>(), 0..33),
+            exp in proptest::collection::vec(any::<u8>(), 0..33),
+        ) {
+            let m = wide_modulus(n, &m, shape);
+            let base = operand(kind, &m, &base);
+            let exp = BigUint::from_bytes_be(&exp);
+            let mont = MontgomeryCtx::new(m.clone()).unwrap();
+            prop_assert_eq!(mont.modexp(&base, &exp), modexp_by_definition(&base, &exp, &m));
         }
     }
 }

@@ -320,7 +320,6 @@ impl FixedBaseTable {
     pub fn build(ctx: &MontgomeryCtx, base: &BigUint, exp_bits: usize) -> Self {
         let windows = exp_bits.max(1).div_ceil(4);
         let mut table = Vec::with_capacity(windows * 16);
-        let mut scratch = ctx.scratch();
         // base_w = base^(16^w); after pushing d = 1..15 the accumulator has
         // been multiplied 15 times and sits at base_w^16 = base^(16^(w+1)),
         // which seeds the next window for free.
@@ -330,7 +329,7 @@ impl FixedBaseTable {
             let mut acc = base_w.clone();
             for _d in 1..=15 {
                 table.push(acc.clone());
-                ctx.mont_mul_assign(&mut acc, &base_w, &mut scratch);
+                ctx.mont_mul_assign(&mut acc, &base_w);
             }
             base_w = acc;
         }
@@ -358,7 +357,6 @@ impl FixedBaseTable {
             return None;
         }
         let mut acc = ctx.one();
-        let mut scratch = ctx.scratch();
         for w in 0..bits.div_ceil(4) {
             let mut digit = 0usize;
             for b in 0..4 {
@@ -367,7 +365,7 @@ impl FixedBaseTable {
                 }
             }
             // lint:allow(ct: "the window count is a public length and every window multiplies; the digit-indexed lookup's cache footprint is the one accepted for modexp_mont — see DESIGN.md crypto hot path")
-            ctx.mont_mul_assign(&mut acc, &self.table[w * 16 + digit], &mut scratch);
+            ctx.mont_mul_assign(&mut acc, &self.table[w * 16 + digit]);
         }
         Some(acc)
     }
