@@ -8,6 +8,9 @@
 //!   `schnorr::batch_verify` over the same signatures with cached per-key
 //!   fixed-base tables — the steady state the cert cache maintains
 //!   (`CertChainCache::key_table`).
+//! * **Schnorr sign** — `SigningKey::sign` per call, recorded next to the
+//!   verify columns: no floor, it is the per-group figure a modp2048
+//!   estimate needs.
 //! * **Subgroup membership** — the definition, `x^q == 1 (mod p)` through
 //!   `Group::pow` (what `Group::is_element` ran before it computed the
 //!   Legendre symbol instead), against the shipped `Group::is_element`.
@@ -93,6 +96,7 @@ const KEYS: usize = 4;
 const ROUNDS: usize = 5;
 
 struct Fixture {
+    signers: Vec<SigningKey>,
     keys: Vec<VerifyingKey>,
     tables: Vec<Arc<tdt_crypto::group::FixedBaseTable>>,
     messages: Vec<Vec<u8>>,
@@ -121,6 +125,7 @@ fn fixture(group: &Group) -> Fixture {
         owner.push(k);
     }
     Fixture {
+        signers,
         keys,
         tables,
         messages,
@@ -166,6 +171,7 @@ struct Row {
     before_us: f64,
     after_us: f64,
     speedup: f64,
+    schnorr_sign_us: f64,
     is_element_oracle_us: f64,
     is_element_us: f64,
     vk_from_bytes_us: f64,
@@ -257,10 +263,11 @@ impl Row {
 
     fn json(&self, label: &str, hashes: &Hashes) -> String {
         format!(
-            "    {{\"label\": \"{label}\", \"group\": \"{}\", \"verify_plain_us\": {:.1}, \"verify_batch_us\": {:.1}, \"is_element_oracle_us\": {:.1}, \"is_element_us\": {:.1}, \"vk_from_bytes_us\": {:.1}, \"elgamal_encrypt_full_exp_us\": {:.1}, \"elgamal_encrypt_us\": {:.1}, \"elgamal_decrypt_full_exp_us\": {:.1}, \"elgamal_decrypt_us\": {:.1}, \"cert_verify_us\": {:.1}, {}}}",
+            "    {{\"label\": \"{label}\", \"group\": \"{}\", \"verify_plain_us\": {:.1}, \"verify_batch_us\": {:.1}, \"schnorr_sign_us\": {:.1}, \"is_element_oracle_us\": {:.1}, \"is_element_us\": {:.1}, \"vk_from_bytes_us\": {:.1}, \"elgamal_encrypt_full_exp_us\": {:.1}, \"elgamal_encrypt_us\": {:.1}, \"elgamal_decrypt_full_exp_us\": {:.1}, \"elgamal_decrypt_us\": {:.1}, \"cert_verify_us\": {:.1}, {}}}",
             self.name,
             self.before_us,
             self.after_us,
+            self.schnorr_sign_us,
             self.is_element_oracle_us,
             self.is_element_us,
             self.vk_from_bytes_us,
@@ -310,6 +317,9 @@ fn measure(group: &Group) -> Row {
         batch_verify(&items).expect("smoke batch must verify"); // lint:allow(panic: "smoke guard: a failed batch verify must fail the CI job")
     });
 
+    let mut signers = fx.signers.iter().cycle();
+    let schnorr_sign_us = us_per_call(|| signers.next().map(|sk| sk.sign(b"attestation metadata")));
+
     // Membership and what it sits inside, over the fixture's public keys.
     let one = BigUint::one();
     let mut keys = fx.keys.iter().cycle();
@@ -348,6 +358,7 @@ fn measure(group: &Group) -> Row {
         before_us: before / BATCH as f64 * 1e6,
         after_us: after / BATCH as f64 * 1e6,
         speedup: before / after,
+        schnorr_sign_us,
         is_element_oracle_us,
         is_element_us,
         vk_from_bytes_us,
@@ -384,12 +395,14 @@ fn main() {
         .map(measure)
         .collect();
     let hashes = Hashes::measure();
-    println!("| group | plain verify (us/sig) | batch+tables (us/sig) | speedup |");
-    println!("|---|---|---|---|");
+    println!(
+        "| group | schnorr sign (us) | plain verify (us/sig) | batch+tables (us/sig) | speedup |"
+    );
+    println!("|---|---|---|---|---|");
     for row in &rows {
         println!(
-            "| {} | {:.1} | {:.1} | {:.2}x |",
-            row.name, row.before_us, row.after_us, row.speedup
+            "| {} | {:.1} | {:.1} | {:.1} | {:.2}x |",
+            row.name, row.schnorr_sign_us, row.before_us, row.after_us, row.speedup
         );
     }
     println!("| group | x^q == 1 (us) | is_element (us) | speedup | VerifyingKey::from_bytes (us) | Certificate::verify (us) |");

@@ -17,6 +17,7 @@ use tdt_crypto::sha256::sha256;
 use tdt_fabric::chaincode::Proposal;
 use tdt_fabric::error::{ChaincodeError, FabricError};
 use tdt_fabric::network::FabricNetwork;
+use tdt_fabric::peer::Peer;
 use tdt_relay::driver::NetworkDriver;
 use tdt_relay::RelayError;
 use tdt_wire::codec::Message;
@@ -40,6 +41,86 @@ pub fn query_auth_bytes(query: &Query) -> Vec<u8> {
     // read-only query into a ledger update (or vice versa).
     out.push(query.invocation as u8);
     out
+}
+
+/// What every attestation of one response shares: the query, the proposal
+/// the peers ran, the result as the response carries it, and for an
+/// invocation the block that committed it.
+struct Receipt<'a> {
+    query: &'a Query,
+    proposal: &'a Proposal,
+    result: Vec<u8>,
+    result_hash: Vec<u8>,
+    committed_block: Option<u64>,
+}
+
+impl<'a> Receipt<'a> {
+    /// Unpacks the ECC's (plaintext-hash, ciphertext) wrapper when the
+    /// query is confidential (the result was encrypted on-chain); otherwise
+    /// hashes `result` directly.
+    fn new(
+        query: &'a Query,
+        proposal: &'a Proposal,
+        result: Vec<u8>,
+        committed_block: Option<u64>,
+    ) -> Result<Self, InteropError> {
+        let (result, result_hash) = if query.policy.confidential {
+            let wrapped = EncryptedResult::from_bytes(&result)
+                .map_err(|e| InteropError::InvalidResponse(e.to_string()))?;
+            (wrapped.ciphertext, wrapped.plaintext_hash.to_vec())
+        } else {
+            let hash = sha256(&result).to_vec();
+            (result, hash)
+        };
+        Ok(Receipt {
+            query,
+            proposal,
+            result,
+            result_hash,
+            committed_block,
+        })
+    }
+
+    /// `peer`'s attestation: its [`ResultMetadata`] over the result, signed
+    /// by the interop endorsement plugin, which for a confidential query
+    /// also encrypts it to the requester.
+    fn attest(&self, peer: &Peer) -> Result<Attestation, InteropError> {
+        let metadata = ResultMetadata {
+            request_id: self.query.request_id.clone(),
+            address: self.query.address.display_name(),
+            result_hash: self.result_hash.clone(),
+            nonce: self.query.nonce.clone(),
+            peer_id: peer.qualified_name(),
+            org_id: peer.org_id().to_string(),
+            ledger_height: peer.height(),
+            committed_block_plus_one: self.committed_block.map_or(0, |n| n + 1),
+            txid: self
+                .committed_block
+                .map_or_else(String::new, |_| self.proposal.txid.clone()),
+        };
+        let plugin = InteropEndorsement {
+            encrypt_metadata: self.query.policy.confidential,
+        };
+        let out = peer.endorse_with_plugin(self.proposal, &metadata.encode_to_vec(), &plugin)?;
+        Ok(Attestation {
+            signer_cert: encode_certificate(peer.identity().certificate()),
+            signature: out.signature.to_bytes(),
+            metadata: out.payload,
+            metadata_encrypted: out.payload_encrypted,
+        })
+    }
+
+    /// The response carrying the result and `attestations`.
+    fn respond(self, attestations: Vec<Attestation>) -> QueryResponse {
+        QueryResponse {
+            request_id: self.query.request_id.clone(),
+            status: ResponseStatus::Ok,
+            error: String::new(),
+            result: self.result,
+            result_encrypted: self.query.policy.confidential,
+            attestations,
+        }
+    }
 }
 
 /// A [`NetworkDriver`] for Fabric-like networks.
@@ -119,16 +200,10 @@ impl FabricDriver {
             return self.execute_invocation(query, proposal, &orgs);
         }
 
-        let plugin = if query.policy.confidential {
-            InteropEndorsement::confidential()
-        } else {
-            InteropEndorsement::plaintext()
-        };
-
-        let mut reference_result: Option<Vec<u8>> = None;
+        // The first peer's raw result, and the receipt built from it: every
+        // later peer must return the same bytes, so it is unwrapped once.
+        let mut first: Option<(Vec<u8>, Receipt<'_>)> = None;
         let mut attestations = Vec::with_capacity(orgs.len());
-        let mut response_result = Vec::new();
-        let mut result_encrypted = false;
         for org in &orgs {
             let (peer_name, peer) = self
                 .network
@@ -137,57 +212,25 @@ impl FabricDriver {
             self.network.faults().apply_latency();
             let peer = peer.read();
             let sim = peer.simulate(&proposal)?;
-            match &reference_result {
-                None => reference_result = Some(sim.result.clone()),
-                Some(reference) => {
-                    if reference != &sim.result {
-                        return Err(InteropError::DivergentResults(format!(
-                            "peer {peer_name} disagrees with earlier peers"
-                        )));
-                    }
+            let receipt = match first {
+                Some((ref reference, _)) if *reference != sim.result => {
+                    return Err(InteropError::DivergentResults(format!(
+                        "peer {peer_name} disagrees with earlier peers"
+                    )));
                 }
-            }
-            // Unpack the ECC's (plaintext-hash, ciphertext) wrapper when
-            // the result was encrypted on-chain; otherwise hash directly.
-            let result_hash: Vec<u8>;
-            if query.policy.confidential {
-                let wrapped = EncryptedResult::from_bytes(&sim.result)
-                    .map_err(|e| InteropError::InvalidResponse(e.to_string()))?;
-                result_hash = wrapped.plaintext_hash.to_vec();
-                response_result = wrapped.ciphertext;
-                result_encrypted = true;
-            } else {
-                result_hash = sha256(&sim.result).to_vec();
-                response_result = sim.result.clone();
-            }
-            let metadata = ResultMetadata {
-                request_id: query.request_id.clone(),
-                address: address.display_name(),
-                result_hash,
-                nonce: query.nonce.clone(),
-                peer_id: peer.qualified_name(),
-                org_id: peer.org_id().to_string(),
-                ledger_height: peer.height(),
-                committed_block_plus_one: 0,
-                txid: String::new(),
+                Some((_, ref receipt)) => receipt,
+                None => {
+                    let reference = sim.result.clone();
+                    let receipt = Receipt::new(query, &proposal, sim.result, None)?;
+                    &first.insert((reference, receipt)).1
+                }
             };
-            let metadata_bytes = metadata.encode_to_vec();
-            let out = peer.endorse_with_plugin(&proposal, &metadata_bytes, &plugin)?;
-            attestations.push(Attestation {
-                signer_cert: encode_certificate(peer.identity().certificate()),
-                signature: out.signature.to_bytes(),
-                metadata: out.payload,
-                metadata_encrypted: out.payload_encrypted,
-            });
+            attestations.push(receipt.attest(&peer)?);
         }
-        Ok(QueryResponse {
-            request_id: query.request_id.clone(),
-            status: ResponseStatus::Ok,
-            error: String::new(),
-            result: response_result,
-            result_encrypted,
-            attestations,
-        })
+        let (_, receipt) = first.ok_or_else(|| {
+            InteropError::PolicyUnsatisfiable("policy names no organizations".into())
+        })?;
+        Ok(receipt.respond(attestations))
     }
 
     /// Cross-network *invocation* (the extension of paper §5/§7): endorse
@@ -235,53 +278,16 @@ impl FabricDriver {
             });
         }
         // Build the receipt attestations per the verification policy.
-        let plugin = if query.policy.confidential {
-            InteropEndorsement::confidential()
-        } else {
-            InteropEndorsement::plaintext()
-        };
-        let (response_result, result_encrypted, result_hash) = if query.policy.confidential {
-            let wrapped = EncryptedResult::from_bytes(&sim.result)
-                .map_err(|e| InteropError::InvalidResponse(e.to_string()))?;
-            (wrapped.ciphertext, true, wrapped.plaintext_hash.to_vec())
-        } else {
-            (sim.result.clone(), false, sha256(&sim.result).to_vec())
-        };
+        let receipt = Receipt::new(query, &proposal, sim.result, Some(block_number))?;
         let mut attestations = Vec::with_capacity(verification_orgs.len());
         for org in verification_orgs {
             let (_, peer) = self
                 .network
                 .available_peer(org)
                 .map_err(|e| InteropError::PolicyUnsatisfiable(e.to_string()))?;
-            let peer = peer.read();
-            let metadata = ResultMetadata {
-                request_id: query.request_id.clone(),
-                address: query.address.display_name(),
-                result_hash: result_hash.clone(),
-                nonce: query.nonce.clone(),
-                peer_id: peer.qualified_name(),
-                org_id: peer.org_id().to_string(),
-                ledger_height: peer.height(),
-                committed_block_plus_one: block_number + 1,
-                txid: proposal.txid.clone(),
-            };
-            let metadata_bytes = metadata.encode_to_vec();
-            let out = peer.endorse_with_plugin(&proposal, &metadata_bytes, &plugin)?;
-            attestations.push(Attestation {
-                signer_cert: encode_certificate(peer.identity().certificate()),
-                signature: out.signature.to_bytes(),
-                metadata: out.payload,
-                metadata_encrypted: out.payload_encrypted,
-            });
+            attestations.push(receipt.attest(&peer.read())?);
         }
-        Ok(QueryResponse {
-            request_id: query.request_id.clone(),
-            status: ResponseStatus::Ok,
-            error: String::new(),
-            result: response_result,
-            result_encrypted,
-            attestations,
-        })
+        Ok(receipt.respond(attestations))
     }
 
     fn validation_code_of(
@@ -460,6 +466,46 @@ mod tests {
         let query = signed_query(&client, "PO-1001", true);
         let response = driver.execute_query(&query).unwrap();
         assert_eq!(response.status, ResponseStatus::PolicyUnsatisfiable);
+    }
+
+    /// Answers every call with the name of the peer that ran it, so no two
+    /// peers agree.
+    struct WhoAmI;
+
+    impl tdt_fabric::chaincode::Chaincode for WhoAmI {
+        fn invoke(
+            &self,
+            ctx: &mut tdt_fabric::chaincode::TxContext<'_>,
+            _: &str,
+            _: &[Vec<u8>],
+        ) -> Result<Vec<u8>, ChaincodeError> {
+            Ok(ctx.peer().peer_id.clone().into_bytes())
+        }
+    }
+
+    #[test]
+    fn divergent_peer_results_rejected() {
+        let network = tdt_fabric::network::NetworkBuilder::new("div")
+            .org("org-a", 1)
+            .org("org-b", 1)
+            .chaincode(
+                "WhoAmI",
+                Arc::new(WhoAmI),
+                tdt_fabric::policy::EndorsementPolicy::all_of(["org-a", "org-b"]),
+            )
+            .build();
+        let client = network.register_client("org-a", "client", false).unwrap();
+        let mut query = signed_query(&client, "PO-1001", false);
+        query.address = NetworkAddress::new("div", "default-channel", "WhoAmI", "Get");
+        query.policy = VerificationPolicy::all_of_orgs(["org-a", "org-b"]);
+        query.auth.signature = client
+            .signing_key()
+            .sign(&query_auth_bytes(&query))
+            .to_bytes();
+        assert!(matches!(
+            FabricDriver::new(network).execute_query(&query),
+            Err(RelayError::DriverFailed(m)) if m.contains("div/org-b/peer0 disagrees")
+        ));
     }
 
     #[test]
