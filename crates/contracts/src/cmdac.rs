@@ -7,10 +7,9 @@
 //! * records foreign network configurations (org root certificates and peer
 //!   certificates) on the local ledger,
 //! * records verification policies per foreign network/contract/function,
-//! * validates proofs: authenticates each attestation's signer against the
-//!   recorded foreign configuration, verifies the signature over the
-//!   metadata, cross-checks metadata consistency (address, result hash,
-//!   nonce), and evaluates the verification policy over the signing orgs,
+//! * validates proofs through the shared rules of [`crate::foreign`]: each
+//!   signer against the recorded foreign configuration, then the
+//!   attestations against the proof and the verification policy,
 //! * tracks consumed nonces on the ledger to block replay attacks.
 //!
 //! # Functions
@@ -24,18 +23,14 @@
 //! | `GetVerificationPolicy` | `[network_id, contract, function]` | wire [`VerificationPolicy`] |
 //! | `ValidateProof` | `[network_id, expected_address, proof]` (wire [`Proof`]) | `"ok"` |
 
+use crate::foreign::{self, Decoded, Expected, Reason, Rejection};
 use std::sync::Arc;
-use tdt_crypto::cert::{CertRole, Certificate};
 use tdt_crypto::certcache::CertChainCache;
-use tdt_crypto::schnorr::VerifyingKey;
 use tdt_crypto::sha256::sha256;
-use tdt_crypto::CryptoError;
 use tdt_fabric::chaincode::{Chaincode, TxContext};
 use tdt_fabric::error::ChaincodeError;
 use tdt_wire::codec::Message;
-use tdt_wire::messages::{
-    decode_certificate, NetworkConfig, Proof, ResultMetadata, VerificationPolicy,
-};
+use tdt_wire::messages::{decode_certificate, NetworkConfig, Proof, VerificationPolicy};
 
 /// The CMDAC system contract.
 ///
@@ -93,41 +88,6 @@ impl Cmdac {
             .map_err(|e| ChaincodeError::Internal(format!("stored config corrupt: {e}")))
     }
 
-    /// Validates `cert` against the recorded configuration of `network_id`:
-    /// the claimed organization must exist there and the certificate must
-    /// chain to that organization's recorded root. Successful chain
-    /// validations are served from the cache within a config epoch, along
-    /// with the outcome of decoding the certified key (the inner result).
-    fn validate_cert_against_config(
-        &self,
-        config: &NetworkConfig,
-        cert: &Certificate,
-    ) -> Result<Result<VerifyingKey, CryptoError>, ChaincodeError> {
-        if cert.subject().network != config.network_id {
-            return Err(ChaincodeError::AccessDenied(format!(
-                "certificate network {:?} does not match config network {:?}",
-                cert.subject().network,
-                config.network_id
-            )));
-        }
-        let org = config
-            .orgs
-            .iter()
-            .find(|o| o.org_id == cert.subject().organization)
-            .ok_or_else(|| {
-                ChaincodeError::AccessDenied(format!(
-                    "organization {:?} not in recorded configuration of {:?}",
-                    cert.subject().organization,
-                    config.network_id
-                ))
-            })?;
-        let root = decode_certificate(&org.root_cert)
-            .map_err(|e| ChaincodeError::Internal(format!("stored root cert corrupt: {e}")))?;
-        self.cert_cache
-            .verified_key(cert, &root)
-            .map_err(|e| ChaincodeError::AccessDenied(format!("certificate invalid: {e}")))
-    }
-
     fn validate_proof(
         &self,
         ctx: &mut TxContext<'_>,
@@ -161,126 +121,34 @@ impl Cmdac {
                 proof.address, expected_address
             )));
         }
-        if proof.attestations.is_empty() {
-            return Err(ChaincodeError::BadRequest(
-                "proof has no attestations".into(),
-            ));
-        }
-
-        let result_hash = sha256(&proof.result);
-        let mut endorsing_orgs: Vec<String> = Vec::new();
-        let mut seen_peers: Vec<String> = Vec::new();
-        // Signature checks are deferred into one batch verification after
-        // the structural pass; each key rides with its cached fixed-base
-        // table (same epoch lifetime as the cert-chain cache).
-        let mut batch_keys = Vec::with_capacity(proof.attestations.len());
-        let mut batch_sigs = Vec::with_capacity(proof.attestations.len());
-        for (i, att) in proof.attestations.iter().enumerate() {
-            if att.metadata_encrypted {
-                return Err(ChaincodeError::BadRequest(format!(
-                    "attestation {i} metadata still encrypted; decrypt before submission"
-                )));
-            }
-            let cert = decode_certificate(&att.signer_cert).map_err(|e| {
-                ChaincodeError::BadRequest(format!("attestation {i} certificate malformed: {e}"))
-            })?;
-            // Authenticate the signer against the recorded source config.
-            let decoded = self.validate_cert_against_config(&config, &cert)?;
-            if cert.subject().role != CertRole::Peer {
-                return Err(ChaincodeError::AccessDenied(format!(
-                    "attestation {i} signer {:?} is not a peer",
-                    cert.subject().qualified_name()
-                )));
-            }
-            // The signer key comes decoded with the cached chain verdict;
-            // signature verification happens in the batch below.
-            let vk = decoded.map_err(|e| {
-                ChaincodeError::BadRequest(format!("attestation {i} key invalid: {e}"))
-            })?;
-            let signature =
-                tdt_crypto::schnorr::Signature::from_bytes(&att.signature).map_err(|e| {
-                    ChaincodeError::BadRequest(format!("attestation {i} signature malformed: {e}"))
-                })?;
-            let table = self.cert_cache.key_table(&vk);
-            batch_keys.push((vk, table));
-            batch_sigs.push(signature);
-            // Check metadata consistency with the proof envelope.
-            let metadata = ResultMetadata::decode_from_slice(&att.metadata).map_err(|e| {
-                ChaincodeError::BadRequest(format!("attestation {i} metadata malformed: {e}"))
-            })?;
-            if metadata.request_id != proof.request_id {
-                return Err(ChaincodeError::BadRequest(format!(
-                    "attestation {i} request id mismatch"
-                )));
-            }
-            if metadata.address != expected_address {
-                return Err(ChaincodeError::BadRequest(format!(
-                    "attestation {i} address {:?} does not match {:?}",
-                    metadata.address, expected_address
-                )));
-            }
-            if metadata.nonce != proof.nonce {
-                return Err(ChaincodeError::BadRequest(format!(
-                    "attestation {i} nonce mismatch"
-                )));
-            }
-            if metadata.result_hash != result_hash {
-                return Err(ChaincodeError::AccessDenied(format!(
-                    "attestation {i} result hash does not match the submitted result"
-                )));
-            }
-            if metadata.org_id != cert.subject().organization {
-                return Err(ChaincodeError::BadRequest(format!(
-                    "attestation {i} org id does not match signer certificate"
-                )));
-            }
-            let peer_name = cert.subject().qualified_name();
-            if seen_peers.contains(&peer_name) {
-                return Err(ChaincodeError::BadRequest(format!(
-                    "duplicate attestation from peer {peer_name:?}"
-                )));
-            }
-            seen_peers.push(peer_name);
-            if !endorsing_orgs.contains(&metadata.org_id) {
-                endorsing_orgs.push(metadata.org_id);
-            }
-        }
-        // One randomized batch verification over every attestation
-        // signature; on failure, bisection names the offending index.
-        let items: Vec<tdt_crypto::schnorr::BatchItem<'_>> = batch_keys
+        // Authenticate each signer against the recorded source config; its
+        // key comes decoded with the cached chain verdict and rides into
+        // the batch verification with its cached fixed-base table (same
+        // epoch lifetime as the cert-chain cache).
+        let attestations = proof
+            .attestations
             .iter()
-            .zip(&batch_sigs)
-            .zip(&proof.attestations)
-            .map(|(((vk, table), sig), att)| tdt_crypto::schnorr::BatchItem {
-                key: vk,
-                message: &att.metadata,
-                signature: sig,
-                table: Some(Arc::clone(table)),
+            .enumerate()
+            .map(|(i, att)| {
+                if att.metadata_encrypted {
+                    let reason = Reason::Malformed("metadata: still encrypted".into());
+                    return Err(Rejection::from(reason).at(i));
+                }
+                Decoded::new(att, att.metadata.as_slice(), |cert| {
+                    let key = foreign::verify_signer(&config, cert, &self.cert_cache)?;
+                    let table = self.cert_cache.key_table(&key);
+                    Ok((key, Some(table)))
+                })
+                .map_err(|r| r.at(i))
             })
-            .collect();
-        match tdt_crypto::schnorr::batch_verify(&items) {
-            Ok(()) => {}
-            Err(tdt_crypto::schnorr::BatchVerifyError::Invalid { index }) => {
-                return Err(ChaincodeError::AccessDenied(format!(
-                    "attestation {index} signature invalid"
-                )))
-            }
-            Err(tdt_crypto::schnorr::BatchVerifyError::GroupMismatch { index }) => {
-                return Err(ChaincodeError::AccessDenied(format!(
-                    "attestation {index} signer key uses a mismatched group"
-                )))
-            }
-            Err(tdt_crypto::schnorr::BatchVerifyError::Empty) => {
-                return Err(ChaincodeError::BadRequest(
-                    "proof has no attestations".into(),
-                ))
-            }
-        }
-        if !policy.expression.is_satisfied(&endorsing_orgs) {
-            return Err(ChaincodeError::AccessDenied(format!(
-                "verification policy not satisfied by orgs {endorsing_orgs:?}"
-            )));
-        }
+            .collect::<Result<Vec<_>, _>>()?;
+        let expected = Expected {
+            request_id: &proof.request_id,
+            address: expected_address,
+            nonce: &proof.nonce,
+            result_hash: sha256(&proof.result),
+        };
+        foreign::verify_attestations(&expected, &attestations, &policy.expression)?;
         // Replay protection: the nonce must be fresh, and consuming it is
         // part of this transaction's write set (paper §4.3).
         let nonce_key = Self::nonce_key(network_id, &proof.nonce);
@@ -291,6 +159,22 @@ impl Cmdac {
         }
         ctx.put_state(&nonce_key, proof.request_id.clone().into_bytes());
         Ok(())
+    }
+}
+
+/// The CMDAC's reading of a [`Rejection`]: undecodable or inconsistent
+/// input is a bad request, a corrupt stored root is internal, and every
+/// failed authentication is a denial.
+impl From<Rejection> for ChaincodeError {
+    fn from(rejection: Rejection) -> Self {
+        let message = rejection.to_string();
+        match rejection.reason {
+            Reason::Malformed(_) | Reason::Mismatch(_) | Reason::Duplicate(_) | Reason::Empty => {
+                ChaincodeError::BadRequest(message)
+            }
+            Reason::CorruptRoot(_) => ChaincodeError::Internal(message),
+            _ => ChaincodeError::AccessDenied(message),
+        }
     }
 }
 
@@ -348,9 +232,8 @@ impl Chaincode for Cmdac {
                 let config = Self::load_config(ctx, &network_id)?;
                 let cert = decode_certificate(cert_bytes)
                     .map_err(|e| ChaincodeError::BadRequest(format!("cert malformed: {e}")))?;
-                // The chain verdict alone; nothing here uses the key.
-                self.validate_cert_against_config(&config, &cert)
-                    .map(drop)?;
+                // Any role: the ECC authenticates foreign clients here.
+                foreign::verify_member(&config, &cert, &self.cert_cache)?;
                 Ok(b"ok".to_vec())
             }
             "SetVerificationPolicy" => {
@@ -417,7 +300,7 @@ mod tests {
     use tdt_fabric::msp::{Identity, Msp};
 
     use tdt_ledger::state::WorldState;
-    use tdt_wire::messages::{encode_certificate, Attestation, OrgConfig};
+    use tdt_wire::messages::{encode_certificate, Attestation, OrgConfig, ResultMetadata};
 
     struct Fixture {
         state: WorldState,

@@ -12,6 +12,8 @@
 //!   Chaincode**: records foreign network configurations (MSP roots, peer
 //!   certificates) and verification policies, validates attestation proofs
 //!   against them, and tracks nonces to block replays.
+//! * [`foreign`] — the rules every verifier of foreign-signed data shares:
+//!   who may sign for a recorded network, and what an attestation proves.
 //!
 //! Plus the two application chaincodes of the use case (§4.2):
 //!
@@ -26,6 +28,7 @@
 
 pub mod cmdac;
 pub mod ecc;
+pub mod foreign;
 pub mod stl;
 pub mod swt;
 

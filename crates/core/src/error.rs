@@ -105,6 +105,14 @@ impl From<tdt_wire::WireError> for InteropError {
     }
 }
 
+/// Foreign-signed data the client refuses is an invalid response, whatever
+/// the rule that refused it.
+impl From<tdt_contracts::foreign::Rejection> for InteropError {
+    fn from(rejection: tdt_contracts::foreign::Rejection) -> Self {
+        InteropError::InvalidResponse(rejection.to_string())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -9,6 +9,8 @@
 
 use crate::error::InteropError;
 use std::sync::Arc;
+use tdt_contracts::foreign;
+use tdt_crypto::certcache::CertChainCache;
 use tdt_fabric::network::FabricNetwork;
 use tdt_ledger::block::TxValidationCode;
 use tdt_relay::events::{EventSink, EventSource};
@@ -79,8 +81,9 @@ impl EventSource for FabricEventSource {
 }
 
 /// Verifies an event notice against a recorded source-network
-/// configuration: the signer must chain to one of the recorded org roots
-/// and the signature must cover the notice's canonical bytes.
+/// configuration: the signer must pass [`foreign::verify_signer`] (a peer
+/// chaining to a recorded org root, through `cache`) and the signature must
+/// cover the notice's canonical bytes.
 ///
 /// # Errors
 ///
@@ -88,6 +91,7 @@ impl EventSource for FabricEventSource {
 pub fn verify_event_notice(
     notice: &EventNotice,
     config: &NetworkConfig,
+    cache: &CertChainCache,
 ) -> Result<(), InteropError> {
     if notice.network_id != config.network_id {
         return Err(InteropError::InvalidResponse(format!(
@@ -97,23 +101,7 @@ pub fn verify_event_notice(
     }
     let cert = decode_certificate(&notice.signer_cert)
         .map_err(|e| InteropError::InvalidResponse(format!("notice cert: {e}")))?;
-    let org = config
-        .orgs
-        .iter()
-        .find(|o| o.org_id == cert.subject().organization)
-        .ok_or_else(|| {
-            InteropError::InvalidResponse(format!(
-                "signer org {:?} not in recorded configuration",
-                cert.subject().organization
-            ))
-        })?;
-    let root = decode_certificate(&org.root_cert)
-        .map_err(|e| InteropError::InvalidResponse(format!("recorded root: {e}")))?;
-    cert.verify(&root)
-        .map_err(|e| InteropError::InvalidResponse(format!("signer cert invalid: {e}")))?;
-    let vk = cert
-        .verifying_key()
-        .map_err(|e| InteropError::InvalidResponse(e.to_string()))?;
+    let vk = foreign::verify_signer(config, &cert, cache)?;
     let signature = tdt_crypto::schnorr::Signature::from_bytes(&notice.signature)
         .map_err(|e| InteropError::InvalidResponse(format!("notice signature: {e}")))?;
     vk.verify(&notice.signing_bytes(), &signature)
@@ -146,9 +134,10 @@ mod tests {
         let rx = subscribe(&t);
         issue_sample_bl(&t, "PO-77"); // commits 4 blocks on STL
         let stl_config = t.stl.network_config();
+        let cache = CertChainCache::new();
         let mut received = 0;
         while let Ok(notice) = rx.recv_timeout(Duration::from_secs(5)) {
-            verify_event_notice(&notice, &stl_config).unwrap();
+            verify_event_notice(&notice, &stl_config, &cache).unwrap();
             assert_eq!(notice.network_id, "stl");
             assert_eq!(notice.validation, vec![1]);
             received += 1;
@@ -166,14 +155,15 @@ mod tests {
         issue_sample_bl(&t, "PO-78");
         let notice = rx.recv_timeout(Duration::from_secs(5)).unwrap();
         let stl_config = t.stl.network_config();
+        let cache = CertChainCache::new();
         // Tamper with the block number: the signature no longer covers it.
         let mut forged = notice.clone();
         forged.block_number += 100;
-        assert!(verify_event_notice(&forged, &stl_config).is_err());
+        assert!(verify_event_notice(&forged, &stl_config, &cache).is_err());
         // A notice claiming another network fails too.
         let mut wrong_net = notice.clone();
         wrong_net.network_id = "other".into();
-        assert!(verify_event_notice(&wrong_net, &stl_config).is_err());
+        assert!(verify_event_notice(&wrong_net, &stl_config, &cache).is_err());
         // And a rogue signer outside the recorded config.
         let mut rogue_msp = tdt_fabric::msp::Msp::new(
             "stl",
@@ -185,7 +175,30 @@ mod tests {
         let mut rogue_notice = notice.clone();
         rogue_notice.signer_cert = tdt_wire::messages::encode_certificate(rogue.certificate());
         rogue_notice.signature = rogue.sign(&rogue_notice.signing_bytes()).to_bytes();
-        assert!(verify_event_notice(&rogue_notice, &stl_config).is_err());
+        assert!(verify_event_notice(&rogue_notice, &stl_config, &cache).is_err());
+    }
+
+    #[test]
+    fn notice_signed_by_a_client_rejected() {
+        let t = stl_swt_testbed();
+        let rx = subscribe(&t);
+        issue_sample_bl(&t, "PO-80");
+        let mut notice = rx.recv_timeout(Duration::from_secs(5)).unwrap();
+        // A recorded org's *client* announces a block that does not exist.
+        let gateway = t.stl_seller_gateway();
+        let client = gateway.identity();
+        notice.block_number += 100;
+        notice.signer_cert = tdt_wire::messages::encode_certificate(client.certificate());
+        notice.signature = client.sign(&notice.signing_bytes()).to_bytes();
+        let err = verify_event_notice(&notice, &t.stl.network_config(), &CertChainCache::new())
+            .unwrap_err();
+        let InteropError::InvalidResponse(message) = err else {
+            panic!("expected InvalidResponse, got {err:?}");
+        };
+        assert!(
+            message.contains("not a peer") && message.contains("Client"),
+            "{message}"
+        );
     }
 
     #[test]

@@ -29,16 +29,12 @@
 //!   deferred in §7).
 //! * [`corda_like`] — a second (notary-based) network driver, the
 //!   extensibility demonstration of §5.
-//! * [`block_proof`] — a second *proof scheme* (block-inclusion via
-//!   attested headers + Merkle paths), demonstrating §6's pluggable-proof
-//!   claim.
 //!
 //! # Quickstart
 //!
 //! See `examples/quickstart.rs` at the workspace root for a complete
 //! two-network data transfer.
 
-pub mod block_proof;
 pub mod client;
 pub mod config;
 pub mod corda_like;

@@ -5,13 +5,11 @@
 //! client-side check is an early filter, not the trust root).
 
 use crate::error::InteropError;
+use tdt_contracts::foreign::{self, Decoded, Expected, Reason};
 use tdt_crypto::elgamal::Ciphertext;
 use tdt_crypto::sha256::sha256;
 use tdt_fabric::msp::Identity;
-use tdt_wire::codec::Message;
-use tdt_wire::messages::{
-    decode_certificate, Attestation, Proof, Query, QueryResponse, ResponseStatus, ResultMetadata,
-};
+use tdt_wire::messages::{Attestation, Proof, Query, QueryResponse, ResponseStatus};
 
 /// Decrypts, verifies, and repackages a query response into a [`Proof`].
 ///
@@ -58,244 +56,93 @@ pub fn process_response(
     } else {
         response.result.clone()
     };
-    let result_hash = sha256(&result_plain);
-    let expected_address = query.address.display_name();
-
-    if response.attestations.is_empty() {
-        return Err(InteropError::InvalidResponse(
-            "response carries no attestations".into(),
-        ));
-    }
-    let verified = verify_attestations(identity, query, &expected_address, &result_hash, response)?;
-    let mut plain_attestations = Vec::with_capacity(response.attestations.len());
-    let mut endorsing_orgs: Vec<String> = Vec::new();
-    for (org_id, attestation) in verified {
-        if !endorsing_orgs.contains(&org_id) {
-            endorsing_orgs.push(org_id);
-        }
-        plain_attestations.push(attestation);
-    }
-    // Pre-check the verification policy locally.
-    if !query.policy.expression.is_satisfied(&endorsing_orgs) {
-        return Err(InteropError::InvalidResponse(format!(
-            "attesting orgs {endorsing_orgs:?} do not satisfy the verification policy"
-        )));
-    }
+    let address = query.address.display_name();
+    let expected = Expected {
+        request_id: &query.request_id,
+        address: &address,
+        nonce: &query.nonce,
+        result_hash: sha256(&result_plain),
+    };
+    let attestations = decode_attestations(identity, &response.attestations)?;
+    foreign::verify_attestations(&expected, &attestations, &query.policy.expression)?;
     Ok(Proof {
         request_id: query.request_id.clone(),
-        address: expected_address,
+        address,
         nonce: query.nonce.clone(),
         result: result_plain,
-        attestations: plain_attestations,
+        attestations: attestations
+            .into_iter()
+            .zip(&response.attestations)
+            .map(|(decoded, att)| Attestation {
+                signer_cert: att.signer_cert.clone(),
+                signature: att.signature.clone(),
+                metadata: decoded.bytes,
+                metadata_encrypted: false,
+            })
+            .collect(),
     })
 }
 
-/// One attestation after the cheap-per-item phase: decrypted, decoded, and
-/// consistency-checked, with its signature still unverified.
-struct PreparedAttestation {
-    org_id: String,
-    metadata_plain: Vec<u8>,
-    verifying_key: tdt_crypto::schnorr::VerifyingKey,
-    signature: tdt_crypto::schnorr::Signature,
-    repacked: Attestation,
-}
-
-/// Verifies every attestation in two phases: a parallel preparation pass
-/// (metadata decryption, certificate/signature decoding, consistency
-/// checks — the ElGamal decryption is the per-item hot spot) followed by a
-/// single randomized batch verification of all Schnorr signatures
-/// ([`tdt_crypto::schnorr::batch_verify`], which parallelizes its own
-/// multi-exponentiations and bisects to the offending index on failure).
+/// Decodes every attestation, decrypting its metadata when it is
+/// encrypted; the decryptions are the per-item hot spot, so the
+/// attestations are split into one contiguous run per core, the first run
+/// on the calling thread. Results come back in attestation order, so the
+/// error returned is the first one in that order whatever the scheduling.
 ///
-/// Preparation results come back in attestation order, so callers observe
-/// exactly the error the old sequential loop produced regardless of
-/// thread scheduling.
-fn verify_attestations(
+/// The client holds no root for the foreign network (the CMDAC does the
+/// authenticating), so each signer key is decoded from its certificate,
+/// at one Legendre symbol each, and verified table-less: the client is
+/// short-lived and sees varying endorser keys.
+fn decode_attestations(
     identity: &Identity,
-    query: &Query,
-    expected_address: &str,
-    result_hash: &[u8; 32],
-    response: &QueryResponse,
-) -> Result<Vec<(String, Attestation)>, InteropError> {
-    let n = response.attestations.len();
-    let workers = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-        .min(n);
-    let prepared: Vec<Result<PreparedAttestation, InteropError>> = if workers <= 1 {
-        response
-            .attestations
-            .iter()
-            .enumerate()
-            .map(|(i, att)| {
-                prepare_attestation(identity, query, expected_address, result_hash, i, att)
-            })
-            .collect()
-    } else {
-        let mut results: Vec<Option<Result<PreparedAttestation, InteropError>>> =
-            std::iter::repeat_with(|| None).take(n).collect();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    scope.spawn(move || {
-                        response
-                            .attestations
-                            .iter()
-                            .enumerate()
-                            .skip(w)
-                            .step_by(workers)
-                            .map(|(i, att)| {
-                                (
-                                    i,
-                                    prepare_attestation(
-                                        identity,
-                                        query,
-                                        expected_address,
-                                        result_hash,
-                                        i,
-                                        att,
-                                    ),
-                                )
-                            })
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            for handle in handles {
-                // A panicking preparation thread must not take the client
-                // down with it: leave its slots unfilled and fail them
-                // closed below.
-                if let Ok(items) = handle.join() {
-                    for (i, result) in items {
-                        if let Some(slot) = results.get_mut(i) {
-                            *slot = Some(result);
-                        }
-                    }
-                }
-            }
-        });
-        results
-            .into_iter()
-            .enumerate()
-            .map(|(i, slot)| {
-                slot.unwrap_or_else(|| {
-                    Err(InteropError::InvalidResponse(format!(
-                        "attestation {i} verification did not complete"
-                    )))
-                })
-            })
-            .collect()
-    };
-    let prepared: Vec<PreparedAttestation> = prepared.into_iter().collect::<Result<Vec<_>, _>>()?;
-
-    // Phase 2: one batch verification over all signatures. The client is
-    // short-lived and sees varying endorser keys, so no per-key tables
-    // here — the generator's fixed-base table and the fused multi-exp
-    // already carry the speedup.
-    let items: Vec<tdt_crypto::schnorr::BatchItem<'_>> = prepared
-        .iter()
-        .map(|p| tdt_crypto::schnorr::BatchItem {
-            key: &p.verifying_key,
-            message: &p.metadata_plain,
-            signature: &p.signature,
-            table: None,
+    attestations: &[Attestation],
+) -> Result<Vec<Decoded<Vec<u8>>>, InteropError> {
+    let decode = |i: usize, att: &Attestation| -> Result<Decoded<Vec<u8>>, InteropError> {
+        let plain = if att.metadata_encrypted {
+            let dk = identity
+                .decryption_key()
+                .ok_or(InteropError::MissingDecryptionKey)?;
+            let ct = Ciphertext::from_bytes(&att.metadata).map_err(|e| {
+                InteropError::InvalidResponse(format!("attestation {i} ciphertext: {e}"))
+            })?;
+            dk.decrypt(&ct).map_err(|e| {
+                InteropError::InvalidResponse(format!("attestation {i} decryption: {e}"))
+            })?
+        } else {
+            att.metadata.clone()
+        };
+        Decoded::new(att, plain, |cert| match cert.verifying_key() {
+            Ok(key) => Ok((key, None)),
+            Err(e) => Err(Reason::Malformed(format!("key: {e}")).into()),
         })
-        .collect();
-    match tdt_crypto::schnorr::batch_verify(&items) {
-        Ok(()) => {}
-        Err(tdt_crypto::schnorr::BatchVerifyError::Invalid { index }) => {
-            return Err(InteropError::InvalidResponse(format!(
-                "attestation {index} signature invalid"
-            )))
-        }
-        Err(tdt_crypto::schnorr::BatchVerifyError::GroupMismatch { index }) => {
-            return Err(InteropError::InvalidResponse(format!(
-                "attestation {index} signer key uses a mismatched group"
-            )))
-        }
-        Err(tdt_crypto::schnorr::BatchVerifyError::Empty) => {
-            return Err(InteropError::InvalidResponse(
-                "response carries no attestations".into(),
-            ))
-        }
-    }
-    Ok(prepared
-        .into_iter()
-        .map(|p| (p.org_id, p.repacked))
-        .collect())
-}
-
-/// Prepares one attestation: decrypt metadata if needed, decode the
-/// signer's certificate/key/signature, and check the metadata answers this
-/// query about this result. Signature verification itself is deferred to
-/// the batch pass.
-fn prepare_attestation(
-    identity: &Identity,
-    query: &Query,
-    expected_address: &str,
-    result_hash: &[u8; 32],
-    i: usize,
-    att: &Attestation,
-) -> Result<PreparedAttestation, InteropError> {
-    // Decrypt the metadata when necessary.
-    let metadata_plain = if att.metadata_encrypted {
-        let dk = identity
-            .decryption_key()
-            .ok_or(InteropError::MissingDecryptionKey)?;
-        let ct = Ciphertext::from_bytes(&att.metadata).map_err(|e| {
-            InteropError::InvalidResponse(format!("attestation {i} ciphertext: {e}"))
-        })?;
-        dk.decrypt(&ct).map_err(|e| {
-            InteropError::InvalidResponse(format!("attestation {i} decryption: {e}"))
-        })?
-    } else {
-        att.metadata.clone()
+        .map_err(|r| r.at(i).into())
     };
-    let cert = decode_certificate(&att.signer_cert)
-        .map_err(|e| InteropError::InvalidResponse(format!("attestation {i} cert: {e}")))?;
-    // The client holds no root for the foreign network (the CMDAC does the
-    // authenticating), so there is no verified-chain entry to take the key
-    // from: it is decoded here, which costs one Legendre symbol.
-    let vk = cert
-        .verifying_key()
-        .map_err(|e| InteropError::InvalidResponse(format!("attestation {i} key: {e}")))?;
-    let signature = tdt_crypto::schnorr::Signature::from_bytes(&att.signature)
-        .map_err(|e| InteropError::InvalidResponse(format!("attestation {i} sig: {e}")))?;
-    // Check the metadata answers *this* query, about *this* result.
-    let metadata = ResultMetadata::decode_from_slice(&metadata_plain)
-        .map_err(|e| InteropError::InvalidResponse(format!("attestation {i} metadata: {e}")))?;
-    if metadata.request_id != query.request_id {
-        return Err(InteropError::InvalidResponse(format!(
-            "attestation {i} answers a different request"
-        )));
-    }
-    if metadata.address != expected_address {
-        return Err(InteropError::InvalidResponse(format!(
-            "attestation {i} covers address {:?}, expected {expected_address:?}",
-            metadata.address
-        )));
-    }
-    if metadata.nonce != query.nonce {
-        return Err(InteropError::InvalidResponse(format!(
-            "attestation {i} nonce mismatch"
-        )));
-    }
-    if metadata.result_hash != *result_hash {
-        return Err(InteropError::InvalidResponse(format!(
-            "attestation {i} attests a different result"
-        )));
-    }
-    Ok(PreparedAttestation {
-        org_id: metadata.org_id,
-        repacked: Attestation {
-            signer_cert: att.signer_cert.clone(),
-            signature: att.signature.clone(),
-            metadata: metadata_plain.clone(),
-            metadata_encrypted: false,
-        },
-        metadata_plain,
-        verifying_key: vk,
-        signature,
+    let workers = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
+    let run = attestations.len().div_ceil(workers).max(1);
+    let decode_run = |r: usize, atts: &[Attestation]| -> Vec<_> {
+        let first = r * run;
+        atts.iter()
+            .enumerate()
+            .map(|(j, att)| decode(first + j, att))
+            .collect()
+    };
+    let mut runs = attestations.chunks(run).enumerate();
+    let first = runs.next();
+    std::thread::scope(|scope| {
+        let spawned: Vec<_> = runs
+            .map(|(r, atts)| scope.spawn(move || decode_run(r, atts)))
+            .collect();
+        let mut decoded = first.map_or_else(Vec::new, |(r, atts)| decode_run(r, atts));
+        for handle in spawned {
+            // A panicking decoder must not take the client down with it:
+            // its run fails closed instead.
+            decoded.extend(handle.join().unwrap_or_else(|_| {
+                vec![Err(InteropError::InvalidResponse(
+                    "attestation decoding did not complete".into(),
+                ))]
+            }));
+        }
+        decoded.into_iter().collect()
     })
 }
 
@@ -306,7 +153,8 @@ mod tests {
     use crate::setup::{issue_sample_bl, stl_swt_testbed, Testbed};
     use std::sync::Arc;
     use tdt_relay::driver::NetworkDriver;
-    use tdt_wire::messages::{AuthInfo, NetworkAddress, VerificationPolicy};
+    use tdt_wire::codec::Message;
+    use tdt_wire::messages::{AuthInfo, NetworkAddress, ResultMetadata, VerificationPolicy};
 
     struct Fixture {
         testbed: Testbed,
@@ -404,6 +252,51 @@ mod tests {
         response.attestations.truncate(1);
         let err = process_response(&f.testbed.swt_seller_client, &query, &response).unwrap_err();
         assert!(matches!(err, InteropError::InvalidResponse(m) if m.contains("policy")));
+    }
+
+    #[test]
+    fn duplicated_attestation_rejected() {
+        let f = fixture();
+        let (query, mut response) = query_and_response(&f);
+        let copy = response.attestations[0].clone();
+        response.attestations.push(copy);
+        let err = process_response(&f.testbed.swt_seller_client, &query, &response).unwrap_err();
+        assert!(
+            matches!(&err, InteropError::InvalidResponse(m) if m.contains("duplicate")),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn attestation_claiming_another_org_rejected() {
+        let f = fixture();
+        let (query, mut response) = query_and_response(&f);
+        // A seller-org peer signs metadata that claims carrier-org, in
+        // place of the carrier's own attestation.
+        let proof = process_response(&f.testbed.swt_seller_client, &query, &response).unwrap();
+        let (index, metadata) = proof
+            .attestations
+            .iter()
+            .map(|a| ResultMetadata::decode_from_slice(&a.metadata).unwrap())
+            .enumerate()
+            .find(|(_, md)| md.org_id == "carrier-org")
+            .unwrap();
+        let (_, seller_peer) = f.testbed.stl.available_peer("seller-org").unwrap();
+        let seller_peer = seller_peer.read();
+        let bytes = metadata.encode_to_vec();
+        response.attestations[index] = Attestation {
+            signer_cert: tdt_wire::messages::encode_certificate(
+                seller_peer.identity().certificate(),
+            ),
+            signature: seller_peer.identity().sign(&bytes).to_bytes(),
+            metadata: bytes,
+            metadata_encrypted: false,
+        };
+        let err = process_response(&f.testbed.swt_seller_client, &query, &response).unwrap_err();
+        assert!(
+            matches!(&err, InteropError::InvalidResponse(m) if m.contains("org id")),
+            "{err}"
+        );
     }
 
     #[test]

@@ -27,15 +27,6 @@ pub enum LedgerError {
     BlockNotFound(u64),
     /// A requested transaction id does not exist.
     TxNotFound(String),
-    /// A Merkle proof failed verification.
-    InvalidMerkleProof,
-    /// A Merkle proof was requested for an out-of-range leaf.
-    LeafOutOfRange {
-        /// The requested leaf index.
-        index: usize,
-        /// How many leaves the tree has.
-        leaves: usize,
-    },
     /// A transaction id was already indexed (first write wins; the
     /// existing mapping is authoritative).
     DuplicateTxId(String),
@@ -63,10 +54,6 @@ impl fmt::Display for LedgerError {
             }
             LedgerError::BlockNotFound(n) => write!(f, "block {n} not found"),
             LedgerError::TxNotFound(id) => write!(f, "transaction {id:?} not found"),
-            LedgerError::InvalidMerkleProof => write!(f, "merkle proof verification failed"),
-            LedgerError::LeafOutOfRange { index, leaves } => {
-                write!(f, "leaf index {index} out of range for {leaves} leaves")
-            }
             LedgerError::DuplicateTxId(id) => {
                 write!(
                     f,
@@ -95,11 +82,6 @@ mod tests {
             LedgerError::DataHashMismatch { block: 2 },
             LedgerError::BlockNotFound(9),
             LedgerError::TxNotFound("tx".into()),
-            LedgerError::InvalidMerkleProof,
-            LedgerError::LeafOutOfRange {
-                index: 5,
-                leaves: 2,
-            },
         ];
         for e in errs {
             assert!(!e.to_string().is_empty());

@@ -4,7 +4,7 @@
 //! this workspace is built on.
 //!
 //! * [`block`] — hash-chained blocks with Merkle data hashes.
-//! * [`merkle`] — binary Merkle trees with inclusion proofs.
+//! * [`merkle`] — the binary Merkle root behind each block's data hash.
 //! * [`rwset`] — transaction read/write sets (the unit of Fabric-style
 //!   execute-order-validate processing).
 //! * [`state`] — a versioned key-value world state with MVCC validation.

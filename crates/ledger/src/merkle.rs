@@ -1,11 +1,9 @@
-//! Binary Merkle trees with inclusion proofs.
+//! Binary Merkle roots.
 //!
-//! Block data hashes are Merkle roots over the block's transactions, so a
-//! light verifier can check that a transaction is included in a block
-//! without the full payload. Leaves and interior nodes are domain-separated
-//! to prevent second-preimage splicing attacks.
+//! A block's data hash is the Merkle root over its transactions. Leaves and
+//! interior nodes are domain-separated to prevent second-preimage splicing
+//! attacks.
 
-use crate::error::LedgerError;
 use tdt_crypto::sha256::sha256_concat;
 
 /// A 32-byte Merkle node hash.
@@ -43,112 +41,9 @@ pub fn merkle_root<T: AsRef<[u8]>>(leaves: &[T]) -> Hash {
     level.first().copied().unwrap_or([0u8; 32])
 }
 
-/// One step of a Merkle inclusion proof.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ProofStep {
-    /// Sibling hash to combine with.
-    pub sibling: Hash,
-    /// True if the sibling is on the right of the running hash.
-    pub sibling_on_right: bool,
-}
-
-/// A Merkle inclusion proof for one leaf.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct MerkleProof {
-    steps: Vec<ProofStep>,
-}
-
-impl MerkleProof {
-    /// Reconstructs a proof from its steps (e.g. after wire transfer).
-    pub fn from_steps(steps: Vec<ProofStep>) -> Self {
-        MerkleProof { steps }
-    }
-
-    /// The proof's path steps, leaf-side first.
-    pub fn steps(&self) -> &[ProofStep] {
-        &self.steps
-    }
-
-    /// The number of hashes in the proof path.
-    pub fn len(&self) -> usize {
-        self.steps.len()
-    }
-
-    /// True for a single-leaf tree's (empty) proof.
-    pub fn is_empty(&self) -> bool {
-        self.steps.is_empty()
-    }
-
-    /// Verifies that `leaf_data` is included under `root`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LedgerError::InvalidMerkleProof`] when the recomputed root
-    /// differs.
-    pub fn verify(&self, leaf_data: &[u8], root: &Hash) -> Result<(), LedgerError> {
-        let mut running = leaf_hash(leaf_data);
-        for step in &self.steps {
-            running = if step.sibling_on_right {
-                node_hash(&running, &step.sibling)
-            } else {
-                node_hash(&step.sibling, &running)
-            };
-        }
-        if &running == root {
-            Ok(())
-        } else {
-            Err(LedgerError::InvalidMerkleProof)
-        }
-    }
-}
-
-/// Builds an inclusion proof for `leaves[index]`.
-///
-/// # Errors
-///
-/// Returns [`LedgerError::LeafOutOfRange`] if `index` is out of bounds.
-pub fn merkle_proof<T: AsRef<[u8]>>(
-    leaves: &[T],
-    index: usize,
-) -> Result<MerkleProof, LedgerError> {
-    if index >= leaves.len() {
-        return Err(LedgerError::LeafOutOfRange {
-            index,
-            leaves: leaves.len(),
-        });
-    }
-    let mut level: Vec<Hash> = leaves.iter().map(|l| leaf_hash(l.as_ref())).collect();
-    let mut idx = index;
-    let mut steps = Vec::new();
-    while level.len() > 1 {
-        let sibling_idx = if idx.is_multiple_of(2) {
-            idx + 1
-        } else {
-            idx - 1
-        };
-        if let Some(sibling) = level.get(sibling_idx) {
-            steps.push(ProofStep {
-                sibling: *sibling,
-                sibling_on_right: sibling_idx > idx,
-            });
-        }
-        let mut next = Vec::with_capacity(level.len().div_ceil(2));
-        for pair in level.chunks(2) {
-            match pair {
-                [l, r] => next.push(node_hash(l, r)),
-                _ => next.extend(pair.first().copied()),
-            }
-        }
-        idx /= 2;
-        level = next;
-    }
-    Ok(MerkleProof { steps })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
 
     #[test]
     fn empty_tree_root_is_zero() {
@@ -160,9 +55,6 @@ mod tests {
     fn single_leaf_root_is_leaf_hash() {
         let root = merkle_root(&[b"tx0"]);
         assert_eq!(root, leaf_hash(b"tx0"));
-        let proof = merkle_proof(&[b"tx0"], 0).unwrap();
-        assert!(proof.is_empty());
-        assert!(proof.verify(b"tx0", &root).is_ok());
     }
 
     #[test]
@@ -170,53 +62,6 @@ mod tests {
         let a = merkle_root(&[b"t0".as_slice(), b"t1", b"t2"]);
         let b = merkle_root(&[b"t0".as_slice(), b"tX", b"t2"]);
         assert_ne!(a, b);
-    }
-
-    #[test]
-    fn proofs_verify_for_all_leaves() {
-        for n in 1..=17usize {
-            let leaves: Vec<Vec<u8>> = (0..n).map(|i| format!("tx-{i}").into_bytes()).collect();
-            let root = merkle_root(&leaves);
-            for (i, leaf) in leaves.iter().enumerate() {
-                let proof = merkle_proof(&leaves, i).unwrap();
-                proof
-                    .verify(leaf, &root)
-                    .unwrap_or_else(|_| panic!("leaf {i} of {n} failed"));
-            }
-        }
-    }
-
-    #[test]
-    fn proof_rejects_wrong_leaf() {
-        let leaves = [b"a".to_vec(), b"b".to_vec(), b"c".to_vec(), b"d".to_vec()];
-        let root = merkle_root(&leaves);
-        let proof = merkle_proof(&leaves, 1).unwrap();
-        assert_eq!(
-            proof.verify(b"not-b", &root),
-            Err(LedgerError::InvalidMerkleProof)
-        );
-    }
-
-    #[test]
-    fn proof_rejects_wrong_root() {
-        let leaves = [b"a".to_vec(), b"b".to_vec()];
-        let proof = merkle_proof(&leaves, 0).unwrap();
-        assert_eq!(
-            proof.verify(b"a", &[9u8; 32]),
-            Err(LedgerError::InvalidMerkleProof)
-        );
-    }
-
-    #[test]
-    fn out_of_range_leaf() {
-        let leaves = [b"a".to_vec()];
-        assert_eq!(
-            merkle_proof(&leaves, 1).unwrap_err(),
-            LedgerError::LeafOutOfRange {
-                index: 1,
-                leaves: 1
-            }
-        );
     }
 
     #[test]
@@ -229,18 +74,5 @@ mod tests {
         spliced.extend_from_slice(&h1);
         spliced.extend_from_slice(&h2);
         assert_ne!(leaf_hash(&spliced), node_hash(&h1, &h2));
-    }
-
-    proptest! {
-        #[test]
-        fn prop_all_proofs_verify(
-            leaves in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..20), 1..32),
-            seed in any::<usize>(),
-        ) {
-            let idx = seed % leaves.len();
-            let root = merkle_root(&leaves);
-            let proof = merkle_proof(&leaves, idx).unwrap();
-            prop_assert!(proof.verify(&leaves[idx], &root).is_ok());
-        }
     }
 }

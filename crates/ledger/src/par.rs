@@ -16,7 +16,7 @@ use tdt_obs::TraceContext;
 const MIN_BYTES_PER_WORKER: usize = 64 * 1024;
 
 /// How many workers `bytes` bytes of input are worth on this machine: one
-/// per [`MIN_BYTES_PER_WORKER`], at most one per available core.
+/// per `MIN_BYTES_PER_WORKER` (64 KiB), at most one per available core.
 pub fn workers_for(bytes: usize) -> usize {
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
     cores.min(bytes / MIN_BYTES_PER_WORKER).max(1)

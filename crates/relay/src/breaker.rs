@@ -24,7 +24,6 @@
 //! circuit; any probe failure re-opens it and restarts the cooldown.
 
 use crate::error::RelayError;
-use crate::retry::RetryPolicy;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -327,8 +326,8 @@ impl CircuitBreaker {
     /// admission, runs `send`, and hands the admission back with the
     /// outcome, so a half-open probe is always settled by the request that
     /// carried it. Terminal errors and admission sheds mean the endpoint
-    /// answered — only the transient faults of
-    /// [`RetryPolicy::counts_against_breaker`] count against its health.
+    /// answered — only the errors of [`RelayError::blames_endpoint`] count
+    /// against its health, the same rule a relay group settles by.
     ///
     /// # Errors
     ///
@@ -347,7 +346,7 @@ impl CircuitBreaker {
         let outcome = send();
         let healthy = match &outcome {
             Ok(_) => true,
-            Err(error) => !RetryPolicy::counts_against_breaker(error),
+            Err(error) => !error.blames_endpoint(),
         };
         self.record_outcome(endpoint, admission, healthy);
         outcome

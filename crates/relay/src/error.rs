@@ -66,6 +66,53 @@ impl fmt::Display for RelayError {
     }
 }
 
+impl RelayError {
+    /// Whether this is a transient fault worth retrying on the same
+    /// endpoint.
+    ///
+    /// Transport failures, pooled connections that died mid-request (the
+    /// next attempt dials a fresh stream), downed relays, and shed
+    /// (rate-limited or admission-shed) requests may heal on their own.
+    /// Anything the remote actually decided — protocol errors, unknown
+    /// networks or drivers, malformed frames — will fail identically on
+    /// every attempt.
+    pub fn is_transient(&self) -> bool {
+        matches!(
+            self,
+            RelayError::TransportFailed(_)
+                | RelayError::StaleConnection(_)
+                | RelayError::RelayDown(_)
+                | RelayError::RateLimited
+                | RelayError::Overloaded(_)
+        )
+    }
+
+    /// Whether a relay group should fail over to another member: every
+    /// transient fault, an open circuit, an exhausted deadline, and a
+    /// [`RelayError::Wire`] decode failure — *this* member returned a reply
+    /// that does not parse, a path-integrity fault another member may not
+    /// share. Errors the remote side decided fail identically everywhere
+    /// and surface immediately.
+    pub fn is_failover(&self) -> bool {
+        self.is_transient()
+            || matches!(
+                self,
+                RelayError::CircuitOpen(_) | RelayError::DeadlineExceeded(_) | RelayError::Wire(_)
+            )
+    }
+
+    /// Whether this error counts against the endpoint's health in a
+    /// circuit breaker: every failover error except an admission shed.
+    ///
+    /// A shed ([`RelayError::Overloaded`]) is an *answer* from a live
+    /// endpoint protecting its queue: worth retrying (ideally elsewhere),
+    /// but tripping the breaker on it would turn a transient load spike
+    /// into minutes of self-inflicted unavailability.
+    pub fn blames_endpoint(&self) -> bool {
+        self.is_failover() && !matches!(self, RelayError::Overloaded(_))
+    }
+}
+
 impl Error for RelayError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
@@ -104,6 +151,52 @@ mod tests {
         ];
         for e in errs {
             assert!(!e.to_string().is_empty());
+        }
+    }
+
+    #[test]
+    fn every_variant_is_classified_once() {
+        // (error, transient, failover, blames the endpoint)
+        let table = [
+            (RelayError::DiscoveryFailed("x".into()), false, false, false),
+            (RelayError::TransportFailed("x".into()), true, true, true),
+            (RelayError::StaleConnection("x".into()), true, true, true),
+            (RelayError::RateLimited, true, true, true),
+            (RelayError::RelayDown("r".into()), true, true, true),
+            (RelayError::NoDriver("n".into()), false, false, false),
+            (RelayError::DriverFailed("d".into()), false, false, false),
+            (RelayError::Remote("m".into()), false, false, false),
+            (
+                RelayError::Wire(WireError::UnexpectedEof),
+                false,
+                true,
+                true,
+            ),
+            (RelayError::CircuitOpen("e".into()), false, true, true),
+            (RelayError::DeadlineExceeded("t".into()), false, true, true),
+            (RelayError::InvalidConfig("c".into()), false, false, false),
+            (RelayError::Overloaded("q".into()), true, true, false),
+        ];
+        for (error, transient, failover, blames) in table {
+            // A new variant must be added to the table above.
+            match error {
+                RelayError::DiscoveryFailed(_)
+                | RelayError::TransportFailed(_)
+                | RelayError::StaleConnection(_)
+                | RelayError::RateLimited
+                | RelayError::RelayDown(_)
+                | RelayError::NoDriver(_)
+                | RelayError::DriverFailed(_)
+                | RelayError::Remote(_)
+                | RelayError::Wire(_)
+                | RelayError::CircuitOpen(_)
+                | RelayError::DeadlineExceeded(_)
+                | RelayError::InvalidConfig(_)
+                | RelayError::Overloaded(_) => {}
+            }
+            assert_eq!(error.is_transient(), transient, "{error:?} transient");
+            assert_eq!(error.is_failover(), failover, "{error:?} failover");
+            assert_eq!(error.blames_endpoint(), blames, "{error:?} blames");
         }
     }
 

@@ -204,26 +204,6 @@ impl RelayGroup {
         self.degraded_queries.load(Ordering::Relaxed)
     }
 
-    /// Whether a relay-local error should trigger failover to another
-    /// member. Errors the *remote* side decided (protocol, unknown
-    /// network/driver) fail identically everywhere and surface
-    /// immediately. A [`RelayError::Wire`] decode failure means *this*
-    /// member returned a reply that does not parse — a path-integrity
-    /// fault another member may not share — so it fails over too.
-    fn is_failover(error: &RelayError) -> bool {
-        matches!(
-            error,
-            RelayError::RelayDown(_)
-                | RelayError::RateLimited
-                | RelayError::TransportFailed(_)
-                | RelayError::StaleConnection(_)
-                | RelayError::CircuitOpen(_)
-                | RelayError::DeadlineExceeded(_)
-                | RelayError::Wire(_)
-                | RelayError::Overloaded(_)
-        )
-    }
-
     /// Candidate order for one query: rotation for fairness, then a
     /// stable sort by health bucket so degraded members are tried last
     /// while equally healthy members preserve round-robin order.
@@ -250,33 +230,21 @@ impl RelayGroup {
         let Some(member) = self.members.get(index) else {
             return;
         };
-        let id = member.relay.id();
-        match outcome {
-            Ok(_) => {
-                member.record(true);
-                self.breaker.record_outcome(id, admission, true);
-            }
-            // An admission shed is a fast answer from a live member
-            // protecting its queue: fail over (and bias selection away
-            // via the health EWMA), but do NOT count it against the
-            // member's circuit — with hedging, one overloaded member
-            // would otherwise land its sheds in its peers' failure
-            // windows faster than real traffic could amortize them,
-            // tripping circuits on relays that are merely busy.
-            Err(RelayError::Overloaded(_)) => {
-                member.record(false);
-                self.breaker.record_outcome(id, admission, true);
-            }
-            Err(e) if Self::is_failover(e) => {
-                member.record(false);
-                self.breaker.record_outcome(id, admission, false);
-            }
-            // Terminal errors mean the member is alive and answering.
-            Err(_) => {
-                member.record(true);
-                self.breaker.record_outcome(id, admission, true);
-            }
-        }
+        // A failover error counts against the member's health EWMA, so
+        // selection biases away from it; terminal errors mean the member is
+        // alive and answering. An admission shed fails over but does NOT
+        // count against the member's circuit
+        // (`RelayError::blames_endpoint`): with hedging, one overloaded
+        // member would otherwise land its sheds in its peers' failure
+        // windows faster than real traffic could amortize them, tripping
+        // circuits on relays that are merely busy.
+        let (live, healthy) = match outcome {
+            Ok(_) => (true, true),
+            Err(e) => (!e.is_failover(), !e.blames_endpoint()),
+        };
+        member.record(live);
+        self.breaker
+            .record_outcome(member.relay.id(), admission, healthy);
     }
 
     /// Relays a query under the group's configured deadline (if any),
@@ -358,7 +326,7 @@ impl RelayGroup {
             self.record_outcome(index, admission, &outcome);
             match outcome {
                 Ok(response) => return Ok(response),
-                Err(e) if Self::is_failover(&e) => last_err = Some(e),
+                Err(e) if e.is_failover() => last_err = Some(e),
                 Err(terminal) => return Err(terminal),
             }
         }
@@ -384,7 +352,7 @@ impl RelayGroup {
                 self.record_outcome(index, Admission::default(), &outcome);
                 match outcome {
                     Ok(response) => return Ok(response),
-                    Err(e) if Self::is_failover(&e) => last_err = Some(e),
+                    Err(e) if e.is_failover() => last_err = Some(e),
                     Err(terminal) => return Err(terminal),
                 }
             }
@@ -542,7 +510,7 @@ impl RelayGroup {
                     self.record_outcome(index, admission, &outcome);
                     match outcome {
                         Ok(response) => return Ok(response),
-                        Err(e) if Self::is_failover(&e) => {
+                        Err(e) if e.is_failover() => {
                             outstanding -= 1;
                             last_err = Some(e);
                             launch(

@@ -61,35 +61,6 @@ impl RetryPolicy {
         RetryPolicy::new(max_retries, Duration::ZERO, Duration::ZERO, 0.0)
     }
 
-    /// Whether `error` is a transient fault worth retrying.
-    ///
-    /// Transport failures, pooled connections that died mid-request (the
-    /// next attempt dials a fresh stream), downed relays, and shed
-    /// (rate-limited) requests may heal on their own. Anything the remote
-    /// actually decided — protocol errors, unknown networks or drivers,
-    /// malformed frames — will fail identically on every attempt.
-    pub fn is_retryable(error: &RelayError) -> bool {
-        matches!(
-            error,
-            RelayError::TransportFailed(_)
-                | RelayError::StaleConnection(_)
-                | RelayError::RelayDown(_)
-                | RelayError::RateLimited
-                | RelayError::Overloaded(_)
-        )
-    }
-
-    /// Whether a retryable `error` should count against the endpoint's
-    /// circuit-breaker health.
-    ///
-    /// An admission shed ([`RelayError::Overloaded`]) is an *answer*
-    /// from a live endpoint protecting its queue: worth retrying
-    /// (ideally elsewhere), but tripping the breaker on it would turn a
-    /// transient load spike into minutes of self-inflicted unavailability.
-    pub fn counts_against_breaker(error: &RelayError) -> bool {
-        Self::is_retryable(error) && !matches!(error, RelayError::Overloaded(_))
-    }
-
     /// The backoff before retry number `attempt` (0-based), jittered.
     pub fn backoff_delay(&self, attempt: u32) -> Duration {
         let doubled = self
@@ -195,9 +166,7 @@ impl RetryingTransport {
             };
             match outcome {
                 Ok(reply) => return Ok(reply),
-                Err(error)
-                    if RetryPolicy::is_retryable(&error) && attempt < self.policy.max_retries =>
-                {
+                Err(error) if error.is_transient() && attempt < self.policy.max_retries => {
                     let delay = self.policy.backoff_delay(attempt);
                     self.retries.fetch_add(1, Ordering::Relaxed);
                     span.event("retry.attempt");
@@ -433,33 +402,29 @@ mod tests {
 
     #[test]
     fn retryability_classification() {
-        assert!(RetryPolicy::is_retryable(&RelayError::TransportFailed(
-            "x".into()
-        )));
-        assert!(RetryPolicy::is_retryable(&RelayError::StaleConnection(
-            "conn closed".into()
-        )));
-        assert!(RetryPolicy::is_retryable(&RelayError::RelayDown(
-            "r".into()
-        )));
-        assert!(RetryPolicy::is_retryable(&RelayError::RateLimited));
-        assert!(RetryPolicy::is_retryable(&RelayError::Overloaded(
-            "queue full".into()
-        )));
-        assert!(!RetryPolicy::is_retryable(&RelayError::Remote("x".into())));
-        assert!(!RetryPolicy::is_retryable(&RelayError::DiscoveryFailed(
-            "x".into()
-        )));
-        assert!(!RetryPolicy::is_retryable(&RelayError::Wire(
-            tdt_wire::error::WireError::UnexpectedEof
-        )));
+        for e in [
+            RelayError::TransportFailed("x".into()),
+            RelayError::StaleConnection("conn closed".into()),
+            RelayError::RelayDown("r".into()),
+            RelayError::RateLimited,
+            RelayError::Overloaded("queue full".into()),
+        ] {
+            assert!(e.is_transient(), "{e:?}");
+        }
+        for e in [
+            RelayError::Remote("x".into()),
+            RelayError::DiscoveryFailed("x".into()),
+            RelayError::Wire(tdt_wire::error::WireError::UnexpectedEof),
+        ] {
+            assert!(!e.is_transient(), "{e:?}");
+        }
     }
 
     #[test]
     fn sheds_are_retryable_but_not_breaker_failures() {
         let shed = RelayError::Overloaded("queue full".into());
-        assert!(RetryPolicy::is_retryable(&shed));
-        assert!(!RetryPolicy::counts_against_breaker(&shed));
+        assert!(shed.is_transient());
+        assert!(!shed.blames_endpoint());
         // Genuine transient faults still count against the endpoint.
         for e in [
             RelayError::TransportFailed("x".into()),
@@ -467,11 +432,9 @@ mod tests {
             RelayError::RelayDown("r".into()),
             RelayError::RateLimited,
         ] {
-            assert!(RetryPolicy::counts_against_breaker(&e));
+            assert!(e.blames_endpoint());
         }
         // Terminal errors never did.
-        assert!(!RetryPolicy::counts_against_breaker(&RelayError::Remote(
-            "x".into()
-        )));
+        assert!(!RelayError::Remote("x".into()).blames_endpoint());
     }
 }

@@ -267,7 +267,7 @@ impl Drop for PooledConn {
 /// Requires a correlation-aware server ([`TcpRelayServer`]); a peer that
 /// does not echo correlation ids will only produce orphaned replies.
 /// Dead connections surface as [`RelayError::StaleConnection`] (retryable
-/// — see [`crate::retry::RetryPolicy::is_retryable`]) and are replaced by
+/// — see [`RelayError::is_transient`]) and are replaced by
 /// a fresh dial on the next request.
 pub struct PooledTcpTransport {
     max_frame: usize,
@@ -1199,7 +1199,6 @@ fn dispatcher_loop(jobs: &Receiver<ServerJob>, handler: &dyn EnvelopeHandler) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::retry::RetryPolicy;
     use std::time::Instant;
     use tdt_wire::messages::EnvelopeKind;
 
@@ -1436,7 +1435,7 @@ mod tests {
                       // (TransportFailed) — both classified transient for retry.
         let err = transport.send(&endpoint, &request(b"after")).unwrap_err();
         assert!(
-            RetryPolicy::is_retryable(&err),
+            err.is_transient(),
             "dead pooled connection must be retryable, got {err:?}"
         );
         // Whichever way the death was noticed, a checkout after the reader

@@ -659,60 +659,6 @@ impl EventNotice {
     }
 }
 
-message! {
-    /// One peer's signature over a block header (used by [`BlockProof`]).
-    #[derive(Debug, Clone, PartialEq, Default)]
-    pub struct HeaderSig {
-        /// Wire-encoded certificate of the signing peer.
-        1 bytes signer_cert: Vec<u8>,
-        /// Signature over the domain-separated header hash.
-        2 bytes signature: Vec<u8>,
-    }
-}
-
-message! {
-    /// One step of a Merkle inclusion path (sibling hash + side).
-    #[derive(Debug, Clone, PartialEq, Default)]
-    pub struct MerkleStep {
-        /// The sibling node hash.
-        1 bytes sibling: Vec<u8>,
-        /// True when the sibling sits to the right of the running hash.
-        2 bool sibling_on_right: bool,
-    }
-}
-
-message! {
-    /// An *alternative proof scheme* (paper §6: "the architecture allows any
-    /// suitable proof scheme to be plugged in"): instead of per-result
-    /// attestations, prove that a specific transaction is *included in a
-    /// committed block* — peer signatures over the block header plus a Merkle
-    /// inclusion path from the transaction to the header's data hash.
-    #[derive(Debug, Clone, PartialEq, Default)]
-    pub struct BlockProof {
-        /// Source network id.
-        1 string network_id: String,
-        /// Block number, plus one (zero means unset).
-        2 u64 block_number_plus_one: u64,
-        /// The header's previous-block hash.
-        3 bytes prev_hash: Vec<u8>,
-        /// The header's transaction Merkle root.
-        4 bytes data_hash: Vec<u8>,
-        /// Peer signatures over the header hash.
-        5 repeated_messages header_sigs: Vec<HeaderSig>,
-        /// The full transaction payload being proven.
-        6 bytes tx_bytes: Vec<u8>,
-        /// Merkle path from the transaction to `data_hash`.
-        7 repeated_messages merkle_steps: Vec<MerkleStep>,
-    }
-}
-
-impl BlockProof {
-    /// The proven block number.
-    pub fn block_number(&self) -> Option<u64> {
-        self.block_number_plus_one.checked_sub(1)
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Certificate <-> wire conversion
 // ---------------------------------------------------------------------------

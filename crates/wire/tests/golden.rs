@@ -187,38 +187,6 @@ fn notice() -> EventNotice {
     }
 }
 
-fn header_sig(seed: u8) -> HeaderSig {
-    HeaderSig {
-        signer_cert: vec![seed, 1],
-        signature: vec![seed, 2],
-    }
-}
-
-fn merkle_step() -> MerkleStep {
-    MerkleStep {
-        sibling: vec![6; 4],
-        sibling_on_right: true,
-    }
-}
-
-fn block_proof() -> BlockProof {
-    BlockProof {
-        network_id: "stl".into(),
-        block_number_plus_one: 5,
-        prev_hash: vec![1; 4],
-        data_hash: vec![2; 4],
-        header_sigs: vec![header_sig(1), header_sig(2)],
-        tx_bytes: b"tx".to_vec(),
-        merkle_steps: vec![
-            merkle_step(),
-            MerkleStep {
-                sibling: vec![7],
-                sibling_on_right: false,
-            },
-        ],
-    }
-}
-
 /// One test per message, named after it: `name: fixture => encoding,
 /// prefix digest;`.
 macro_rules! golden {
@@ -293,14 +261,4 @@ golden! {
     event_notice: super::notice() =>
         "0a057375622d31120373746c182a220474782d61220474782d622a0201003201093a0108",
         "eeeb8a39869bcb3d45a773de842ae2fbaa8babfd63bcd065d3585ab41a527dd4";
-    header_sig: super::header_sig(1) =>
-        "0a02010112020102",
-        "b8be0de764e6cc7900e7186175227d68904158daaf5add22038b2ac959e1f945";
-    merkle_step: super::merkle_step() =>
-        "0a04060606061001",
-        "d61d993c696273ee302791b9cc0f20ec7a1e7ba3c8faa7d7585af3ba992519e4";
-    block_proof: super::block_proof() =>
-        "0a0373746c10051a04010101012204020202022a080a020101120201022a080a0202011202020232\
-         0274783a080a040606060610013a030a0107",
-        "57f29efd8f77d76d1a887ef4c211cf61377747c13848c2e1fac6cb0614c54515";
 }

@@ -18,11 +18,8 @@ const SNAPSHOT: &str = include_str!("wire.snapshot");
 const TABLES: &[(&str, &[FieldDesc])] = &[
     ("Attestation", Attestation::FIELDS),
     ("AuthInfo", AuthInfo::FIELDS),
-    ("BlockProof", BlockProof::FIELDS),
     ("EventNotice", EventNotice::FIELDS),
     ("EventSubscribeRequest", EventSubscribeRequest::FIELDS),
-    ("HeaderSig", HeaderSig::FIELDS),
-    ("MerkleStep", MerkleStep::FIELDS),
     ("NetworkAddress", NetworkAddress::FIELDS),
     ("NetworkConfig", NetworkConfig::FIELDS),
     ("OrgConfig", OrgConfig::FIELDS),

@@ -6,6 +6,7 @@
 
 use std::sync::Arc;
 use std::time::Duration;
+use tdt::crypto::certcache::CertChainCache;
 use tdt::interop::events::{verify_event_notice, FabricEventSource};
 use tdt::interop::setup::{issue_sample_bl, stl_swt_testbed};
 use tdt::interop::InteropClient;
@@ -31,9 +32,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("driving STL shipment activity for PO-1001...");
     issue_sample_bl(&t, "PO-1001");
     let stl_config = t.stl.network_config();
+    let cache = CertChainCache::new();
     for _ in 0..4 {
         let notice = events.recv_timeout(Duration::from_secs(5))?;
-        verify_event_notice(&notice, &stl_config)?;
+        verify_event_notice(&notice, &stl_config, &cache)?;
         println!(
             "  event: STL block {} ({} tx, attested by a recorded STL peer)",
             notice.block_number,

@@ -4,6 +4,7 @@
 
 use std::sync::Arc;
 use std::time::Duration;
+use tdt::crypto::certcache::CertChainCache;
 use tdt::interop::events::{verify_event_notice, FabricEventSource};
 use tdt::interop::setup::{issue_sample_bl, stl_swt_testbed, Testbed};
 use tdt::interop::{InteropClient, InteropError};
@@ -145,10 +146,11 @@ fn event_subscription_across_networks() {
     // Drive STL activity; the SWT side observes attested block events.
     issue_sample_bl(&t, "PO-555");
     let stl_config = t.stl.network_config();
+    let cache = CertChainCache::new();
     let mut blocks = Vec::new();
     for _ in 0..4 {
         let notice = rx.recv_timeout(Duration::from_secs(5)).unwrap();
-        verify_event_notice(&notice, &stl_config).unwrap();
+        verify_event_notice(&notice, &stl_config, &cache).unwrap();
         blocks.push(notice.block_number);
     }
     // Four consecutive blocks (the testbed's init transactions already

@@ -5,14 +5,18 @@
 //!
 //! Keys, signature nonces and the metadata encryption are all seeded, so the
 //! sizes are exact. A change that moves one changes the proof format or the
-//! size of a signature, certificate or ciphertext.
+//! size of a signature, certificate or ciphertext. Each plaintext proof
+//! passes the shared attestation rule under an all-of policy over its orgs
+//! before it is measured, so what is pinned is the size of a proof that
+//! verifies.
 
+use tdt::contracts::foreign::{verify_attestations, Decoded, Expected, Reason};
 use tdt::crypto::cert::CertRole;
 use tdt::crypto::group::Group;
 use tdt::crypto::sha256::sha256;
 use tdt::fabric::msp::{Identity, Msp};
 use tdt::wire::codec::Message;
-use tdt::wire::messages::{encode_certificate, Attestation, Proof, ResultMetadata};
+use tdt::wire::messages::{encode_certificate, Attestation, PolicyNode, Proof, ResultMetadata};
 
 const RESULT: &[u8] = b"a bill of lading sized payload: 600 tulip bulbs, carrier X, PO-1001";
 
@@ -105,6 +109,30 @@ impl SyntheticSource {
     }
 }
 
+/// Runs a plaintext `proof` through the attestation rule under an all-of
+/// policy over `source`'s orgs.
+fn assert_verifies(source: &SyntheticSource, proof: &Proof) {
+    let decoded: Vec<Decoded<&[u8]>> = proof
+        .attestations
+        .iter()
+        .map(|att| {
+            Decoded::new(att, att.metadata.as_slice(), |cert| {
+                let key = cert.verifying_key();
+                Ok((key.map_err(|e| Reason::Malformed(e.to_string()))?, None))
+            })
+            .unwrap()
+        })
+        .collect();
+    let expected = Expected {
+        request_id: &proof.request_id,
+        address: &proof.address,
+        nonce: &proof.nonce,
+        result_hash: sha256(&proof.result),
+    };
+    let policy = PolicyNode::all_of(source.peers.iter().map(|(org, _)| org.clone()));
+    verify_attestations(&expected, &decoded, &policy).unwrap();
+}
+
 #[test]
 fn proof_size_per_policy_size_is_pinned() {
     let measured: Vec<(usize, usize, usize)> = SIZES
@@ -112,10 +140,11 @@ fn proof_size_per_policy_size_is_pinned() {
         .map(|&(n, _, _)| {
             let source = SyntheticSource::new(n);
             let size = |encrypt| {
-                source
-                    .generate_proof(RESULT, &[1; 16], encrypt)
-                    .encode_to_vec()
-                    .len()
+                let proof = source.generate_proof(RESULT, &[1; 16], encrypt);
+                if !encrypt {
+                    assert_verifies(&source, &proof);
+                }
+                proof.encode_to_vec().len()
             };
             (n, size(false), size(true))
         })
