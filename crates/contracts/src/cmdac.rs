@@ -192,11 +192,6 @@ impl Chaincode for Cmdac {
                         "RecordForeignConfig expects [config]".into(),
                     ));
                 };
-                if ctx.is_relay_query() {
-                    return Err(ChaincodeError::AccessDenied(
-                        "foreign requesters cannot modify configuration".into(),
-                    ));
-                }
                 let config = NetworkConfig::decode_from_slice(config_bytes)
                     .map_err(|e| ChaincodeError::BadRequest(format!("config malformed: {e}")))?;
                 if config.network_id.is_empty() {
@@ -243,11 +238,6 @@ impl Chaincode for Cmdac {
                             .into(),
                     ));
                 };
-                if ctx.is_relay_query() {
-                    return Err(ChaincodeError::AccessDenied(
-                        "foreign requesters cannot modify policies".into(),
-                    ));
-                }
                 // Validate the policy parses before recording it.
                 VerificationPolicy::decode_from_slice(policy_bytes)
                     .map_err(|e| ChaincodeError::BadRequest(format!("policy malformed: {e}")))?;
@@ -353,6 +343,7 @@ mod tests {
         };
         let mut registry = ChaincodeRegistry::new();
         registry.deploy("CMDAC", Arc::new(Cmdac::new()));
+        registry.deploy(crate::ECC_NAME, Arc::new(crate::ecc::Ecc::new()));
         Fixture {
             state: WorldState::new(),
             registry,
@@ -709,12 +700,16 @@ mod tests {
             ledger_height: 1,
         };
         let mut ctx = TxContext::new(&f.state, &f.registry, &proposal, peer);
-        let err = Cmdac::new()
-            .invoke(
-                &mut ctx,
-                "RecordForeignConfig",
-                &[f.source_config.encode_to_vec()],
-            )
+        // The gate runs first, as on a peer.
+        let err = ctx
+            .admit()
+            .and_then(|()| {
+                Cmdac::new().invoke(
+                    &mut ctx,
+                    "RecordForeignConfig",
+                    &[f.source_config.encode_to_vec()],
+                )
+            })
             .unwrap_err();
         assert!(matches!(err, ChaincodeError::AccessDenied(_)));
     }

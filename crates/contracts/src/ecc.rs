@@ -10,7 +10,7 @@
 //!
 //! The ECC also performs the response encryption step of §4.3: after query
 //! execution, the result is encrypted with the requesting client's public
-//! key so that relays can neither read nor tamper with it.
+//! key so that relays can neither read nor tamper with it (`seal`).
 //!
 //! # Functions
 //!
@@ -23,6 +23,11 @@
 //! | `ListAccessRules` | `[]` | newline-separated rules |
 //! | `CheckAccess` | `[network, org, chaincode, function, cert]` | `"ok"` |
 //! | `EncryptResponse` | `[cert, plaintext]` | ElGamal ciphertext bytes |
+//! | `AdmitRelayProposal` | `[chaincode, function]` | `""` |
+//!
+//! Every endorsing peer passes a relay proposal to `AdmitRelayProposal`
+//! before any contract code runs: `CheckAccess` on the requester for an
+//! application function, a fixed allow-list for a system one.
 //!
 //! # Subject granularity (paper §3.3)
 //!
@@ -40,10 +45,62 @@
 //! `CheckAccess` matches most-specific first: entity, then organization,
 //! then network-wide, each with exact-function before wildcard-function.
 
+use crate::{CMDAC_NAME, ECC_NAME};
 use tdt_crypto::sha256::sha256;
-use tdt_fabric::chaincode::{Chaincode, TxContext};
+use tdt_fabric::chaincode::{Chaincode, TxContext, RELAY_GATE_FN};
 use tdt_fabric::error::ChaincodeError;
 use tdt_wire::messages::decode_certificate;
+
+/// Transient key carrying the requester's wire-encoded certificate.
+pub const TRANSIENT_CERT: &str = "requester-cert";
+/// Transient key carrying the requester's network id.
+pub const TRANSIENT_NETWORK: &str = "requester-network";
+/// Transient key carrying the requester's organization id.
+pub const TRANSIENT_ORG: &str = "requester-org";
+
+/// The system functions a relay proposal may reach. Every other ECC and
+/// CMDAC function is never remote, whatever the rules say.
+const REMOTE_SYSTEM_FUNCTIONS: [(&str, &str); 2] = [
+    // Answers whether a certificate holds a rule for one function; it
+    // authenticates the certificate first and lists no rule.
+    (ECC_NAME, "CheckAccess"),
+    // Data acceptance: checks a proof against the recorded configuration
+    // and policy, the same check the CMDAC runs for any submitter.
+    (CMDAC_NAME, "ValidateProof"),
+];
+
+/// Seals a function's result for its requester: returned as it is to a
+/// local proposal, passed through `EncryptResponse` under a relay proposal
+/// so that only the foreign client can read it.
+///
+/// # Errors
+///
+/// [`ChaincodeError::BadRequest`] when a relay proposal carries no usable
+/// requester certificate.
+pub(crate) fn seal(ctx: &mut TxContext<'_>, result: Vec<u8>) -> Result<Vec<u8>, ChaincodeError> {
+    if !ctx.is_relay_query() {
+        return Ok(result);
+    }
+    let cert = requester(ctx, TRANSIENT_CERT)?;
+    ctx.invoke_chaincode(ECC_NAME, "EncryptResponse", &[cert, result])
+}
+
+/// One of the requester fields a relay proposal carries as transient data.
+fn requester(ctx: &TxContext<'_>, key: &str) -> Result<Vec<u8>, ChaincodeError> {
+    ctx.transient(key)
+        .map(<[u8]>::to_vec)
+        .ok_or_else(|| ChaincodeError::BadRequest(format!("missing {key}")))
+}
+
+/// Decodes exactly `N` UTF-8 arguments, refusing any other shape.
+fn text_args<const N: usize>(args: &[Vec<u8>], shape: &str) -> Result<[String; N], ChaincodeError> {
+    let bad = || ChaincodeError::BadRequest(format!("expected {shape} as utf-8"));
+    let texts = args
+        .iter()
+        .map(|arg| String::from_utf8(arg.clone()).map_err(|_| bad()))
+        .collect::<Result<Vec<_>, _>>()?;
+    texts.try_into().map_err(|_| bad())
+}
 
 /// The output of `EncryptResponse`: the ciphertext a relay may carry plus a
 /// commitment to the plaintext. The endorsement plugin copies the
@@ -111,6 +168,26 @@ impl Ecc {
         format!("erule:{network}:{org}:{common_name}:{chaincode}:{function}")
     }
 
+    /// The ledger key of the rule `args` name, every field non-empty
+    /// UTF-8: `[network, org, chaincode, function]`, with `common_name`
+    /// after `org` for an entity rule.
+    fn rule_key_of(args: &[Vec<u8>], entity: bool) -> Result<String, ChaincodeError> {
+        if args.iter().any(Vec::is_empty) {
+            return Err(ChaincodeError::BadRequest(
+                "rule fields must be non-empty".into(),
+            ));
+        }
+        Ok(if entity {
+            let [network, org, common_name, chaincode, func] =
+                text_args(args, "[network, org, common_name, chaincode, function]")?;
+            Self::entity_rule_key(&network, &org, &common_name, &chaincode, &func)
+        } else {
+            let [network, org, chaincode, func] =
+                text_args(args, "[network, org, chaincode, function]")?;
+            Self::rule_key(&network, &org, &chaincode, &func)
+        })
+    }
+
     /// Looks up exposure rules most-specific first (paper §3.3 subject
     /// granularities): entity, organization, then network-wide, each with
     /// exact function before the `*` wildcard.
@@ -138,20 +215,56 @@ impl Ecc {
             .any(|key| ctx.get_state(key).is_some())
     }
 
-    fn parse_rule_args(
-        args: &[Vec<u8>],
-    ) -> Result<(String, String, String, String), ChaincodeError> {
-        let [network, org, chaincode, function] = args else {
-            return Err(ChaincodeError::BadRequest(
-                "expected [network, org, chaincode, function]".into(),
-            ));
-        };
-        Ok((
-            String::from_utf8_lossy(network).into_owned(),
-            String::from_utf8_lossy(org).into_owned(),
-            String::from_utf8_lossy(chaincode).into_owned(),
-            String::from_utf8_lossy(function).into_owned(),
-        ))
+    /// `CheckAccess`: the certificate names the claimed network and org,
+    /// chains to that network's recorded configuration, and holds a rule.
+    fn check_access(
+        ctx: &mut TxContext<'_>,
+        [network, org, chaincode, func]: &[String; 4],
+        cert_bytes: &[u8],
+    ) -> Result<(), ChaincodeError> {
+        // The certificate must actually belong to the claimed foreign
+        // network + organization...
+        let cert = decode_certificate(cert_bytes)
+            .map_err(|e| ChaincodeError::BadRequest(format!("cert malformed: {e}")))?;
+        if cert.subject().network != *network || cert.subject().organization != *org {
+            return Err(ChaincodeError::AccessDenied(format!(
+                "certificate subject {:?} does not match claimed {network}/{org}",
+                cert.subject().qualified_name()
+            )));
+        }
+        // ...and chain to the recorded configuration of that network
+        // (managed by the CMDAC, paper §4.3).
+        ctx.invoke_chaincode(
+            CMDAC_NAME,
+            "ValidateForeignCert",
+            &[network.clone().into_bytes(), cert_bytes.to_vec()],
+        )?;
+        // Finally, an exposure rule must exist at some granularity.
+        let common_name = &cert.subject().common_name;
+        if !Self::rule_exists(ctx, network, org, common_name, chaincode, func) {
+            return Err(ChaincodeError::AccessDenied(format!(
+                "no exposure rule for <{network}, {org}, {chaincode}, {func}> (any granularity)"
+            )));
+        }
+        Ok(())
+    }
+
+    /// The relay gate: a system function passes only the allow-list, an
+    /// application function only `CheckAccess` on the proposal's requester.
+    fn admit(ctx: &mut TxContext<'_>, args: &[Vec<u8>]) -> Result<(), ChaincodeError> {
+        let [chaincode, function] = text_args(args, "[chaincode, function]")?;
+        if chaincode == ECC_NAME || chaincode == CMDAC_NAME {
+            if REMOTE_SYSTEM_FUNCTIONS.contains(&(chaincode.as_str(), function.as_str())) {
+                return Ok(());
+            }
+            return Err(ChaincodeError::AccessDenied(format!(
+                "{chaincode} {function} is not exposed to foreign requesters"
+            )));
+        }
+        let [network, org, cert] =
+            [TRANSIENT_NETWORK, TRANSIENT_ORG, TRANSIENT_CERT].map(|key| requester(ctx, key));
+        let [network, org] = text_args(&[network?, org?], "requester network and org")?;
+        Self::check_access(ctx, &[network, org, chaincode, function], &cert?)
     }
 }
 
@@ -163,83 +276,14 @@ impl Chaincode for Ecc {
         args: &[Vec<u8>],
     ) -> Result<Vec<u8>, ChaincodeError> {
         match function {
-            "AddAccessRule" => {
-                if ctx.is_relay_query() {
-                    return Err(ChaincodeError::AccessDenied(
-                        "foreign requesters cannot modify exposure rules".into(),
-                    ));
-                }
-                let (network, org, chaincode, func) = Self::parse_rule_args(args)?;
-                if network.is_empty() || org.is_empty() || chaincode.is_empty() || func.is_empty() {
-                    return Err(ChaincodeError::BadRequest(
-                        "rule fields must be non-empty".into(),
-                    ));
-                }
-                ctx.put_state(
-                    &Self::rule_key(&network, &org, &chaincode, &func),
-                    b"allow".to_vec(),
-                );
+            "AddAccessRule" | "AddEntityAccessRule" => {
+                let key = Self::rule_key_of(args, function == "AddEntityAccessRule")?;
+                ctx.put_state(&key, b"allow".to_vec());
                 Ok(Vec::new())
             }
-            "RemoveAccessRule" => {
-                if ctx.is_relay_query() {
-                    return Err(ChaincodeError::AccessDenied(
-                        "foreign requesters cannot modify exposure rules".into(),
-                    ));
-                }
-                let (network, org, chaincode, func) = Self::parse_rule_args(args)?;
-                ctx.delete_state(&Self::rule_key(&network, &org, &chaincode, &func));
-                Ok(Vec::new())
-            }
-            "AddEntityAccessRule" => {
-                if ctx.is_relay_query() {
-                    return Err(ChaincodeError::AccessDenied(
-                        "foreign requesters cannot modify exposure rules".into(),
-                    ));
-                }
-                let [network, org, common_name, chaincode, func] = args else {
-                    return Err(ChaincodeError::BadRequest(
-                        "expected [network, org, common_name, chaincode, function]".into(),
-                    ));
-                };
-                let [network, org, common_name, chaincode, func] =
-                    [network, org, common_name, chaincode, func]
-                        .map(|a| String::from_utf8_lossy(a).into_owned());
-                if [&network, &org, &common_name, &chaincode, &func]
-                    .iter()
-                    .any(|f| f.is_empty())
-                {
-                    return Err(ChaincodeError::BadRequest(
-                        "rule fields must be non-empty".into(),
-                    ));
-                }
-                ctx.put_state(
-                    &Self::entity_rule_key(&network, &org, &common_name, &chaincode, &func),
-                    b"allow".to_vec(),
-                );
-                Ok(Vec::new())
-            }
-            "RemoveEntityAccessRule" => {
-                if ctx.is_relay_query() {
-                    return Err(ChaincodeError::AccessDenied(
-                        "foreign requesters cannot modify exposure rules".into(),
-                    ));
-                }
-                let [network, org, common_name, chaincode, func] = args else {
-                    return Err(ChaincodeError::BadRequest(
-                        "expected [network, org, common_name, chaincode, function]".into(),
-                    ));
-                };
-                let [network, org, common_name, chaincode, func] =
-                    [network, org, common_name, chaincode, func]
-                        .map(|a| String::from_utf8_lossy(a).into_owned());
-                ctx.delete_state(&Self::entity_rule_key(
-                    &network,
-                    &org,
-                    &common_name,
-                    &chaincode,
-                    &func,
-                ));
+            "RemoveAccessRule" | "RemoveEntityAccessRule" => {
+                let key = Self::rule_key_of(args, function == "RemoveEntityAccessRule")?;
+                ctx.delete_state(&key);
                 Ok(Vec::new())
             }
             "ListAccessRules" => {
@@ -256,39 +300,11 @@ impl Chaincode for Ecc {
                 Ok(listing.join("\n").into_bytes())
             }
             "CheckAccess" => {
-                let [network, org, chaincode, func, cert_bytes] = args else {
-                    return Err(ChaincodeError::BadRequest(
-                        "CheckAccess expects [network, org, chaincode, function, cert]".into(),
-                    ));
-                };
-                let network = String::from_utf8_lossy(network).into_owned();
-                let org = String::from_utf8_lossy(org).into_owned();
-                let chaincode = String::from_utf8_lossy(chaincode).into_owned();
-                let func = String::from_utf8_lossy(func).into_owned();
-                // The certificate must actually belong to the claimed
-                // foreign network + organization...
-                let cert = decode_certificate(cert_bytes)
-                    .map_err(|e| ChaincodeError::BadRequest(format!("cert malformed: {e}")))?;
-                if cert.subject().network != network || cert.subject().organization != org {
-                    return Err(ChaincodeError::AccessDenied(format!(
-                        "certificate subject {:?} does not match claimed {network}/{org}",
-                        cert.subject().qualified_name()
-                    )));
-                }
-                // ...and chain to the recorded configuration of that network
-                // (managed by the CMDAC, paper §4.3).
-                ctx.invoke_chaincode(
-                    crate::CMDAC_NAME,
-                    "ValidateForeignCert",
-                    &[network.clone().into_bytes(), cert_bytes.clone()],
-                )?;
-                // Finally, an exposure rule must exist at some granularity.
-                let common_name = cert.subject().common_name.clone();
-                if !Self::rule_exists(ctx, &network, &org, &common_name, &chaincode, &func) {
-                    return Err(ChaincodeError::AccessDenied(format!(
-                        "no exposure rule for <{network}, {org}, {chaincode}, {func}> (any granularity)"
-                    )));
-                }
+                let shape = "[network, org, chaincode, function, cert]";
+                let (cert, names) = args.split_last().ok_or_else(|| {
+                    ChaincodeError::BadRequest(format!("CheckAccess expects {shape}"))
+                })?;
+                Self::check_access(ctx, &text_args(names, shape)?, cert)?;
                 Ok(b"ok".to_vec())
             }
             "EncryptResponse" => {
@@ -318,6 +334,7 @@ impl Chaincode for Ecc {
                 };
                 Ok(wrapped.to_bytes())
             }
+            RELAY_GATE_FN => Self::admit(ctx, args).map(|()| Vec::new()),
             other => Err(ChaincodeError::UnknownFunction(other.to_string())),
         }
     }
@@ -397,7 +414,10 @@ mod tests {
         };
         let mut ctx = TxContext::new(&f.state, &f.registry, &proposal, peer);
         let code = f.registry.get(chaincode).unwrap();
-        let result = code.invoke(&mut ctx, function, &args);
+        // A relay proposal passes the gate first, as on a peer.
+        let result = ctx
+            .admit()
+            .and_then(|()| code.invoke(&mut ctx, function, &args));
         let rwset = ctx.into_rwset();
         if result.is_ok() {
             f.state.apply(&rwset, tdt_ledger::rwset::Version::new(1, 0));
@@ -536,6 +556,73 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, ChaincodeError::AccessDenied(_)));
+    }
+
+    #[test]
+    fn gate_admits_only_the_system_allow_list() {
+        // No transients, no rules: a system function passes or fails on
+        // the allow-list alone.
+        let mut f = fixture();
+        let gate = |f: &mut Fixture, cc: &str, func: &str| {
+            let target = vec![cc.as_bytes().to_vec(), func.as_bytes().to_vec()];
+            invoke_cc(f, "ECC", RELAY_GATE_FN, target, false)
+        };
+        assert!(gate(&mut f, "ECC", "CheckAccess").is_ok());
+        assert!(gate(&mut f, "CMDAC", "ValidateProof").is_ok());
+        for (cc, func) in [
+            ("ECC", "ListAccessRules"),
+            ("ECC", "EncryptResponse"),
+            ("ECC", RELAY_GATE_FN),
+            ("CMDAC", "GetForeignConfig"),
+            ("CMDAC", "ValidateForeignCert"),
+            ("CMDAC", "GetVerificationPolicy"),
+        ] {
+            let err = gate(&mut f, cc, func).unwrap_err();
+            assert!(
+                matches!(err, ChaincodeError::AccessDenied(_)),
+                "{cc} {func}"
+            );
+        }
+        // An application function needs the requester's transients.
+        let err = gate(&mut f, "TradeLensCC", "GetShipment").unwrap_err();
+        assert!(matches!(err, ChaincodeError::BadRequest(_)), "{err:?}");
+    }
+
+    #[test]
+    fn rule_and_check_arguments_must_be_utf8() {
+        let mut f = fixture();
+        let err = invoke_cc(
+            &mut f,
+            "ECC",
+            "AddAccessRule",
+            vec![
+                b"swt".to_vec(),
+                b"org\xff".to_vec(),
+                b"c".to_vec(),
+                b"f".to_vec(),
+            ],
+            false,
+        )
+        .unwrap_err();
+        assert!(matches!(err, ChaincodeError::BadRequest(_)), "{err:?}");
+        let listing = invoke_cc(&mut f, "ECC", "ListAccessRules", vec![], false).unwrap();
+        assert!(listing.is_empty(), "{listing:?}");
+        let cert = encode_certificate(f.foreign_client.certificate());
+        let err = invoke_cc(
+            &mut f,
+            "ECC",
+            "CheckAccess",
+            vec![
+                b"swt".to_vec(),
+                b"org\xff".to_vec(),
+                b"c".to_vec(),
+                b"f".to_vec(),
+                cert,
+            ],
+            false,
+        )
+        .unwrap_err();
+        assert!(matches!(err, ChaincodeError::BadRequest(_)), "{err:?}");
     }
 
     #[test]
@@ -703,7 +790,7 @@ mod tests {
             "ECC",
             "EncryptResponse",
             vec![cert, b"bill of lading".to_vec()],
-            true,
+            false,
         )
         .unwrap();
         let wrapped = EncryptedResult::from_bytes(&wrapped_bytes).unwrap();
@@ -737,7 +824,7 @@ mod tests {
             "ECC",
             "EncryptResponse",
             vec![cert.clone(), b"data".to_vec()],
-            true,
+            false,
         )
         .unwrap();
         let b = invoke_cc(
@@ -745,7 +832,7 @@ mod tests {
             "ECC",
             "EncryptResponse",
             vec![cert, b"data".to_vec()],
-            true,
+            false,
         )
         .unwrap();
         assert_eq!(a, b);
@@ -761,7 +848,7 @@ mod tests {
             "ECC",
             "EncryptResponse",
             vec![encode_certificate(no_enc.certificate()), b"x".to_vec()],
-            true,
+            false,
         )
         .unwrap_err();
         assert!(matches!(err, ChaincodeError::BadRequest(_)));
@@ -800,7 +887,7 @@ mod tests {
                 "ECC",
                 "EncryptResponse",
                 vec![encode_certificate(&cert), b"x".to_vec()],
-                true,
+                false,
             )
             .unwrap_err();
             // (An empty key is "no key" on the wire: refused all the same.)

@@ -6,8 +6,9 @@
 //! every peer of each interoperating network:
 //!
 //! * [`ecc`] — the **Exposure Control Chaincode**: consensual access-control
-//!   rules `<network, org, chaincode, function>` checked on every relay
-//!   query, plus response encryption with the requester's public key.
+//!   rules `<network, org, chaincode, function>`, checked by the gate every
+//!   relay proposal passes before it runs, plus response encryption with
+//!   the requester's public key.
 //! * [`cmdac`] — the combined **Configuration Management & Data Acceptance
 //!   Chaincode**: records foreign network configurations (MSP roots, peer
 //!   certificates) and verification policies, validates attestation proofs
@@ -18,7 +19,7 @@
 //! Plus the two application chaincodes of the use case (§4.2):
 //!
 //! * [`stl`] — Simplified TradeLens: shipments and bills of lading, with
-//!   the `GetBillOfLading` function exposed cross-network.
+//!   `GetBillOfLading` exposed cross-network by an exposure rule.
 //! * [`swt`] — Simplified We.Trade: letters of credit and payments, with
 //!   `UploadDispatchDocs` accepting a remotely fetched B/L plus proof.
 //!
@@ -32,8 +33,7 @@ pub mod foreign;
 pub mod stl;
 pub mod swt;
 
-/// Conventional deployment name of the Exposure Control Chaincode.
-pub const ECC_NAME: &str = "ECC";
+pub use tdt_fabric::chaincode::ECC_NAME;
 /// Conventional deployment name of the combined Configuration Management &
 /// Data Acceptance Chaincode.
 pub const CMDAC_NAME: &str = "CMDAC";

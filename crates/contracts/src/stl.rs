@@ -5,9 +5,11 @@
 //! documentation; the carrier taking possession produces a bill of lading
 //! (B/L), the document fetched cross-network by SWT.
 //!
-//! The interop adaptation is confined to `GetBillOfLading` and marked with
-//! `// interop-adaptation` comments: an ECC access check before execution
-//! and an ECC encryption call after — the paper measured ~35 SLOC for this.
+//! The contract holds no relay code: every endorsing peer asks the ECC's
+//! gate before a relay proposal reaches it. What stays is the function's
+//! own decision to encrypt its result for a foreign requester, one
+//! `ecc::seal` call marked `// interop-adaptation` (the paper measured ~35
+//! SLOC for the access check and encryption together).
 //!
 //! # Functions
 //!
@@ -18,8 +20,14 @@
 //! | `TransferPossession` | `[po_ref]` | seller org |
 //! | `IssueBillOfLading` | `[po_ref, bl_id]` | carrier org |
 //! | `GetShipment` | `[po_ref]` | any local member |
-//! | `GetBillOfLading` | `[po_ref]` | local member or relay query |
+//! | `RecordFinancingStatus` | `[po_ref, status]` | any local member |
+//! | `GetFinancingStatus` | `[po_ref]` | any local member |
+//! | `GetShipmentHistory` | `[po_ref]` | any local member |
+//! | `GetBillOfLading` | `[po_ref]` | any local member |
+//!
+//! A foreign requester reaches a function only through an exposure rule.
 
+use crate::ecc::seal;
 use tdt_fabric::chaincode::{Chaincode, TxContext};
 use tdt_fabric::error::ChaincodeError;
 use tdt_wire::codec::Message;
@@ -112,16 +120,6 @@ impl StlChaincode {
             .map_err(|e| ChaincodeError::Internal(format!("stored shipment corrupt: {e}")))
     }
 
-    fn require_org(ctx: &TxContext<'_>, org: &str) -> Result<(), ChaincodeError> {
-        let caller_org = &ctx.creator().subject().organization;
-        if caller_org != org {
-            return Err(ChaincodeError::AccessDenied(format!(
-                "caller org {caller_org:?} is not {org:?}"
-            )));
-        }
-        Ok(())
-    }
-
     fn arg_str(args: &[Vec<u8>], idx: usize, name: &str) -> Result<String, ChaincodeError> {
         let raw = args
             .get(idx)
@@ -140,7 +138,7 @@ impl Chaincode for StlChaincode {
     ) -> Result<Vec<u8>, ChaincodeError> {
         match function {
             "CreateShipment" => {
-                Self::require_org(ctx, &self.seller_org)?;
+                ctx.require_org(&self.seller_org)?;
                 let po_ref = Self::arg_str(args, 0, "po_ref")?;
                 let goods = Self::arg_str(args, 1, "goods")?;
                 if po_ref.is_empty() {
@@ -165,7 +163,7 @@ impl Chaincode for StlChaincode {
                 Ok(Vec::new())
             }
             "ConfirmBooking" => {
-                Self::require_org(ctx, &self.carrier_org)?;
+                ctx.require_org(&self.carrier_org)?;
                 let po_ref = Self::arg_str(args, 0, "po_ref")?;
                 let mut shipment = Self::load_shipment(ctx, &po_ref)?;
                 if shipment.status != ShipmentStatus::Created {
@@ -180,7 +178,7 @@ impl Chaincode for StlChaincode {
                 Ok(Vec::new())
             }
             "TransferPossession" => {
-                Self::require_org(ctx, &self.seller_org)?;
+                ctx.require_org(&self.seller_org)?;
                 let po_ref = Self::arg_str(args, 0, "po_ref")?;
                 let mut shipment = Self::load_shipment(ctx, &po_ref)?;
                 if shipment.status != ShipmentStatus::BookingConfirmed {
@@ -194,7 +192,7 @@ impl Chaincode for StlChaincode {
                 Ok(Vec::new())
             }
             "IssueBillOfLading" => {
-                Self::require_org(ctx, &self.carrier_org)?;
+                ctx.require_org(&self.carrier_org)?;
                 let po_ref = Self::arg_str(args, 0, "po_ref")?;
                 let bl_id = Self::arg_str(args, 1, "bl_id")?;
                 let mut shipment = Self::load_shipment(ctx, &po_ref)?;
@@ -228,51 +226,10 @@ impl Chaincode for StlChaincode {
             "RecordFinancingStatus" => {
                 let po_ref = Self::arg_str(args, 0, "po_ref")?;
                 let status = Self::arg_str(args, 1, "status")?;
-                // interop-adaptation: relay invocations pass the Exposure
-                // interop-adaptation: Control check before writing.
-                if ctx.is_relay_query() {
-                    // interop-adaptation
-                    let network = ctx
-                        .transient("requester-network") // interop-adaptation
-                        .ok_or_else(|| {
-                            ChaincodeError::BadRequest("missing requester-network".into())
-                        })?
-                        .to_vec(); // interop-adaptation
-                    let org = ctx
-                        .transient("requester-org") // interop-adaptation
-                        .ok_or_else(|| ChaincodeError::BadRequest("missing requester-org".into()))?
-                        .to_vec(); // interop-adaptation
-                    let cert = ctx
-                        .transient("requester-cert") // interop-adaptation
-                        .ok_or_else(|| ChaincodeError::BadRequest("missing requester-cert".into()))?
-                        .to_vec(); // interop-adaptation
-                    ctx.invoke_chaincode(
-                        // interop-adaptation
-                        crate::ECC_NAME, // interop-adaptation
-                        "CheckAccess",   // interop-adaptation
-                        &[
-                            network,                           // interop-adaptation
-                            org,                               // interop-adaptation
-                            Self::NAME.as_bytes().to_vec(),    // interop-adaptation
-                            b"RecordFinancingStatus".to_vec(), // interop-adaptation
-                            cert.clone(),                      // interop-adaptation
-                        ],
-                    )?; // interop-adaptation
-                        // The shipment must exist before financing is recorded.
-                    Self::load_shipment(ctx, &po_ref)?;
-                    ctx.put_state(&format!("financing:{po_ref}"), status.clone().into_bytes());
-                    // interop-adaptation: encrypt the acknowledgement so
-                    // interop-adaptation: relays cannot read it.
-                    return ctx.invoke_chaincode(
-                        // interop-adaptation
-                        crate::ECC_NAME,   // interop-adaptation
-                        "EncryptResponse", // interop-adaptation
-                        &[cert, format!("recorded:{status}").into_bytes()], // interop-adaptation
-                    ); // interop-adaptation
-                }
+                // The shipment must exist before financing is recorded.
                 Self::load_shipment(ctx, &po_ref)?;
-                ctx.put_state(&format!("financing:{po_ref}"), status.into_bytes());
-                Ok(b"recorded".to_vec())
+                ctx.put_state(&format!("financing:{po_ref}"), status.clone().into_bytes());
+                seal(ctx, format!("recorded:{status}").into_bytes()) // interop-adaptation
             }
             "GetFinancingStatus" => {
                 let po_ref = Self::arg_str(args, 0, "po_ref")?;
@@ -305,69 +262,10 @@ impl Chaincode for StlChaincode {
             }
             "GetBillOfLading" => {
                 let po_ref = Self::arg_str(args, 0, "po_ref")?;
-                // interop-adaptation: relay queries must pass the Exposure
-                // interop-adaptation: Control check before any data access.
-                if ctx.is_relay_query() {
-                    // interop-adaptation
-                    let network = ctx
-                        .transient("requester-network") // interop-adaptation
-                        .ok_or_else(|| {
-                            ChaincodeError::BadRequest("missing requester-network".into())
-                            // interop-adaptation
-                        })?
-                        .to_vec(); // interop-adaptation
-                    let org = ctx
-                        .transient("requester-org") // interop-adaptation
-                        .ok_or_else(|| {
-                            ChaincodeError::BadRequest("missing requester-org".into())
-                            // interop-adaptation
-                        })?
-                        .to_vec(); // interop-adaptation
-                    let cert = ctx
-                        .transient("requester-cert") // interop-adaptation
-                        .ok_or_else(|| {
-                            ChaincodeError::BadRequest("missing requester-cert".into())
-                            // interop-adaptation
-                        })?
-                        .to_vec(); // interop-adaptation
-                    ctx.invoke_chaincode(
-                        // interop-adaptation
-                        crate::ECC_NAME, // interop-adaptation
-                        "CheckAccess",   // interop-adaptation
-                        &[
-                            network,                        // interop-adaptation
-                            org,                            // interop-adaptation
-                            Self::NAME.as_bytes().to_vec(), // interop-adaptation
-                            b"GetBillOfLading".to_vec(),    // interop-adaptation
-                            cert,                           // interop-adaptation
-                        ],
-                    )?; // interop-adaptation
-                }
                 let bl = ctx
                     .get_state(&Self::bl_key(&po_ref))
                     .ok_or_else(|| ChaincodeError::NotFound(format!("no B/L for {po_ref:?}")))?;
-                // interop-adaptation: encrypt the response for the foreign
-                // interop-adaptation: requester so relays cannot read it.
-                if ctx.is_relay_query() {
-                    // interop-adaptation
-                    let cert = ctx
-                        .transient("requester-cert") // interop-adaptation
-                        .ok_or_else(|| {
-                            // interop-adaptation
-                            ChaincodeError::BadRequest(
-                                // interop-adaptation
-                                "relay query lacks requester certificate".into(),
-                            ) // interop-adaptation
-                        })? // interop-adaptation
-                        .to_vec(); // interop-adaptation
-                    return ctx.invoke_chaincode(
-                        // interop-adaptation
-                        crate::ECC_NAME,   // interop-adaptation
-                        "EncryptResponse", // interop-adaptation
-                        &[cert, bl],       // interop-adaptation
-                    ); // interop-adaptation
-                }
-                Ok(bl)
+                seal(ctx, bl) // interop-adaptation
             }
             other => Err(ChaincodeError::UnknownFunction(other.to_string())),
         }
@@ -378,7 +276,7 @@ impl Chaincode for StlChaincode {
 mod tests {
     use super::*;
     use crate::cmdac::Cmdac;
-    use crate::ecc::Ecc;
+    use crate::ecc::{Ecc, TRANSIENT_CERT, TRANSIENT_NETWORK, TRANSIENT_ORG};
     use std::sync::Arc;
     use tdt_crypto::cert::CertRole;
     use tdt_crypto::group::Group;
@@ -452,9 +350,8 @@ mod tests {
         if relay {
             proposal = proposal.as_relay_query();
         }
-        for (k, v) in transient {
-            proposal = proposal.with_transient(k, v);
-        }
+        let requester = transient.into_iter().map(|(k, v)| (k.to_string(), v));
+        proposal.transient.extend(requester);
         let peer = PeerInfo {
             peer_id: "stl/seller-org/peer0".into(),
             org_id: "seller-org".into(),
@@ -463,7 +360,10 @@ mod tests {
         };
         let mut ctx = TxContext::new(&f.state, &f.registry, &proposal, peer);
         let code = f.registry.get(chaincode).unwrap();
-        let result = code.invoke(&mut ctx, function, &args);
+        // A relay proposal passes the ECC's gate first, as on a peer.
+        let result = ctx
+            .admit()
+            .and_then(|()| code.invoke(&mut ctx, function, &args));
         let rwset = ctx.into_rwset();
         if result.is_ok() {
             f.state
@@ -604,6 +504,26 @@ mod tests {
     }
 
     #[test]
+    fn foreign_certificate_naming_a_local_org_is_not_that_org() {
+        // Same org name, another network's CA: not the STL seller.
+        let mut f = fixture();
+        let mut impostor_msp = Msp::new("swt", "seller-org", Group::test_group(), b"s");
+        let impostor = impostor_msp.enroll("seller-app", CertRole::Client, false);
+        let err = invoke_as(
+            &mut f,
+            &impostor,
+            StlChaincode::NAME,
+            "CreateShipment",
+            vec![b"PO-X".to_vec(), b"goods".to_vec()],
+            false,
+            vec![],
+        )
+        .unwrap_err();
+        assert!(matches!(err, ChaincodeError::AccessDenied(_)), "{err:?}");
+        assert!(f.state.get(StlChaincode::NAME, "shipment:PO-X").is_none());
+    }
+
+    #[test]
     fn state_machine_enforced() {
         let mut f = fixture();
         let seller = f.seller.clone();
@@ -735,9 +655,9 @@ mod tests {
             vec![b"PO-1001".to_vec()],
             true,
             vec![
-                ("requester-network", b"swt".to_vec()),
-                ("requester-org", b"seller-bank-org".to_vec()),
-                ("requester-cert", cert_bytes),
+                (TRANSIENT_NETWORK, b"swt".to_vec()),
+                (TRANSIENT_ORG, b"seller-bank-org".to_vec()),
+                (TRANSIENT_CERT, cert_bytes),
             ],
         )
         .unwrap();
@@ -791,9 +711,9 @@ mod tests {
             vec![b"PO-1001".to_vec()],
             true,
             vec![
-                ("requester-network", b"swt".to_vec()),
-                ("requester-org", b"seller-bank-org".to_vec()),
-                ("requester-cert", cert_bytes),
+                (TRANSIENT_NETWORK, b"swt".to_vec()),
+                (TRANSIENT_ORG, b"seller-bank-org".to_vec()),
+                (TRANSIENT_CERT, cert_bytes),
             ],
         )
         .unwrap_err();

@@ -105,16 +105,6 @@ impl SwtChaincode {
             .map_err(|e| ChaincodeError::Internal(format!("stored L/C corrupt: {e}")))
     }
 
-    fn require_org(ctx: &TxContext<'_>, org: &str) -> Result<(), ChaincodeError> {
-        let caller_org = &ctx.creator().subject().organization;
-        if caller_org != org {
-            return Err(ChaincodeError::AccessDenied(format!(
-                "caller org {caller_org:?} is not {org:?}"
-            )));
-        }
-        Ok(())
-    }
-
     fn arg_str(args: &[Vec<u8>], idx: usize, name: &str) -> Result<String, ChaincodeError> {
         let raw = args
             .get(idx)
@@ -133,7 +123,7 @@ impl Chaincode for SwtChaincode {
     ) -> Result<Vec<u8>, ChaincodeError> {
         match function {
             "RequestLC" => {
-                Self::require_org(ctx, &self.buyer_bank_org)?;
+                ctx.require_org(&self.buyer_bank_org)?;
                 let po_ref = Self::arg_str(args, 0, "po_ref")?;
                 let lc_id = Self::arg_str(args, 1, "lc_id")?;
                 let buyer = Self::arg_str(args, 2, "buyer")?;
@@ -162,7 +152,7 @@ impl Chaincode for SwtChaincode {
                 Ok(Vec::new())
             }
             "IssueLC" => {
-                Self::require_org(ctx, &self.buyer_bank_org)?;
+                ctx.require_org(&self.buyer_bank_org)?;
                 let po_ref = Self::arg_str(args, 0, "po_ref")?;
                 let mut lc = Self::load_lc(ctx, &po_ref)?;
                 if lc.status != LcStatus::Requested {
@@ -176,7 +166,7 @@ impl Chaincode for SwtChaincode {
                 Ok(Vec::new())
             }
             "UploadDispatchDocs" => {
-                Self::require_org(ctx, &self.seller_bank_org)?;
+                ctx.require_org(&self.seller_bank_org)?;
                 let po_ref = Self::arg_str(args, 0, "po_ref")?;
                 let bl_bytes = args
                     .get(1)
@@ -232,7 +222,7 @@ impl Chaincode for SwtChaincode {
                 Ok(Vec::new())
             }
             "RequestPayment" => {
-                Self::require_org(ctx, &self.seller_bank_org)?;
+                ctx.require_org(&self.seller_bank_org)?;
                 let po_ref = Self::arg_str(args, 0, "po_ref")?;
                 let mut lc = Self::load_lc(ctx, &po_ref)?;
                 if lc.status != LcStatus::DocsUploaded {
@@ -246,7 +236,7 @@ impl Chaincode for SwtChaincode {
                 Ok(Vec::new())
             }
             "RecordPayment" => {
-                Self::require_org(ctx, &self.buyer_bank_org)?;
+                ctx.require_org(&self.buyer_bank_org)?;
                 let po_ref = Self::arg_str(args, 0, "po_ref")?;
                 let mut lc = Self::load_lc(ctx, &po_ref)?;
                 if lc.status != LcStatus::PaymentRequested {

@@ -10,7 +10,6 @@
 //! changes to any of them.
 
 use crate::error::InteropError;
-use crate::plugin::TRANSIENT_CERT;
 use parking_lot::RwLock;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -251,9 +250,6 @@ impl NetworkDriver for CordaLikeDriver {
     }
 
     fn execute_query(&self, query: &Query) -> Result<QueryResponse, RelayError> {
-        // The plugin's transient constant is unused here, but referenced so
-        // both drivers share the same contract for requester material.
-        let _ = TRANSIENT_CERT;
         self.execute(query)
             .map_err(|e| RelayError::DriverFailed(e.to_string()))
     }

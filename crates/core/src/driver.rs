@@ -493,6 +493,13 @@ mod tests {
                 Arc::new(WhoAmI),
                 tdt_fabric::policy::EndorsementPolicy::all_of(["org-a", "org-b"]),
             )
+            // WhoAmI answers every call, so as the ECC it admits every
+            // relay proposal.
+            .chaincode(
+                tdt_contracts::ECC_NAME,
+                Arc::new(WhoAmI),
+                tdt_fabric::policy::EndorsementPolicy::all_of(["org-a", "org-b"]),
+            )
             .build();
         let client = network.register_client("org-a", "client", false).unwrap();
         let mut query = signed_query(&client, "PO-1001", false);

@@ -18,12 +18,7 @@ use tdt_fabric::error::FabricError;
 use tdt_fabric::msp::Identity;
 use tdt_wire::messages::decode_certificate;
 
-/// Transient key carrying the requester's wire-encoded certificate.
-pub const TRANSIENT_CERT: &str = "requester-cert";
-/// Transient key carrying the requester's network id.
-pub const TRANSIENT_NETWORK: &str = "requester-network";
-/// Transient key carrying the requester's organization id.
-pub const TRANSIENT_ORG: &str = "requester-org";
+pub use tdt_contracts::ecc::{TRANSIENT_CERT, TRANSIENT_NETWORK, TRANSIENT_ORG};
 
 /// Signs metadata with the endorsing peer's key, then (optionally)
 /// encrypts it with the requesting client's public key.

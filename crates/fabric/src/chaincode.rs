@@ -7,7 +7,8 @@
 //! Cross-chaincode invocation ([`TxContext::invoke_chaincode`]) switches the
 //! write namespace, exactly as Fabric's `InvokeChaincode` shim call does;
 //! this is how application chaincode consults the ECC and CMDAC system
-//! contracts.
+//! contracts. A relay proposal passes the ECC's gate before its target runs
+//! ([`TxContext::admit`]).
 
 use crate::error::{ChaincodeError, FabricError};
 use std::collections::BTreeMap;
@@ -19,6 +20,13 @@ use tdt_crypto::schnorr::Signature;
 use tdt_ledger::history::{HistoryEntry, HistoryIndex};
 use tdt_ledger::rwset::TxRwSet;
 use tdt_ledger::state::WorldState;
+
+/// Deployment name of the Exposure Control contract (ECC), which decides
+/// what a foreign requester may call (paper §3.2).
+pub const ECC_NAME: &str = "ECC";
+/// The ECC function every relay proposal passes before its target runs:
+/// args `[chaincode, function]`, `Ok` to admit.
+pub const RELAY_GATE_FN: &str = "AdmitRelayProposal";
 
 /// A deployable smart contract.
 ///
@@ -354,9 +362,37 @@ impl<'a> TxContext<'a> {
         result
     }
 
+    /// Admits the proposal before its target runs: a local one as it is, a
+    /// relay one only through the ECC's gate ([`RELAY_GATE_FN`]), whose
+    /// error it returns ([`ChaincodeError::NotFound`] with no ECC).
+    pub fn admit(&mut self) -> Result<(), ChaincodeError> {
+        if !self.proposal.relay_query {
+            return Ok(());
+        }
+        let target = [&self.proposal.chaincode, &self.proposal.function]
+            .map(|name| name.as_bytes().to_vec());
+        self.invoke_chaincode(ECC_NAME, RELAY_GATE_FN, &target)
+            .map(drop)
+    }
+
     /// The certificate of the proposal's submitter.
     pub fn creator(&self) -> &Certificate {
         &self.proposal.creator
+    }
+
+    /// [`ChaincodeError::AccessDenied`] unless the creator is a member of
+    /// `org` on this peer's own network: a foreign certificate naming a
+    /// local organization is not that organization.
+    pub fn require_org(&self, org: &str) -> Result<(), ChaincodeError> {
+        let subject = self.creator().subject();
+        if subject.network != self.peer.network_id || subject.organization != org {
+            return Err(ChaincodeError::AccessDenied(format!(
+                "caller {:?} is not a member of {}/{org}",
+                subject.qualified_name(),
+                self.peer.network_id
+            )));
+        }
+        Ok(())
     }
 
     /// The transaction id.

@@ -220,9 +220,9 @@ impl Peer {
     /// Simulates a proposal against this peer's current state.
     ///
     /// Local proposals must carry a valid creator signature and a creator
-    /// certificate that validates against the network's MSPs. Relay queries
-    /// skip those peer-level checks: authenticating the *foreign* requester
-    /// is the Exposure Control contract's job (paper §4.3).
+    /// certificate that validates against the network's MSPs. A relay
+    /// proposal's *foreign* creator passes the Exposure Control contract's
+    /// gate instead, before any contract code runs (paper §4.3).
     ///
     /// # Errors
     ///
@@ -247,12 +247,13 @@ impl Peer {
                 }
             }
         }
+        let mut ctx = TxContext::new(&self.state, &self.registry, proposal, self.peer_info())
+            .with_history(&self.history);
+        ctx.admit()?;
         let code = self
             .registry
             .get(&proposal.chaincode)
             .ok_or_else(|| FabricError::ChaincodeNotDeployed(proposal.chaincode.clone()))?;
-        let mut ctx = TxContext::new(&self.state, &self.registry, proposal, self.peer_info())
-            .with_history(&self.history);
         let result = code.invoke(&mut ctx, &proposal.function, &proposal.args)?;
         Ok(SimulationResult {
             result,
@@ -669,6 +670,20 @@ mod tests {
         }
     }
 
+    /// An ECC that admits every relay proposal.
+    struct AdmitAll;
+
+    impl Chaincode for AdmitAll {
+        fn invoke(
+            &self,
+            _: &mut TxContext<'_>,
+            _: &str,
+            _: &[Vec<u8>],
+        ) -> Result<Vec<u8>, ChaincodeError> {
+            Ok(Vec::new())
+        }
+    }
+
     struct Fixture {
         peer: Peer,
         client: Identity,
@@ -688,6 +703,7 @@ mod tests {
         let client = msp.enroll("alice", CertRole::Client, false);
         let mut registry = ChaincodeRegistry::new();
         registry.deploy("kv", Arc::new(KvStore));
+        registry.deploy(crate::chaincode::ECC_NAME, Arc::new(AdmitAll));
         let mut msp_registry = MspRegistry::new();
         msp_registry.register("org1", msp.root_certificate().clone());
         let mut policies = HashMap::new();
@@ -818,8 +834,8 @@ mod tests {
 
     #[test]
     fn relay_query_bypasses_local_msp() {
-        // Relay queries carry foreign certs; the peer lets the chaincode
-        // (ECC) decide, so simulation succeeds here.
+        // Relay queries carry foreign certs; the peer lets the ECC's gate
+        // decide, and this fixture's ECC admits everything.
         let mut f = fixture();
         let p0 = proposal(&f, "tx0", "put", vec![b"k".to_vec(), b"v".to_vec()]);
         let sim = f.peer.simulate(&p0).unwrap();

@@ -130,7 +130,17 @@ fn proof_rejected_when_policy_not_recorded_for_function() {
     // Querying a function with no recorded verification policy fails at
     // the Data Acceptance stage even if the source would serve it.
     let (t, client) = prepared();
-    // Expose GetShipment on STL.
+    let address = NetworkAddress::new("stl", "trade-channel", "TradeLensCC", "GetShipment")
+        .with_arg(b"PO-1001".to_vec());
+    // GetShipment does not encrypt its result, so the query runs with a
+    // plaintext policy.
+    let plaintext = VerificationPolicy::all_of_orgs(["seller-org", "carrier-org"]);
+    // Without a rule the source refuses it...
+    let err = client
+        .query_remote(address.clone(), plaintext.clone())
+        .unwrap_err();
+    assert!(matches!(err, InteropError::AccessDenied(_)), "{err:?}");
+    // ...and one rule exposes it.
     tdt::interop::config::add_exposure_rule(
         &t.stl_seller_gateway(),
         "swt",
@@ -139,16 +149,7 @@ fn proof_rejected_when_policy_not_recorded_for_function() {
         "GetShipment",
     )
     .unwrap();
-    let address = NetworkAddress::new("stl", "trade-channel", "TradeLensCC", "GetShipment")
-        .with_arg(b"PO-1001".to_vec());
-    // GetShipment is not interop-adapted (no on-chain encryption), so the
-    // query runs with a plaintext policy.
-    let remote = client
-        .query_remote(
-            address,
-            VerificationPolicy::all_of_orgs(["seller-org", "carrier-org"]),
-        )
-        .unwrap();
+    let remote = client.query_remote(address, plaintext).unwrap();
     // Direct CMDAC validation on SWT: no policy recorded for GetShipment.
     let err = t
         .swt_seller_gateway()
