@@ -11,23 +11,13 @@
 //!   signer against the recorded foreign configuration, then the
 //!   attestations against the proof and the verification policy,
 //! * tracks consumed nonces on the ledger to block replay attacks.
-//!
-//! # Functions
-//!
-//! | function | args | returns |
-//! |---|---|---|
-//! | `RecordForeignConfig` | `[config]` (wire [`NetworkConfig`]) | `""` |
-//! | `GetForeignConfig` | `[network_id]` | wire [`NetworkConfig`] |
-//! | `ValidateForeignCert` | `[network_id, cert]` | `"ok"` |
-//! | `SetVerificationPolicy` | `[network_id, contract, function, policy]` | `""` |
-//! | `GetVerificationPolicy` | `[network_id, contract, function]` | wire [`VerificationPolicy`] |
-//! | `ValidateProof` | `[network_id, expected_address, proof]` (wire [`Proof`]) | `"ok"` |
 
+use crate::abi::chaincode;
 use crate::foreign::{self, Decoded, Expected, Reason, Rejection};
 use std::sync::Arc;
 use tdt_crypto::certcache::CertChainCache;
 use tdt_crypto::sha256::sha256;
-use tdt_fabric::chaincode::{Chaincode, TxContext};
+use tdt_fabric::chaincode::TxContext;
 use tdt_fabric::error::ChaincodeError;
 use tdt_wire::codec::Message;
 use tdt_wire::messages::{decode_certificate, NetworkConfig, Proof, VerificationPolicy};
@@ -87,79 +77,6 @@ impl Cmdac {
         NetworkConfig::decode_from_slice(&bytes)
             .map_err(|e| ChaincodeError::Internal(format!("stored config corrupt: {e}")))
     }
-
-    fn validate_proof(
-        &self,
-        ctx: &mut TxContext<'_>,
-        network_id: &str,
-        expected_address: &str,
-        proof: &Proof,
-    ) -> Result<(), ChaincodeError> {
-        let config = Self::load_config(ctx, network_id)?;
-        // Look up the verification policy for the queried address
-        // (network:ledger:contract:function — policy is keyed on the last two).
-        let mut parts = expected_address.split(':');
-        let (_net, _ledger, contract, function) = (
-            parts.next().unwrap_or(""),
-            parts.next().unwrap_or(""),
-            parts.next().unwrap_or(""),
-            parts.next().unwrap_or(""),
-        );
-        let policy_bytes = ctx
-            .get_state(&Self::policy_key(network_id, contract, function))
-            .ok_or_else(|| {
-                ChaincodeError::NotFound(format!(
-                    "no verification policy recorded for {network_id}:{contract}:{function}"
-                ))
-            })?;
-        let policy = VerificationPolicy::decode_from_slice(&policy_bytes)
-            .map_err(|e| ChaincodeError::Internal(format!("stored policy corrupt: {e}")))?;
-
-        if proof.address != expected_address {
-            return Err(ChaincodeError::BadRequest(format!(
-                "proof address {:?} does not match expected {:?}",
-                proof.address, expected_address
-            )));
-        }
-        // Authenticate each signer against the recorded source config; its
-        // key comes decoded with the cached chain verdict and rides into
-        // the batch verification with its cached fixed-base table (same
-        // epoch lifetime as the cert-chain cache).
-        let attestations = proof
-            .attestations
-            .iter()
-            .enumerate()
-            .map(|(i, att)| {
-                if att.metadata_encrypted {
-                    let reason = Reason::Malformed("metadata: still encrypted".into());
-                    return Err(Rejection::from(reason).at(i));
-                }
-                Decoded::new(att, att.metadata.as_slice(), |cert| {
-                    let key = foreign::verify_signer(&config, cert, &self.cert_cache)?;
-                    let table = self.cert_cache.key_table(&key);
-                    Ok((key, Some(table)))
-                })
-                .map_err(|r| r.at(i))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        let expected = Expected {
-            request_id: &proof.request_id,
-            address: expected_address,
-            nonce: &proof.nonce,
-            result_hash: sha256(&proof.result),
-        };
-        foreign::verify_attestations(&expected, &attestations, &policy.expression)?;
-        // Replay protection: the nonce must be fresh, and consuming it is
-        // part of this transaction's write set (paper §4.3).
-        let nonce_key = Self::nonce_key(network_id, &proof.nonce);
-        if ctx.get_state(&nonce_key).is_some() {
-            return Err(ChaincodeError::AccessDenied(
-                "replay detected: nonce already consumed".into(),
-            ));
-        }
-        ctx.put_state(&nonce_key, proof.request_id.clone().into_bytes());
-        Ok(())
-    }
 }
 
 /// The CMDAC's reading of a [`Rejection`]: undecodable or inconsistent
@@ -178,105 +95,127 @@ impl From<Rejection> for ChaincodeError {
     }
 }
 
-impl Chaincode for Cmdac {
-    fn invoke(
-        &self,
-        ctx: &mut TxContext<'_>,
-        function: &str,
-        args: &[Vec<u8>],
-    ) -> Result<Vec<u8>, ChaincodeError> {
-        match function {
-            "RecordForeignConfig" => {
-                let [config_bytes] = args else {
-                    return Err(ChaincodeError::BadRequest(
-                        "RecordForeignConfig expects [config]".into(),
-                    ));
-                };
-                let config = NetworkConfig::decode_from_slice(config_bytes)
-                    .map_err(|e| ChaincodeError::BadRequest(format!("config malformed: {e}")))?;
-                if config.network_id.is_empty() {
-                    return Err(ChaincodeError::BadRequest(
-                        "config missing network id".into(),
-                    ));
-                }
-                ctx.put_state(&Self::config_key(&config.network_id), config_bytes.clone());
-                // New trusted root set: chains validated under the old
-                // configuration must not be honored.
-                self.cert_cache.bump_epoch();
-                Ok(Vec::new())
+chaincode! {
+    impl Cmdac {
+        /// Records a foreign network's configuration (wire [`NetworkConfig`],
+        /// stored as given) and drops every cached chain verdict.
+        fn RecordForeignConfig(&self, ctx, config: bytes) for Any {
+            let decoded = NetworkConfig::decode_from_slice(config)
+                .map_err(|e| ChaincodeError::BadRequest(format!("config malformed: {e}")))?;
+            if decoded.network_id.is_empty() {
+                return Err(ChaincodeError::BadRequest(
+                    "config missing network id".into(),
+                ));
             }
-            "GetForeignConfig" => {
-                let [network_id] = args else {
-                    return Err(ChaincodeError::BadRequest(
-                        "GetForeignConfig expects [network_id]".into(),
-                    ));
-                };
-                let network_id = String::from_utf8_lossy(network_id).into_owned();
-                ctx.get_state(&Self::config_key(&network_id))
-                    .ok_or_else(|| {
-                        ChaincodeError::NotFound(format!("no configuration for {network_id:?}"))
+            ctx.put_state(&Self::config_key(&decoded.network_id), config.to_vec());
+            // New trusted root set: chains validated under the old
+            // configuration must not be honored.
+            self.cert_cache.bump_epoch();
+            Ok(Vec::new())
+        }
+
+        /// The configuration recorded for `network_id`, as it was given.
+        fn GetForeignConfig(&self, ctx, network_id: str) for Any {
+            ctx.get_state(&Self::config_key(network_id))
+                .ok_or_else(|| {
+                    ChaincodeError::NotFound(format!("no configuration for {network_id:?}"))
+                })
+        }
+
+        /// `"ok"` when `cert`, in any role, chains to a root recorded for
+        /// `network_id`: the ECC authenticates foreign clients here.
+        fn ValidateForeignCert(&self, ctx, network_id: str, cert: bytes) for Any {
+            let config = Self::load_config(ctx, network_id)?;
+            let cert = decode_certificate(cert)
+                .map_err(|e| ChaincodeError::BadRequest(format!("cert malformed: {e}")))?;
+            foreign::verify_member(&config, &cert, &self.cert_cache)?;
+            Ok(b"ok".to_vec())
+        }
+
+        /// Records the policy (wire [`VerificationPolicy`], stored as given)
+        /// a proof from `network_id` of `contract` `function` must satisfy.
+        fn SetVerificationPolicy(
+            &self, ctx, network_id: str, contract: str, function: str, policy: bytes,
+        ) for Any {
+            // Validate the policy parses before recording it.
+            VerificationPolicy::decode_from_slice(policy)
+                .map_err(|e| ChaincodeError::BadRequest(format!("policy malformed: {e}")))?;
+            ctx.put_state(&Self::policy_key(network_id, contract, function), policy.to_vec());
+            Ok(Vec::new())
+        }
+
+        /// The policy `SetVerificationPolicy` recorded, as it was given.
+        fn GetVerificationPolicy(
+            &self, ctx, network_id: str, contract: str, function: str,
+        ) for Any {
+            ctx.get_state(&Self::policy_key(network_id, contract, function))
+                .ok_or_else(|| ChaincodeError::NotFound("no verification policy".into()))
+        }
+
+        /// Data acceptance: `"ok"` when `proof` answers `expected_address`
+        /// under the recorded configuration and policy; consumes its nonce.
+        fn ValidateProof(
+            &self, ctx, network_id: str, expected_address: str, proof: Proof,
+        ) for Open {
+            let config = Self::load_config(ctx, network_id)?;
+            // Look up the verification policy for the queried address
+            // (network:ledger:contract:function — policy is keyed on the last two).
+            let mut parts = expected_address.split(':').skip(2);
+            let (contract, function) = (parts.next().unwrap_or(""), parts.next().unwrap_or(""));
+            let policy_bytes = ctx
+                .get_state(&Self::policy_key(network_id, contract, function))
+                .ok_or_else(|| {
+                    ChaincodeError::NotFound(format!(
+                        "no verification policy recorded for {network_id}:{contract}:{function}"
+                    ))
+                })?;
+            let policy = VerificationPolicy::decode_from_slice(&policy_bytes)
+                .map_err(|e| ChaincodeError::Internal(format!("stored policy corrupt: {e}")))?;
+
+            if proof.address != expected_address {
+                return Err(ChaincodeError::BadRequest(format!(
+                    "proof address {:?} does not match expected {:?}",
+                    proof.address, expected_address
+                )));
+            }
+            // Authenticate each signer against the recorded source config; its
+            // key comes decoded with the cached chain verdict and rides into
+            // the batch verification with its cached fixed-base table (same
+            // epoch lifetime as the cert-chain cache).
+            let attestations = proof
+                .attestations
+                .iter()
+                .enumerate()
+                .map(|(i, att)| {
+                    if att.metadata_encrypted {
+                        let reason = Reason::Malformed("metadata: still encrypted".into());
+                        return Err(Rejection::from(reason).at(i));
+                    }
+                    Decoded::new(att, att.metadata.as_slice(), |cert| {
+                        let key = foreign::verify_signer(&config, cert, &self.cert_cache)?;
+                        let table = self.cert_cache.key_table(&key);
+                        Ok((key, Some(table)))
                     })
+                    .map_err(|r| r.at(i))
+                })
+                .collect::<Result<Vec<_>, _>>()?;
+            let expected = Expected {
+                request_id: &proof.request_id,
+                address: expected_address,
+                nonce: &proof.nonce,
+                result_hash: sha256(&proof.result),
+            };
+            foreign::verify_attestations(&expected, &attestations, &policy.expression)?;
+            // Replay protection: the nonce must be fresh, and consuming it is
+            // part of this transaction's write set (paper §4.3).
+            let nonce_key = Self::nonce_key(network_id, &proof.nonce);
+            if ctx.get_state(&nonce_key).is_some() {
+                return Err(ChaincodeError::AccessDenied(
+                    "replay detected: nonce already consumed".into(),
+                ));
             }
-            "ValidateForeignCert" => {
-                let [network_id, cert_bytes] = args else {
-                    return Err(ChaincodeError::BadRequest(
-                        "ValidateForeignCert expects [network_id, cert]".into(),
-                    ));
-                };
-                let network_id = String::from_utf8_lossy(network_id).into_owned();
-                let config = Self::load_config(ctx, &network_id)?;
-                let cert = decode_certificate(cert_bytes)
-                    .map_err(|e| ChaincodeError::BadRequest(format!("cert malformed: {e}")))?;
-                // Any role: the ECC authenticates foreign clients here.
-                foreign::verify_member(&config, &cert, &self.cert_cache)?;
-                Ok(b"ok".to_vec())
-            }
-            "SetVerificationPolicy" => {
-                let [network_id, contract, func, policy_bytes] = args else {
-                    return Err(ChaincodeError::BadRequest(
-                        "SetVerificationPolicy expects [network_id, contract, function, policy]"
-                            .into(),
-                    ));
-                };
-                // Validate the policy parses before recording it.
-                VerificationPolicy::decode_from_slice(policy_bytes)
-                    .map_err(|e| ChaincodeError::BadRequest(format!("policy malformed: {e}")))?;
-                let key = Self::policy_key(
-                    &String::from_utf8_lossy(network_id),
-                    &String::from_utf8_lossy(contract),
-                    &String::from_utf8_lossy(func),
-                );
-                ctx.put_state(&key, policy_bytes.clone());
-                Ok(Vec::new())
-            }
-            "GetVerificationPolicy" => {
-                let [network_id, contract, func] = args else {
-                    return Err(ChaincodeError::BadRequest(
-                        "GetVerificationPolicy expects [network_id, contract, function]".into(),
-                    ));
-                };
-                let key = Self::policy_key(
-                    &String::from_utf8_lossy(network_id),
-                    &String::from_utf8_lossy(contract),
-                    &String::from_utf8_lossy(func),
-                );
-                ctx.get_state(&key)
-                    .ok_or_else(|| ChaincodeError::NotFound("no verification policy".into()))
-            }
-            "ValidateProof" => {
-                let [network_id, expected_address, proof_bytes] = args else {
-                    return Err(ChaincodeError::BadRequest(
-                        "ValidateProof expects [network_id, expected_address, proof]".into(),
-                    ));
-                };
-                let network_id = String::from_utf8_lossy(network_id).into_owned();
-                let expected_address = String::from_utf8_lossy(expected_address).into_owned();
-                let proof = Proof::decode_from_slice(proof_bytes)
-                    .map_err(|e| ChaincodeError::BadRequest(format!("proof malformed: {e}")))?;
-                self.validate_proof(ctx, &network_id, &expected_address, &proof)?;
-                Ok(b"ok".to_vec())
-            }
-            other => Err(ChaincodeError::UnknownFunction(other.to_string())),
+            ctx.put_state(&nonce_key, proof.request_id.clone().into_bytes());
+            Ok(b"ok".to_vec())
         }
     }
 }
@@ -286,7 +225,7 @@ mod tests {
     use super::*;
 
     use std::sync::Arc;
-    use tdt_fabric::chaincode::{ChaincodeRegistry, PeerInfo, Proposal};
+    use tdt_fabric::chaincode::{Chaincode, ChaincodeRegistry, PeerInfo, Proposal};
     use tdt_fabric::msp::{Identity, Msp};
 
     use tdt_ledger::state::WorldState;
@@ -737,6 +676,20 @@ mod tests {
                 vec![b"garbage".to_vec(), b"x".to_vec()]
             ),
             Err(ChaincodeError::BadRequest(_))
+        ));
+        // A network id that is not UTF-8 is refused, not recorded under its
+        // lossy reading, where "stl\u{FFFD}" would read it back.
+        let policy = VerificationPolicy::all_of_orgs(["seller-org"]).encode_to_vec();
+        let [cc, func] = [b"TradeLensCC".to_vec(), b"GetBillOfLading".to_vec()];
+        let args = vec![b"stl\xff".to_vec(), cc.clone(), func.clone(), policy];
+        assert!(matches!(
+            invoke(&mut f, "SetVerificationPolicy", args),
+            Err(ChaincodeError::BadRequest(_))
+        ));
+        let lossy = "stl\u{FFFD}".as_bytes().to_vec();
+        assert!(matches!(
+            invoke(&mut f, "GetVerificationPolicy", vec![lossy, cc, func]),
+            Err(ChaincodeError::NotFound(_))
         ));
     }
 }

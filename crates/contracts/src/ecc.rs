@@ -12,22 +12,10 @@
 //! execution, the result is encrypted with the requesting client's public
 //! key so that relays can neither read nor tamper with it (`seal`).
 //!
-//! # Functions
-//!
-//! | function | args | returns |
-//! |---|---|---|
-//! | `AddAccessRule` | `[network, org, chaincode, function]` | `""` |
-//! | `AddEntityAccessRule` | `[network, org, common_name, chaincode, function]` | `""` |
-//! | `RemoveAccessRule` | `[network, org, chaincode, function]` | `""` |
-//! | `RemoveEntityAccessRule` | `[network, org, common_name, chaincode, function]` | `""` |
-//! | `ListAccessRules` | `[]` | newline-separated rules |
-//! | `CheckAccess` | `[network, org, chaincode, function, cert]` | `"ok"` |
-//! | `EncryptResponse` | `[cert, plaintext]` | ElGamal ciphertext bytes |
-//! | `AdmitRelayProposal` | `[chaincode, function]` | `""` |
-//!
 //! Every endorsing peer passes a relay proposal to `AdmitRelayProposal`
 //! before any contract code runs: `CheckAccess` on the requester for an
-//! application function, a fixed allow-list for a system one.
+//! application function, the `Open` rows of the ECC's and the CMDAC's
+//! function tables for a system one.
 //!
 //! # Subject granularity (paper §3.3)
 //!
@@ -45,9 +33,11 @@
 //! `CheckAccess` matches most-specific first: entity, then organization,
 //! then network-wide, each with exact-function before wildcard-function.
 
+use crate::abi::{chaincode, Caller};
+use crate::cmdac::Cmdac;
 use crate::{CMDAC_NAME, ECC_NAME};
 use tdt_crypto::sha256::sha256;
-use tdt_fabric::chaincode::{Chaincode, TxContext, RELAY_GATE_FN};
+use tdt_fabric::chaincode::TxContext;
 use tdt_fabric::error::ChaincodeError;
 use tdt_wire::messages::decode_certificate;
 
@@ -57,17 +47,6 @@ pub const TRANSIENT_CERT: &str = "requester-cert";
 pub const TRANSIENT_NETWORK: &str = "requester-network";
 /// Transient key carrying the requester's organization id.
 pub const TRANSIENT_ORG: &str = "requester-org";
-
-/// The system functions a relay proposal may reach. Every other ECC and
-/// CMDAC function is never remote, whatever the rules say.
-const REMOTE_SYSTEM_FUNCTIONS: [(&str, &str); 2] = [
-    // Answers whether a certificate holds a rule for one function; it
-    // authenticates the certificate first and lists no rule.
-    (ECC_NAME, "CheckAccess"),
-    // Data acceptance: checks a proof against the recorded configuration
-    // and policy, the same check the CMDAC runs for any submitter.
-    (CMDAC_NAME, "ValidateProof"),
-];
 
 /// Seals a function's result for its requester: returned as it is to a
 /// local proposal, passed through `EncryptResponse` under a relay proposal
@@ -90,16 +69,6 @@ fn requester(ctx: &TxContext<'_>, key: &str) -> Result<Vec<u8>, ChaincodeError> 
     ctx.transient(key)
         .map(<[u8]>::to_vec)
         .ok_or_else(|| ChaincodeError::BadRequest(format!("missing {key}")))
-}
-
-/// Decodes exactly `N` UTF-8 arguments, refusing any other shape.
-fn text_args<const N: usize>(args: &[Vec<u8>], shape: &str) -> Result<[String; N], ChaincodeError> {
-    let bad = || ChaincodeError::BadRequest(format!("expected {shape} as utf-8"));
-    let texts = args
-        .iter()
-        .map(|arg| String::from_utf8(arg.clone()).map_err(|_| bad()))
-        .collect::<Result<Vec<_>, _>>()?;
-    texts.try_into().map_err(|_| bad())
 }
 
 /// The output of `EncryptResponse`: the ciphertext a relay may carry plus a
@@ -154,38 +123,19 @@ impl Ecc {
         Ecc
     }
 
-    fn rule_key(network: &str, org: &str, chaincode: &str, function: &str) -> String {
-        format!("rule:{network}:{org}:{chaincode}:{function}")
+    /// A rule's ledger key: `prefix:` and its fields, `:`-joined.
+    fn rule_key(prefix: &str, fields: &[&str]) -> String {
+        format!("{prefix}:{}", fields.join(":"))
     }
 
-    fn entity_rule_key(
-        network: &str,
-        org: &str,
-        common_name: &str,
-        chaincode: &str,
-        function: &str,
-    ) -> String {
-        format!("erule:{network}:{org}:{common_name}:{chaincode}:{function}")
-    }
-
-    /// The ledger key of the rule `args` name, every field non-empty
-    /// UTF-8: `[network, org, chaincode, function]`, with `common_name`
-    /// after `org` for an entity rule.
-    fn rule_key_of(args: &[Vec<u8>], entity: bool) -> Result<String, ChaincodeError> {
-        if args.iter().any(Vec::is_empty) {
+    /// The key of a rule a caller names, once every field is non-empty.
+    fn named_rule(prefix: &str, fields: &[&str]) -> Result<String, ChaincodeError> {
+        if fields.iter().any(|field| field.is_empty()) {
             return Err(ChaincodeError::BadRequest(
                 "rule fields must be non-empty".into(),
             ));
         }
-        Ok(if entity {
-            let [network, org, common_name, chaincode, func] =
-                text_args(args, "[network, org, common_name, chaincode, function]")?;
-            Self::entity_rule_key(&network, &org, &common_name, &chaincode, &func)
-        } else {
-            let [network, org, chaincode, func] =
-                text_args(args, "[network, org, chaincode, function]")?;
-            Self::rule_key(&network, &org, &chaincode, &func)
-        })
+        Ok(Self::rule_key(prefix, fields))
     }
 
     /// Looks up exposure rules most-specific first (paper §3.3 subject
@@ -199,34 +149,29 @@ impl Ecc {
         chaincode: &str,
         function: &str,
     ) -> bool {
-        let entity_keys = [
-            Self::entity_rule_key(network, org, common_name, chaincode, function),
-            Self::entity_rule_key(network, org, common_name, chaincode, "*"),
+        let keys = [
+            Self::rule_key("erule", &[network, org, common_name, chaincode, function]),
+            Self::rule_key("erule", &[network, org, common_name, chaincode, "*"]),
+            Self::rule_key("rule", &[network, org, chaincode, function]),
+            Self::rule_key("rule", &[network, org, chaincode, "*"]),
+            Self::rule_key("rule", &[network, "*", chaincode, function]),
+            Self::rule_key("rule", &[network, "*", chaincode, "*"]),
         ];
-        let org_keys = [
-            Self::rule_key(network, org, chaincode, function),
-            Self::rule_key(network, org, chaincode, "*"),
-            Self::rule_key(network, "*", chaincode, function),
-            Self::rule_key(network, "*", chaincode, "*"),
-        ];
-        entity_keys
-            .iter()
-            .chain(org_keys.iter())
-            .any(|key| ctx.get_state(key).is_some())
+        keys.iter().any(|key| ctx.get_state(key).is_some())
     }
 
     /// `CheckAccess`: the certificate names the claimed network and org,
     /// chains to that network's recorded configuration, and holds a rule.
     fn check_access(
         ctx: &mut TxContext<'_>,
-        [network, org, chaincode, func]: &[String; 4],
+        [network, org, chaincode, func]: [&str; 4],
         cert_bytes: &[u8],
     ) -> Result<(), ChaincodeError> {
         // The certificate must actually belong to the claimed foreign
         // network + organization...
         let cert = decode_certificate(cert_bytes)
             .map_err(|e| ChaincodeError::BadRequest(format!("cert malformed: {e}")))?;
-        if cert.subject().network != *network || cert.subject().organization != *org {
+        if cert.subject().network != network || cert.subject().organization != org {
             return Err(ChaincodeError::AccessDenied(format!(
                 "certificate subject {:?} does not match claimed {network}/{org}",
                 cert.subject().qualified_name()
@@ -237,7 +182,7 @@ impl Ecc {
         ctx.invoke_chaincode(
             CMDAC_NAME,
             "ValidateForeignCert",
-            &[network.clone().into_bytes(), cert_bytes.to_vec()],
+            &[network.as_bytes().to_vec(), cert_bytes.to_vec()],
         )?;
         // Finally, an exposure rule must exist at some granularity.
         let common_name = &cert.subject().common_name;
@@ -248,94 +193,125 @@ impl Ecc {
         }
         Ok(())
     }
-
-    /// The relay gate: a system function passes only the allow-list, an
-    /// application function only `CheckAccess` on the proposal's requester.
-    fn admit(ctx: &mut TxContext<'_>, args: &[Vec<u8>]) -> Result<(), ChaincodeError> {
-        let [chaincode, function] = text_args(args, "[chaincode, function]")?;
-        if chaincode == ECC_NAME || chaincode == CMDAC_NAME {
-            if REMOTE_SYSTEM_FUNCTIONS.contains(&(chaincode.as_str(), function.as_str())) {
-                return Ok(());
-            }
-            return Err(ChaincodeError::AccessDenied(format!(
-                "{chaincode} {function} is not exposed to foreign requesters"
-            )));
-        }
-        let [network, org, cert] =
-            [TRANSIENT_NETWORK, TRANSIENT_ORG, TRANSIENT_CERT].map(|key| requester(ctx, key));
-        let [network, org] = text_args(&[network?, org?], "requester network and org")?;
-        Self::check_access(ctx, &[network, org, chaincode, function], &cert?)
-    }
 }
 
-impl Chaincode for Ecc {
-    fn invoke(
-        &self,
-        ctx: &mut TxContext<'_>,
-        function: &str,
-        args: &[Vec<u8>],
-    ) -> Result<Vec<u8>, ChaincodeError> {
-        match function {
-            "AddAccessRule" | "AddEntityAccessRule" => {
-                let key = Self::rule_key_of(args, function == "AddEntityAccessRule")?;
-                ctx.put_state(&key, b"allow".to_vec());
-                Ok(Vec::new())
-            }
-            "RemoveAccessRule" | "RemoveEntityAccessRule" => {
-                let key = Self::rule_key_of(args, function == "RemoveEntityAccessRule")?;
-                ctx.delete_state(&key);
-                Ok(Vec::new())
-            }
-            "ListAccessRules" => {
-                let mut listing: Vec<String> = ctx
-                    .get_state_range("rule:", "rule;") // ';' sorts right after ':'
+chaincode! {
+    impl Ecc {
+        /// Exposes `function` of `chaincode` to `network`/`org`; `*` as the
+        /// org or the function grants all of them.
+        fn AddAccessRule(
+            &self, ctx, network: str, org: str, chaincode: str, function: str,
+        ) for Any {
+            let key = Self::named_rule("rule", &[network, org, chaincode, function])?;
+            ctx.put_state(&key, b"allow".to_vec());
+            Ok(Vec::new())
+        }
+
+        /// Exposes `function` of `chaincode` to one member, by common name.
+        fn AddEntityAccessRule(
+            &self, ctx, network: str, org: str, common_name: str, chaincode: str, function: str,
+        ) for Any {
+            let key = Self::named_rule("erule", &[network, org, common_name, chaincode, function])?;
+            ctx.put_state(&key, b"allow".to_vec());
+            Ok(Vec::new())
+        }
+
+        /// Deletes an `AddAccessRule` rule.
+        fn RemoveAccessRule(
+            &self, ctx, network: str, org: str, chaincode: str, function: str,
+        ) for Any {
+            ctx.delete_state(&Self::named_rule("rule", &[network, org, chaincode, function])?);
+            Ok(Vec::new())
+        }
+
+        /// Deletes an `AddEntityAccessRule` rule.
+        fn RemoveEntityAccessRule(
+            &self, ctx, network: str, org: str, common_name: str, chaincode: str, function: str,
+        ) for Any {
+            let key = Self::named_rule("erule", &[network, org, common_name, chaincode, function])?;
+            ctx.delete_state(&key);
+            Ok(Vec::new())
+        }
+
+        /// Every rule, one per line; entity rules prefixed `entity:`.
+        fn ListAccessRules(&self, ctx) for Any {
+            let mut listing: Vec<String> = ctx
+                .get_state_range("rule:", "rule;") // ';' sorts right after ':'
+                .into_iter()
+                .map(|(k, _)| k.trim_start_matches("rule:").to_string())
+                .collect();
+            listing.extend(
+                ctx.get_state_range("erule:", "erule;")
                     .into_iter()
-                    .map(|(k, _)| k.trim_start_matches("rule:").to_string())
-                    .collect();
-                listing.extend(
-                    ctx.get_state_range("erule:", "erule;")
-                        .into_iter()
-                        .map(|(k, _)| format!("entity:{}", k.trim_start_matches("erule:"))),
-                );
-                Ok(listing.join("\n").into_bytes())
+                    .map(|(k, _)| format!("entity:{}", k.trim_start_matches("erule:"))),
+            );
+            Ok(listing.join("\n").into_bytes())
+        }
+
+        /// `"ok"` when `cert` is a recorded member of `network`/`org` that a
+        /// rule lets call `function` of `chaincode`. A relay proposal may ask
+        /// only about its own requester, so no rule of another member leaks.
+        fn CheckAccess(
+            &self, ctx, network: str, org: str, chaincode: str, function: str, cert: bytes,
+        ) for Open {
+            let held = [TRANSIENT_NETWORK, TRANSIENT_ORG, TRANSIENT_CERT].map(|k| ctx.transient(k));
+            let asked = [Some(network.as_bytes()), Some(org.as_bytes()), Some(cert)];
+            if ctx.is_relay_query() && held != asked {
+                return Err(ChaincodeError::AccessDenied(
+                    "a relay proposal asks CheckAccess only about its own requester".into(),
+                ));
             }
-            "CheckAccess" => {
-                let shape = "[network, org, chaincode, function, cert]";
-                let (cert, names) = args.split_last().ok_or_else(|| {
-                    ChaincodeError::BadRequest(format!("CheckAccess expects {shape}"))
+            Self::check_access(ctx, [network, org, chaincode, function], cert)?;
+            Ok(b"ok".to_vec())
+        }
+
+        /// `plaintext_hash ‖ ciphertext` of `plaintext` under `cert`'s
+        /// encryption key ([`EncryptedResult`]).
+        fn EncryptResponse(&self, ctx, cert: bytes, plaintext: bytes) for Any {
+            let cert = decode_certificate(cert)
+                .map_err(|e| ChaincodeError::BadRequest(format!("cert malformed: {e}")))?;
+            let key = cert
+                .encryption_key()
+                .map_err(|e| ChaincodeError::BadRequest(format!("cert key invalid: {e}")))?
+                .ok_or_else(|| {
+                    ChaincodeError::BadRequest(
+                        "requester certificate carries no encryption key".into(),
+                    )
                 })?;
-                Self::check_access(ctx, &text_args(names, shape)?, cert)?;
-                Ok(b"ok".to_vec())
+            // Deterministic ephemeral derivation keeps endorsing peers
+            // convergent: every peer produces the same ciphertext for
+            // the same (txid, plaintext), so endorsements still match.
+            let seed = format!("ecc-encrypt:{}", ctx.txid());
+            let ciphertext = key.encrypt_deterministic(plaintext, seed.as_bytes());
+            let wrapped = EncryptedResult {
+                plaintext_hash: sha256(plaintext),
+                ciphertext: ciphertext.to_bytes(),
+            };
+            Ok(wrapped.to_bytes())
+        }
+
+        /// The relay gate ([`tdt_fabric::chaincode::RELAY_GATE_FN`]): a
+        /// system function passes only an `Open` row, an application
+        /// function only `CheckAccess` on the proposal's requester.
+        fn AdmitRelayProposal(&self, ctx, chaincode: str, function: str) for Any {
+            let system = match chaincode {
+                ECC_NAME => Self::FUNCTIONS,
+                CMDAC_NAME => Cmdac::FUNCTIONS,
+                _ => {
+                    let text = |key| String::from_utf8(requester(ctx, key)?)
+                        .map_err(|_| ChaincodeError::BadRequest(format!("{key} is not utf-8")));
+                    let (network, org) = (text(TRANSIENT_NETWORK)?, text(TRANSIENT_ORG)?);
+                    let cert = requester(ctx, TRANSIENT_CERT)?;
+                    Self::check_access(ctx, [&network, &org, chaincode, function], &cert)?;
+                    return Ok(Vec::new());
+                }
+            };
+            if !system.iter().any(|f| f.name == function && f.caller == Caller::Open) {
+                return Err(ChaincodeError::AccessDenied(format!(
+                    "{chaincode} {function} is not exposed to foreign requesters"
+                )));
             }
-            "EncryptResponse" => {
-                let [cert_bytes, plaintext] = args else {
-                    return Err(ChaincodeError::BadRequest(
-                        "EncryptResponse expects [cert, plaintext]".into(),
-                    ));
-                };
-                let cert = decode_certificate(cert_bytes)
-                    .map_err(|e| ChaincodeError::BadRequest(format!("cert malformed: {e}")))?;
-                let key = cert
-                    .encryption_key()
-                    .map_err(|e| ChaincodeError::BadRequest(format!("cert key invalid: {e}")))?
-                    .ok_or_else(|| {
-                        ChaincodeError::BadRequest(
-                            "requester certificate carries no encryption key".into(),
-                        )
-                    })?;
-                // Deterministic ephemeral derivation keeps endorsing peers
-                // convergent: every peer produces the same ciphertext for
-                // the same (txid, plaintext), so endorsements still match.
-                let seed = format!("ecc-encrypt:{}", ctx.txid());
-                let ciphertext = key.encrypt_deterministic(plaintext, seed.as_bytes());
-                let wrapped = EncryptedResult {
-                    plaintext_hash: sha256(plaintext),
-                    ciphertext: ciphertext.to_bytes(),
-                };
-                Ok(wrapped.to_bytes())
-            }
-            RELAY_GATE_FN => Self::admit(ctx, args).map(|()| Vec::new()),
-            other => Err(ChaincodeError::UnknownFunction(other.to_string())),
+            Ok(Vec::new())
         }
     }
 }
@@ -348,7 +324,7 @@ mod tests {
     use tdt_crypto::cert::CertRole;
     use tdt_crypto::elgamal::Ciphertext;
     use tdt_crypto::group::Group;
-    use tdt_fabric::chaincode::{ChaincodeRegistry, PeerInfo, Proposal};
+    use tdt_fabric::chaincode::{ChaincodeRegistry, PeerInfo, Proposal, RELAY_GATE_FN};
     use tdt_fabric::msp::{Identity, Msp};
     use tdt_ledger::state::WorldState;
     use tdt_wire::codec::Message;
@@ -405,6 +381,13 @@ mod tests {
         );
         if relay {
             proposal = proposal.as_relay_query();
+        }
+        // A relay proposal carries its requester; `CheckAccess` asks about it.
+        if let (true, "CheckAccess", [network, org, .., cert]) = (relay, function, &args[..]) {
+            proposal = proposal
+                .with_transient(TRANSIENT_NETWORK, network.clone())
+                .with_transient(TRANSIENT_ORG, org.clone())
+                .with_transient(TRANSIENT_CERT, cert.clone());
         }
         let peer = PeerInfo {
             peer_id: "stl/seller-org/peer0".into(),

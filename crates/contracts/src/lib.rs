@@ -23,16 +23,22 @@
 //! * [`swt`] — Simplified We.Trade: letters of credit and payments, with
 //!   `UploadDispatchDocs` accepting a remotely fetched B/L plus proof.
 //!
+//! Each contract declares its functions once, in a `chaincode!` table: name,
+//! typed arguments and caller class ([`FunctionDesc`]). The table generates
+//! the dispatch and each contract's `FUNCTIONS`, which the ECC's gate reads.
+//!
 //! Interop-specific lines in the application chaincodes are marked with
 //! `// interop-adaptation` comments so the adaptation-effort experiment
 //! (paper §5, "Ease of Use and Adaptation") can count them.
 
+mod abi;
 pub mod cmdac;
 pub mod ecc;
 pub mod foreign;
 pub mod stl;
 pub mod swt;
 
+pub use abi::{Caller, FunctionDesc};
 pub use tdt_fabric::chaincode::ECC_NAME;
 /// Conventional deployment name of the combined Configuration Management &
 /// Data Acceptance Chaincode.

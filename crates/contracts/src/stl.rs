@@ -9,26 +9,12 @@
 //! gate before a relay proposal reaches it. What stays is the function's
 //! own decision to encrypt its result for a foreign requester, one
 //! `ecc::seal` call marked `// interop-adaptation` (the paper measured ~35
-//! SLOC for the access check and encryption together).
-//!
-//! # Functions
-//!
-//! | function | args | caller |
-//! |---|---|---|
-//! | `CreateShipment` | `[po_ref, goods]` | seller org |
-//! | `ConfirmBooking` | `[po_ref]` | carrier org |
-//! | `TransferPossession` | `[po_ref]` | seller org |
-//! | `IssueBillOfLading` | `[po_ref, bl_id]` | carrier org |
-//! | `GetShipment` | `[po_ref]` | any local member |
-//! | `RecordFinancingStatus` | `[po_ref, status]` | any local member |
-//! | `GetFinancingStatus` | `[po_ref]` | any local member |
-//! | `GetShipmentHistory` | `[po_ref]` | any local member |
-//! | `GetBillOfLading` | `[po_ref]` | any local member |
-//!
-//! A foreign requester reaches a function only through an exposure rule.
+//! SLOC for the access check and encryption together). A foreign requester
+//! reaches a function only through an exposure rule.
 
+use crate::abi::chaincode;
 use crate::ecc::seal;
-use tdt_fabric::chaincode::{Chaincode, TxContext};
+use tdt_fabric::chaincode::TxContext;
 use tdt_fabric::error::ChaincodeError;
 use tdt_wire::codec::Message;
 use tdt_wire::{message, wire_enum};
@@ -119,155 +105,138 @@ impl StlChaincode {
         Shipment::decode_from_slice(&bytes)
             .map_err(|e| ChaincodeError::Internal(format!("stored shipment corrupt: {e}")))
     }
-
-    fn arg_str(args: &[Vec<u8>], idx: usize, name: &str) -> Result<String, ChaincodeError> {
-        let raw = args
-            .get(idx)
-            .ok_or_else(|| ChaincodeError::BadRequest(format!("missing argument {name}")))?;
-        String::from_utf8(raw.clone())
-            .map_err(|_| ChaincodeError::BadRequest(format!("argument {name} is not utf-8")))
-    }
 }
 
-impl Chaincode for StlChaincode {
-    fn invoke(
-        &self,
-        ctx: &mut TxContext<'_>,
-        function: &str,
-        args: &[Vec<u8>],
-    ) -> Result<Vec<u8>, ChaincodeError> {
-        match function {
-            "CreateShipment" => {
-                ctx.require_org(&self.seller_org)?;
-                let po_ref = Self::arg_str(args, 0, "po_ref")?;
-                let goods = Self::arg_str(args, 1, "goods")?;
-                if po_ref.is_empty() {
-                    return Err(ChaincodeError::BadRequest(
-                        "po_ref must be non-empty".into(),
-                    ));
-                }
-                if ctx.get_state(&Self::shipment_key(&po_ref)).is_some() {
-                    return Err(ChaincodeError::BadRequest(format!(
-                        "shipment {po_ref:?} already exists"
-                    )));
-                }
-                let shipment = Shipment {
-                    po_ref: po_ref.clone(),
-                    seller: ctx.creator().subject().qualified_name(),
-                    carrier: String::new(),
-                    goods,
-                    status: ShipmentStatus::Created,
-                    bl_id: String::new(),
-                };
-                ctx.put_state(&Self::shipment_key(&po_ref), shipment.encode_to_vec());
-                Ok(Vec::new())
+chaincode! {
+    impl StlChaincode {
+        /// The seller opens a shipment against a purchase order.
+        fn CreateShipment(&self, ctx, po_ref: str, goods: str) for Org(seller_org) {
+            if po_ref.is_empty() {
+                return Err(ChaincodeError::BadRequest(
+                    "po_ref must be non-empty".into(),
+                ));
             }
-            "ConfirmBooking" => {
-                ctx.require_org(&self.carrier_org)?;
-                let po_ref = Self::arg_str(args, 0, "po_ref")?;
-                let mut shipment = Self::load_shipment(ctx, &po_ref)?;
-                if shipment.status != ShipmentStatus::Created {
-                    return Err(ChaincodeError::BadRequest(format!(
-                        "cannot confirm booking in state {:?}",
-                        shipment.status
-                    )));
-                }
-                shipment.carrier = ctx.creator().subject().qualified_name();
-                shipment.status = ShipmentStatus::BookingConfirmed;
-                ctx.put_state(&Self::shipment_key(&po_ref), shipment.encode_to_vec());
-                Ok(Vec::new())
+            if ctx.get_state(&Self::shipment_key(po_ref)).is_some() {
+                return Err(ChaincodeError::BadRequest(format!(
+                    "shipment {po_ref:?} already exists"
+                )));
             }
-            "TransferPossession" => {
-                ctx.require_org(&self.seller_org)?;
-                let po_ref = Self::arg_str(args, 0, "po_ref")?;
-                let mut shipment = Self::load_shipment(ctx, &po_ref)?;
-                if shipment.status != ShipmentStatus::BookingConfirmed {
-                    return Err(ChaincodeError::BadRequest(format!(
-                        "cannot transfer possession in state {:?}",
-                        shipment.status
-                    )));
-                }
-                shipment.status = ShipmentStatus::InPossession;
-                ctx.put_state(&Self::shipment_key(&po_ref), shipment.encode_to_vec());
-                Ok(Vec::new())
+            let shipment = Shipment {
+                po_ref: po_ref.into(),
+                seller: ctx.creator().subject().qualified_name(),
+                carrier: String::new(),
+                goods: goods.into(),
+                status: ShipmentStatus::Created,
+                bl_id: String::new(),
+            };
+            ctx.put_state(&Self::shipment_key(po_ref), shipment.encode_to_vec());
+            Ok(Vec::new())
+        }
+
+        /// The carrier confirms the booking and names itself.
+        fn ConfirmBooking(&self, ctx, po_ref: str) for Org(carrier_org) {
+            let mut shipment = Self::load_shipment(ctx, po_ref)?;
+            if shipment.status != ShipmentStatus::Created {
+                return Err(ChaincodeError::BadRequest(format!(
+                    "cannot confirm booking in state {:?}",
+                    shipment.status
+                )));
             }
-            "IssueBillOfLading" => {
-                ctx.require_org(&self.carrier_org)?;
-                let po_ref = Self::arg_str(args, 0, "po_ref")?;
-                let bl_id = Self::arg_str(args, 1, "bl_id")?;
-                let mut shipment = Self::load_shipment(ctx, &po_ref)?;
-                if shipment.status != ShipmentStatus::InPossession {
-                    return Err(ChaincodeError::BadRequest(format!(
-                        "cannot issue B/L in state {:?}",
-                        shipment.status
-                    )));
-                }
-                let bl = BillOfLading {
-                    bl_id: bl_id.clone(),
-                    po_ref: po_ref.clone(),
-                    carrier: ctx.creator().subject().qualified_name(),
-                    goods: shipment.goods.clone(),
-                    issued_height: ctx.peer().ledger_height,
-                };
-                shipment.status = ShipmentStatus::BlIssued;
-                shipment.bl_id = bl_id;
-                ctx.put_state(&Self::shipment_key(&po_ref), shipment.encode_to_vec());
-                ctx.put_state(&Self::bl_key(&po_ref), bl.encode_to_vec());
-                Ok(Vec::new())
+            shipment.carrier = ctx.creator().subject().qualified_name();
+            shipment.status = ShipmentStatus::BookingConfirmed;
+            ctx.put_state(&Self::shipment_key(po_ref), shipment.encode_to_vec());
+            Ok(Vec::new())
+        }
+
+        /// The seller hands the goods to the carrier.
+        fn TransferPossession(&self, ctx, po_ref: str) for Org(seller_org) {
+            let mut shipment = Self::load_shipment(ctx, po_ref)?;
+            if shipment.status != ShipmentStatus::BookingConfirmed {
+                return Err(ChaincodeError::BadRequest(format!(
+                    "cannot transfer possession in state {:?}",
+                    shipment.status
+                )));
             }
-            "GetShipment" => {
-                let po_ref = Self::arg_str(args, 0, "po_ref")?;
-                ctx.get_state(&Self::shipment_key(&po_ref))
-                    .ok_or_else(|| ChaincodeError::NotFound(format!("shipment {po_ref:?}")))
+            shipment.status = ShipmentStatus::InPossession;
+            ctx.put_state(&Self::shipment_key(po_ref), shipment.encode_to_vec());
+            Ok(Vec::new())
+        }
+
+        /// The carrier issues the bill of lading for goods in its possession.
+        fn IssueBillOfLading(&self, ctx, po_ref: str, bl_id: str) for Org(carrier_org) {
+            let mut shipment = Self::load_shipment(ctx, po_ref)?;
+            if shipment.status != ShipmentStatus::InPossession {
+                return Err(ChaincodeError::BadRequest(format!(
+                    "cannot issue B/L in state {:?}",
+                    shipment.status
+                )));
             }
-            // Cross-network *invocation* target (the extension of paper §5
-            // and §7): a foreign trade-finance network records the
-            // financing status of a purchase order on the logistics ledger.
-            "RecordFinancingStatus" => {
-                let po_ref = Self::arg_str(args, 0, "po_ref")?;
-                let status = Self::arg_str(args, 1, "status")?;
-                // The shipment must exist before financing is recorded.
-                Self::load_shipment(ctx, &po_ref)?;
-                ctx.put_state(&format!("financing:{po_ref}"), status.clone().into_bytes());
-                seal(ctx, format!("recorded:{status}").into_bytes()) // interop-adaptation
+            let bl = BillOfLading {
+                bl_id: bl_id.into(),
+                po_ref: po_ref.into(),
+                carrier: ctx.creator().subject().qualified_name(),
+                goods: shipment.goods.clone(),
+                issued_height: ctx.peer().ledger_height,
+            };
+            shipment.status = ShipmentStatus::BlIssued;
+            shipment.bl_id = bl_id.into();
+            ctx.put_state(&Self::shipment_key(po_ref), shipment.encode_to_vec());
+            ctx.put_state(&Self::bl_key(po_ref), bl.encode_to_vec());
+            Ok(Vec::new())
+        }
+
+        /// The wire [`Shipment`], in plaintext.
+        fn GetShipment(&self, ctx, po_ref: str) for Any {
+            ctx.get_state(&Self::shipment_key(po_ref))
+                .ok_or_else(|| ChaincodeError::NotFound(format!("shipment {po_ref:?}")))
+        }
+
+        /// Cross-network *invocation* target (the extension of paper §5 and
+        /// §7): a foreign trade-finance network records the financing status
+        /// of a purchase order on the logistics ledger.
+        fn RecordFinancingStatus(&self, ctx, po_ref: str, status: str) for Any {
+            // The shipment must exist before financing is recorded.
+            Self::load_shipment(ctx, po_ref)?;
+            ctx.put_state(&format!("financing:{po_ref}"), status.as_bytes().to_vec());
+            seal(ctx, format!("recorded:{status}").into_bytes()) // interop-adaptation
+        }
+
+        /// The status `RecordFinancingStatus` recorded.
+        fn GetFinancingStatus(&self, ctx, po_ref: str) for Any {
+            ctx.get_state(&format!("financing:{po_ref}"))
+                .ok_or_else(|| {
+                    ChaincodeError::NotFound(format!("no financing status for {po_ref:?}"))
+                })
+        }
+
+        /// Provenance: every recorded state of the shipment, oldest first,
+        /// as newline-separated status codes (GetHistoryForKey).
+        fn GetShipmentHistory(&self, ctx, po_ref: str) for Any {
+            let history = ctx.get_history(&Self::shipment_key(po_ref));
+            if history.is_empty() {
+                return Err(ChaincodeError::NotFound(format!(
+                    "no history for shipment {po_ref:?}"
+                )));
             }
-            "GetFinancingStatus" => {
-                let po_ref = Self::arg_str(args, 0, "po_ref")?;
-                ctx.get_state(&format!("financing:{po_ref}"))
-                    .ok_or_else(|| {
-                        ChaincodeError::NotFound(format!("no financing status for {po_ref:?}"))
-                    })
+            let mut lines = Vec::with_capacity(history.len());
+            for entry in history {
+                let status = entry
+                    .value
+                    .as_deref()
+                    .and_then(|bytes| Shipment::decode_from_slice(bytes).ok())
+                    .map(|s| format!("{:?}", s.status))
+                    .unwrap_or_else(|| "Deleted".to_string());
+                lines.push(format!("{}:{}", entry.version, status));
             }
-            // Provenance: every recorded state of the shipment, oldest
-            // first, as newline-separated status codes (GetHistoryForKey).
-            "GetShipmentHistory" => {
-                let po_ref = Self::arg_str(args, 0, "po_ref")?;
-                let history = ctx.get_history(&Self::shipment_key(&po_ref));
-                if history.is_empty() {
-                    return Err(ChaincodeError::NotFound(format!(
-                        "no history for shipment {po_ref:?}"
-                    )));
-                }
-                let mut lines = Vec::with_capacity(history.len());
-                for entry in history {
-                    let status = entry
-                        .value
-                        .as_deref()
-                        .and_then(|bytes| Shipment::decode_from_slice(bytes).ok())
-                        .map(|s| format!("{:?}", s.status))
-                        .unwrap_or_else(|| "Deleted".to_string());
-                    lines.push(format!("{}:{}", entry.version, status));
-                }
-                Ok(lines.join("\n").into_bytes())
-            }
-            "GetBillOfLading" => {
-                let po_ref = Self::arg_str(args, 0, "po_ref")?;
-                let bl = ctx
-                    .get_state(&Self::bl_key(&po_ref))
-                    .ok_or_else(|| ChaincodeError::NotFound(format!("no B/L for {po_ref:?}")))?;
-                seal(ctx, bl) // interop-adaptation
-            }
-            other => Err(ChaincodeError::UnknownFunction(other.to_string())),
+            Ok(lines.join("\n").into_bytes())
+        }
+
+        /// The wire [`BillOfLading`], sealed for a foreign requester.
+        fn GetBillOfLading(&self, ctx, po_ref: str) for Any {
+            let bl = ctx
+                .get_state(&Self::bl_key(po_ref))
+                .ok_or_else(|| ChaincodeError::NotFound(format!("no B/L for {po_ref:?}")))?;
+            seal(ctx, bl) // interop-adaptation
         }
     }
 }
@@ -576,6 +545,20 @@ mod tests {
                 vec![b"PO-1".to_vec(), b"more".to_vec()],
                 false,
                 vec![],
+            ),
+            Err(ChaincodeError::BadRequest(_))
+        ));
+        // An extra argument is refused, not ignored.
+        let args = vec![b"PO-1".to_vec(), b"extra".to_vec()];
+        assert!(matches!(
+            invoke_as(
+                &mut f,
+                &seller,
+                StlChaincode::NAME,
+                "GetShipment",
+                args,
+                false,
+                vec![]
             ),
             Err(ChaincodeError::BadRequest(_))
         ));

@@ -5,20 +5,10 @@
 //! adaptation is in `UploadDispatchDocs`, which accepts a remotely fetched
 //! bill of lading together with its proof and validates both by invoking
 //! the CMDAC — the paper measured ~20 SLOC for this.
-//!
-//! # Functions
-//!
-//! | function | args | caller |
-//! |---|---|---|
-//! | `RequestLC` | `[po_ref, lc_id, buyer, seller, amount]` | buyer-bank org |
-//! | `IssueLC` | `[po_ref]` | buyer-bank org |
-//! | `UploadDispatchDocs` | `[po_ref, bl, proof]` | seller-bank org |
-//! | `RequestPayment` | `[po_ref]` | seller-bank org |
-//! | `RecordPayment` | `[po_ref]` | buyer-bank org |
-//! | `GetLC` | `[po_ref]` | any local member |
 
+use crate::abi::chaincode;
 use crate::stl::BillOfLading;
-use tdt_fabric::chaincode::{Chaincode, TxContext};
+use tdt_fabric::chaincode::TxContext;
 use tdt_fabric::error::ChaincodeError;
 use tdt_wire::codec::Message;
 use tdt_wire::{message, wire_enum};
@@ -104,157 +94,133 @@ impl SwtChaincode {
         LetterOfCredit::decode_from_slice(&bytes)
             .map_err(|e| ChaincodeError::Internal(format!("stored L/C corrupt: {e}")))
     }
-
-    fn arg_str(args: &[Vec<u8>], idx: usize, name: &str) -> Result<String, ChaincodeError> {
-        let raw = args
-            .get(idx)
-            .ok_or_else(|| ChaincodeError::BadRequest(format!("missing argument {name}")))?;
-        String::from_utf8(raw.clone())
-            .map_err(|_| ChaincodeError::BadRequest(format!("argument {name} is not utf-8")))
-    }
 }
 
-impl Chaincode for SwtChaincode {
-    fn invoke(
-        &self,
-        ctx: &mut TxContext<'_>,
-        function: &str,
-        args: &[Vec<u8>],
-    ) -> Result<Vec<u8>, ChaincodeError> {
-        match function {
-            "RequestLC" => {
-                ctx.require_org(&self.buyer_bank_org)?;
-                let po_ref = Self::arg_str(args, 0, "po_ref")?;
-                let lc_id = Self::arg_str(args, 1, "lc_id")?;
-                let buyer = Self::arg_str(args, 2, "buyer")?;
-                let seller = Self::arg_str(args, 3, "seller")?;
-                let amount: u64 = Self::arg_str(args, 4, "amount")?
-                    .parse()
-                    .map_err(|_| ChaincodeError::BadRequest("amount must be an integer".into()))?;
-                if amount == 0 {
-                    return Err(ChaincodeError::BadRequest("amount must be positive".into()));
-                }
-                if ctx.get_state(&Self::lc_key(&po_ref)).is_some() {
-                    return Err(ChaincodeError::BadRequest(format!(
-                        "L/C for {po_ref:?} already exists"
-                    )));
-                }
-                let lc = LetterOfCredit {
-                    lc_id,
-                    po_ref: po_ref.clone(),
-                    buyer,
-                    seller,
-                    amount,
-                    status: LcStatus::Requested,
-                    bl: Vec::new(),
-                };
-                ctx.put_state(&Self::lc_key(&po_ref), lc.encode_to_vec());
-                Ok(Vec::new())
+chaincode! {
+    impl SwtChaincode {
+        /// The buyer's bank records the buyer's application for an L/C.
+        fn RequestLC(
+            &self, ctx, po_ref: str, lc_id: str, buyer: str, seller: str, amount: str,
+        ) for Org(buyer_bank_org) {
+            let amount: u64 = amount
+                .parse()
+                .map_err(|_| ChaincodeError::BadRequest("amount must be an integer".into()))?;
+            if amount == 0 {
+                return Err(ChaincodeError::BadRequest("amount must be positive".into()));
             }
-            "IssueLC" => {
-                ctx.require_org(&self.buyer_bank_org)?;
-                let po_ref = Self::arg_str(args, 0, "po_ref")?;
-                let mut lc = Self::load_lc(ctx, &po_ref)?;
-                if lc.status != LcStatus::Requested {
-                    return Err(ChaincodeError::BadRequest(format!(
-                        "cannot issue L/C in state {:?}",
-                        lc.status
-                    )));
-                }
-                lc.status = LcStatus::Issued;
-                ctx.put_state(&Self::lc_key(&po_ref), lc.encode_to_vec());
-                Ok(Vec::new())
+            if ctx.get_state(&Self::lc_key(po_ref)).is_some() {
+                return Err(ChaincodeError::BadRequest(format!(
+                    "L/C for {po_ref:?} already exists"
+                )));
             }
-            "UploadDispatchDocs" => {
-                ctx.require_org(&self.seller_bank_org)?;
-                let po_ref = Self::arg_str(args, 0, "po_ref")?;
-                let bl_bytes = args
-                    .get(1)
-                    .ok_or_else(|| ChaincodeError::BadRequest("missing argument bl".into()))?
-                    .clone();
-                let mut lc = Self::load_lc(ctx, &po_ref)?;
-                if lc.status != LcStatus::Issued {
-                    return Err(ChaincodeError::BadRequest(format!(
-                        "cannot upload docs in state {:?}",
-                        lc.status
-                    )));
-                }
-                // interop-adaptation: unmarshal the proof argument and have
-                // interop-adaptation: the CMDAC validate it against the
-                // interop-adaptation: recorded verification policy.
-                let proof_bytes = args
-                    .get(2) // interop-adaptation
-                    .ok_or_else(|| {
-                        ChaincodeError::BadRequest("missing argument proof".into())
-                        // interop-adaptation
-                    })?
-                    .clone(); // interop-adaptation
-                let proof = tdt_wire::messages::Proof::decode_from_slice(&proof_bytes)
-                    .map_err(|e| ChaincodeError::BadRequest(format!("proof malformed: {e}")))?; // interop-adaptation
-                if proof.result != bl_bytes {
-                    // interop-adaptation
-                    return Err(ChaincodeError::BadRequest(
-                        "proof result does not match the submitted B/L".into(), // interop-adaptation
-                    ));
-                } // interop-adaptation
-                ctx.invoke_chaincode(
-                    // interop-adaptation
-                    crate::CMDAC_NAME, // interop-adaptation
-                    "ValidateProof",   // interop-adaptation
-                    &[
-                        self.source_network.clone().into_bytes(), // interop-adaptation
-                        self.source_address.clone().into_bytes(), // interop-adaptation
-                        proof_bytes,                              // interop-adaptation
-                    ],
-                )?; // interop-adaptation
-                    // The verified B/L must actually cover this purchase order.
-                let bl = BillOfLading::decode_from_slice(&bl_bytes)
-                    .map_err(|e| ChaincodeError::BadRequest(format!("B/L malformed: {e}")))?;
-                if bl.po_ref != po_ref {
-                    return Err(ChaincodeError::BadRequest(format!(
-                        "B/L covers {:?}, not {po_ref:?}",
-                        bl.po_ref
-                    )));
-                }
-                lc.bl = bl_bytes;
-                lc.status = LcStatus::DocsUploaded;
-                ctx.put_state(&Self::lc_key(&po_ref), lc.encode_to_vec());
-                Ok(Vec::new())
+            let lc = LetterOfCredit {
+                lc_id: lc_id.into(),
+                po_ref: po_ref.into(),
+                buyer: buyer.into(),
+                seller: seller.into(),
+                amount,
+                status: LcStatus::Requested,
+                bl: Vec::new(),
+            };
+            ctx.put_state(&Self::lc_key(po_ref), lc.encode_to_vec());
+            Ok(Vec::new())
+        }
+
+        /// The buyer's bank issues the L/C in favour of the seller's bank.
+        fn IssueLC(&self, ctx, po_ref: str) for Org(buyer_bank_org) {
+            let mut lc = Self::load_lc(ctx, po_ref)?;
+            if lc.status != LcStatus::Requested {
+                return Err(ChaincodeError::BadRequest(format!(
+                    "cannot issue L/C in state {:?}",
+                    lc.status
+                )));
             }
-            "RequestPayment" => {
-                ctx.require_org(&self.seller_bank_org)?;
-                let po_ref = Self::arg_str(args, 0, "po_ref")?;
-                let mut lc = Self::load_lc(ctx, &po_ref)?;
-                if lc.status != LcStatus::DocsUploaded {
-                    return Err(ChaincodeError::BadRequest(format!(
-                        "cannot request payment in state {:?} (valid B/L required)",
-                        lc.status
-                    )));
-                }
-                lc.status = LcStatus::PaymentRequested;
-                ctx.put_state(&Self::lc_key(&po_ref), lc.encode_to_vec());
-                Ok(Vec::new())
+            lc.status = LcStatus::Issued;
+            ctx.put_state(&Self::lc_key(po_ref), lc.encode_to_vec());
+            Ok(Vec::new())
+        }
+
+        /// The seller's bank uploads the remotely fetched B/L with its proof
+        /// (wire [`tdt_wire::messages::Proof`], forwarded to the CMDAC as
+        /// given).
+        fn UploadDispatchDocs(
+            &self, ctx, po_ref: str, bl: bytes, proof: bytes,
+        ) for Org(seller_bank_org) {
+            let mut lc = Self::load_lc(ctx, po_ref)?;
+            if lc.status != LcStatus::Issued {
+                return Err(ChaincodeError::BadRequest(format!(
+                    "cannot upload docs in state {:?}",
+                    lc.status
+                )));
             }
-            "RecordPayment" => {
-                ctx.require_org(&self.buyer_bank_org)?;
-                let po_ref = Self::arg_str(args, 0, "po_ref")?;
-                let mut lc = Self::load_lc(ctx, &po_ref)?;
-                if lc.status != LcStatus::PaymentRequested {
-                    return Err(ChaincodeError::BadRequest(format!(
-                        "cannot record payment in state {:?}",
-                        lc.status
-                    )));
-                }
-                lc.status = LcStatus::Paid;
-                ctx.put_state(&Self::lc_key(&po_ref), lc.encode_to_vec());
-                Ok(Vec::new())
+            // interop-adaptation: unmarshal the proof argument and have
+            // interop-adaptation: the CMDAC validate it against the
+            // interop-adaptation: recorded verification policy.
+            let decoded = tdt_wire::messages::Proof::decode_from_slice(proof)
+                .map_err(|e| ChaincodeError::BadRequest(format!("proof malformed: {e}")))?; // interop-adaptation
+            if decoded.result != bl {
+                // interop-adaptation
+                return Err(ChaincodeError::BadRequest(
+                    "proof result does not match the submitted B/L".into(), // interop-adaptation
+                ));
+            } // interop-adaptation
+            ctx.invoke_chaincode(
+                // interop-adaptation
+                crate::CMDAC_NAME, // interop-adaptation
+                "ValidateProof",   // interop-adaptation
+                &[
+                    self.source_network.clone().into_bytes(), // interop-adaptation
+                    self.source_address.clone().into_bytes(), // interop-adaptation
+                    proof.to_vec(),                           // interop-adaptation
+                ],
+            )?; // interop-adaptation
+            // The verified B/L must actually cover this purchase order.
+            let bill = BillOfLading::decode_from_slice(bl)
+                .map_err(|e| ChaincodeError::BadRequest(format!("B/L malformed: {e}")))?;
+            if bill.po_ref != po_ref {
+                return Err(ChaincodeError::BadRequest(format!(
+                    "B/L covers {:?}, not {po_ref:?}",
+                    bill.po_ref
+                )));
             }
-            "GetLC" => {
-                let po_ref = Self::arg_str(args, 0, "po_ref")?;
-                ctx.get_state(&Self::lc_key(&po_ref))
-                    .ok_or_else(|| ChaincodeError::NotFound(format!("letter of credit {po_ref:?}")))
+            lc.bl = bl.to_vec();
+            lc.status = LcStatus::DocsUploaded;
+            ctx.put_state(&Self::lc_key(po_ref), lc.encode_to_vec());
+            Ok(Vec::new())
+        }
+
+        /// The seller's bank asks for payment against verified documents.
+        fn RequestPayment(&self, ctx, po_ref: str) for Org(seller_bank_org) {
+            let mut lc = Self::load_lc(ctx, po_ref)?;
+            if lc.status != LcStatus::DocsUploaded {
+                return Err(ChaincodeError::BadRequest(format!(
+                    "cannot request payment in state {:?} (valid B/L required)",
+                    lc.status
+                )));
             }
-            other => Err(ChaincodeError::UnknownFunction(other.to_string())),
+            lc.status = LcStatus::PaymentRequested;
+            ctx.put_state(&Self::lc_key(po_ref), lc.encode_to_vec());
+            Ok(Vec::new())
+        }
+
+        /// The buyer's bank records that it paid.
+        fn RecordPayment(&self, ctx, po_ref: str) for Org(buyer_bank_org) {
+            let mut lc = Self::load_lc(ctx, po_ref)?;
+            if lc.status != LcStatus::PaymentRequested {
+                return Err(ChaincodeError::BadRequest(format!(
+                    "cannot record payment in state {:?}",
+                    lc.status
+                )));
+            }
+            lc.status = LcStatus::Paid;
+            ctx.put_state(&Self::lc_key(po_ref), lc.encode_to_vec());
+            Ok(Vec::new())
+        }
+
+        /// The wire [`LetterOfCredit`].
+        fn GetLC(&self, ctx, po_ref: str) for Any {
+            ctx.get_state(&Self::lc_key(po_ref))
+                .ok_or_else(|| ChaincodeError::NotFound(format!("letter of credit {po_ref:?}")))
         }
     }
 }
@@ -739,6 +705,12 @@ mod tests {
                 vec![b"PO-X".to_vec()]
             ),
             Err(ChaincodeError::NotFound(_))
+        ));
+        // An extra argument is refused, not ignored.
+        let args = vec![b"PO-X".to_vec(), b"extra".to_vec()];
+        assert!(matches!(
+            invoke_as(&mut f, &bb, SwtChaincode::NAME, "GetLC", args),
+            Err(ChaincodeError::BadRequest(_))
         ));
     }
 }

@@ -34,26 +34,27 @@ fn region(
     Ok(lines[start..stop].iter().map(|l| l.to_string()).collect())
 }
 
-/// Tagged lines in `path`, optionally restricted to the match arm that
-/// starts at `arm`, so functions adapted later (extensions) don't inflate
+/// Tagged lines in `path`, optionally restricted to the function row that
+/// starts at `row`, so functions adapted later (extensions) don't inflate
 /// the paper-comparable number.
-fn count_marked(path: &Path, arm: Option<&str>) -> Result<usize, Box<dyn std::error::Error>> {
-    // An arm ends at the next top-level match arm (`"..." =>`).
-    let next_arm = |_: &str, l: &str| l.trim_start().starts_with('"') && l.contains("=>");
-    Ok(region(path, arm, next_arm)?
+fn count_marked(path: &Path, row: Option<&str>) -> Result<usize, Box<dyn std::error::Error>> {
+    Ok(region(path, row, closing)?
         .iter()
         .filter(|line| line.contains("// interop-adaptation"))
         .count())
+}
+
+/// Whether `l` is the closing brace of the item whose first line is
+/// `first`: a lone `}` at the item's own indentation.
+fn closing(first: &str, l: &str) -> bool {
+    let indent = first.len() - first.trim_start().len();
+    l.len() == indent + 1 && l.ends_with('}')
 }
 
 /// Code lines (neither blank nor comment) of the item that starts at
 /// `anchor`, up to (not counting) its closing brace at the item's own
 /// indentation.
 fn count_item(path: &Path, anchor: &str) -> Result<usize, Box<dyn std::error::Error>> {
-    let closing = |first: &str, l: &str| {
-        let indent = first.len() - first.trim_start().len();
-        l.len() == indent + 1 && l.ends_with('}')
-    };
     Ok(region(path, Some(anchor), closing)?
         .iter()
         .map(|l| l.trim())
@@ -68,13 +69,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let app = root.join("crates/apps/src/swt_app.rs");
     let ecc = root.join("crates/contracts/src/ecc.rs");
     let chaincode = root.join("crates/fabric/src/chaincode.rs");
-    let platform_gate = count_item(&ecc, "fn admit(")?
+    let platform_gate = count_item(&ecc, "fn AdmitRelayProposal(")?
         + count_item(&ecc, "fn check_access(")?
         + count_item(&chaincode, "pub fn admit(")?;
     let cases = [
         (
             "source chaincode (STL GetBillOfLading only)",
-            count_marked(&stl, Some("\"GetBillOfLading\" =>"))?,
+            count_marked(&stl, Some("fn GetBillOfLading("))?,
             Some(35usize),
         ),
         (
@@ -89,7 +90,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ),
         (
             "extension: STL RecordFinancingStatus (invocation target)",
-            count_marked(&stl, Some("\"RecordFinancingStatus\" =>"))?,
+            count_marked(&stl, Some("fn RecordFinancingStatus("))?,
             None,
         ),
         (

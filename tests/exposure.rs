@@ -7,40 +7,20 @@
 //! * A certificate from a CA no CMDAC records is refused even under a rule
 //!   naming the org it claims, and writes nothing.
 //! * System functions off the gate's allow-list are never remote.
+//! * A relay `CheckAccess` answers only about the requester itself.
 
 use std::sync::Arc;
+use tdt::contracts::stl::StlChaincode;
+use tdt::contracts::swt::SwtChaincode;
 use tdt::crypto::cert::CertRole;
 use tdt::crypto::group::Group;
 use tdt::fabric::gateway::Gateway;
-use tdt::fabric::msp::Msp;
+use tdt::fabric::msp::{Identity, Msp};
 use tdt::fabric::network::FabricNetwork;
 use tdt::interop::config::add_exposure_rule;
 use tdt::interop::setup::{issue_sample_bl, stl_swt_testbed};
 use tdt::interop::{InteropClient, InteropError};
-use tdt::wire::messages::{NetworkAddress, VerificationPolicy};
-
-/// Every STL application function, and whether it writes.
-const STL_FUNCTIONS: [(&str, bool); 9] = [
-    ("CreateShipment", true),
-    ("ConfirmBooking", true),
-    ("TransferPossession", true),
-    ("IssueBillOfLading", true),
-    ("RecordFinancingStatus", true),
-    ("GetShipment", false),
-    ("GetFinancingStatus", false),
-    ("GetShipmentHistory", false),
-    ("GetBillOfLading", false),
-];
-
-/// Every SWT application function, and whether it writes.
-const SWT_FUNCTIONS: [(&str, bool); 6] = [
-    ("RequestLC", true),
-    ("IssueLC", true),
-    ("UploadDispatchDocs", true),
-    ("RequestPayment", true),
-    ("RecordPayment", true),
-    ("GetLC", false),
-];
+use tdt::wire::messages::{encode_certificate, NetworkAddress, VerificationPolicy};
 
 fn state_hashes(network: &FabricNetwork) -> Vec<[u8; 32]> {
     network
@@ -75,7 +55,7 @@ fn no_application_function_answers_a_requester_without_a_rule() {
             &t.stl,
             "trade-channel",
             "TradeLensCC",
-            &STL_FUNCTIONS[..],
+            StlChaincode::FUNCTIONS,
             stl_policy(),
         ),
         (
@@ -83,21 +63,19 @@ fn no_application_function_answers_a_requester_without_a_rule() {
             &t.swt,
             "finance-channel",
             "WeTradeCC",
-            &SWT_FUNCTIONS[..],
+            SwtChaincode::FUNCTIONS,
             swt_policy,
         ),
     ];
     let mut checked = 0;
     for (client, network, channel, contract, functions, policy) in cases {
-        for &(function, writes) in functions {
+        for function in functions {
             let before = state_hashes(network);
             // No arguments: a target that ran would answer BadRequest.
-            let address = NetworkAddress::new(network.name(), channel, contract, function);
-            let what = format!("{contract}.{function}");
+            let address = NetworkAddress::new(network.name(), channel, contract, function.name);
+            let what = format!("{contract}.{}", function.name);
             assert_gate_refused(client.query_remote(address.clone(), policy.clone()), &what);
-            if writes {
-                assert_gate_refused(client.invoke_remote(address, policy.clone()), &what);
-            }
+            assert_gate_refused(client.invoke_remote(address, policy.clone()), &what);
             assert_eq!(state_hashes(network), before, "{what} changed state");
             checked += 1;
         }
@@ -175,4 +153,41 @@ fn system_functions_off_the_allow_list_are_never_remote() {
             address.display_name()
         );
     }
+}
+
+#[test]
+fn relay_check_access_answers_only_about_the_requester() {
+    let t = stl_swt_testbed();
+    add_exposure_rule(
+        &t.stl_seller_gateway(),
+        "swt",
+        "buyer-bank-org",
+        "TradeLensCC",
+        "GetShipment",
+    )
+    .unwrap();
+    let ask = |org: &str, function: &str, whom: &Identity| {
+        NetworkAddress::new("stl", "trade-channel", "ECC", "CheckAccess")
+            .with_arg(b"swt".to_vec())
+            .with_arg(org.as_bytes().to_vec())
+            .with_arg(b"TradeLensCC".to_vec())
+            .with_arg(function.as_bytes().to_vec())
+            .with_arg(encode_certificate(whom.certificate()))
+    };
+    // `CheckAccess` answers in plaintext, so the query is not confidential.
+    let policy = VerificationPolicy {
+        confidential: false,
+        ..stl_policy()
+    };
+    let client = InteropClient::new(t.swt_seller_gateway(), Arc::clone(&t.swt_relay));
+    let own = ask("seller-bank-org", "GetBillOfLading", &t.swt_seller_client);
+    assert_eq!(
+        client.query_remote(own, policy.clone()).unwrap().data,
+        b"ok"
+    );
+    // The buyer's bank client holds a rule, but the seller's bank may not
+    // learn it.
+    let other = ask("buyer-bank-org", "GetShipment", &t.swt_buyer);
+    let err = client.query_remote(other, policy).unwrap_err();
+    assert!(matches!(err, InteropError::AccessDenied(_)), "{err:?}");
 }
