@@ -35,6 +35,7 @@ use tdt_ledger::state::WorldState;
 use tdt_ledger::storage::file::{FileBackend, FileConfig};
 use tdt_ledger::storage::vfs::{MemVfs, Vfs};
 use tdt_ledger::storage::{Snapshot, StorageBackend};
+use tdt_obs::par;
 use tdt_wire::codec::Message;
 
 /// Transactions per block: Fabric block-cutting order of magnitude.
@@ -170,7 +171,7 @@ fn ms(d: Duration) -> f64 {
 /// Writes `rows` (this run's, under `label`) to `path`, carrying over the
 /// rows an existing file holds under other labels.
 fn write_json(path: &str, smoke: bool, label: &str, rows: &[String]) -> std::io::Result<()> {
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
+    let cores = par::cores();
     let doc = format!(
         "{{\n  \"schema\": \"recovery/v1\",\n  \"generated_by\": \"cargo run -p tdt-bench --release --bin recovery_bench{}\",\n  \
          \"smoke\": {smoke},\n  \
@@ -214,7 +215,7 @@ fn main() {
             let r = runs.swap_remove(REPEATS / 2);
             let replay = r.total.saturating_sub(r.backend_share);
             let wal_mib = r.wal_bytes as f64 / (1024.0 * 1024.0);
-            let workers = tdt_ledger::par::workers_for(r.wal_bytes as usize);
+            let workers = par::workers_for(r.wal_bytes as usize, par::cores());
             println!(
                 "{:>10} {:>12} {:>12.1} {:>12.1} {:>12.1} {:>10} {:>10.1} {:>8}",
                 total_txs,

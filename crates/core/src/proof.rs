@@ -5,10 +5,12 @@
 //! client-side check is an early filter, not the trust root).
 
 use crate::error::InteropError;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use tdt_contracts::foreign::{self, Decoded, Expected, Reason};
-use tdt_crypto::elgamal::Ciphertext;
+use tdt_crypto::elgamal::{Ciphertext, DecryptionKey};
 use tdt_crypto::sha256::sha256;
 use tdt_fabric::msp::Identity;
+use tdt_obs::par;
 use tdt_wire::messages::{Attestation, Proof, Query, QueryResponse, ResponseStatus};
 
 /// Decrypts, verifies, and repackages a query response into a [`Proof`].
@@ -63,7 +65,7 @@ pub fn process_response(
         nonce: &query.nonce,
         result_hash: sha256(&result_plain),
     };
-    let attestations = decode_attestations(identity, &response.attestations)?;
+    let attestations = decode_attestations(identity, &response.attestations, None)?;
     foreign::verify_attestations(&expected, &attestations, &query.policy.expression)?;
     Ok(Proof {
         request_id: query.request_id.clone(),
@@ -84,10 +86,10 @@ pub fn process_response(
 }
 
 /// Decodes every attestation, decrypting its metadata when it is
-/// encrypted; the decryptions are the per-item hot spot, so the
-/// attestations are split into one contiguous run per core, the first run
-/// on the calling thread. Results come back in attestation order, so the
-/// error returned is the first one in that order whatever the scheduling.
+/// encrypted. The decryptions are the per-item hot spot, split over
+/// `workers` threads (`None`: as many as they are worth — two modp768
+/// decryptions are worth none). Results come back in attestation order, so
+/// the error returned is the first one in that order whatever the split.
 ///
 /// The client holds no root for the foreign network (the CMDAC does the
 /// authenticating), so each signer key is decoded from its certificate,
@@ -96,8 +98,9 @@ pub fn process_response(
 fn decode_attestations(
     identity: &Identity,
     attestations: &[Attestation],
+    workers: Option<usize>,
 ) -> Result<Vec<Decoded<Vec<u8>>>, InteropError> {
-    let decode = |i: usize, att: &Attestation| -> Result<Decoded<Vec<u8>>, InteropError> {
+    let decode = |(i, att): (usize, &Attestation)| -> Result<Decoded<Vec<u8>>, InteropError> {
         let plain = if att.metadata_encrypted {
             let dk = identity
                 .decryption_key()
@@ -117,33 +120,24 @@ fn decode_attestations(
         })
         .map_err(|r| r.at(i).into())
     };
-    let workers = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
-    let run = attestations.len().div_ceil(workers).max(1);
-    let decode_run = |r: usize, atts: &[Attestation]| -> Vec<_> {
-        let first = r * run;
-        atts.iter()
-            .enumerate()
-            .map(|(j, att)| decode(first + j, att))
-            .collect()
-    };
-    let mut runs = attestations.chunks(run).enumerate();
-    let first = runs.next();
-    std::thread::scope(|scope| {
-        let spawned: Vec<_> = runs
-            .map(|(r, atts)| scope.spawn(move || decode_run(r, atts)))
-            .collect();
-        let mut decoded = first.map_or_else(Vec::new, |(r, atts)| decode_run(r, atts));
-        for handle in spawned {
+    let decrypt_weight = identity
+        .decryption_key()
+        .map_or(0, DecryptionKey::decrypt_weight);
+    let (decoded, ()) = par::map_chunks(
+        attestations.iter().enumerate().collect(),
+        workers,
+        |(_, att)| usize::from(att.metadata_encrypted) * decrypt_weight,
+        |run| {
             // A panicking decoder must not take the client down with it:
             // its run fails closed instead.
-            decoded.extend(handle.join().unwrap_or_else(|_| {
-                vec![Err(InteropError::InvalidResponse(
-                    "attestation decoding did not complete".into(),
-                ))]
-            }));
-        }
-        decoded.into_iter().collect()
-    })
+            let incomplete =
+                || InteropError::InvalidResponse("attestation decoding did not complete".into());
+            catch_unwind(AssertUnwindSafe(|| run.into_iter().map(decode).collect()))
+                .unwrap_or_else(|_| vec![Err(incomplete())])
+        },
+        || (),
+    );
+    decoded.into_iter().collect()
 }
 
 #[cfg(test)]
@@ -204,6 +198,54 @@ mod tests {
         let bl = <tdt_contracts::stl::BillOfLading as Message>::decode_from_slice(&proof.result)
             .unwrap();
         assert_eq!(bl.po_ref, "PO-1001");
+    }
+
+    #[test]
+    fn first_failing_attestation_is_reported_for_any_worker_count() {
+        let f = fixture();
+        let (_, response) = query_and_response(&f);
+        let client = &f.testbed.swt_seller_client;
+        let atts: Vec<Attestation> = response
+            .attestations
+            .iter()
+            .cycle()
+            .take(8)
+            .cloned()
+            .collect();
+        assert!(atts.iter().all(|a| a.metadata_encrypted));
+        let clean = decode_attestations(client, &atts, Some(1)).unwrap();
+        for first in 0..atts.len() {
+            for second in first..atts.len() {
+                // Two flipped body bytes, one per attestation (both in one
+                // when `first == second`), each failing its MAC.
+                let mut bad = atts.clone();
+                for (at, back) in [(first, 1), (second, 2)] {
+                    let index = bad[at].metadata.len() - back;
+                    bad[at].metadata[index] ^= 0x01;
+                }
+                for workers in 1..=atts.len() {
+                    let decoded = decode_attestations(client, &atts, Some(workers)).unwrap();
+                    let order = |d: &[Decoded<Vec<u8>>]| -> Vec<Vec<u8>> {
+                        d.iter().map(|d| d.bytes.clone()).collect()
+                    };
+                    assert_eq!(order(&decoded), order(&clean), "{workers} workers");
+                    match decode_attestations(client, &bad, Some(workers)) {
+                        Err(InteropError::InvalidResponse(m)) => assert!(
+                            m.starts_with(&format!("attestation {first} decryption")),
+                            "{workers} workers, {first} and {second} bad: {m}"
+                        ),
+                        other => panic!("{workers} workers: {:?}", other.err()),
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn two_decryptions_run_inline() {
+        let f = fixture();
+        let dk = f.testbed.swt_seller_client.decryption_key().unwrap();
+        assert_eq!(par::workers_for(2 * dk.decrypt_weight(), 2), 1);
     }
 
     #[test]

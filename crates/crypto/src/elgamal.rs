@@ -144,6 +144,14 @@ impl DecryptionKey {
         }
         Ok(xor_keystream(&key, &ct.c1, &ct.body))
     }
+
+    /// What one [`Self::decrypt`] weighs when work is split over threads
+    /// ([`Group::mul_weight`]): `c1^x` with the short `x`, a squaring per
+    /// bit and a multiplication per 4-bit window.
+    pub fn decrypt_weight(&self) -> usize {
+        let bits = self.group.short_exponent_bits();
+        self.group.mul_weight(bits + bits / 4)
+    }
 }
 
 /// An ElGamal encryption (public) key.

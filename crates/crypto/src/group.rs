@@ -254,6 +254,18 @@ impl Group {
         ctx.from_mont(&ctx.mont_mul(&g_part, &y_part))
     }
 
+    /// What `mults` multiplications mod `p` weigh when work is split over
+    /// threads (`tdt_obs::par`): one unit per two products of 64-bit limbs,
+    /// so a cached modp768 verify (255 multiplications) weighs ≈ 18 k and a
+    /// modp2048 one (575) ≈ 294 k, against ≈ 70 µs and ≈ 1.1 ms measured on
+    /// the 2-vCPU reference box — ≈ 4 ns per unit, four times a byte of
+    /// recovery input, because a thread here only adds CPU (DESIGN.md
+    /// "Where the process fans out").
+    pub fn mul_weight(&self, mults: usize) -> usize {
+        let limbs = self.element_len().div_ceil(8);
+        mults * limbs * limbs / 2
+    }
+
     /// `(a * b) mod p`.
     pub fn mul(&self, a: &BigUint, b: &BigUint) -> BigUint {
         self.inner.p_mont.modmul(a, b)

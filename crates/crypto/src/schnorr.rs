@@ -31,6 +31,7 @@ use crate::sha256::sha256_concat;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
+use tdt_obs::par;
 
 /// A Schnorr signature `(e, s)`.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -389,15 +390,17 @@ impl std::error::Error for BatchVerifyError {}
 ///
 /// For `(e, s)`-form Schnorr the commitment `r'_i = g^{s_i}·y_i^{e_i}`
 /// must be recomputed per signature (each feeds its own challenge hash),
-/// so that part runs as fused multi-exponentiations in parallel across
-/// available cores. What *is* aggregated is the challenge comparison: with
-/// random 128-bit `z_i`, accept iff `Σ z_i·e'_i ≡ Σ z_i·e_i (mod q)` —
-/// a forged item survives only if the attacker predicts `z` (probability
-/// ≈ 2⁻¹²⁸). The `z_i` are drawn from an HMAC-DRBG seeded over the whole
-/// batch transcript (keys, message digests, signatures), Fiat–Shamir
-/// style, so they are fixed only after every item is committed; a counter
-/// or other predictable sequence would let an attacker craft offsetting
-/// forgeries (Wagner-style) that cancel in the sum.
+/// so that part runs as fused multi-exponentiations, fanned out over the
+/// cores when they are worth a thread (`tdt_obs::par`: 20 signatures at
+/// modp768 are, 2 are not). What *is* aggregated is the challenge
+/// comparison: with random 128-bit `z_i`, accept iff
+/// `Σ z_i·e'_i ≡ Σ z_i·e_i (mod q)` — a forged item survives only if the
+/// attacker predicts `z` (probability ≈ 2⁻¹²⁸). The `z_i` are drawn from
+/// an HMAC-DRBG seeded over the whole batch transcript (keys, message
+/// digests, signatures), Fiat–Shamir style, so they are fixed only after
+/// every item is committed; a counter or other predictable sequence would
+/// let an attacker craft offsetting forgeries (Wagner-style) that cancel
+/// in the sum.
 ///
 /// # Errors
 ///
@@ -405,6 +408,15 @@ impl std::error::Error for BatchVerifyError {}
 /// [`BatchVerifyError::GroupMismatch`] if items span groups, and
 /// [`BatchVerifyError::Invalid`] naming an offending index otherwise.
 pub fn batch_verify(items: &[BatchItem<'_>]) -> Result<(), BatchVerifyError> {
+    batch_verify_on(items, None)
+}
+
+/// [`batch_verify`] with the challenges recomputed on `workers` threads
+/// (`None`: as many as they are worth). The verdict never depends on it.
+fn batch_verify_on(
+    items: &[BatchItem<'_>],
+    workers: Option<usize>,
+) -> Result<(), BatchVerifyError> {
     tdt_obs::profile_scope!("crypto.batch_verify");
     if items.is_empty() {
         return Err(BatchVerifyError::Empty);
@@ -424,7 +436,20 @@ pub fn batch_verify(items: &[BatchItem<'_>]) -> Result<(), BatchVerifyError> {
             Err(_) => return Err(BatchVerifyError::Invalid { index }),
         }
     }
-    let e_primes = compute_challenges(group, items, &scalars);
+    // e'_i = H(g^{s_i}·y_i^{e_i} ‖ y_i ‖ m_i), in item order.
+    let (e_primes, ()) = par::map_chunks(
+        items.iter().zip(&scalars).collect(),
+        workers,
+        |(it, _)| verify_weight(group, it.table.is_some()),
+        |chunk| {
+            let challenge_of = |(it, (e, s)): (&BatchItem<'_>, &(BigUint, BigUint))| {
+                let r_prime = group.mul_exp_g(s, it.key.element(), e, it.table.as_deref());
+                challenge(group, &r_prime, it.key.element(), it.message)
+            };
+            chunk.into_iter().map(challenge_of).collect()
+        },
+        || (),
+    );
 
     // Randomizers from the batch transcript: reseeding over every key,
     // message and signature means no z_i is known before the whole batch
@@ -450,43 +475,12 @@ pub fn batch_verify(items: &[BatchItem<'_>]) -> Result<(), BatchVerifyError> {
     Err(BatchVerifyError::Invalid { index })
 }
 
-/// Recomputes `e'_i = H(g^{s_i}·y_i^{e_i} ‖ y_i ‖ m_i)` for every item,
-/// striping the multi-exponentiations across available cores.
-fn compute_challenges(
-    group: &Group,
-    items: &[BatchItem<'_>],
-    scalars: &[(BigUint, BigUint)],
-) -> Vec<BigUint> {
-    let n = items.len();
-    let challenge_of = |i: usize| -> BigUint {
-        let it = &items[i];
-        let (e, s) = &scalars[i];
-        let r_prime = group.mul_exp_g(s, it.key.element(), e, it.table.as_deref());
-        challenge(group, &r_prime, it.key.element(), it.message)
-    };
-    let workers = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1)
-        .min(n);
-    if workers <= 1 {
-        return (0..n).map(challenge_of).collect();
-    }
-    let mut slots: Vec<Option<BigUint>> = vec![None; n];
-    let chunk = n.div_ceil(workers);
-    std::thread::scope(|scope| {
-        for (ci, slot_chunk) in slots.chunks_mut(chunk).enumerate() {
-            let challenge_of = &challenge_of;
-            scope.spawn(move || {
-                for (j, slot) in slot_chunk.iter_mut().enumerate() {
-                    *slot = Some(challenge_of(ci * chunk + j));
-                }
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|s| s.expect("batch challenge worker completed"))
-        .collect()
+/// One verify's `g^s·y^e` in `tdt_obs::par`'s weight unit: a Montgomery
+/// multiplication per 4-bit window of `s` (generator table) and of `e`,
+/// plus `e`'s squarings when the key has no cached table.
+fn verify_weight(group: &Group, cached: bool) -> usize {
+    let e_bits = group.short_exponent_bits();
+    group.mul_weight(group.q().bits() / 4 + e_bits / 4 + if cached { 0 } else { e_bits })
 }
 
 /// `Σ z_i·e'_i ≟ Σ z_i·e_i (mod q)` over `lo..hi`, compared on fixed-width
@@ -944,6 +938,45 @@ mod tests {
                 batch_verify(&as_items(&fixture)),
                 Err(BatchVerifyError::Invalid { index: forged_at })
             );
+        }
+    }
+
+    #[test]
+    fn batch_verdict_does_not_depend_on_the_worker_count() {
+        let fixture = batch_fixture(24);
+        for n in 1..=24 {
+            for forged_at in std::iter::once(None).chain((0..n).map(Some)) {
+                let mut batch = fixture[..n].to_vec();
+                if let Some(at) = forged_at {
+                    let mut s = batch[at].2.s_bytes().to_vec();
+                    s[3] ^= 0x40;
+                    batch[at].2 = Signature::from_scalars(batch[at].2.e_bytes().to_vec(), s);
+                }
+                let expected =
+                    forged_at.map_or(Ok(()), |index| Err(BatchVerifyError::Invalid { index }));
+                let items = as_items(&batch);
+                for workers in [1, 2, 3, n] {
+                    assert_eq!(
+                        batch_verify_on(&items, Some(workers)),
+                        expected,
+                        "{n} items, forged at {forged_at:?}, {workers} workers"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn only_batches_worth_a_thread_fan_out() {
+        let (modp768, modp2048) = (Group::modp_768(), Group::modp_2048());
+        for cached in [true, false] {
+            // Two endorsements, one per org of a 2-org policy: inline.
+            assert_eq!(par::workers_for(2 * verify_weight(&modp768, cached), 2), 1);
+            assert_eq!(par::workers_for(2 * verify_weight(&modp2048, cached), 2), 2);
+            // A 10-tx block of two endorsements each; crypto_smoke's batch.
+            assert_eq!(par::workers_for(20 * verify_weight(&modp768, cached), 2), 2);
+            assert_eq!(par::workers_for(16 * verify_weight(&modp768, cached), 2), 2);
+            assert_eq!(par::workers_for(20 * verify_weight(&modp768, cached), 1), 1);
         }
     }
 

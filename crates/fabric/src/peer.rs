@@ -24,13 +24,13 @@ use tdt_crypto::group::FixedBaseTable;
 use tdt_crypto::schnorr::{batch_verify, BatchItem, Signature, VerifyingKey};
 use tdt_ledger::block::{Block, TxValidationCode};
 use tdt_ledger::history::HistoryIndex;
-use tdt_ledger::par;
 use tdt_ledger::rwset::{TxRwSet, Version};
 use tdt_ledger::state::{StagedState, WorldState};
 use tdt_ledger::storage::{
     InMemoryBackend, Recovered, RecoveryReport, Snapshot, StorageBackend, StorageStats,
 };
 use tdt_ledger::store::{BlockStore, VerifiedBlock};
+use tdt_obs::par;
 use tdt_obs::span::{self as obs_span, RecordErr};
 use tdt_wire::codec::Message;
 
@@ -308,10 +308,12 @@ impl Peer {
     ///
     /// Certificates resolve through the network's verified-identity cache;
     /// the signatures of the whole block then go through **one**
-    /// [`batch_verify`] per group, which stripes the exponentiations over
-    /// the available cores. When an aggregate fails, each transaction of
-    /// that group is re-checked as its own batch — twice the signature work
-    /// at worst, so a block stuffed with forgeries stays linear.
+    /// [`batch_verify`] per group, which fans the exponentiations out over
+    /// the cores when they are worth a thread (`tdt_obs::par`: a
+    /// 20-signature modp768 block is, a 2-signature one is not). When an
+    /// aggregate fails, each transaction of that group is re-checked as its
+    /// own batch — twice the signature work at worst, so a block stuffed
+    /// with forgeries stays linear.
     fn verify_endorsements(
         &self,
         envelopes: &[Option<TransactionEnvelope>],
@@ -576,8 +578,6 @@ fn replay(
             .blocks()
             .get(start..height.min(start + REPLAY_WINDOW))
             .unwrap_or(&[]);
-        let workers =
-            workers.unwrap_or_else(|| par::workers_for(window.iter().map(block_bytes).sum()));
         let (txs, ()) = par::map_chunks(
             window.iter().collect(),
             workers,

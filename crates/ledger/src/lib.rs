@@ -14,7 +14,6 @@
 //! * [`storage`] — durable persistence: a pluggable backend seam with a
 //!   WAL + snapshot file backend, crash recovery, and seeded disk-fault
 //!   injection.
-//! * [`par`] — the contiguous-chunk thread fan-out crash recovery runs on.
 //!
 //! # Example
 //!
@@ -34,7 +33,6 @@ pub mod block;
 pub mod error;
 pub mod history;
 pub mod merkle;
-pub mod par;
 pub mod rwset;
 pub mod state;
 pub mod storage;

@@ -45,7 +45,6 @@ use super::{
     recovery_phase, Recovered, RecoveryReport, Snapshot, StorageBackend, StorageError, StorageStats,
 };
 use crate::block::{Block, BlockHeader};
-use crate::par;
 use std::sync::Arc;
 use std::time::Instant;
 use tdt_obs::span::{self as obs_span, RecordErr};
@@ -218,9 +217,9 @@ impl FileBackend {
 
 impl FileBackend {
     /// [`StorageBackend::load`] with the WAL verified on `workers` threads
-    /// (`None`: as many as the file is worth, [`par::workers_for`]). What
-    /// is recovered does not depend on the count — the differential tests
-    /// hold it to that — so it is not a configuration knob.
+    /// (`None`: as many as the file is worth, [`tdt_obs::par::workers_for`]).
+    /// What is recovered does not depend on the count — the differential
+    /// tests hold it to that — so it is not a configuration knob.
     fn recover(&mut self, workers: Option<usize>) -> Result<Recovered, StorageError> {
         let start = Instant::now();
         // Recovery runs at process startup, before any trace exists:
@@ -263,7 +262,6 @@ impl FileBackend {
                 .rev()
                 .find(|name| snap_height(name).is_some())
                 .map(|name| (name.as_str(), self.vfs.read(name)));
-            let workers = workers.unwrap_or_else(|| par::workers_for(bytes.len()));
             wal::verify_frames(&bytes, workers, || {
                 candidate.map(|(name, read)| {
                     let verified = read

@@ -15,24 +15,25 @@
 //!
 //! [`Wal::scan`] reads the file once and verifies every frame exactly
 //! once. A sequential walk over the length prefixes yields the frame
-//! ranges; the frames are then checked in contiguous chunks on scoped
-//! worker threads ([`crate::par`]) — CRC, block decoding, Merkle root
-//! ([`VerifiedBlock::new`]) — and a cheap sequential pass links the
-//! verified blocks into a [`BlockStore`] (numbers, header hashes). The
-//! first frame *in file order* that is short, oversized, fails its CRC,
-//! fails block decoding or does not extend the chain ends the trusted
-//! region, whichever worker found it and whenever: everything from that
-//! byte offset on is **tail** and is reported (and later physically
-//! truncated) rather than trusted. A torn append therefore costs at most
+//! ranges; the frames are then checked in contiguous chunks, the first on
+//! the calling thread and the rest on scoped workers when the WAL is
+//! large enough to pay for them ([`tdt_obs::par`]) — CRC, block decoding,
+//! Merkle root ([`VerifiedBlock::new`]) — and a cheap sequential pass
+//! links the verified blocks into a [`BlockStore`] (numbers, header
+//! hashes). The first frame *in file order* that is short, oversized,
+//! fails its CRC, fails block decoding or does not extend the chain ends
+//! the trusted region, whichever worker found it and whenever: everything
+//! from that byte offset on is **tail** and is reported (and later
+//! physically truncated) rather than trusted. A torn append therefore costs at most
 //! the blocks that were never acknowledged — never a prefix, never a
 //! silently wrong record.
 
 use super::codec::{self, DecodeError};
 use super::vfs::{Vfs, VfsError};
 use crate::block::Block;
-use crate::par;
 use crate::store::{BlockStore, VerifiedBlock};
 use std::fmt;
+use tdt_obs::par;
 
 /// Magic + version prefix of a WAL file.
 pub const WAL_MAGIC: &[u8; 8] = b"TDTWAL01";
@@ -153,10 +154,11 @@ pub(crate) struct VerifiedFrames {
 }
 
 /// Verifies the frames of the WAL image `bytes` in contiguous chunks on up
-/// to `workers` threads while `alongside` runs on the calling thread.
+/// to `workers` threads (`None`: as many as their bytes are worth) while
+/// `alongside` runs on the calling thread ([`par::map_chunks`]).
 pub(crate) fn verify_frames<A>(
     bytes: &[u8],
-    workers: usize,
+    workers: Option<usize>,
     alongside: impl FnOnce() -> A,
 ) -> (VerifiedFrames, A) {
     let file_len = bytes.len() as u64;
@@ -297,10 +299,7 @@ impl<'a> Wal<'a> {
     pub fn scan(&self) -> Result<WalScan, VfsError> {
         Ok(match self.read()? {
             None => WalScan::default(),
-            Some(bytes) => {
-                let workers = par::workers_for(bytes.len());
-                verify_frames(&bytes, workers, || ()).0.link()
-            }
+            Some(bytes) => verify_frames(&bytes, None, || ()).0.link(),
         })
     }
 
@@ -575,7 +574,7 @@ mod tests {
         vfs.corrupt("wal.log", ends[3] as usize + 9, 0x01).unwrap();
         let bytes = vfs.read("wal.log").unwrap();
         for workers in [1, 2, 5, 12, 40] {
-            let scan = verify_frames(&bytes, workers, || ()).0.link();
+            let scan = verify_frames(&bytes, Some(workers), || ()).0.link();
             assert_eq!(scan.chain.blocks(), &blocks[..3], "{workers} workers");
             assert_eq!(scan.valid_len, ends[3]);
             assert_eq!(scan.tail, Some(TailReason::CrcMismatch));
@@ -584,9 +583,11 @@ mod tests {
 
     #[test]
     fn workers_carry_the_recovery_scan_profile_scope() {
-        // Nothing on this thread opens a scope, so a sampled
+        // This thread opens a scope of its own, so the chunk it verifies
+        // samples as `test.caller;recovery.scan`, and a bare
         // `recovery.scan` can only come from a worker. ~2 MB of frames keep
         // two workers busy for milliseconds per pass; sample until seen.
+        tdt_obs::profile_scope!("test.caller");
         let vfs = MemVfs::new();
         let wal = Wal::new(&vfs, "wal.log");
         let mut prev = Block::genesis(vec![vec![7u8; 64 * 1024]]);
@@ -600,7 +601,7 @@ mod tests {
         for _round in 0..50 {
             let profiler = tdt_obs::profile::start(1000);
             for _ in 0..3 {
-                let scan = verify_frames(&bytes, 2, || ()).0.link();
+                let scan = verify_frames(&bytes, Some(2), || ()).0.link();
                 assert_eq!(scan.chain.height(), 32);
             }
             sampled = profiler.stop().folded;

@@ -35,6 +35,7 @@ pub mod export;
 pub mod flight;
 pub mod handle;
 pub mod metrics;
+pub mod par;
 pub mod profile;
 pub mod slo;
 pub mod span;

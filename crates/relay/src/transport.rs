@@ -532,9 +532,7 @@ impl Default for TcpServerConfig {
     fn default() -> Self {
         TcpServerConfig {
             max_connections: 256,
-            dispatchers: std::thread::available_parallelism()
-                .map_or(4, |n| n.get())
-                .max(4),
+            dispatchers: tdt_obs::par::cores().max(4),
             max_frame: DEFAULT_MAX_FRAME,
             obs: None,
             readiness: None,
